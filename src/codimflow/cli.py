@@ -195,16 +195,19 @@ def cmd_verify(args) -> int:
     print("t  evolution residuals (Linf): metric christoffel volume_form "
           "second_fundamental mean_sq a_sq heat | structure (L2/scale): "
           "gauss codazzi ricci simons simons2")
-    from .flow import adaptive_dt, step_explicit
+    from .flow import _step, adaptive_dt
+
+    def advance(st):
+        return _step(st, adaptive_dt(st, cfg), cfg)
 
     checks = 0
     while checks < args.checks:
         # advance to the next check instant, then form a consecutive triple
         for _ in range(max(0, cfg.record_every - 1)):
-            state = step_explicit(state, adaptive_dt(state, cfg))
+            state = advance(state)
         s0 = state
-        s1 = step_explicit(s0, adaptive_dt(s0, cfg))
-        s2 = step_explicit(s1, adaptive_dt(s1, cfg))
+        s1 = advance(s0)
+        s2 = advance(s1)
         rep = evolution_residuals(s0, s2, mid=s1)
         cur = structure_residuals(s1.imm, s1.bundle)
         d = rep.as_dict()

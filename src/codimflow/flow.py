@@ -6,6 +6,10 @@ curvature-adaptive brake, and a semi-implicit step that solves
 (Id - dt * Laplace-Beltrami(g(t))) F(t+dt) = F(t) with the operator frozen at
 the current metric (the flat-ambient trace of the Gauss formula makes the
 mean curvature vector exactly that Laplacian applied to the position).
+The step matrix is assembled on a sparsity pattern cached per chart, and
+its solve is preconditioned by an exact banded LU of the couplings inside
+each line of the chart's last axis (the sphere's colatitude rings), with
+the nodes of a line numbered zig-zag so the periodic wrap stays in the band.
 
 Runs terminate on a reached time horizon, on the curvature cap, on time-step
 underflow (both curvature signals), or on metric degeneration. Evolution
@@ -19,9 +23,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import LinearOperator, bicgstab, gmres, splu
 
 from .errors import DegenerateImmersion, NonFiniteError, SolverError, UsageError
@@ -38,7 +44,7 @@ from .geometry import (
     second_covariant_H,
     trusted_mask,
 )
-from .grid import integrate_values
+from .grid import ChartSpec, integrate_values, make_chart
 
 
 class Integrator(enum.Enum):
@@ -171,56 +177,180 @@ def step_explicit(state: FlowState, dt: float) -> FlowState:
                      step_index=state.step_index + 1)
 
 
-def assemble_step_matrix(bundle: GeometryBundle, dt: float) -> sp.csr_matrix:
-    """Sparse matrix of (Id - dt Lap_g) acting on scalar node fields.
+@dataclass(frozen=True)
+class _StepPattern:
+    """Chart-static structure of the step matrix and its line preconditioner.
 
-    Assembled from the same stencil coefficients and ghost-index maps as the
-    matrix-free operators, so A @ f.ravel() reproduces
-    (f - dt lap(f)).ravel() to rounding.
+    The Laplacian part of the step matrix is a sum of couplings, one per
+    stencil term and node: the term's per-node weight times its stencil
+    coefficient. Coupling (term t, node n) has flat index t * N + n. The
+    couplings landing on one CSR position are summed in that order.
     """
+
+    weight_row: np.ndarray     # per term: its row of the weight stack
+    term_coeff: np.ndarray     # per term: stencil coefficient over spacings
+    first: np.ndarray          # per CSR position: its first coupling
+    repeats: tuple             # (CSR positions, couplings): the k-th further
+                               # coupling of each position, k = 1, 2, ...
+    indices: np.ndarray        # CSR column indices
+    indptr: np.ndarray         # CSR row pointers
+    diag: np.ndarray           # CSR positions of the diagonal
+    half_width: int            # band half-width kl = ku of the line blocks
+    perm: np.ndarray           # banded position -> node
+    banded: np.ndarray         # node -> banded position (inverse of perm)
+    band_src: np.ndarray       # CSR positions of the in-band line couplings
+    band_dst: np.ndarray       # their flat positions in LAPACK band storage,
+                               # held transposed (column-major)
+
+
+@lru_cache(maxsize=16)
+def _step_pattern(spec: ChartSpec) -> _StepPattern:
     from .grid import D1_COEFFS, D2_COEFFS, neighbor_maps
 
-    chart = bundle.chart
+    chart = make_chart(spec)
     m = chart.m
     N = chart.node_count
     order = chart.fd_order
     node = np.arange(N)
     nbs = [neighbor_maps(chart, a) for a in range(m)]
-    ginv = bundle.ginv.reshape(N, m, m)
-    # drift weights: lap f = g^ij d_i d_j f - (g^ij Gamma^k_ij) d_k f
-    w = np.einsum("nij,nkij->nk", ginv, bundle.gamma.reshape(N, m, m, m))
-    rows, cols, vals = [], [], []
+    # weight stack rows: g^aa (row a), drift -w_a (row m + a), 2 g^ab (from 2m)
+    cols, weight_row, term_coeff = [], [], []
 
-    def add(c, v):
-        rows.append(node)
+    def add(c, row, k):
         cols.append(c)
-        vals.append(v)
+        weight_row.append(row)
+        term_coeff.append(k)
 
+    pair = 2 * m
     for a in range(m):
         h = chart.spacings[a]
         for o, c in D2_COEFFS[order]:
-            add(nbs[a][o], ginv[:, a, a] * (c / (h * h)))
+            add(nbs[a][o], a, c / (h * h))
         for o, c in D1_COEFFS[order]:
-            add(nbs[a][o], -w[:, a] * (c / h))
+            add(nbs[a][o], m + a, c / h)
         for b in range(a + 1, m):
             hb = chart.spacings[b]
-            coeff = 2.0 * ginv[:, a, b]
             for o1, c1 in D1_COEFFS[order]:
                 base = nbs[a][o1]
                 for o2, c2 in D1_COEFFS[order]:
-                    add(nbs[b][o2][base], coeff * (c1 * c2 / (h * hb)))
-    lap = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    ).tocsr()
-    return (sp.identity(N, format="csr") - dt * lap).tocsr()
+                    add(nbs[b][o2][base], pair, c1 * c2 / (h * hb))
+            pair += 1
+    key = (node * N + np.stack(cols)).ravel()   # row * N + column per coupling
+    srt = np.argsort(key, kind="stable")        # stable: repeats keep their order
+    key = key[srt]
+    new = np.r_[True, key[1:] != key[:-1]]
+    first = np.flatnonzero(new)
+    r, c = np.divmod(key[first], N)
+    dup = np.flatnonzero(~new)
+    pos = np.searchsorted(first, dup, side="right") - 1
+    rank = dup - first[pos]
+    repeats = tuple((pos[rank == k], srt[dup[rank == k]])
+                    for k in range(1, int(rank.max(initial=0)) + 1))
+    indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=N))]
+
+    # zig-zag numbering 0, K-1, 1, K-2, ... inside each line of the last axis
+    # keeps a stencil offset o within 2|o| banded positions, periodic wrap
+    # included
+    K = chart.shape[-1]
+    zig = np.empty(K, dtype=np.int64)
+    zig[0::2] = np.arange((K + 1) // 2)
+    zig[1::2] = np.arange(K - 1, (K + 1) // 2 - 1, -1)
+    banded = (node // K) * K + np.argsort(zig)[node % K]
+    kl = 2 * (order // 2)
+    d = banded[r] - banded[c]
+    in_band = (r // K == c // K) & (np.abs(d) <= kl)
+    pattern = _StepPattern(
+        weight_row=np.array(weight_row),
+        term_coeff=np.array(term_coeff),
+        first=srt[first],
+        repeats=repeats,
+        indices=c.astype(np.int32),
+        indptr=indptr.astype(np.int32),
+        diag=np.flatnonzero(r == c),
+        half_width=kl,
+        perm=np.argsort(banded),
+        banded=banded,
+        band_src=np.flatnonzero(in_band),
+        band_dst=(banded[c] * (3 * kl + 1) + 2 * kl + d)[in_band],
+    )
+    # every step matrix shares indices and indptr with the cache: make the
+    # arrays read-only so an in-place edit of one matrix fails loudly
+    arrays = [v for v in vars(pattern).values() if isinstance(v, np.ndarray)]
+    for arr in arrays + [a for rep in repeats for a in rep]:
+        arr.setflags(write=False)
+    return pattern
+
+
+def assemble_step_matrix(bundle: GeometryBundle, dt: float) -> sp.csr_matrix:
+    """Sparse matrix of (Id - dt Lap_g) acting on scalar node fields.
+
+    Assembled from the same stencil coefficients and ghost-index maps as the
+    matrix-free operators, so A @ f.ravel() reproduces
+    (f - dt lap(f)).ravel() to rounding. Per node and axis a it couples the
+    second-derivative stencil times g^aa, the first-derivative stencil times
+    the drift -(g^ij Gamma^a_ij), and for each axis pair a < b the product
+    of first-derivative stencils times 2 g^ab. The sparsity pattern is fixed
+    per chart spec and cached; entries that vanish for this metric stay
+    stored as zeros.
+    """
+    chart = bundle.chart
+    pat = _step_pattern(chart.spec)
+    m = chart.m
+    N = chart.node_count
+    ginv = bundle.ginv.reshape(N, m, m)
+    # drift weights: lap f = g^ij d_i d_j f - (g^ij Gamma^k_ij) d_k f
+    w = np.einsum("nij,nkij->nk", ginv, bundle.gamma.reshape(N, m, m, m))
+    weights = np.stack(
+        [ginv[:, a, a] for a in range(m)]
+        + [-w[:, a] for a in range(m)]
+        + [2.0 * ginv[:, a, b] for a in range(m) for b in range(a + 1, m)]
+    )
+    couplings = (weights[pat.weight_row] * pat.term_coeff[:, None]).ravel()
+    lap = couplings[pat.first]
+    for pos, coupling in pat.repeats:
+        lap[pos] += couplings[coupling]
+    data = -dt * lap
+    data[pat.diag] += 1.0
+    return sp.csr_matrix((data, pat.indices, pat.indptr), shape=(N, N))
+
+
+def _line_preconditioner(A: sp.csr_matrix, chart) -> LinearOperator:
+    """Exact banded LU of the couplings inside each line of the chart's last
+    axis (the sphere's colatitude rings), for a matrix from
+    assemble_step_matrix. In-line couplings beyond the band, which only the
+    pole ghosts' half-turn produces, are left out."""
+    pat = _step_pattern(chart.spec)
+    kl = pat.half_width
+    ab = np.zeros((A.shape[0], 3 * kl + 1))
+    ab.flat[pat.band_dst] = A.data[pat.band_src]
+    lu, piv, info = dgbtrf(ab.T, kl, kl, overwrite_ab=1)
+    if info != 0:
+        where = ""
+        if info > 0:  # U(info, info) is exactly zero
+            node = np.unravel_index(int(pat.perm[info - 1]), chart.shape)
+            where = f" at node {tuple(int(i) for i in node)}"
+        raise SolverError(f"semi-implicit line factor (dgbtrf) failed with "
+                          f"info = {info}{where}")
+    perm, banded = pat.perm, pat.banded
+
+    def apply(r):
+        return dgbtrs(lu, kl, kl, r[perm], piv, overwrite_b=1)[0][banded]
+
+    return LinearOperator(A.shape, matvec=apply, dtype=np.float64)
 
 
 def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     """Backward-Euler-type step with the Laplace-Beltrami operator frozen at
     the current metric: (Id - dt * Lap_g) F_new = F_old, solved componentwise
-    to a relative residual of config-level 1e-10 by a deterministic
-    stabilized bi-conjugate gradient iteration.
+    to a relative residual of 1e-10 by a deterministic stabilized
+    bi-conjugate gradient iteration.
+
+    The preconditioner is an exact banded LU of the couplings inside each
+    line of the chart's last axis, factored afresh every step so the step
+    stays a function of its state. On the sphere these lines are the
+    colatitude rings, whose longitude couplings stiffen toward the poles;
+    on a one-axis chart it is the exact inverse. Restarted GMRES and then a
+    sparse LU are the fallbacks when bicgstab does not converge.
 
     For immersions with an affine summand the solve acts on the periodic
     remainder; the affine part contributes dt * Lap_g(affine) to the right
@@ -238,9 +368,7 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
         lap_aff = -np.einsum("...k,ak->...a", trace_gamma, mat)
         rhs_extra = dt * lap_aff
     A = assemble_step_matrix(bundle, dt)
-    inv_diag = 1.0 / A.diagonal()
-    precond = LinearOperator(A.shape, matvec=lambda p: inv_diag * p,
-                             dtype=np.float64)
+    precond = _line_preconditioner(A, chart)
     new_P = np.empty_like(P)
     rhs_all = P + rhs_extra
     for a in range(imm.n):

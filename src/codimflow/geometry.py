@@ -230,27 +230,19 @@ def second_partials(imm: Immersion) -> np.ndarray:
     return d2_tensor(imm.periodic_values(), imm.chart)
 
 
-def _invert_metric(g: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    if m == 1:
-        det = g[..., 0, 0]
-        ginv = (1.0 / det)[..., None, None]
-        return ginv, det
-    det = np.linalg.det(g)
-    ginv = np.linalg.inv(g)
-    return ginv, det
-
-
 def induced_metric(imm: Immersion):
     """Induced metric g_ij = <d_i F, d_j F>, its inverse and volume density.
 
     Raises DegenerateImmersion naming the worst node when det g drops below
-    the relative positive-definiteness floor.
+    the relative positive-definiteness floor. The floor is checked before g
+    is inverted, so a degenerate metric never reaches the inversion.
     """
     dF = first_partials(imm)
     g = np.einsum("...ia,...ja->...ij", dF, dF)
-    ginv, det = _invert_metric(g, imm.m)
+    m = imm.m
+    det = g[..., 0, 0] if m == 1 else np.linalg.det(g)
     mean_trace = float(np.mean(np.einsum("...ii->...", g)))
-    floor = DET_G_FLOOR * (mean_trace / imm.m) ** imm.m
+    floor = DET_G_FLOOR * (mean_trace / m) ** m
     dmin = float(det.min())
     if dmin < floor or not np.all(np.isfinite(det)):
         node = np.unravel_index(int(np.argmin(det)), imm.chart.shape)
@@ -260,6 +252,7 @@ def induced_metric(imm: Immersion):
             node=node,
             det_value=dmin,
         )
+    ginv = (1.0 / det)[..., None, None] if m == 1 else np.linalg.inv(g)
     return dF, g, ginv, det, np.sqrt(det)
 
 

@@ -103,13 +103,13 @@ def read_snapshot(path: str) -> tuple[Immersion, float]:
         n = int(meta["n"])
         domain = Domain(meta["domain"])
         resolution = tuple(int(x) for x in meta["resolution"].split("x"))
+        fd_order = int(meta.get("fd_order", "2"))
+        bounds = None
+        if "interval" in meta:
+            a, b = meta["interval"].split(",")
+            bounds = (float(a), float(b))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed snapshot header ({exc})") from None
-    fd_order = int(meta.get("fd_order", "2"))
-    bounds = None
-    if "interval" in meta:
-        a, b = meta["interval"].split(",")
-        bounds = (float(a), float(b))
     spec = ChartSpec(domain, resolution, fd_order=fd_order, interval_bounds=bounds)
     chart = make_chart(spec)
     if chart.m != m:
@@ -118,14 +118,14 @@ def read_snapshot(path: str) -> tuple[Immersion, float]:
     expected = chart.node_count
     if len(rows) != expected:
         raise ConfigError(f"{path}: row-count mismatch: expected {expected} data rows, found {len(rows)}")
-    vals = np.empty(chart.shape + (n,))
+    try:
+        table = np.loadtxt(rows, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed data rows ({exc})") from None
     ncols = m + m + n
-    for row in rows:
-        parts = row.split()
-        if len(parts) != ncols:
-            raise ConfigError(f"{path}: bad row ({len(parts)} columns, expected {ncols})")
-        idx = tuple(int(p) for p in parts[:m])
-        vals[idx] = [float(p) for p in parts[2 * m:]]
+    if table.shape[1] != ncols:
+        raise ConfigError(f"{path}: bad rows ({table.shape[1]} columns, expected {ncols})")
+    vals = _place_rows(path, table, chart, n)
     affine = None
     if "affine" in meta:
         nums = [float(x) for x in meta["affine"].split(",")]
@@ -137,6 +137,42 @@ def read_snapshot(path: str) -> tuple[Immersion, float]:
         flat = np.array([c == "1" for c in meta["norm_mask"]], dtype=bool)
         mask = flat.reshape(chart.shape)
     return Immersion(chart, vals, affine=affine, norm_mask=mask), t
+
+
+def _place_rows(path: str, table: np.ndarray, chart, n: int) -> np.ndarray:
+    """Node values from snapshot rows (index, coordinate and value columns).
+
+    Every node must appear exactly once, and each row's coordinates must be
+    the chart's coordinates of its node.
+    """
+    m = chart.m
+    idx = table[:, :m]
+    shape = np.array(chart.shape)
+    bad = np.flatnonzero(((idx != np.round(idx)) | (idx < 0) | (idx >= shape)).any(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}: data row {bad[0] + 1} has node index "
+                          f"{tuple(float(i) for i in idx[bad[0]])}, not a node "
+                          f"of the chart {chart.shape}")
+    idx = idx.astype(np.int64)
+    flat = np.ravel_multi_index(tuple(idx.T), chart.shape)
+    count = np.bincount(flat, minlength=chart.node_count)
+    if np.any(count != 1):
+        dup = int(np.argmax(count > 1))
+        node = lambda i: tuple(int(j) for j in np.unravel_index(i, chart.shape))
+        raise ConfigError(f"{path}: node {node(dup)} appears {count[dup]} times "
+                          f"and node {node(int(np.argmax(count == 0)))} is missing")
+    coords = np.stack([c[i] for c, i in zip(chart.coords, idx.T)], axis=1)
+    off = ~(np.abs(table[:, m:2 * m] - coords) <= 1e-12 * (1.0 + np.abs(coords)))
+    bad = np.flatnonzero(off.any(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}: data row {bad[0] + 1} gives coordinates "
+                          f"{tuple(float(x) for x in table[bad[0], m:2 * m])} "
+                          f"for node {tuple(int(i) for i in idx[bad[0]])}, whose "
+                          f"chart coordinates are "
+                          f"{tuple(float(x) for x in coords[bad[0]])}")
+    vals = np.empty((chart.node_count, n))
+    vals[flat] = table[:, 2 * m:]
+    return vals.reshape(chart.shape + (n,))
 
 
 # ---------------------------------------------------------------------------

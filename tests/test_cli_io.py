@@ -182,6 +182,76 @@ class TestSnapshots:
         with pytest.raises(ConfigError, match="row-count mismatch: expected 16"):
             read_snapshot(str(path))
 
+    @staticmethod
+    def crafted(tmp_path, edit):
+        """A snapshot of an 8x8 sphere whose data rows pass through edit."""
+        path = tmp_path / "s.snap"
+        write_snapshot(catalog.sphere(J=8, K=8), str(path))
+        lines = path.read_text().splitlines()
+        head = [l for l in lines if l.startswith("#")]
+        rows = [l.split() for l in lines if not l.startswith("#")]
+        edit(rows)
+        path.write_text("\n".join(head + [" ".join(r) for r in rows]) + "\n")
+        return str(path)
+
+    def test_duplicate_and_missing_node_errors(self, tmp_path):
+        def duplicate(rows):
+            rows[5] = list(rows[4])      # node (0, 4) twice, node (0, 5) absent
+        with pytest.raises(ConfigError, match=r"node \(0, 4\) appears 2 times "
+                                              r"and node \(0, 5\) is missing"):
+            read_snapshot(self.crafted(tmp_path, duplicate))
+
+    def test_node_index_outside_chart_errors(self, tmp_path):
+        def outside(rows):
+            rows[3][1] = "8"
+        with pytest.raises(ConfigError, match=r"data row 4 has node index \(0.0, 8.0\), not a node"):
+            read_snapshot(self.crafted(tmp_path, outside))
+
+        def fractional(rows):
+            rows[3][1] = "2.5"
+        with pytest.raises(ConfigError, match="data row 4"):
+            read_snapshot(self.crafted(tmp_path, fractional))
+
+    def test_coordinates_checked_against_chart(self, tmp_path):
+        def swapped(rows):
+            # exchange the index columns of two rows but keep their
+            # coordinates: every node still appears once
+            rows[1][:2], rows[2][:2] = rows[2][:2], rows[1][:2]
+        with pytest.raises(ConfigError, match="data row 2 gives coordinates"):
+            read_snapshot(self.crafted(tmp_path, swapped))
+
+    def test_rows_in_any_order(self, tmp_path):
+        imm = catalog.sphere(J=8, K=8)
+        back, _ = read_snapshot(self.crafted(tmp_path, list.reverse))
+        assert np.array_equal(back.values, imm.values)
+
+    def test_malformed_rows_error(self, tmp_path):
+        def word(rows):
+            rows[0][-1] = "abc"
+        with pytest.raises(ConfigError, match="malformed data rows"):
+            read_snapshot(self.crafted(tmp_path, word))
+
+        def short(rows):
+            rows[6].pop()
+        with pytest.raises(ConfigError, match="malformed data rows"):
+            read_snapshot(self.crafted(tmp_path, short))
+
+        def narrow(rows):
+            for r in rows:
+                r.pop()
+        with pytest.raises(ConfigError, match=r"bad rows \(6 columns, expected 7\)"):
+            read_snapshot(self.crafted(tmp_path, narrow))
+
+    def test_malformed_header_errors(self, tmp_path):
+        path = tmp_path / "h.snap"
+        write_snapshot(catalog.grim_reaper(n=16), str(path))
+        text = path.read_text()
+        for old, new in (("# fd_order=4", "# fd_order=four"),
+                         ("# interval=", "# interval=0.5;")):
+            path.write_text(text.replace(old, new))
+            with pytest.raises(ConfigError, match="malformed snapshot header"):
+                read_snapshot(str(path))
+
     def test_wrong_schema_errors(self, tmp_path):
         path = tmp_path / "w.snap"
         path.write_text("# schema=somethingelse.v9\n")
@@ -323,6 +393,29 @@ class TestCLI:
         r = run_cli("verify", str(cfgp), "--checks", "3")
         assert r.returncode == 0, (r.stdout, r.stderr)
         assert "worst evolution residual" in r.stdout
+
+    def test_verify_honours_semi_implicit(self, tmp_path):
+        cfgp = tmp_path / "v.cfg"
+        cfgp.write_text(
+            "name = v\n"
+            "initial.catalog = circle\n"
+            "initial.n = 64\n"
+            "flow.integrator = semi_implicit\n"
+            "flow.record_every = 2\n"
+            f"output.dir = {tmp_path / 'out'}\n"
+        )
+        r = run_cli("verify", str(cfgp), "--checks", "1")
+        assert r.returncode == 0, (r.stdout, r.stderr)
+        # the check instant is the second step; its time follows the
+        # semi-implicit law (brake only), not the explicit CFL
+        from codimflow.flow import _step, adaptive_dt
+        cfg = parse_config(cfgp.read_text()).flow
+        st = FlowState.initial(catalog.circle(n=64))
+        for _ in range(2):
+            st = _step(st, adaptive_dt(st, cfg), cfg)
+        t_printed = float(r.stdout.splitlines()[1].split()[0])
+        assert t_printed == pytest.approx(st.t, rel=1e-5)
+        assert st.t > 0.05   # the explicit CFL would allow ~1e-3 per step
 
     def test_rescale_subcommand(self, tmp_path):
         cfgp = tmp_path / "r.cfg"

@@ -4,13 +4,14 @@ termination, evolution-equation residuals, and flow symmetries."""
 import numpy as np
 import pytest
 
-from codimflow import catalog
+from codimflow import catalog, flow
+from codimflow.errors import SolverError
 from codimflow.flow import (
     FlowConfig, FlowState, Integrator, Termination, adaptive_dt,
-    estimate_singular_time, evolution_residuals, run, step_explicit,
-    step_semi_implicit,
+    assemble_step_matrix, estimate_singular_time, evolution_residuals, run,
+    step_explicit, step_semi_implicit,
 )
-from codimflow.geometry import Immersion, build_bundle
+from codimflow.geometry import Immersion, build_bundle, laplace_beltrami
 
 
 def mean_radius(imm):
@@ -63,6 +64,115 @@ class TestSteps:
             b = step_semi_implicit(st, dt)
             gaps.append(np.abs(a.imm.values - b.imm.values).max())
         assert gaps[0] / gaps[1] > 3.0  # O(dt^2) disagreement
+
+
+def torus_graph():
+    """Graph immersion over a 16x24 fd4 torus with an affine summand."""
+    from codimflow.grid import ChartSpec, Domain, GridField, make_chart
+    from codimflow.lagrangian import Potential, lag_immersion
+
+    ch = make_chart(ChartSpec(Domain.TORUS, (16, 24), fd_order=4))
+    X, Y = ch.mesh()
+    phi = 0.1 * np.sin(X) * np.cos(Y) + 0.05 * np.cos(2 * Y)
+    return lag_immersion(Potential(np.array([[0.5, 0.1], [0.1, 0.8]]),
+                                   GridField(ch, phi[..., None])))
+
+
+class TestStepMatrix:
+    @pytest.mark.parametrize("make", [
+        lambda: catalog.sphere(radius=1.0, J=24, K=48, fd_order=4),
+        lambda: catalog.clifford_torus(n1=16, n2=24, fd_order=4),
+        lambda: catalog.circle(radius=1.0, n=64),
+        torus_graph,
+    ], ids=["sphere", "clifford", "circle", "torus-graph"])
+    def test_matches_matrix_free_operator(self, make):
+        imm = make()
+        b = build_bundle(imm)
+        dt = 1e-2   # dt Lap f is a few percent of f, far above the 1e-12 bar
+        A = assemble_step_matrix(b, dt)
+        P = imm.periodic_values()
+        fields = [P[..., a] for a in range(imm.n)] + [(P**2).sum(-1) + P[..., 0] * P[..., -1]]
+        for f in fields:
+            want = f - dt * laplace_beltrami(f, b)
+            got = (A @ f.ravel()).reshape(f.shape)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("make", [
+        lambda: catalog.ellipse(n=64),
+        lambda: catalog.grim_reaper(n=64),
+    ], ids=["ellipse", "interval"])
+    def test_line_preconditioner_exact_on_one_axis(self, make, monkeypatch):
+        # the only line of a one-axis chart is the whole chart, so the
+        # preconditioner is the exact inverse and one iteration suffices
+        st = FlowState.initial(make())
+        want = step_semi_implicit(st, 1e-2)
+        solve = flow.bicgstab
+        infos = []
+
+        def one_iteration(*args, **kwargs):
+            x, info = solve(*args, **{**kwargs, "maxiter": 1})
+            infos.append(info)
+            return x, info
+
+        monkeypatch.setattr(flow, "bicgstab", one_iteration)
+        got = step_semi_implicit(st, 1e-2)
+        assert infos == [0] * st.imm.n
+        assert np.array_equal(got.imm.values, want.imm.values)
+
+
+class TestSolverFallbacks:
+    """bicgstab, then restarted GMRES, then a sparse LU; each path must land
+    on the same positions."""
+
+    @staticmethod
+    def state():
+        return FlowState.initial(catalog.sphere(radius=1.0, J=12, K=24))
+
+    @staticmethod
+    def fail(A, b, x0=None, **kwargs):
+        return x0.copy(), 1   # positive info: not converged
+
+    def test_gmres_path(self, monkeypatch):
+        st = self.state()
+        want = step_semi_implicit(st, 2e-3).imm.values
+        monkeypatch.setattr(flow, "bicgstab", self.fail)
+        got = step_semi_implicit(st, 2e-3).imm.values
+        assert np.abs(got - want).max() < 1e-8
+
+    def test_splu_path(self, monkeypatch):
+        st = self.state()
+        want = step_semi_implicit(st, 2e-3).imm.values
+        monkeypatch.setattr(flow, "bicgstab", self.fail)
+        monkeypatch.setattr(flow, "gmres", self.fail)
+        calls = []
+        splu = flow.splu
+        monkeypatch.setattr(flow, "splu", lambda A: calls.append(1) or splu(A))
+        got = step_semi_implicit(st, 2e-3).imm.values
+        assert len(calls) == st.imm.n
+        assert np.abs(got - want).max() < 1e-8
+
+    def test_splu_failure_raises(self, monkeypatch):
+        def singular(A):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(flow, "bicgstab", self.fail)
+        monkeypatch.setattr(flow, "gmres", self.fail)
+        monkeypatch.setattr(flow, "splu", singular)
+        with pytest.raises(SolverError, match="exactly singular"):
+            step_semi_implicit(self.state(), 2e-3)
+
+    def test_singular_line_factor_raises(self, monkeypatch):
+        dgbtrf = flow.dgbtrf
+
+        def zero_pivot(*args, **kwargs):
+            lu, piv, _ = dgbtrf(*args, **kwargs)
+            return lu, piv, 5   # U(5, 5) == 0
+
+        monkeypatch.setattr(flow, "dgbtrf", zero_pivot)
+        # banded position 4 is the fifth node of ring 0 in zig-zag order
+        # 0, K-1, 1, K-2, 2: node (0, 2)
+        with pytest.raises(SolverError, match=r"line factor \(dgbtrf\).*info = 5 at node \(0, 2\)"):
+            step_semi_implicit(self.state(), 2e-3)
 
 
 class TestRun:

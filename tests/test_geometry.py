@@ -58,6 +58,15 @@ class TestInducedMetric:
         assert err.value.node == (4,)
         assert "node" in str(err.value)
 
+    def test_singular_surface_metric_is_degenerate(self):
+        # F(u, v) = (cos u, sin u, 0) does not depend on v: g is exactly
+        # singular everywhere, which the floor must catch before inversion
+        ch = make_chart(ChartSpec(Domain.TORUS, (16, 16)))
+        U, _ = ch.mesh()
+        vals = np.stack([np.cos(U), np.sin(U), np.zeros_like(U)], axis=-1)
+        with pytest.raises(DegenerateImmersion, match="det g = 0.000e\\+00"):
+            build_bundle(Immersion(ch, vals))
+
 
 class TestChristoffel:
     def test_constant_metric_zero(self):

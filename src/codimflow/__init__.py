@@ -11,8 +11,7 @@ potential flow.
 
 from .errors import (CodimflowError, ConfigError, DegenerateImmersion,
                      NonFiniteError, SolverError, UsageError)
-from .grid import (AxisKind, Chart, ChartSpec, Domain, GridField, integrate,
-                   make_chart, partials)
+from .grid import AxisKind, Chart, ChartSpec, Domain, GridField, make_chart
 from .geometry import (CurvatureReport, GeometryBundle, Immersion,
                        ResidualNorms, build_bundle, graph_immersion,
                        graph_singular_values, induced_metric, normal_part,

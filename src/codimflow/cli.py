@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import math
 import os
 import sys
@@ -195,19 +196,22 @@ def cmd_verify(args) -> int:
     print("t  evolution residuals (Linf): metric christoffel volume_form "
           "second_fundamental mean_sq a_sq heat | structure (L2/scale): "
           "gauss codazzi ricci simons simons2")
-    from .flow import _step, adaptive_dt
+    from .flow import _clipped_dt, _step
 
-    def advance(st):
-        return _step(st, adaptive_dt(st, cfg), cfg)
+    def trajectory(st):
+        """The states flow.run steps through, ending at the horizon."""
+        horizon = cfg.stop_t_max * (1.0 - 1e-14)
+        while st.t < horizon and (dt := _clipped_dt(st, cfg)) >= cfg.stop_dt_min:
+            st = _step(st, dt, cfg)
+            yield st
 
-    checks = 0
-    while checks < args.checks:
+    states = trajectory(state)
+    while len(rows) < args.checks:
         # advance to the next check instant, then form a consecutive triple
-        for _ in range(max(0, cfg.record_every - 1)):
-            state = advance(state)
-        s0 = state
-        s1 = advance(s0)
-        s2 = advance(s1)
+        window = [state, *itertools.islice(states, cfg.record_every + 1)]
+        if len(window) < cfg.record_every + 2:
+            break
+        s0, s1, s2 = window[-3:]
         rep = evolution_residuals(s0, s2, mid=s1)
         cur = structure_residuals(s1.imm, s1.bundle)
         d = rep.as_dict()
@@ -220,12 +224,10 @@ def cmd_verify(args) -> int:
                        ("gauss", "codazzi", "ricci", "simons", "simons2")))
         rows.append((s1.t, rep, cur))
         state = s2
-        checks += 1
-        if state.t >= cfg.stop_t_max * (1 - 1e-14):
-            break
         if float(state.bundle.normA2.max()) >= cfg.stop_max_A2:
             break
-    worst = max(max(v.linf for v in r.as_dict().values()) for _, r, _ in rows)
+    worst = max((max(v.linf for v in r.as_dict().values()) for _, r, _ in rows),
+                default=math.nan)
     print(f"verify: {len(rows)} checks, worst evolution residual Linf = {worst:.3e}")
     return EXIT_OK
 

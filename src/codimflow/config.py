@@ -143,8 +143,6 @@ def parse_config(text: str) -> Scenario:
     """Parse and validate a scenario; raises ConfigError listing every
     problem found (one line each, with line numbers)."""
     p = _Parser(text)
-    if p.errors:
-        pass  # keep collecting; malformed lines already noted
 
     name = p.get("name", "scenario")
 

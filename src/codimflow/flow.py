@@ -32,16 +32,17 @@ from scipy.sparse.linalg import LinearOperator, bicgstab, gmres, splu
 
 from .errors import DegenerateImmersion, NonFiniteError, SolverError, UsageError
 from .geometry import (
+    CurvatureProducts,
     GeometryBundle,
     Immersion,
     ResidualNorms,
+    _gamma_dot,
     _norms,
+    _sq_norm,
     build_bundle,
     d1_tensor,
     laplace_beltrami,
-    nabla_A,
     normal_part,
-    second_covariant_H,
     trusted_mask,
 )
 from .grid import ChartSpec, integrate_values, make_chart
@@ -138,9 +139,6 @@ class FlowTrace:
     def volumes(self) -> np.ndarray:
         return np.array([r.volume for r in self.records])
 
-    def snapshots(self) -> list[tuple[int, TraceRecord]]:
-        return [(i, r) for i, r in enumerate(self.records) if r.snapshot is not None]
-
 
 def min_physical_spacing(bundle: GeometryBundle) -> float:
     """Smallest metric grid spacing sqrt(g_aa) * dx_a over nodes and axes."""
@@ -164,6 +162,14 @@ def adaptive_dt(state: FlowState, config: FlowConfig) -> float:
         m = state.imm.m
         h_min = min_physical_spacing(state.bundle)
         dt = min(dt, config.cfl_sigma * h_min * h_min / (2.0 * m))
+    return dt
+
+
+def _clipped_dt(state: FlowState, config: FlowConfig) -> float:
+    """adaptive_dt, clipped so that a step ends no later than stop_t_max."""
+    dt = adaptive_dt(state, config)
+    if math.isfinite(config.stop_t_max):
+        dt = min(dt, config.stop_t_max - state.t)
     return dt
 
 
@@ -468,9 +474,7 @@ def run(initial: Immersion, config: FlowConfig, huisken_params=None,
             trace.termination = Termination.TIME_REACHED
             trace.termination_detail = f"step budget at t = {state.t:.9g}"
             break
-        dt = adaptive_dt(state, config)
-        if math.isfinite(config.stop_t_max):
-            dt = min(dt, config.stop_t_max - state.t)
+        dt = _clipped_dt(state, config)
         if dt < config.stop_dt_min:
             trace.termination = Termination.DT_UNDERFLOW
             trace.termination_detail = f"dt = {dt:.3e} at t = {state.t:.9g}"
@@ -519,19 +523,16 @@ class EvolutionReport:
         }
 
 
-def christoffel_rate(bundle: GeometryBundle) -> np.ndarray:
-    """C^k_ij = -g^kl (nab_i <H,A_jl> + nab_j <H,A_il> - nab_l <H,A_ij>)."""
-    S = np.einsum("...a,...ija->...ij", bundle.H, bundle.A)
+def christoffel_rate(bundle: GeometryBundle, S: np.ndarray) -> np.ndarray:
+    """C^k_ij = -g^kl (nab_i S_jl + nab_j S_il - nab_l S_ij) with S_ij = <H, A_ij>."""
+    nodes, m = bundle.chart.shape, bundle.chart.m
     dS = d1_tensor(S, bundle.chart, tensor_axes=(0, 1))  # (*, k, i, j)
-    nabS = dS \
-        - np.einsum("...pki,...pj->...kij", bundle.gamma, S) \
-        - np.einsum("...pkj,...ip->...kij", bundle.gamma, S)
+    corr = _gamma_dot(bundle.gamma, S)  # Gamma^p_ki S_pj; S symmetric
+    nabS = dS - corr - np.swapaxes(corr, -2, -1)
     # nabS[k, i, j] = nab_k S_ij; assemble nab_i S_jl + nab_j S_il - nab_l S_ij
-    t1 = nabS                                         # nab_i S_jl at (i, j, l)
-    t2 = np.einsum("...jil->...ijl", nabS)            # nab_j S_il
-    t3 = np.einsum("...lij->...ijl", nabS)            # nab_l S_ij
-    inner = t1 + t2 - t3                              # (*, i, j, l)
-    return -np.einsum("...kl,...ijl->...kij", bundle.ginv, inner)
+    inner = nabS + np.swapaxes(nabS, -3, -2) - np.einsum("...lij->...ijl", nabS)
+    lowered = np.matmul(inner.reshape(nodes + (m * m, m)), bundle.ginv)  # (*, ij, k)
+    return -np.einsum("...ijk->...kij", lowered.reshape(nodes + (m, m, m)))
 
 
 def _time_weights(t0: float, t1: float, t2: float) -> tuple[float, float, float]:
@@ -571,16 +572,16 @@ def evolution_residuals(before: FlowState, after: FlowState,
     chart = b.chart
     mask = trusted_mask(ref.imm, pole_margin)
     bundles = [s.bundle for s in states]
+    cp = CurvatureProducts(b)
 
     # (evol 2) metric
     dgdt = ddt(*[bb.g for bb in bundles])
-    S = np.einsum("...a,...ija->...ij", b.H, b.A)
-    res_metric = dgdt + 2.0 * S
-    metric = _norms(res_metric, b, mask, scale_field=2.0 * S)
+    res_metric = dgdt + 2.0 * cp.HA
+    metric = _norms(res_metric, b, mask, scale_field=2.0 * cp.HA)
 
     # Christoffel corollary
     dGdt = ddt(*[bb.gamma for bb in bundles])
-    C = christoffel_rate(b)
+    C = christoffel_rate(b, cp.HA)
     christoffel = _norms(dGdt - C, b, mask, scale_field=C)
 
     # (evol 3) volume form, pointwise and integrated
@@ -594,52 +595,26 @@ def evolution_residuals(before: FlowState, after: FlowState,
 
     # (evol sec) second fundamental tensor
     dAdt = ddt(*[bb.A for bb in bundles])
-    ddH = second_covariant_H(b)
-    CF = np.einsum("...kij,...ka->...ija", C, b.dF)
-    rhs_A = np.einsum("...ija->...ija", ddH) - CF
+    rhs_A = cp.ddH - _gamma_dot(C, b.dF)
     second_fundamental = _norms(dAdt - rhs_A, b, mask, scale_field=rhs_A)
 
     # (evol mean3) |H|^2
     dH2dt = ddt(*[bb.normH2 for bb in bundles])
-    lapH2 = laplace_beltrami(b.normH2, b)
-    dH = d1_tensor(b.H, chart)  # (*, i, a)
-    dH_perp = np.stack(
-        [normal_part(b, dH[..., i, :]) for i in range(chart.m)], axis=-2
-    )
-    gradperpH2 = np.einsum("...ij,...ia,...ja->...", b.ginv, dH_perp, dH_perp)
-    HA = np.einsum("...a,...ija->...ij", b.H, b.A)
-    HA2 = np.einsum("...ik,...jl,...ij,...kl->...", b.ginv, b.ginv, HA, HA)
-    rhs_H2 = lapH2 - 2.0 * gradperpH2 + 2.0 * HA2
+    gradperpH2 = _sq_norm(b.ginv, normal_part(b, d1_tensor(b.H, chart)), 1)
+    rhs_H2 = laplace_beltrami(b.normH2, b) - 2.0 * gradperpH2 + 2.0 * cp.HA_sq
     mean_sq = _norms(dH2dt - rhs_H2, b, mask, scale_field=rhs_H2)
 
     # (evol sec3) |A|^2
     dA2dt = ddt(*[bb.normA2 for bb in bundles])
-    lapA2 = laplace_beltrami(b.normA2, b)
-    nA = nabla_A(b)
-    flat = nA.reshape(chart.shape + (-1, b.imm.n))
-    nA_perp = np.stack(
-        [normal_part(b, flat[..., c, :]) for c in range(flat.shape[-2])], axis=-2
-    ).reshape(nA.shape)
-    gradperpA2 = np.einsum(
-        "...ip,...jq,...kr,...ijka,...pqra->...",
-        b.ginv, b.ginv, b.ginv, nA_perp, nA_perp,
-    )
-    AA = np.einsum("...ija,...kla->...ijkl", b.A, b.A)
-    AA2 = np.einsum(
-        "...ip,...jq,...kr,...ls,...ijkl,...pqrs->...",
-        b.ginv, b.ginv, b.ginv, b.ginv, AA, AA,
-    )
-    A_mixed = np.einsum("...kl,...ika,...jlb->...ijab", b.ginv, b.A, b.A)
-    comm = A_mixed - np.einsum("...ijba->...ijab", A_mixed)
-    comm_sq = np.einsum("...ip,...jq,...ijab,...pqab->...", b.ginv, b.ginv, comm, comm)
-    rhs_A2 = lapA2 - 2.0 * gradperpA2 + 2.0 * AA2 + comm_sq
+    rhs_A2 = (laplace_beltrami(b.normA2, b) - 2.0 * cp.grad_perp_A_sq
+              + 2.0 * _sq_norm(b.ginv, cp.AA, 4) + cp.comm_sq)
     a_sq = _norms(dA2dt - rhs_A2, b, mask, scale_field=rhs_A2)
 
     # heat identity for f = |F|^2 + 2 m t. Direct stencils apply when |F|^2
     # is a chart-periodic field; with an affine summand (graph immersions)
     # it grows quadratically across the seam, so the Laplacian is expanded
     # by the product rule with the affine-aware derivatives:
-    # Lap|F|^2 = 2 <F, Lap F> + 2 g^ij <F_i, F_j> with Lap F = g^ij A_ij.
+    # Lap|F|^2 = 2 <F, Lap F> + 2 g^ij <F_i, F_j> with Lap F = g^ij A_ij = H.
     fs = [np.einsum("...a,...a->...", s.imm.values, s.imm.values)
           + 2.0 * s.imm.m * s.t for s in states]
     dfdt = ddt(*fs)
@@ -648,9 +623,8 @@ def evolution_residuals(before: FlowState, after: FlowState,
             np.einsum("...a,...a->...", ref.imm.values, ref.imm.values), b
         )
     else:
-        lapF = np.einsum("...ij,...ija->...a", b.ginv, b.A)
-        lapf = (2.0 * np.einsum("...a,...a->...", ref.imm.values, lapF)
-                + 2.0 * np.einsum("...ij,...ia,...ja->...", b.ginv, b.dF, b.dF))
+        lapf = (2.0 * np.einsum("...a,...a->...", ref.imm.values, b.H)
+                + 2.0 * np.einsum("...ij,...ij->...", b.ginv, b.g))
     heat = _norms(dfdt - lapf, b, mask, scale_field=np.full(chart.shape, 2.0 * ref.imm.m))
 
     return EvolutionReport(

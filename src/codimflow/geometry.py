@@ -19,6 +19,7 @@ bookkeeping so callers never see it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -91,13 +92,6 @@ class Immersion:
         if self.affine is None:
             return self.values
         return self.values - self.affine_values()
-
-    def translated(self, shift: np.ndarray) -> "Immersion":
-        shift = np.asarray(shift, dtype=np.float64)
-        affine = self.affine
-        if affine is not None:
-            affine = (affine[0], affine[1] + shift)
-        return replace(self, values=self.values + shift, affine=affine)
 
     def transformed(self, Q: np.ndarray, shift: np.ndarray | None = None) -> "Immersion":
         """Apply the ambient isometry x -> Q x + shift."""
@@ -176,21 +170,68 @@ def d2_tensor(values: np.ndarray, chart: Chart, tensor_axes: tuple[int, ...] = (
 
 
 # ---------------------------------------------------------------------------
+# index contractions
+#
+# Every contraction is a two-operand step over tiny chart axes (m <= 3), done
+# as a stacked matmul: indices are raised once (A^i_j = g^ik A_kj) and
+# invariants are traces of products, e.g. |A|^2 = A^i_j . A^j_i. On curves
+# (m = 1) a contraction is a plain product, which avoids one matmul dispatch
+# per node on the small arrays of a curve flow.
+# ---------------------------------------------------------------------------
+
+def _raise(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """g^ip T_p...: raise the first chart index of T, shape (*, m, ...)."""
+    lead = ginv.shape[:-1]
+    if ginv.shape[-1] == 1:  # a curve: the product with g^11
+        return ginv.reshape(lead + (1,) * (T.ndim - len(lead))) * T
+    return np.matmul(ginv, T.reshape(lead + (-1,))).reshape(T.shape)
+
+
+def _gamma_dot(gamma: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Gamma^p_ij T_p...: the upper index of gamma (*, p, i, j) contracted
+    with the first index of T (*, p, ...); shape (*, i, j, ...)."""
+    lead = gamma.shape[:-3]
+    m = gamma.shape[-1]
+    rest = T.shape[len(lead) + 1:]
+    if m == 1:  # a curve: the product with Gamma^1_11
+        return gamma.reshape(lead + (1, 1) + (1,) * len(rest)) * T.reshape(lead + (1, 1) + rest)
+    G = np.swapaxes(gamma.reshape(lead + (m, m * m)), -1, -2)
+    return np.matmul(G, T.reshape(lead + (m, -1))).reshape(lead + (m, m) + rest)
+
+
+def _sq_norm(ginv: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
+    """T_{i1..ik} . T^{i1..ik} per node, for T of shape (*,) + (m,) * k + rest;
+    the trailing (ambient) axes are summed as inner products."""
+    lead = ginv.shape[:-2]
+    g = len(lead)
+    up = T
+    for _ in range(k):  # raise the first index, rotate it to the back
+        up = np.moveaxis(_raise(ginv, up), g, g + k - 1)
+    return _node_dot(T, up, lead)
+
+
+def _node_dot(X: np.ndarray, Y: np.ndarray, nodes: tuple[int, ...]) -> np.ndarray:
+    """Per-node sum of X * Y over all trailing axes."""
+    return np.einsum("...c,...c->...", X.reshape(nodes + (-1,)), Y.reshape(nodes + (-1,)))
+
+
+# ---------------------------------------------------------------------------
 # fundamental forms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GeometryBundle:
-    """Per-node geometric data derived from one immersion."""
+    """Per-node geometric data derived from one immersion: the first
+    partials, the metric with its inverse and volume density, both kinds of
+    Christoffel symbols, the second fundamental tensor, and the curvature
+    invariants. The normal projector is built on first use."""
 
     imm: Immersion
     dF: np.ndarray          # (*, m, n)    first partials of F
-    ddF: np.ndarray         # (*, m, m, n) second partials of F
     g: np.ndarray           # (*, m, m)    induced metric
     ginv: np.ndarray        # (*, m, m)
     det_g: np.ndarray       # (*,)
     sqrt_det_g: np.ndarray  # (*,)
-    dg: np.ndarray          # (*, k, i, j) metric first partials
     gamma1: np.ndarray      # (*, a, i, j) Christoffel symbols, first kind
     gamma: np.ndarray       # (*, k, i, j) Christoffel symbols, second kind
     A: np.ndarray           # (*, m, m, n) second fundamental tensor
@@ -202,9 +243,12 @@ class GeometryBundle:
     def chart(self) -> Chart:
         return self.imm.chart
 
-    @property
-    def volume_density(self) -> np.ndarray:
-        return self.sqrt_det_g
+    @cached_property
+    def normal_projector(self) -> np.ndarray:
+        """P = I - g^ij F_i (x) F_j per node, shape (*, n, n); row b is the
+        normal part of the ambient basis vector e_b."""
+        tangent = np.matmul(np.swapaxes(self.dF, -1, -2), np.matmul(self.ginv, self.dF))
+        return np.eye(self.imm.n) - tangent
 
     def total_volume(self) -> float:
         return integrate_values(np.ones(self.chart.shape), self.sqrt_det_g, self.chart)
@@ -233,14 +277,20 @@ def second_partials(imm: Immersion) -> np.ndarray:
 def induced_metric(imm: Immersion):
     """Induced metric g_ij = <d_i F, d_j F>, its inverse and volume density.
 
-    Raises DegenerateImmersion naming the worst node when det g drops below
-    the relative positive-definiteness floor. The floor is checked before g
-    is inverted, so a degenerate metric never reaches the inversion.
+    For m <= 2 the determinant and inverse are closed-form. Raises
+    DegenerateImmersion naming the worst node when det g drops below the
+    relative positive-definiteness floor. The floor is checked before g is
+    inverted, so a degenerate metric never reaches the inversion.
     """
     dF = first_partials(imm)
     g = np.einsum("...ia,...ja->...ij", dF, dF)
     m = imm.m
-    det = g[..., 0, 0] if m == 1 else np.linalg.det(g)
+    if m == 1:
+        det = g[..., 0, 0]
+    elif m == 2:
+        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    else:
+        det = np.linalg.det(g)
     mean_trace = float(np.mean(np.einsum("...ii->...", g)))
     floor = DET_G_FLOOR * (mean_trace / m) ** m
     dmin = float(det.min())
@@ -252,61 +302,65 @@ def induced_metric(imm: Immersion):
             node=node,
             det_value=dmin,
         )
-    ginv = (1.0 / det)[..., None, None] if m == 1 else np.linalg.inv(g)
+    if m == 1:
+        ginv = (1.0 / det)[..., None, None]
+    elif m == 2:
+        adj = np.stack([g[..., 1, 1], -g[..., 0, 1], -g[..., 1, 0], g[..., 0, 0]], axis=-1)
+        ginv = (adj / det[..., None]).reshape(g.shape)
+    else:
+        ginv = np.linalg.inv(g)
     return dF, g, ginv, det, np.sqrt(det)
 
 
 def christoffel(g: np.ndarray, ginv: np.ndarray, chart: Chart):
     """Christoffel symbols of first and second kind from the metric field."""
     dg = d1_tensor(g, chart, tensor_axes=(0, 1))  # (*, k, i, j) = d_k g_ij
-    gamma1 = 0.5 * (
-        np.einsum("...iaj->...aij", dg)
-        + np.einsum("...jai->...aij", dg)
-        - dg
-    )
-    gamma = np.einsum("...al,...lij->...aij", ginv, gamma1)
-    return dg, gamma1, gamma
+    dg_i = np.swapaxes(dg, -3, -2)  # (*, a, i, j) = d_i g_aj
+    gamma1 = 0.5 * (dg_i + np.swapaxes(dg_i, -1, -2) - dg)
+    return gamma1, _raise(ginv, gamma1)
 
 
 def second_fundamental(ddF: np.ndarray, dF: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """A^a_ij = d_i d_j F^a - Gamma^k_ij d_k F^a (flat ambient)."""
-    return ddF - np.einsum("...kij,...ka->...ija", gamma, dF)
+    return ddF - _gamma_dot(gamma, dF)
 
 
 def mean_curvature(A: np.ndarray, ginv: np.ndarray):
-    """Trace of A plus the scalar invariants |H|^2 and |A|^2."""
+    """Trace of A plus the scalar invariants |H|^2 and |A|^2 = A^i_j . A^j_i."""
     H = np.einsum("...ij,...ija->...a", ginv, A)
     normH2 = np.einsum("...a,...a->...", H, H)
-    normA2 = np.einsum("...ik,...jl,...ija,...kla->...", ginv, ginv, A, A)
+    A_up = _raise(ginv, A)
+    normA2 = np.einsum("...ija,...jia->...", A_up, A_up)
     return H, normH2, normA2
 
 
 def build_bundle(imm: Immersion) -> GeometryBundle:
     """Compute the full geometric bundle for one immersion."""
     dF, g, ginv, det, sqrt_det = induced_metric(imm)
-    ddF = second_partials(imm)
-    dg, gamma1, gamma = christoffel(g, ginv, imm.chart)
-    A = second_fundamental(ddF, dF, gamma)
+    gamma1, gamma = christoffel(g, ginv, imm.chart)
+    A = second_fundamental(second_partials(imm), dF, gamma)
     H, normH2, normA2 = mean_curvature(A, ginv)
     if not np.all(np.isfinite(H)):
         raise NonFiniteError("mean curvature is non-finite")
     return GeometryBundle(
-        imm=imm, dF=dF, ddF=ddF, g=g, ginv=ginv, det_g=det, sqrt_det_g=sqrt_det,
-        dg=dg, gamma1=gamma1, gamma=gamma, A=A, H=H, normA2=normA2, normH2=normH2,
+        imm=imm, dF=dF, g=g, ginv=ginv, det_g=det, sqrt_det_g=sqrt_det,
+        gamma1=gamma1, gamma=gamma, A=A, H=H, normA2=normA2, normH2=normH2,
     )
 
 
 def normal_part(bundle: GeometryBundle, V: np.ndarray) -> np.ndarray:
-    """Normal projection V - g^ij <V, F_i> F_j per node.
+    """Normal projection V - g^ij <V, F_i> F_j per node, one matmul with the
+    bundle's normal projector.
 
-    V broadcasts: either a constant ambient vector (n,) or a field (*, n).
+    V is a constant ambient vector (n,) or a field chart.shape + (..., n)
+    with any number of stacked component axes before the ambient one.
     """
     V = np.asarray(V, dtype=np.float64)
+    P = bundle.normal_projector
     if V.ndim == 1:
-        V = np.broadcast_to(V, bundle.imm.chart.shape + (bundle.imm.n,))
-    comp = np.einsum("...a,...ia->...i", V, bundle.dF)
-    tang = np.einsum("...ij,...i,...ja->...a", bundle.ginv, comp, bundle.dF)
-    return V - tang
+        return np.matmul(V, P)
+    stacked = V.reshape(bundle.chart.shape + (-1, V.shape[-1]))
+    return np.matmul(stacked, P).reshape(V.shape)
 
 
 def tangency_defect(bundle: GeometryBundle) -> np.ndarray:
@@ -338,24 +392,23 @@ def laplace_beltrami(values: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
 def nabla_A(bundle: GeometryBundle) -> np.ndarray:
     """Full covariant derivative (nabla_i A)^a_jk in flat ambient space."""
     dA = d1_tensor(bundle.A, bundle.chart, tensor_axes=(0, 1))  # (*, i, j, k, a)
-    corr_j = np.einsum("...pij,...pka->...ijka", bundle.gamma, bundle.A)
-    corr_k = np.einsum("...pik,...jpa->...ijka", bundle.gamma, bundle.A)
-    return dA - corr_j - corr_k
+    corr = _gamma_dot(bundle.gamma, bundle.A)  # Gamma^p_ij A_pk; A symmetric
+    return dA - corr - np.swapaxes(corr, -3, -2)
 
 
 def second_covariant_H(bundle: GeometryBundle) -> np.ndarray:
     """(nabla_k nabla_l H)^a in flat ambient space, shape (*, k, l, n)."""
     dH = d1_tensor(bundle.H, bundle.chart)  # (*, l, n)
     ddH = d1_tensor(dH, bundle.chart, tensor_axes=(0,))  # (*, k, l, n)
-    return ddH - np.einsum("...pkl,...pa->...kla", bundle.gamma, dH)
+    return ddH - _gamma_dot(bundle.gamma, dH)
 
 
 def intrinsic_curvature(bundle: GeometryBundle) -> np.ndarray:
     """Riemann tensor R_ijkl = <d_i, R(d_k, d_l) d_j> of the induced metric.
 
     Assembled from second derivatives of g and pointwise products of
-    first-kind Christoffel symbols; this form avoids differentiating the
-    (pole-singular) Christoffel components themselves.
+    Christoffel symbols; this form avoids differentiating the (pole-singular)
+    Christoffel components themselves.
     """
     chart = bundle.chart
     ddg = d2_tensor(bundle.g, chart, tensor_axes=(0, 1))  # (*, k, l, i, j)
@@ -365,15 +418,95 @@ def intrinsic_curvature(bundle: GeometryBundle) -> np.ndarray:
         - np.einsum("...kilj->...ijkl", ddg)
         - np.einsum("...ljik->...ijkl", ddg)
     )
-    quad = np.einsum("...pq,...qkj,...pli->...ijkl", bundle.ginv, bundle.gamma1, bundle.gamma1) \
-        - np.einsum("...pq,...qlj,...pki->...ijkl", bundle.ginv, bundle.gamma1, bundle.gamma1)
-    return part + quad
+    # g^pq Gamma_qkj Gamma_pli = Gamma^p_kj Gamma_pli, minus the same with k <-> l
+    quad = np.einsum("...kjli->...ijkl", _gamma_dot(bundle.gamma, bundle.gamma1))
+    return part + (quad - np.swapaxes(quad, -1, -2))
 
 
-def gauss_curvature_from_A(bundle: GeometryBundle) -> np.ndarray:
-    """<A_ik, A_jl> - <A_il, A_jk>: the extrinsic side of the Gauss equation."""
-    AA = np.einsum("...ika,...jla->...ijkl", bundle.A, bundle.A)
-    return AA - np.einsum("...ijlk->...ijkl", AA)
+class CurvatureProducts:
+    """Contractions of one bundle's curvature fields that several residual
+    checks share. Each is computed on first use, so a check that reads a
+    field many times computes it once."""
+
+    def __init__(self, bundle: GeometryBundle):
+        self.bundle = bundle
+
+    @cached_property
+    def A_up(self) -> np.ndarray:
+        """A^i_j = g^ik A_kj, shape (*, i, j, a)."""
+        return _raise(self.bundle.ginv, self.bundle.A)
+
+    @cached_property
+    def A_uu(self) -> np.ndarray:
+        """A^ij = A^i_k g^kj, shape (*, i, j, a)."""
+        return np.swapaxes(_raise(self.bundle.ginv, np.swapaxes(self.A_up, -3, -2)), -3, -2)
+
+    @cached_property
+    def AA(self) -> np.ndarray:
+        """<A_ij, A_kl>, shape (*, i, j, k, l)."""
+        b = self.bundle
+        nodes, m = b.chart.shape, b.imm.m
+        flat = b.A.reshape(nodes + (m * m, b.imm.n))
+        return np.matmul(flat, np.swapaxes(flat, -1, -2)).reshape(nodes + (m,) * 4)
+
+    @cached_property
+    def A_mixed(self) -> np.ndarray:
+        """g^kl A^a_ik A^b_jl = A^a_ik A^k_j^b, shape (*, i, j, a, b)."""
+        b = self.bundle
+        nodes, m, n = b.chart.shape, b.imm.m, b.imm.n
+        A_ia = np.swapaxes(b.A, -2, -1).reshape(nodes + (m * n, m))
+        prod = np.matmul(A_ia, self.A_up.reshape(nodes + (m, m * n)))
+        return np.einsum("...iajb->...ijab", prod.reshape(nodes + (m, n, m, n)))
+
+    @cached_property
+    def HA(self) -> np.ndarray:
+        """<H, A_ij>, shape (*, i, j)."""
+        b = self.bundle
+        nodes, m = b.chart.shape, b.imm.m
+        HA = np.matmul(b.A.reshape(nodes + (m * m, b.imm.n)), b.H[..., None])
+        return HA.reshape(nodes + (m, m))
+
+    @cached_property
+    def nA(self) -> np.ndarray:
+        """(nabla_i A)_jk, shape (*, i, j, k, a)."""
+        return nabla_A(self.bundle)
+
+    @cached_property
+    def ddH(self) -> np.ndarray:
+        """nabla_k nabla_l H, shape (*, k, l, a)."""
+        return second_covariant_H(self.bundle)
+
+    @cached_property
+    def gauss(self) -> np.ndarray:
+        """<A_ik, A_jl> - <A_il, A_jk>: the extrinsic side of the Gauss equation."""
+        AA = np.einsum("...ikjl->...ijkl", self.AA)
+        return AA - np.swapaxes(AA, -1, -2)
+
+    @cached_property
+    def ricci(self) -> np.ndarray:
+        """g^kl R_ikjl = <H, A_ij> - g^kl <A_ik, A_jl> by the Gauss equation."""
+        return self.HA - np.einsum("...ijaa->...ij", self.A_mixed)
+
+    @cached_property
+    def A_ddH(self) -> np.ndarray:
+        """2 <A^kl, nabla_k nabla_l H>: the left side of the second Simons identity."""
+        return 2.0 * _node_dot(self.ddH, self.A_uu, self.bundle.chart.shape)
+
+    @cached_property
+    def HA_sq(self) -> np.ndarray:
+        """|<H, A_ij>|^2."""
+        return _sq_norm(self.bundle.ginv, self.HA, 2)
+
+    @cached_property
+    def grad_perp_A_sq(self) -> np.ndarray:
+        """|nabla^perp A|^2 = g^ip g^jq g^kr <(nabla_i A_jk)^perp, (nabla_p A_qr)^perp>."""
+        return _sq_norm(self.bundle.ginv, normal_part(self.bundle, self.nA), 3)
+
+    @cached_property
+    def comm_sq(self) -> np.ndarray:
+        """|A-commutator|^2, the commutator being A_mixed minus its a <-> b transpose."""
+        comm = self.A_mixed - np.swapaxes(self.A_mixed, -1, -2)
+        return _sq_norm(self.bundle.ginv, comm, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -455,23 +588,16 @@ def _norms(res_field: np.ndarray, bundle: GeometryBundle,
     return ResidualNorms(linf=linf, l2=l2, scale=scale)
 
 
-def gauss_residual_field(bundle: GeometryBundle) -> np.ndarray:
-    return intrinsic_curvature(bundle) - gauss_curvature_from_A(bundle)
+def gauss_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.ndarray:
+    return intrinsic_curvature(bundle) - cp.gauss
 
 
-def codazzi_residual_field(bundle: GeometryBundle) -> np.ndarray:
+def codazzi_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.ndarray:
     """Normal part of (nabla_i A)_jk - (nabla_j A)_ik (vanishes for R^N = 0)."""
-    nA = nabla_A(bundle)
-    anti = nA - np.einsum("...jika->...ijka", nA)
-    flat = anti.reshape(bundle.chart.shape + (-1, bundle.imm.n))
-    proj = np.stack(
-        [normal_part(bundle, flat[..., c, :]) for c in range(flat.shape[-2])],
-        axis=-2,
-    )
-    return proj.reshape(anti.shape)
+    return normal_part(bundle, cp.nA - np.swapaxes(cp.nA, -4, -3))
 
 
-def ricci_residual_field(bundle: GeometryBundle) -> np.ndarray:
+def ricci_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.ndarray:
     """Ricci-equation defect tested on the normal parts of the ambient basis.
 
     For each ambient basis vector e_b, nu = e_b^perp is a smooth normal field
@@ -481,37 +607,24 @@ def ricci_residual_field(bundle: GeometryBundle) -> np.ndarray:
 
     is tensorial in nu, so testing a spanning family is a complete check.
     The left side is evaluated as the antisymmetrized second normal
-    derivative (d_i (d_j nu)^perp)^perp.
+    derivative (d_i (d_j nu)^perp)^perp. All n fields are checked at once;
+    the result has shape (*, i, j, a, b).
     """
     chart = bundle.chart
-    n = bundle.imm.n
-    out = np.empty(chart.shape + (chart.m, chart.m, n, n))
-    for b in range(n):
-        e = np.zeros(n)
-        e[b] = 1.0
-        nu = normal_part(bundle, e)
-        dnu = d1_tensor(nu, chart)  # (*, j, n)
-        Y = np.stack([normal_part(bundle, dnu[..., j, :]) for j in range(chart.m)], axis=-2)
-        dY = d1_tensor(Y, chart, tensor_axes=(0,))  # (*, i, j, n)
-        lhs_raw = dY - np.einsum("...ija->...jia", dY)
-        lhs = np.stack(
-            [
-                np.stack(
-                    [normal_part(bundle, lhs_raw[..., i, j, :]) for j in range(chart.m)],
-                    axis=-2,
-                )
-                for i in range(chart.m)
-            ],
-            axis=-3,
-        )
-        nuA = np.einsum("...a,...ika->...ik", nu, bundle.A)
-        rhs_half = np.einsum("...kl,...ik,...jla->...ija", bundle.ginv, nuA, bundle.A)
-        rhs = -(rhs_half - np.einsum("...jia->...ija", rhs_half))
-        out[..., b] = lhs - rhs
-    return out
+    nodes, m, n = chart.shape, chart.m, bundle.imm.n
+    nu = bundle.normal_projector                # (*, b, a): row b is e_b^perp
+    Y = normal_part(bundle, d1_tensor(nu, chart))  # (*, j, b, a)
+    dY = d1_tensor(Y, chart, tensor_axes=(0,))    # (*, i, j, b, a)
+    lhs = normal_part(bundle, dY - np.swapaxes(dY, -4, -3))
+    # g^kl <nu, A_ik> A_jl = <nu, A_ik> A^k_j
+    nuA = np.matmul(nu, np.swapaxes(bundle.A.reshape(nodes + (m * m, n)), -1, -2))
+    half = np.matmul(nuA.reshape(nodes + (n * m, m)), cp.A_up.reshape(nodes + (m, m * n)))
+    half = np.moveaxis(half.reshape(nodes + (n, m, m, n)), -4, -2)  # (*, i, j, b, a)
+    rhs = -(half - np.swapaxes(half, -4, -3))
+    return np.moveaxis(lhs - rhs, -2, -1)
 
 
-def simons_residual_field(bundle: GeometryBundle) -> np.ndarray:
+def simons_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.ndarray:
     """Defect of Simons' identity in flat ambient space:
 
         nabla_k nabla_l H = Delta A_kl
@@ -524,83 +637,56 @@ def simons_residual_field(bundle: GeometryBundle) -> np.ndarray:
     Christoffel symbols.
     """
     chart = bundle.chart
-    ginv = bundle.ginv
-    R = gauss_curvature_from_A(bundle)  # R_ijkl
-    ric = np.einsum("...kl,...ikjl->...ij", ginv, R)
-    dric = d1_tensor(ric, chart, tensor_axes=(0, 1))  # (*, k, i, j)
-    nabla_ric = dric \
-        - np.einsum("...pki,...pj->...kij", bundle.gamma, ric) \
-        - np.einsum("...pkj,...ip->...kij", bundle.gamma, ric)
+    nodes, m, n = chart.shape, chart.m, bundle.imm.n
+    ginv, gamma = bundle.ginv, bundle.gamma
+    ric = cp.ricci
+    corr = _gamma_dot(gamma, ric)  # Gamma^p_ki R_pj; R symmetric
+    nabla_ric = d1_tensor(ric, chart, tensor_axes=(0, 1)) - corr - np.swapaxes(corr, -2, -1)
 
-    nA = nabla_A(bundle)  # (*, i, j, k, a) = nabla_i A_jk
-    dnA = d1_tensor(nA, chart, tensor_axes=(0, 1, 2))  # (*, p, i, j, k, a)
-    ddA = dnA \
-        - np.einsum("...qpi,...qjka->...pijka", bundle.gamma, nA) \
-        - np.einsum("...qpj,...iqka->...pijka", bundle.gamma, nA) \
-        - np.einsum("...qpk,...ijqa->...pijka", bundle.gamma, nA)
-    lapA = np.einsum("...pi,...pikla->...kla", ginv, ddA)
+    # Delta A_kl = g^pi (d_p nabla_i A_kl - Gamma^q_pi nabla_q A_kl
+    #              - Gamma^q_pk nabla_i A_ql - Gamma^q_pl nabla_i A_kq)
+    nA = cp.nA
+    pair = ginv.reshape(nodes + (1, m * m))
+    dnA = d1_tensor(nA, chart, tensor_axes=(0, 1, 2)).reshape(nodes + (m * m, -1))
+    # drift g^pi Gamma^q_pi, shape (*, 1, q)
+    drift = np.matmul(pair, np.swapaxes(gamma.reshape(nodes + (m, m * m)), -1, -2))
+    lapA = np.matmul(pair, dnA) - np.matmul(drift, nA.reshape(nodes + (m, -1)))
+    lapA = lapA.reshape(nodes + (m, m, n))
+    gamma_up = _raise(ginv, np.swapaxes(gamma, -3, -2))  # (*, i, q, k) = g^ip Gamma^q_pk
+    side = np.matmul(np.swapaxes(gamma_up.reshape(nodes + (m * m, m)), -1, -2),
+                     nA.reshape(nodes + (m * m, m * n))).reshape(nodes + (m, m, n))
+    lapA = lapA - side - np.swapaxes(side, -3, -2)  # nabla_i A symmetric in its pair
 
-    grad_ric_term = (
-        np.einsum("...pq,...kql->...klp", ginv, nabla_ric)
-        + np.einsum("...pq,...lqk->...klp", ginv, nabla_ric)
-        - np.einsum("...pq,...qkl->...klp", ginv, nabla_ric)
-    )
-    F_term = np.einsum("...klp,...pa->...kla", grad_ric_term, bundle.dF)
+    # (nabla_k R_ql + nabla_l R_qk - nabla_q R_kl) g^qp F_p
+    grad_ric = (np.swapaxes(nabla_ric, -1, -2)
+                + np.einsum("...lqk->...klq", nabla_ric)
+                - np.einsum("...qkl->...klq", nabla_ric))
+    F_up = np.matmul(ginv, bundle.dF)
+    F_term = np.matmul(grad_ric.reshape(nodes + (m * m, m)), F_up).reshape(nodes + (m, m, n))
 
-    R_up = np.einsum("...ip,...jq,...kplq->...kilj", ginv, ginv, R)
-    RA_term = 2.0 * np.einsum("...kilj,...ija->...kla", R_up, bundle.A)
-    ric_up = np.einsum("...pq,...qk->...pk", ginv, ric)
-    ricA = np.einsum("...pk,...pla->...kla", ric_up, bundle.A) \
-        + np.einsum("...pl,...pka->...kla", ric_up, bundle.A)
+    R_pairs = np.einsum("...kplq->...klpq", cp.gauss).reshape(nodes + (m * m, m * m))
+    RA_term = 2.0 * np.matmul(R_pairs, cp.A_uu.reshape(nodes + (m * m, n)))
+    ricA = np.matmul(np.swapaxes(ric, -1, -2), cp.A_up.reshape(nodes + (m, m * n)))
+    ricA = ricA.reshape(nodes + (m, m, n))
+    ricA = ricA + np.swapaxes(ricA, -3, -2)
 
-    rhs = lapA - F_term + RA_term - ricA
-    return second_covariant_H(bundle) - rhs
+    rhs = lapA - F_term + RA_term.reshape(nodes + (m, m, n)) - ricA
+    return cp.ddH - rhs
 
 
-def simons2_residual_field(bundle: GeometryBundle) -> np.ndarray:
+def simons2_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.ndarray:
     """Defect of the contracted (second) Simons identity in flat space:
 
         2 <A, nabla^2 H> = Delta |A|^2 - 2 |nabla^perp A|^2
                            + |<A_ij,A_kl> - <A_il,A_jk>|^2 + |A-commutator|^2
                            + 2 |<H,A_ij> - <A_ik, A_j^k>|^2 - 2 |<H,A_ij>|^2
     """
-    chart = bundle.chart
     ginv = bundle.ginv
-    A = bundle.A
-
-    ddH = second_covariant_H(bundle)
-    lhs = 2.0 * np.einsum("...ki,...lj,...kla,...ija->...", ginv, ginv, ddH, A)
-
-    lap_normA2 = laplace_beltrami(bundle.normA2, bundle)
-
-    nA = nabla_A(bundle)
-    flat = nA.reshape(chart.shape + (-1, bundle.imm.n))
-    proj = np.stack(
-        [normal_part(bundle, flat[..., c, :]) for c in range(flat.shape[-2])],
-        axis=-2,
-    ).reshape(nA.shape)
-    nperpA2 = np.einsum(
-        "...ip,...jq,...kr,...ijka,...pqra->...", ginv, ginv, ginv, proj, proj
-    )
-
-    AA = np.einsum("...ija,...kla->...ijkl", A, A)  # <A_ij, A_kl>
-    T1 = AA - np.einsum("...iljk->...ijkl", AA)
-    T1sq = np.einsum(
-        "...ip,...jq,...kr,...ls,...ijkl,...pqrs->...", ginv, ginv, ginv, ginv, T1, T1
-    )
-
-    A_mixed = np.einsum("...kl,...ika,...jlb->...ijab", ginv, A, A)
-    comm = A_mixed - np.einsum("...ijba->...ijab", A_mixed)
-    comm_sq = np.einsum("...ip,...jq,...ijab,...pqab->...", ginv, ginv, comm, comm)
-
-    HA = np.einsum("...a,...ija->...ij", bundle.H, A)
-    AAc = np.einsum("...kl,...ika,...jla->...ij", ginv, A, A)
-    T3 = HA - AAc
-    T3sq = np.einsum("...ip,...jq,...ij,...pq->...", ginv, ginv, T3, T3)
-    T4sq = np.einsum("...ip,...jq,...ij,...pq->...", ginv, ginv, HA, HA)
-
-    rhs = lap_normA2 - 2.0 * nperpA2 + T1sq + comm_sq + 2.0 * T3sq - 2.0 * T4sq
-    return lhs - rhs
+    T1 = cp.AA - np.einsum("...iljk->...ijkl", cp.AA)
+    T3sq = _sq_norm(ginv, cp.ricci, 2)  # <H,A_ij> - <A_ik, A_j^k> is the Ricci tensor
+    rhs = (laplace_beltrami(bundle.normA2, bundle) - 2.0 * cp.grad_perp_A_sq
+           + _sq_norm(ginv, T1, 4) + cp.comm_sq + 2.0 * T3sq - 2.0 * cp.HA_sq)
+    return cp.A_ddH - rhs
 
 
 def structure_residuals(imm: Immersion, bundle: GeometryBundle | None = None,
@@ -614,23 +700,18 @@ def structure_residuals(imm: Immersion, bundle: GeometryBundle | None = None,
     if bundle is None:
         bundle = build_bundle(imm)
     mask = trusted_mask(imm, pole_margin)
-    gauss = _norms(gauss_residual_field(bundle), bundle, mask,
-                   scale_field=gauss_curvature_from_A(bundle))
-    codazzi = _norms(codazzi_residual_field(bundle), bundle, mask,
-                     scale_field=nabla_A(bundle))
-    nuA_scale = np.einsum("...ik,...jl,...ija,...kla->...",
-                          bundle.ginv, bundle.ginv, bundle.A, bundle.A)
-    ricci = _norms(ricci_residual_field(bundle), bundle, mask,
-                   scale_field=nuA_scale)
-    ddH = second_covariant_H(bundle)
-    simons = _norms(simons_residual_field(bundle), bundle, mask,
-                    scale_field=ddH)
-    lhs2 = 2.0 * np.einsum("...ki,...lj,...kla,...ija->...",
-                           bundle.ginv, bundle.ginv, ddH, bundle.A)
-    simons2 = _norms(simons2_residual_field(bundle), bundle, mask,
-                     scale_field=lhs2)
-    return CurvatureReport(gauss=gauss, codazzi=codazzi, ricci=ricci,
-                           simons=simons, simons2=simons2)
+    cp = CurvatureProducts(bundle)
+
+    def norms(field, scale):
+        return _norms(field(bundle, cp), bundle, mask, scale_field=scale)
+
+    return CurvatureReport(
+        gauss=norms(gauss_residual_field, cp.gauss),
+        codazzi=norms(codazzi_residual_field, cp.nA),
+        ricci=norms(ricci_residual_field, bundle.normA2),
+        simons=norms(simons_residual_field, cp.ddH),
+        simons2=norms(simons2_residual_field, cp.A_ddH),
+    )
 
 
 # ---------------------------------------------------------------------------

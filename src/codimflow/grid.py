@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, UsageError
+from .errors import ConfigError, UsageError
 
 MIN_RESOLUTION = 8
 
@@ -120,13 +120,6 @@ class Chart:
     def cell_measure(self) -> float:
         """Coordinate volume of one grid cell (product of spacings)."""
         return float(np.prod(self.spacings))
-
-    def same_as(self, other: "Chart") -> bool:
-        return (
-            self.spec.domain is other.spec.domain
-            and self.spec.resolution == other.spec.resolution
-            and self.spec.interval_bounds == other.spec.interval_bounds
-        )
 
 
 @dataclass(frozen=True)
@@ -262,62 +255,14 @@ def diff_mixed(values, axis_a: int, axis_b: int, chart: Chart, parity=1.0) -> np
     return 0.5 * (u + v)
 
 
-def partials(field: GridField, parity=None) -> tuple[GridField, GridField]:
-    """First and second partial derivatives of every component.
-
-    Returns (d1, d2) with d1.values of shape chart.shape + (m, c) and
-    d2.values of shape chart.shape + (m, m, c); d2 is symmetric in its two
-    axis indices bit-exactly. parity is an optional per-component +-1 vector
-    for fields whose components are tensor components on a sphere chart.
-    """
-    chart = field.chart
-    v = field.values
-    c = field.components
-    if parity is None:
-        parity = 1.0
-    m = chart.m
-    d1 = np.empty(chart.shape + (m, c))
-    d2 = np.empty(chart.shape + (m, m, c))
-    for a in range(m):
-        d1[..., a, :] = diff1(v, a, chart, parity)
-        d2[..., a, a, :] = diff2(v, a, chart, parity)
-        for b in range(a + 1, m):
-            mixed = diff_mixed(v, a, b, chart, parity)
-            d2[..., a, b, :] = mixed
-            d2[..., b, a, :] = mixed
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
-        raise NonFiniteError("non-finite values in partial derivatives")
-    return GridField(chart, d1.reshape(chart.shape + (m * c,))), GridField(
-        chart, d2.reshape(chart.shape + (m * m * c,))
-    )
-
-
-def integrate(scalar: GridField, density: GridField) -> float:
-    """Quadrature sum(scalar * density * cell) over all nodes.
+def integrate_values(values: np.ndarray, density: np.ndarray, chart: Chart) -> float:
+    """Quadrature sum(values * density * cell) over all nodes.
 
     density is the metric volume density (sqrt det g); the coordinate cell
     measure (product of spacings) is supplied by the chart. The reduction
     is the fixed C-order numpy sum for reproducibility.
     """
-    if not scalar.chart.same_as(density.chart):
-        raise UsageError("integrate: scalar and density live on different charts")
-    if scalar.components != 1 or density.components != 1:
-        raise UsageError("integrate expects single-component fields")
-    dv = density.values
-    if np.any(dv < 0):
-        raise UsageError("integrate: density must be nonnegative")
-    cell = scalar.chart.cell_measure()
-    return float(np.sum(scalar.values[..., 0] * dv[..., 0]) * cell)
-
-
-def integrate_values(values: np.ndarray, density: np.ndarray, chart: Chart) -> float:
-    """Array-level variant of integrate for internal use."""
     return float(np.sum(values * density) * chart.cell_measure())
-
-
-def roll_field(values: np.ndarray, axis: int, shift: int) -> np.ndarray:
-    """Cyclic node shift along a periodic axis (test helper)."""
-    return np.roll(values, shift, axis=axis)
 
 
 # stencil coefficient tables: D1 and D2 entries as (offset, coefficient),

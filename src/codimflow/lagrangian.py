@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteError, UsageError
+from .flow import _time_weights
 from .geometry import (
     GeometryBundle,
     Immersion,
@@ -43,14 +44,6 @@ from .grid import Chart, ChartSpec, Domain, GridField, make_chart
 # ---------------------------------------------------------------------------
 # complex structure on R^{2m}
 # ---------------------------------------------------------------------------
-
-def complex_structure(m: int) -> np.ndarray:
-    """J on R^{2m} = (Re block, Im block): J (a, b) = (-b, a)."""
-    J = np.zeros((2 * m, 2 * m))
-    J[:m, m:] = -np.eye(m)
-    J[m:, :m] = np.eye(m)
-    return J
-
 
 def symplectic_form(V: np.ndarray, W: np.ndarray, m: int) -> np.ndarray:
     """omega(V, W) = <J V, W> for trailing-component vector fields."""
@@ -352,13 +345,6 @@ class PotentialTrace:
         return np.array([r.t for r in self.records])
 
 
-def _alpha_and_diag(p: Potential) -> tuple[np.ndarray, float, float]:
-    H = p.hessian()
-    alpha = lagrangian_angle_of_hessian(H)
-    hess_phi = H - p.S
-    return alpha, float(np.abs(hess_phi).max()), 0.0
-
-
 def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
     """Explicit potential flow du/dt = alpha(Hess u) under dt = sigma h^2/2.
 
@@ -430,10 +416,7 @@ def angle_evolution_residual(p_prev: Potential, p_mid: Potential, p_next: Potent
     alpha is inherited unchanged."""
     if not t_prev < t_mid < t_next:
         raise UsageError("potential states out of order")
-    d1, d2 = t_mid - t_prev, t_next - t_mid
-    w0 = -d2 / (d1 * (d1 + d2))
-    w1 = (d2 - d1) / (d1 * d2)
-    w2 = d1 / (d2 * (d1 + d2))
+    w0, w1, w2 = _time_weights(t_prev, t_mid, t_next)
     alphas = [lagrangian_angle_of_hessian(p.hessian()) for p in (p_prev, p_mid, p_next)]
     dadt = w0 * alphas[0] + w1 * alphas[1] + w2 * alphas[2]
     imm = lag_immersion(p_mid)

@@ -25,7 +25,7 @@ from codimflow.flow import (
     evolution_residuals, run, step_explicit,
 )
 from codimflow.geometry import Immersion, build_bundle, structure_residuals
-from codimflow.grid import ChartSpec, Domain, GridField, make_chart, roll_field
+from codimflow.grid import ChartSpec, Domain, GridField, make_chart
 from codimflow.lagrangian import (
     Potential, PotentialFlowConfig, lag_immersion, lagrangian_angle,
     lagrangian_residual, ma_run, mean_curvature_form, pinching_gap,
@@ -37,6 +37,7 @@ from codimflow.singularity import (
 from codimflow.snapshots import (
     read_checkpoint, resume_run, write_checkpoint,
 )
+from conftest import roll_field
 
 ROUNDING_FLOOR = 1e-6  # residuals below this at both resolutions are at
                        # rounding level and cannot exhibit a convergence order

@@ -20,8 +20,12 @@ from codimflow.snapshots import (
 )
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*args, cwd=None, env=None):
     e = dict(os.environ)
+    e["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, e.get("PYTHONPATH")]))
     if env:
         e.update(env)
     return subprocess.run([sys.executable, "-m", "codimflow.cli", *args],
@@ -416,6 +420,36 @@ class TestCLI:
         t_printed = float(r.stdout.splitlines()[1].split()[0])
         assert t_printed == pytest.approx(st.t, rel=1e-5)
         assert st.t > 0.05   # the explicit CFL would allow ~1e-3 per step
+
+    def test_verify_stops_at_the_horizon(self, tmp_path, monkeypatch, capsys):
+        # verify steps as flow.run does: the last step is clipped onto
+        # stop_t_max and no triple is formed past it
+        import argparse
+
+        from codimflow import cli
+
+        cfgp = tmp_path / "v.cfg"
+        cfgp.write_text(
+            "name = v\n"
+            "initial.catalog = circle\n"
+            "initial.n = 64\n"
+            "flow.integrator = semi_implicit\n"
+            "flow.record_every = 2\n"
+            "flow.stop_t_max = 0.1\n"
+            f"output.dir = {tmp_path / 'out'}\n"
+        )
+        triples = []
+        residuals = cli.evolution_residuals
+
+        def spy(before, after, mid=None):
+            triples.append((before.t, mid.t, after.t))
+            return residuals(before, after, mid=mid)
+
+        monkeypatch.setattr(cli, "evolution_residuals", spy)
+        assert cli.cmd_verify(argparse.Namespace(config=str(cfgp), checks=5)) == 0
+        assert len(triples) == 1
+        assert max(triples[0]) == 0.1
+        assert "verify: 1 checks" in capsys.readouterr().out
 
     def test_rescale_subcommand(self, tmp_path):
         cfgp = tmp_path / "r.cfg"

@@ -10,7 +10,8 @@ from codimflow.geometry import (
     Immersion, build_bundle, graph_immersion, graph_singular_values,
     normal_part, structure_residuals, tangency_defect,
 )
-from codimflow.grid import ChartSpec, Domain, GridField, make_chart, roll_field
+from codimflow.grid import ChartSpec, Domain, GridField, make_chart
+from conftest import roll_field
 
 
 def torus_graph(f_values, n=32, order=2):

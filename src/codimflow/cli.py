@@ -11,7 +11,6 @@ line `error: <kind>: <reason>` on stderr.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import math
 import os
@@ -167,22 +166,12 @@ def _do_rescale(trace: FlowTrace, final: FlowState, params: dict, base: str):
 
 
 def cmd_run(args) -> int:
-    workers_env = os.environ.get("CODIMFLOW_THREADS", "0")
-    try:
-        workers = max(0, int(workers_env))
-    except ValueError:
-        raise ConfigError(f"CODIMFLOW_THREADS must be an integer, got {workers_env!r}")
-    configs = args.configs
-    if len(configs) == 1 or workers <= 1:
-        code = 0
-        for c in configs:
-            code = max(code, _run_one(c, resume=args.resume))
-        return code
-    if args.resume:
+    if args.resume and len(args.configs) > 1:
         raise UsageError("--resume applies to a single config")
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        codes = list(pool.map(_run_one, configs))
-    return max(codes)
+    code = EXIT_OK
+    for c in args.configs:
+        code = max(code, _run_one(c, resume=args.resume))
+    return code
 
 
 def cmd_verify(args) -> int:

@@ -45,7 +45,7 @@ from .geometry import (
     normal_part,
     trusted_mask,
 )
-from .grid import ChartSpec, integrate_values, make_chart
+from .grid import STENCILS, ChartSpec, integrate_values, make_chart, neighbor_maps
 
 
 class Integrator(enum.Enum):
@@ -71,7 +71,6 @@ class FlowConfig:
     record_every: int = 1
     snapshot_every: int = 0          # in records; 0 keeps first and last only
     fixed_dt: float | None = None    # overrides the adaptive law when set
-    solver_rtol: float = 1e-10
 
     def __post_init__(self):
         if not (0.0 < self.cfl_sigma <= 1.0):
@@ -211,14 +210,16 @@ class _StepPattern:
 
 @lru_cache(maxsize=16)
 def _step_pattern(spec: ChartSpec) -> _StepPattern:
-    from .grid import D1_COEFFS, D2_COEFFS, neighbor_maps
-
     chart = make_chart(spec)
     m = chart.m
     N = chart.node_count
     order = chart.fd_order
     node = np.arange(N)
     nbs = [neighbor_maps(chart, a) for a in range(m)]
+    # (offset, coefficient) in ascending offsets: the order in which repeated
+    # couplings are summed
+    d1, d2 = ([(o, w / den) for o, w in sorted(weights)]
+              for weights, den in (STENCILS[order, 1], STENCILS[order, 2]))
     # weight stack rows: g^aa (row a), drift -w_a (row m + a), 2 g^ab (from 2m)
     cols, weight_row, term_coeff = [], [], []
 
@@ -230,15 +231,15 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
     pair = 2 * m
     for a in range(m):
         h = chart.spacings[a]
-        for o, c in D2_COEFFS[order]:
+        for o, c in d2:
             add(nbs[a][o], a, c / (h * h))
-        for o, c in D1_COEFFS[order]:
+        for o, c in d1:
             add(nbs[a][o], m + a, c / h)
         for b in range(a + 1, m):
             hb = chart.spacings[b]
-            for o1, c1 in D1_COEFFS[order]:
+            for o1, c1 in d1:
                 base = nbs[a][o1]
-                for o2, c2 in D1_COEFFS[order]:
+                for o2, c2 in d1:
                     add(nbs[b][o2][base], pair, c1 * c2 / (h * hb))
             pair += 1
     key = (node * N + np.stack(cols)).ravel()   # row * N + column per coupling
@@ -435,31 +436,58 @@ def _record(state: FlowState, dt: float, huisken_params=None,
     )
 
 
+class RecordCadence:
+    """The record and snapshot cadence of a run, shared by both flows.
+
+    A run records its initial state, the state after every record_every-th
+    step and its final state. Every snapshot_every-th record carries a
+    snapshot (none in between when it is 0), and so do the first and the
+    last. make(state, dt, with_snapshot) builds one record, where dt is the
+    step that produced the state (0 for the initial one). A stepped state is
+    recorded when the next step arrives or the run finishes, so the final
+    state's record is made once, with its snapshot.
+    """
+
+    def __init__(self, make, record_every: int, snapshot_every: int, initial):
+        self.make = make
+        self.record_every = record_every
+        self.snapshot_every = snapshot_every
+        self.records = [make(initial, 0.0, True)]
+        self._last = None    # (state, dt) of the latest step, not yet recorded
+        self._due = False    # whether that step is on the record cadence
+
+    def stepped(self, state, dt: float, step_index: int) -> None:
+        """Note the state that step number step_index produced with dt."""
+        if self._due:
+            n = len(self.records)
+            snap = self.snapshot_every > 0 and n % self.snapshot_every == 0
+            self.records.append(self.make(*self._last, snap))
+        self._last = (state, dt)
+        self._due = step_index % self.record_every == 0
+
+    def finish(self) -> list:
+        """Record the final state, with its snapshot; returns all records."""
+        if self._last is not None:
+            self.records.append(self.make(*self._last, True))
+        return self.records
+
+
 def run(initial: Immersion, config: FlowConfig, huisken_params=None,
         initial_state: FlowState | None = None,
         max_steps: int | None = None) -> tuple[FlowTrace, FlowState]:
     """Integrate the flow until a stop condition fires.
 
-    Returns the trace and the final state. Diagnostics are recorded every
-    record_every steps (plus the initial and final states); snapshots are
-    attached every snapshot_every records (always on the first and last).
-    max_steps interrupts after that many steps without touching the time-step
-    law, so a checkpointed state resumes onto the identical trajectory.
+    Returns the trace and the final state. Records and snapshots follow
+    RecordCadence. max_steps interrupts after that many steps without
+    touching the time-step law, so a checkpointed state resumes onto the
+    identical trajectory.
     """
     state = initial_state if initial_state is not None else FlowState.initial(initial)
     trace = FlowTrace(chart_shape=state.imm.chart.shape)
-    n_records = 0
+    cadence = RecordCadence(
+        lambda st, dt, snap: _record(st, dt, huisken_params, with_snapshot=snap),
+        config.record_every, config.snapshot_every, state)
     first_step = state.step_index
-
-    def push(st: FlowState, dt: float, force_snap: bool = False):
-        nonlocal n_records
-        snap = force_snap or (
-            config.snapshot_every > 0 and n_records % config.snapshot_every == 0
-        )
-        trace.records.append(_record(st, dt, huisken_params, with_snapshot=snap))
-        n_records += 1
-
-    push(state, 0.0, force_snap=True)
     while True:
         max_a2 = float(state.bundle.normA2.max())
         if max_a2 >= config.stop_max_A2:
@@ -485,13 +513,8 @@ def run(initial: Immersion, config: FlowConfig, huisken_params=None,
             trace.termination = Termination.DEGENERATE
             trace.termination_detail = str(exc)
             break
-        if state.step_index % config.record_every == 0:
-            push(state, dt)
-    if not trace.records or trace.records[-1].step_index < state.step_index:
-        push(state, trace.records[-1].dt if trace.records else 0.0)
-    last = trace.records[-1]
-    if last.snapshot is None:
-        trace.records[-1] = replace(last, snapshot=state.imm)
+        cadence.stepped(state, dt, state.step_index)
+    trace.records = cadence.finish()
     return trace, state
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,6 +182,18 @@ def make_chart(spec: ChartSpec) -> Chart:
 
 _PAD = 2  # ghost layers per side; enough for the widest (order-4) stencils
 
+# The one stencil definition. Per (fd_order, derivative order k): integer
+# weights per offset and a common denominator, so that
+#     d^k f / dx^k [i] = sum_o w_o f[i + o] / (den h^k).
+# diff1/diff2 sum the terms in the order listed here; the step matrix
+# (flow._step_pattern) takes its coefficients w_o / den from the same rows.
+STENCILS = {
+    (2, 1): (((1, 1), (-1, -1)), 2),
+    (4, 1): (((2, -1), (1, 8), (-1, -8), (-2, 1)), 12),
+    (2, 2): (((1, 1), (0, -2), (-1, 1)), 1),
+    (4, 2): (((2, -1), (1, 16), (0, -30), (-1, 16), (-2, -1)), 12),
+}
+
 
 def _pad(values: np.ndarray, axis: int, chart: Chart, parity: float | np.ndarray):
     """Extend values by _PAD ghost layers on both sides of one grid axis.
@@ -213,24 +226,47 @@ def _slice_axis(ext: np.ndarray, axis: int, offset: int) -> np.ndarray:
     return ext[tuple(idx)]
 
 
+def _stencil(values, axis: int, chart: Chart, parity, derivative: int) -> np.ndarray:
+    """Apply the STENCILS row of this chart's order along one axis.
+
+    Terms are summed in table order, and a weight of +-1 adds or subtracts
+    its slice. The first two terms make one fresh array; the others
+    accumulate into it and the divisor divides it in place.
+    """
+    weights, den = STENCILS[chart.fd_order, derivative]
+    ext = _pad(values, axis, chart, parity)
+    (o0, w0), (o1, w1) = weights[:2]
+    a = _slice_axis(ext, axis, o0)
+    b = _slice_axis(ext, axis, o1)
+    if abs(w0) != 1:
+        a = abs(w0) * a
+    if abs(w1) != 1:
+        b = abs(w1) * b
+    if w0 > 0:
+        acc = a - b if w1 < 0 else a + b
+    else:
+        acc = -a - b if w1 < 0 else b - a
+    for o, w in weights[2:]:
+        x = _slice_axis(ext, axis, o)
+        if w == 1:
+            acc += x
+        elif w == -1:
+            acc -= x
+        else:
+            acc += w * x   # acc + (-c) x rounds as acc - c x
+    h = chart.spacings[axis]
+    acc /= den * h if derivative == 1 else den * h * h
+    return acc
+
+
 def diff1(values: np.ndarray, axis: int, chart: Chart, parity=1.0) -> np.ndarray:
     """First derivative along one grid axis (central, fd_order accurate)."""
-    h = chart.spacings[axis]
-    ext = _pad(values, axis, chart, parity)
-    s = lambda k: _slice_axis(ext, axis, k)
-    if chart.fd_order == 2:
-        return (s(1) - s(-1)) / (2.0 * h)
-    return (-s(2) + 8.0 * s(1) - 8.0 * s(-1) + s(-2)) / (12.0 * h)
+    return _stencil(values, axis, chart, parity, 1)
 
 
 def diff2(values: np.ndarray, axis: int, chart: Chart, parity=1.0) -> np.ndarray:
     """Second derivative along one grid axis (compact central stencil)."""
-    h = chart.spacings[axis]
-    ext = _pad(values, axis, chart, parity)
-    s = lambda k: _slice_axis(ext, axis, k)
-    if chart.fd_order == 2:
-        return (s(1) - 2.0 * s(0) + s(-1)) / (h * h)
-    return (-s(2) + 16.0 * s(1) - 30.0 * s(0) + 16.0 * s(-1) - s(-2)) / (12.0 * h * h)
+    return _stencil(values, axis, chart, parity, 2)
 
 
 def diff_mixed(values, axis_a: int, axis_b: int, chart: Chart, parity=1.0) -> np.ndarray:
@@ -265,57 +301,21 @@ def integrate_values(values: np.ndarray, density: np.ndarray, chart: Chart) -> f
     return float(np.sum(values * density) * chart.cell_measure())
 
 
-# stencil coefficient tables: D1 and D2 entries as (offset, coefficient),
-# to be divided by h resp. h^2
-D1_COEFFS = {
-    2: ((-1, -0.5), (1, 0.5)),
-    4: ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0)),
-}
-D2_COEFFS = {
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    4: ((-2, -1.0 / 12.0), (-1, 16.0 / 12.0), (0, -30.0 / 12.0),
-        (1, 16.0 / 12.0), (2, -1.0 / 12.0)),
-}
+def neighbor_maps(chart: Chart, axis: int) -> dict[int, np.ndarray]:
+    """Flat node-index maps node -> stencil neighbor along one axis, for
+    offsets -_PAD.._PAD.
 
-
-def neighbor_maps(chart: Chart, axis: int, max_offset: int = _PAD) -> dict[int, np.ndarray]:
-    """Flat node-index maps node -> stencil neighbor along one axis.
-
-    Valid for scalar (even pole parity) fields; matches the ghost rules used
-    by the stencil routines, so matrices assembled from these maps act
-    identically to the matrix-free operators. Cached per chart spec.
+    The maps are read off the node indices padded by _pad, so they follow the
+    stencils' ghost rules by construction (scalar fields: even pole parity),
+    and matrices assembled from them act as the matrix-free operators do.
+    Cached per chart spec.
     """
-    return _neighbor_maps_cached(chart.spec, axis, max_offset)
-
-
-from functools import lru_cache  # noqa: E402  (kept near its single use)
+    return _neighbor_maps_cached(chart.spec, axis)
 
 
 @lru_cache(maxsize=64)
-def _neighbor_maps_cached(spec: ChartSpec, axis: int, max_offset: int) -> dict[int, np.ndarray]:
+def _neighbor_maps_cached(spec: ChartSpec, axis: int) -> dict[int, np.ndarray]:
     chart = make_chart(spec)
-    shape = chart.shape
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
-    kind = chart.axis_kinds[axis]
-    maps: dict[int, np.ndarray] = {}
-    for o in range(-max_offset, max_offset + 1):
-        if o == 0:
-            maps[0] = idx.ravel()
-        elif kind is AxisKind.PERIODIC:
-            maps[o] = np.roll(idx, -o, axis=axis).ravel()
-        elif kind is AxisKind.POLE:
-            J, K = shape
-            jj = np.broadcast_to((np.arange(J) + o)[:, None], (J, K)).copy()
-            kk = np.broadcast_to(np.arange(K), (J, K)).copy()
-            out = (jj < 0) | (jj >= J)
-            kk[out] = (kk[out] + K // 2) % K
-            jj = np.where(jj < 0, -1 - jj, jj)
-            jj = np.where(jj >= J, 2 * J - 1 - jj, jj)
-            maps[o] = idx[jj, kk].ravel()
-        else:  # REFLECT (1-axis charts)
-            n = shape[axis]
-            jj = np.arange(n) + o
-            jj = np.where(jj < 0, -1 - jj, jj)
-            jj = np.where(jj >= n, 2 * n - 1 - jj, jj)
-            maps[o] = idx.ravel()[jj]
-    return maps
+    idx = np.arange(chart.node_count).reshape(chart.shape)
+    ext = _pad(idx, axis, chart, 1)
+    return {o: _slice_axis(ext, axis, o).ravel() for o in range(-_PAD, _PAD + 1)}

@@ -21,12 +21,12 @@ diffeomorphisms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonFiniteError, UsageError
-from .flow import _time_weights
+from .flow import RecordCadence, _time_weights
 from .geometry import (
     GeometryBundle,
     Immersion,
@@ -352,33 +352,25 @@ def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
     part of alpha is discarded by the mean-zero gauge of phi (u enters the
     geometry only through du). Records track the angle extremes, the size of
     Hess phi, and the mean curvature 1-form."""
-    p = p0
-    chart = p.chart
+    chart = p0.chart
     h_min = min(chart.spacings)
     dt = config.cfl_sigma * h_min * h_min / 2.0
-    t = 0.0
-    trace = PotentialTrace()
-    step = 0
-    n_records = 0
 
-    def push(p: Potential, t: float, dt_used: float, force_snap=False):
-        nonlocal n_records
+    def record(state, dt_used: float, snap: bool) -> PotentialRecord:
+        p, t = state
         H = p.hessian()
         alpha = lagrangian_angle_of_hessian(H)
         dal = d1_tensor(alpha, chart)
-        H_inf = float(np.abs(dal).max())   # d alpha = H for graphs
-        snap = force_snap or (config.snapshot_every > 0
-                              and n_records % config.snapshot_every == 0)
-        trace.records.append(PotentialRecord(
+        return PotentialRecord(
             t=t, dt=dt_used,
             alpha_min=float(alpha.min()), alpha_max=float(alpha.max()),
             hess_phi_inf=float(np.abs(H - p.S).max()),
-            H_inf=H_inf,
+            H_inf=float(np.abs(dal).max()),   # d alpha = H for graphs
             potential=p if snap else None,
-        ))
-        n_records += 1
+        )
 
-    push(p, 0.0, 0.0, force_snap=True)
+    p, t, step = p0, 0.0, 0
+    cadence = RecordCadence(record, config.record_every, config.snapshot_every, (p, t))
     while t < config.stop_t_max * (1.0 - 1e-14):
         step_dt = min(dt, config.stop_t_max - t)
         alpha = lagrangian_angle_of_hessian(p.hessian())
@@ -388,15 +380,8 @@ def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
         p = Potential(p.S, GridField(chart, new_phi[..., None]))
         t += step_dt
         step += 1
-        if step % config.record_every == 0:
-            push(p, t, step_dt)
-    if trace.records[-1].t < t:
-        push(p, t, dt)
-    last = trace.records[-1]
-    if last.potential is None:
-        trace.records[-1] = replace(last, potential=p)
-    trace.final = p
-    return trace
+        cadence.stepped((p, t), step_dt, step)
+    return PotentialTrace(records=cadence.finish(), final=p)
 
 
 def angle_evolution_residual(p_prev: Potential, p_mid: Potential, p_next: Potential,

@@ -489,9 +489,14 @@ class TestCLI:
         assert csv1 == (tmp_path / "o1" / "det.csv").read_bytes()
         assert snap1 == (tmp_path / "o1" / "det-final.snap").read_bytes()
 
-    def test_thread_env_var_validated(self, tmp_path):
-        cfgp = tmp_path / "t.cfg"
-        cfgp.write_text("initial.catalog = circle\nflow.stop_t_max = 0.001\n"
-                        f"output.dir = {tmp_path}\n")
-        r = run_cli("run", str(cfgp), env={"CODIMFLOW_THREADS": "zebra"})
-        assert r.returncode == 4
+    def test_resume_with_several_configs_rejected(self, tmp_path):
+        paths = []
+        for name in ("a", "b"):
+            cfgp = tmp_path / f"{name}.cfg"
+            cfgp.write_text(f"name = {name}\ninitial.catalog = circle\n"
+                            f"flow.stop_t_max = 0.001\noutput.dir = {tmp_path / 'out'}\n")
+            paths.append(str(cfgp))
+        r = run_cli("run", *paths, "--resume", str(tmp_path / "x.ckpt"))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert "--resume" in r.stderr
+        assert not (tmp_path / "out").exists()

@@ -364,3 +364,50 @@ class TestFlowSymmetries:
         assert np.array_equal(f1.imm.values, f2.imm.values)
         for r1, r2 in zip(tr1.records, tr2.records):
             assert (r1.t, r1.dt, r1.volume) == (r2.t, r2.dt, r2.volume)
+
+
+def circle_records(record_every, snapshot_every=0, stop_t_max=0.05):
+    cfg = FlowConfig(cfl_sigma=0.5, stop_t_max=stop_t_max, record_every=record_every,
+                     snapshot_every=snapshot_every)
+    return run(catalog.circle(radius=1.0, n=64), cfg)[0].records, "snapshot"
+
+
+def potential_records(record_every, snapshot_every=0, stop_t_max=0.05):
+    from codimflow.grid import ChartSpec, Domain, GridField, make_chart
+    from codimflow.lagrangian import Potential, PotentialFlowConfig, ma_run
+
+    ch = make_chart(ChartSpec(Domain.TORUS, (16, 16)))
+    x1, x2 = ch.mesh()
+    phi = 0.1 * np.sin(x1) + 0.1 * np.cos(x2)
+    p0 = Potential(np.diag([0.5, 0.8]), GridField(ch, phi[..., None]))
+    cfg = PotentialFlowConfig(stop_t_max=stop_t_max, record_every=record_every,
+                              snapshot_every=snapshot_every)
+    return ma_run(p0, cfg).records, "potential"
+
+
+@pytest.mark.parametrize("records", [circle_records, potential_records])
+class TestRecordCadence:
+    """Both flows record and snapshot on one cadence."""
+
+    def test_final_record_reports_its_own_step(self, records):
+        every_step, _ = records(1)
+        sparse, _ = records(7)
+        # the final state is off the cadence and came from a clipped step
+        assert (len(every_step) - 1) % 7 != 0
+        assert every_step[-1].dt < every_step[-2].dt
+        assert (sparse[-1].t, sparse[-1].dt) == (every_step[-1].t, every_step[-1].dt)
+
+    def test_on_cadence_records_keep_their_step(self, records):
+        every_step, _ = records(1)
+        sparse, _ = records(3)
+        assert [(r.t, r.dt) for r in sparse[:-1]] == \
+               [(r.t, r.dt) for r in every_step[:-1:3]]
+
+    @pytest.mark.parametrize("snapshot_every", [0, 1, 8])
+    def test_snapshot_positions(self, records, snapshot_every):
+        recs, attr = records(1, snapshot_every, stop_t_max=0.2)
+        last = len(recs) - 1
+        assert last > 8
+        expected = [i for i in range(last + 1) if i in (0, last)
+                    or (snapshot_every > 0 and i % snapshot_every == 0)]
+        assert [i for i, r in enumerate(recs) if getattr(r, attr) is not None] == expected

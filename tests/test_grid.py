@@ -6,7 +6,8 @@ import pytest
 from codimflow.errors import ConfigError
 from codimflow.geometry import d1_tensor, d2_tensor
 from codimflow.grid import (
-    AxisKind, ChartSpec, Domain, diff1, diff2, integrate_values, make_chart,
+    STENCILS, AxisKind, ChartSpec, Domain, diff1, diff2, integrate_values,
+    make_chart, neighbor_maps,
 )
 from conftest import roll_field
 
@@ -117,6 +118,57 @@ class TestPartials:
         e2 = np.abs(d1_tensor(np.sin(th2.coords[0]), th2)[:, 0] - np.cos(th2.coords[0])).max()
         e4 = np.abs(d1_tensor(np.sin(th4.coords[0]), th4)[:, 0] - np.cos(th4.coords[0])).max()
         assert e4 < e2 / 50
+
+
+class TestStencilDefinition:
+    """The one stencil table and the one ghost rule, pinned from outside."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_first_derivative_moments(self, order):
+        weights, den = STENCILS[order, 1]
+        moment = lambda k: sum(w * o**k for o, w in weights)
+        assert moment(0) == 0
+        assert moment(1) == den
+        assert [moment(k) for k in range(2, order + 1)] == [0] * (order - 1)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_second_derivative_moments(self, order):
+        weights, den = STENCILS[order, 2]
+        moment = lambda k: sum(w * o**k for o, w in weights)
+        assert moment(2) == 2 * den
+        assert [moment(k) for k in (0, 1, *range(3, order + 2))] == [0] * (order + 1)
+
+    def test_table_covers_every_order(self):
+        assert set(STENCILS) == {(o, k) for o in (2, 4) for k in (1, 2)}
+
+    def test_sphere_pole_ghosts(self):
+        ch = make_chart(ChartSpec(Domain.SPHERE, (8, 8)))
+        maps = {o: v.reshape(8, 8) for o, v in neighbor_maps(ch, 0).items()}
+        k = np.arange(8)
+        half = (k + 4) % 8
+        assert np.array_equal(maps[-1][0], 0 * 8 + half)
+        assert np.array_equal(maps[-2][0], 1 * 8 + half)
+        assert np.array_equal(maps[1][7], 7 * 8 + half)
+        assert np.array_equal(maps[2][7], 6 * 8 + half)
+        assert np.array_equal(maps[1][3], 4 * 8 + k)  # interior: plain shift
+        assert np.array_equal(maps[0].ravel(), np.arange(64))
+
+    def test_interval_reflect_ghosts(self):
+        ch = make_chart(ChartSpec(Domain.INTERVAL, (16,), interval_bounds=(0.0, 1.0)))
+        maps = neighbor_maps(ch, 0)
+        assert (maps[-1][0], maps[-2][0], maps[-2][1]) == (0, 1, 0)
+        assert (maps[1][15], maps[2][15], maps[2][14]) == (15, 14, 15)
+        assert np.array_equal(maps[1][:15], np.arange(1, 16))
+
+    def test_periodic_wrap(self):
+        ch = make_chart(ChartSpec(Domain.TORUS, (8, 10)))
+        nodes = np.arange(80).reshape(8, 10)
+        for axis in (0, 1):
+            for o, v in neighbor_maps(ch, axis).items():
+                assert np.array_equal(v, np.roll(nodes, -o, axis=axis).ravel())
+        sphere = make_chart(ChartSpec(Domain.SPHERE, (8, 8)))
+        assert neighbor_maps(sphere, 1)[1].reshape(8, 8)[2, 7] == 2 * 8 + 0
+        assert neighbor_maps(sphere, 1)[-2].reshape(8, 8)[5, 1] == 5 * 8 + 7
 
 
 class TestIntegrate:

@@ -22,15 +22,15 @@ from . import catalog
 from .config import Scenario, evaluate_phi, parse_config
 from .errors import (CodimflowError, ConfigError, DegenerateImmersion,
                      NonFiniteError, SolverError, UsageError)
-from .flow import (FlowConfig, FlowState, FlowTrace, Termination,
-                   estimate_singular_time, evolution_residuals, run)
+from .flow import (FlowState, FlowTrace, Termination, estimate_singular_time,
+                   evolution_residuals, run, trajectory)
 from .geometry import Immersion, build_bundle, structure_residuals
 from .grid import ChartSpec, Domain, GridField, make_chart
 from .lagrangian import (Potential, PotentialFlowConfig, lag_immersion,
                          lagrangian_angle, ma_run, mean_curvature_form)
 from .singularity import (DensityParams, SolitonKind, classify_blowup,
-                          hamilton_rescale, huisken_functional,
-                          monotonicity_check, soliton_residual, type1_rescale)
+                          hamilton_rescale, monotonicity_check, soliton_residual,
+                          type1_rescale)
 from .snapshots import (read_checkpoint, read_snapshot, resume_run,
                         write_checkpoint, write_diagnostics, write_snapshot)
 
@@ -185,16 +185,8 @@ def cmd_verify(args) -> int:
     print("t  evolution residuals (Linf): metric christoffel volume_form "
           "second_fundamental mean_sq a_sq heat | structure (L2/scale): "
           "gauss codazzi ricci simons simons2")
-    from .flow import _clipped_dt, _step
-
-    def trajectory(st):
-        """The states flow.run steps through, ending at the horizon."""
-        horizon = cfg.stop_t_max * (1.0 - 1e-14)
-        while st.t < horizon and (dt := _clipped_dt(st, cfg)) >= cfg.stop_dt_min:
-            st = _step(st, dt, cfg)
-            yield st
-
-    states = trajectory(state)
+    steps = trajectory(state, cfg)
+    states = (st for st, _ in steps)
     while len(rows) < args.checks:
         # advance to the next check instant, then form a consecutive triple
         window = [state, *itertools.islice(states, cfg.record_every + 1)]
@@ -213,8 +205,8 @@ def cmd_verify(args) -> int:
                        ("gauss", "codazzi", "ricci", "simons", "simons2")))
         rows.append((s1.t, rep, cur))
         state = s2
-        if float(state.bundle.normA2.max()) >= cfg.stop_max_A2:
-            break
+    if steps.error is not None:
+        raise steps.error
     worst = max((max(v.linf for v in r.as_dict().values()) for _, r, _ in rows),
                 default=math.nan)
     print(f"verify: {len(rows)} checks, worst evolution residual Linf = {worst:.3e}")

@@ -11,8 +11,10 @@ its solve is preconditioned by an exact banded LU of the couplings inside
 each line of the chart's last axis (the sphere's colatitude rings), with
 the nodes of a line numbered zig-zag so the periodic wrap stays in the band.
 
-Runs terminate on a reached time horizon, on the curvature cap, on time-step
-underflow (both curvature signals), or on metric degeneration. Evolution
+One iterable, trajectory, steps the flow and decides where it stops: on a
+reached time horizon, on the curvature cap, on time-step underflow (both
+curvature signals), or on metric degeneration. run, a resumed run and the
+evolution checks of `codimflow verify` all step along it. Evolution
 residuals difference state triples in time (central weights, supporting
 non-uniform spacing) and compare against the right-hand sides evaluated at
 the middle state.
@@ -161,14 +163,6 @@ def adaptive_dt(state: FlowState, config: FlowConfig) -> float:
         m = state.imm.m
         h_min = min_physical_spacing(state.bundle)
         dt = min(dt, config.cfl_sigma * h_min * h_min / (2.0 * m))
-    return dt
-
-
-def _clipped_dt(state: FlowState, config: FlowConfig) -> float:
-    """adaptive_dt, clipped so that a step ends no later than stop_t_max."""
-    dt = adaptive_dt(state, config)
-    if math.isfinite(config.stop_t_max):
-        dt = min(dt, config.stop_t_max - state.t)
     return dt
 
 
@@ -442,25 +436,27 @@ class RecordCadence:
     A run records its initial state, the state after every record_every-th
     step and its final state. Every snapshot_every-th record carries a
     snapshot (none in between when it is 0), and so do the first and the
-    last. make(state, dt, with_snapshot) builds one record, where dt is the
-    step that produced the state (0 for the initial one). A stepped state is
-    recorded when the next step arrives or the run finishes, so the final
-    state's record is made once, with its snapshot.
+    last. make(state, dt, with_snapshot) builds one record. The run notes
+    each state, its initial one first; a noted state is recorded when the
+    next one arrives or the run finishes, so the final state's record is
+    made once, with its snapshot. Given the records of an earlier run, the
+    record and snapshot count continues from them.
     """
 
-    def __init__(self, make, record_every: int, snapshot_every: int, initial):
+    def __init__(self, make, record_every: int, snapshot_every: int, records=()):
         self.make = make
         self.record_every = record_every
         self.snapshot_every = snapshot_every
-        self.records = [make(initial, 0.0, True)]
-        self._last = None    # (state, dt) of the latest step, not yet recorded
-        self._due = False    # whether that step is on the record cadence
+        self.records = list(records)
+        self._last = None    # (state, dt) of the latest state, not yet recorded
+        self._due = False    # whether that state is on the record cadence
 
-    def stepped(self, state, dt: float, step_index: int) -> None:
-        """Note the state that step number step_index produced with dt."""
+    def note(self, state, dt: float, step_index: int) -> None:
+        """Note the state that step number step_index produced with dt (0
+        for an initial state)."""
         if self._due:
             n = len(self.records)
-            snap = self.snapshot_every > 0 and n % self.snapshot_every == 0
+            snap = n == 0 or (self.snapshot_every > 0 and n % self.snapshot_every == 0)
             self.records.append(self.make(*self._last, snap))
         self._last = (state, dt)
         self._due = step_index % self.record_every == 0
@@ -472,50 +468,80 @@ class RecordCadence:
         return self.records
 
 
+class trajectory:
+    """The flow from state, stepped as it is iterated (once): it yields each
+    stepped state with the dt that produced it.
+
+    Before each step it stops on, in this order: the curvature cap (full
+    max|A|^2), the horizon stop_t_max, max_steps taken, dt underflow. dt is
+    adaptive_dt clipped onto stop_t_max. A step that raises
+    DegenerateImmersion or NonFiniteError ends it too. Once exhausted,
+    termination and detail say why it stopped; error holds a failed step's
+    exception."""
+
+    def __init__(self, state: FlowState, config: FlowConfig, max_steps: int | None = None):
+        self.termination: Termination | None = None
+        self.detail = ""
+        self.error: Exception | None = None
+        self._steps = self._advance(state, config, max_steps)
+
+    def __iter__(self):
+        return self._steps
+
+    def _stop(self, termination: Termination, detail: str) -> None:
+        self.termination, self.detail = termination, detail
+
+    def _advance(self, state, config, max_steps):
+        first_step = state.step_index
+        while True:
+            max_a2 = float(state.bundle.normA2.max())
+            if max_a2 >= config.stop_max_A2:
+                return self._stop(Termination.CURVATURE_CAP,
+                                  f"max|A|^2 = {max_a2:.6e} at t = {state.t:.9g}")
+            if state.t >= config.stop_t_max * (1.0 - 1e-14):
+                return self._stop(Termination.TIME_REACHED, f"t = {state.t:.9g}")
+            if max_steps is not None and state.step_index - first_step >= max_steps:
+                return self._stop(Termination.TIME_REACHED, f"step budget at t = {state.t:.9g}")
+            dt = adaptive_dt(state, config)
+            if math.isfinite(config.stop_t_max):
+                dt = min(dt, config.stop_t_max - state.t)
+            if dt < config.stop_dt_min:
+                return self._stop(Termination.DT_UNDERFLOW, f"dt = {dt:.3e} at t = {state.t:.9g}")
+            try:
+                state = _step(state, dt, config)
+            except (DegenerateImmersion, NonFiniteError) as exc:
+                self.error = exc
+                return self._stop(Termination.DEGENERATE, str(exc))
+            yield state, dt
+
+
 def run(initial: Immersion, config: FlowConfig, huisken_params=None,
         initial_state: FlowState | None = None,
-        max_steps: int | None = None) -> tuple[FlowTrace, FlowState]:
-    """Integrate the flow until a stop condition fires.
+        max_steps: int | None = None,
+        records: list[TraceRecord] | None = None) -> tuple[FlowTrace, FlowState]:
+    """Integrate the flow along trajectory until a stop condition fires.
 
     Returns the trace and the final state. Records and snapshots follow
     RecordCadence. max_steps interrupts after that many steps without
     touching the time-step law, so a checkpointed state resumes onto the
-    identical trajectory.
+    identical trajectory. records are those of an earlier run that ended at
+    initial_state, its own record last: the run continues their cadence, so
+    that record is made again (with its snapshot when due) or dropped when
+    the state is off the record cadence and not final.
     """
     state = initial_state if initial_state is not None else FlowState.initial(initial)
-    trace = FlowTrace(chart_shape=state.imm.chart.shape)
+    kept = list(records or ())
+    dt = kept.pop().dt if kept else 0.0
     cadence = RecordCadence(
         lambda st, dt, snap: _record(st, dt, huisken_params, with_snapshot=snap),
-        config.record_every, config.snapshot_every, state)
-    first_step = state.step_index
-    while True:
-        max_a2 = float(state.bundle.normA2.max())
-        if max_a2 >= config.stop_max_A2:
-            trace.termination = Termination.CURVATURE_CAP
-            trace.termination_detail = f"max|A|^2 = {max_a2:.6e} at t = {state.t:.9g}"
-            break
-        if state.t >= config.stop_t_max * (1.0 - 1e-14):
-            trace.termination = Termination.TIME_REACHED
-            trace.termination_detail = f"t = {state.t:.9g}"
-            break
-        if max_steps is not None and state.step_index - first_step >= max_steps:
-            trace.termination = Termination.TIME_REACHED
-            trace.termination_detail = f"step budget at t = {state.t:.9g}"
-            break
-        dt = _clipped_dt(state, config)
-        if dt < config.stop_dt_min:
-            trace.termination = Termination.DT_UNDERFLOW
-            trace.termination_detail = f"dt = {dt:.3e} at t = {state.t:.9g}"
-            break
-        try:
-            state = _step(state, dt, config)
-        except (DegenerateImmersion, NonFiniteError) as exc:
-            trace.termination = Termination.DEGENERATE
-            trace.termination_detail = str(exc)
-            break
-        cadence.stepped(state, dt, state.step_index)
-    trace.records = cadence.finish()
-    return trace, state
+        config.record_every, config.snapshot_every, kept)
+    cadence.note(state, dt, state.step_index)
+    steps = trajectory(state, config, max_steps)
+    for state, dt in steps:
+        cadence.note(state, dt, state.step_index)
+    return FlowTrace(records=cadence.finish(), termination=steps.termination,
+                     termination_detail=steps.detail,
+                     chart_shape=state.imm.chart.shape), state
 
 
 # ---------------------------------------------------------------------------
@@ -567,29 +593,17 @@ def _time_weights(t0: float, t1: float, t2: float) -> tuple[float, float, float]
     return w0, w1, w2
 
 
-def evolution_residuals(before: FlowState, after: FlowState,
-                        mid: FlowState | None = None,
+def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState,
                         pole_margin: int = 1) -> EvolutionReport:
-    """Residuals of the evolution equations across consecutive states.
-
-    With mid given, time derivatives use central weights across the triple
-    (before, mid, after) and right-hand sides are evaluated at mid; without
-    it, a forward difference against the right-hand sides at before.
-    """
-    if mid is None:
-        ref = before
-        dt = after.t - before.t
-        if dt <= 0:
-            raise UsageError("states out of order")
-        ddt = lambda f0, f1, f2: (f2 - f0) / dt  # f1 unused in pair mode
-        states = (before, before, after)
-    else:
-        ref = mid
-        if not before.t < mid.t < after.t:
-            raise UsageError("state triple out of order")
-        w0, w1, w2 = _time_weights(before.t, mid.t, after.t)
-        ddt = lambda f0, f1, f2: w0 * f0 + w1 * f1 + w2 * f2
-        states = (before, mid, after)
+    """Residuals of the evolution equations across a consecutive state
+    triple: time derivatives use central weights across (before, mid,
+    after), and the right-hand sides are evaluated at mid."""
+    if not before.t < mid.t < after.t:
+        raise UsageError("state triple out of order")
+    w0, w1, w2 = _time_weights(before.t, mid.t, after.t)
+    ddt = lambda f0, f1, f2: w0 * f0 + w1 * f1 + w2 * f2
+    states = (before, mid, after)
+    ref = mid
 
     b = ref.bundle
     chart = b.chart
@@ -669,6 +683,12 @@ class SingularTimeEstimate:
     detail: str = ""
 
 
+def _affine_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares coefficients (c0, c1) of y ~ c0 + c1 t."""
+    (c0, c1), *_ = np.linalg.lstsq(np.stack([np.ones_like(t), t], axis=1), y, rcond=None)
+    return c0, c1
+
+
 def estimate_singular_time(trace: FlowTrace, window: int = 10) -> SingularTimeEstimate:
     """Least-squares affine fit of 1/max|A|^2 over the last `window` records
     of the terminal growth phase; the estimated singular time is the root of
@@ -700,8 +720,7 @@ def estimate_singular_time(trace: FlowTrace, window: int = 10) -> SingularTimeEs
         return SingularTimeEstimate(math.nan, math.inf, False,
                                     "max|A|^2 not increasing over fit window")
     y = 1.0 / a2
-    A = np.stack([np.ones_like(t), t], axis=1)
-    (c0, c1), *_ = np.linalg.lstsq(A, y, rcond=None)
+    c0, c1 = _affine_fit(t, y)
     resid = y - (c0 + c1 * t)
     rms = float(np.sqrt(np.mean(resid**2)) / np.mean(np.abs(y)))
     if c1 >= 0:

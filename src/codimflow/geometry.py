@@ -529,10 +529,6 @@ class ResidualNorms:
     scale: float = 1.0
 
     @property
-    def linf_rel(self) -> float:
-        return self.linf / self.scale
-
-    @property
     def l2_rel(self) -> float:
         return self.l2 / self.scale
 

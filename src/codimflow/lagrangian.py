@@ -20,7 +20,6 @@ diffeomorphisms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +29,15 @@ from .flow import RecordCadence, _time_weights
 from .geometry import (
     GeometryBundle,
     Immersion,
+    ResidualNorms,
+    _gamma_dot,
+    _norms,
+    _sq_norm,
     build_bundle,
     d1_tensor,
     d2_tensor,
     laplace_beltrami,
     trusted_mask,
-    _norms,
-    ResidualNorms,
 )
 from .grid import Chart, ChartSpec, Domain, GridField, make_chart
 
@@ -291,15 +292,9 @@ def pinching_gap(imm: Immersion, bundle: GeometryBundle | None = None,
         + np.einsum("...k,...ij->...ijk", H_form, bundle.g)
     )
     defect_t = h - sym / (m + 2)
-    defect_sq = np.einsum(
-        "...ip,...jq,...kr,...ijk,...pqr->...",
-        bundle.ginv, bundle.ginv, bundle.ginv, defect_t, defect_t,
-    )
-    h_sq = np.einsum(
-        "...ip,...jq,...kr,...ijk,...pqr->...",
-        bundle.ginv, bundle.ginv, bundle.ginv, h, h,
-    )
-    Hf_sq = np.einsum("...ij,...i,...j->...", bundle.ginv, H_form, H_form)
+    defect_sq = _sq_norm(bundle.ginv, defect_t, 3)
+    h_sq = _sq_norm(bundle.ginv, h, 3)
+    Hf_sq = _sq_norm(bundle.ginv, H_form, 1)
     gap_from_h = h_sq - (3.0 / (m + 2)) * Hf_sq
     scale = max(float(np.abs(h_sq).max()), 1.0)
     identity_defect = float(np.abs(defect_sq - gap_from_h).max() / scale)
@@ -370,7 +365,8 @@ def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
         )
 
     p, t, step = p0, 0.0, 0
-    cadence = RecordCadence(record, config.record_every, config.snapshot_every, (p, t))
+    cadence = RecordCadence(record, config.record_every, config.snapshot_every)
+    cadence.note((p, t), 0.0, step)
     while t < config.stop_t_max * (1.0 - 1e-14):
         step_dt = min(dt, config.stop_t_max - t)
         alpha = lagrangian_angle_of_hessian(p.hessian())
@@ -380,7 +376,7 @@ def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
         p = Potential(p.S, GridField(chart, new_phi[..., None]))
         t += step_dt
         step += 1
-        cadence.stepped((p, t), step_dt, step)
+        cadence.note((p, t), step_dt, step)
     return PotentialTrace(records=cadence.finish(), final=p)
 
 
@@ -408,6 +404,6 @@ def angle_evolution_residual(p_prev: Potential, p_mid: Potential, p_next: Potent
     bundle = build_bundle(imm)
     lap = laplace_beltrami(alphas[1], bundle)
     dal = d1_tensor(alphas[1], imm.chart)
-    drift = np.einsum("...ij,...kij,...k->...", bundle.ginv, bundle.gamma, dal)
+    drift = np.einsum("...ij,...ij->...", bundle.ginv, _gamma_dot(bundle.gamma, dal))
     res = dadt - lap - drift
     return _norms(res, bundle, trusted_mask(imm, 0), scale_field=lap)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UsageError
-from .flow import FlowState, FlowTrace, Termination, estimate_singular_time
+from .flow import (FlowState, FlowTrace, Termination, _affine_fit,
+                   estimate_singular_time)
 from .geometry import GeometryBundle, Immersion, build_bundle, normal_part
 from .grid import integrate_values
 
@@ -218,9 +219,8 @@ def classify_blowup(trace: FlowTrace, t_hat: float | None = None,
         # the diagnostic y = max|A|^2 (T_hat - t) is not distorted at records
         # whose gap is comparable to the estimation error of a fit anchored
         # elsewhere
-        tw, yw = t[window], 1.0 / a2[window]
-        Aw = np.stack([np.ones_like(tw), tw], axis=1)
-        (c0, c1), *_ = np.linalg.lstsq(Aw, yw, rcond=None)
+        tw = t[window]
+        c0, c1 = _affine_fit(tw, 1.0 / a2[window])
         if c1 < 0 and -c0 / c1 > tw[-1]:
             t_hat = float(-c0 / c1)
             gap = t_hat - t

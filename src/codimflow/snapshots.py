@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .flow import FlowConfig, FlowState, FlowTrace, Termination, TraceRecord
+from .flow import FlowConfig, FlowState, FlowTrace, TraceRecord, run
 from .geometry import Immersion
 from .grid import ChartSpec, Domain, make_chart
 
@@ -308,24 +308,14 @@ def read_checkpoint(path: str, scenario_text: str | None = None) -> tuple[FlowSt
 
 def resume_run(state: FlowState, saved: FlowTrace, config: FlowConfig,
                huisken_params=None) -> tuple[FlowTrace, FlowState]:
-    """Continue a checkpointed run; the stitched trace matches an
-    uninterrupted run record-for-record.
+    """Continue a checkpointed run; the trace matches an uninterrupted run
+    record for record, and its snapshots from the checkpointed state on.
 
-    The saved trace's trailing record is dropped when it was forced at the
-    interruption point off the record cadence; the resumed trace's leading
-    record duplicates the checkpointed state and is always dropped.
+    The saved trace's last record is the checkpointed state's. run continues
+    the record and snapshot cadence of the saved records: it drops that last
+    record when the state is off the record cadence and the run steps on,
+    and otherwise makes it again, with its snapshot when one is due and
+    always when the state is final.
     """
-    from .flow import run
-
-    new_trace, final = run(state.imm, config, huisken_params=huisken_params,
-                           initial_state=state)
-    stitched = FlowTrace(chart_shape=saved.chart_shape)
-    kept = list(saved.records)
-    advanced = len(new_trace.records) > 1
-    if advanced and kept and kept[-1].step_index % config.record_every != 0 \
-            and kept[-1].step_index != 0:
-        kept = kept[:-1]
-    stitched.records = kept + new_trace.records[1:]
-    stitched.termination = new_trace.termination
-    stitched.termination_detail = new_trace.termination_detail
-    return stitched, final
+    return run(state.imm, config, huisken_params=huisken_params,
+               initial_state=state, records=saved.records)

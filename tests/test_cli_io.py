@@ -293,6 +293,50 @@ class TestCheckpointResume:
         assert np.array_equal(tr_full.max_A2_trusted_series, tr_res.max_A2_trusted_series)
         assert np.array_equal(tr_full.max_A2_series, tr_res.max_A2_series)
 
+    def test_resume_continues_snapshot_cadence(self, tmp_path):
+        # interrupted at step 5, off the record cadence; an uninterrupted run
+        # snapshots steps 0, 6, 12 and 18 (every third record, and the last)
+        cfg = FlowConfig(cfl_sigma=0.5, stop_t_max=0.04, record_every=2, snapshot_every=3)
+        tr_full, fin_full = run(catalog.circle(n=64), cfg)
+        tr_half, fin_half = run(catalog.circle(n=64), cfg, max_steps=5)
+
+        def snapshot_steps(trace):
+            return [r.step_index for r in trace.records if r.snapshot is not None]
+
+        def fields(trace):
+            return [(r.t, r.dt, r.max_A2, r.max_A2_trusted, r.step_index)
+                    for r in trace.records]
+
+        assert snapshot_steps(tr_full) == [0, 6, 12, 18]
+        tr_res, fin_res = resume_run(fin_half, tr_half, cfg)
+        assert snapshot_steps(tr_res) == [0, 6, 12, 18]
+        assert fields(tr_res) == fields(tr_full)
+        assert np.array_equal(fin_res.imm.values, fin_full.imm.values)
+        for a, b in zip(tr_full.records, tr_res.records):
+            if a.snapshot is not None:
+                assert np.array_equal(a.snapshot.values, b.snapshot.values)
+
+        # checkpoint records carry no snapshots: from the resume point on,
+        # the positions are the uninterrupted run's
+        ck = tmp_path / "c.ckpt"
+        write_checkpoint(str(ck), fin_half, tr_half, "scenario")
+        state, saved = read_checkpoint(str(ck), scenario_text="scenario")
+        tr_ck, _ = resume_run(state, saved, cfg)
+        assert fields(tr_ck) == fields(tr_full)
+        assert snapshot_steps(tr_ck) == [s for s in snapshot_steps(tr_full) if s >= 5]
+
+    def test_resumed_finished_run_keeps_final_snapshot(self, tmp_path):
+        cfg = FlowConfig(cfl_sigma=0.5, stop_t_max=0.04, record_every=2, snapshot_every=3)
+        tr, fin = run(catalog.circle(n=64), cfg)
+        ck = tmp_path / "c.ckpt"
+        write_checkpoint(str(ck), fin, tr, "scenario")
+        state, saved = read_checkpoint(str(ck), scenario_text="scenario")
+        tr_res, fin_res = resume_run(state, saved, cfg)
+        assert fin_res.step_index == fin.step_index    # no step taken
+        assert tr_res.termination is tr.termination
+        assert len(tr_res.records) == len(tr.records)
+        assert np.array_equal(tr_res.records[-1].snapshot.values, state.imm.values)
+
     def test_record_without_trusted_max_errors(self, tmp_path):
         cfg = FlowConfig(cfl_sigma=0.5, stop_t_max=0.02, record_every=5)
         tr, fin = run(catalog.circle(n=64), cfg)
@@ -451,6 +495,62 @@ class TestCLI:
         assert max(triples[0]) == 0.1
         assert "verify: 1 checks" in capsys.readouterr().out
 
+    def test_verify_stops_at_the_curvature_cap(self, tmp_path, monkeypatch, capsys):
+        # verify forms no triple past the state at which run stops
+        import argparse
+
+        from codimflow import cli
+        from codimflow.flow import Termination
+
+        cfgp = tmp_path / "v.cfg"
+        cfgp.write_text(
+            "name = v\n"
+            "initial.catalog = circle\n"
+            "initial.n = 64\n"
+            "flow.stop_max_A2 = 1.05\n"
+            "flow.record_every = 5\n"
+            f"output.dir = {tmp_path / 'out'}\n"
+        )
+        trace, final = run(catalog.circle(n=64), parse_config(cfgp.read_text()).flow)
+        assert trace.termination is Termination.CURVATURE_CAP
+        assert final.step_index == 19
+        triples = []
+        residuals = cli.evolution_residuals
+
+        def spy(before, after, mid=None):
+            triples.append((before.step_index, mid.step_index, after.step_index))
+            return residuals(before, after, mid=mid)
+
+        monkeypatch.setattr(cli, "evolution_residuals", spy)
+        assert cli.cmd_verify(argparse.Namespace(config=str(cfgp), checks=50)) == 0
+        assert triples == [(4, 5, 6), (10, 11, 12), (16, 17, 18)]
+        assert "verify: 3 checks" in capsys.readouterr().out
+
+    def test_verify_degenerate_flow_exit_3(self, tmp_path, monkeypatch, capsys):
+        from codimflow import cli, flow
+        from codimflow.errors import DegenerateImmersion
+
+        cfgp = tmp_path / "v.cfg"
+        cfgp.write_text(
+            "name = v\n"
+            "initial.catalog = circle\n"
+            "initial.n = 64\n"
+            "flow.record_every = 5\n"
+            f"output.dir = {tmp_path / 'out'}\n"
+        )
+        step = flow.step_explicit
+
+        def failing(state, dt):
+            if state.step_index == 8:
+                raise DegenerateImmersion("metric degenerate at node (3,)")
+            return step(state, dt)
+
+        monkeypatch.setattr(flow, "step_explicit", failing)
+        assert cli.main(["verify", str(cfgp), "--checks", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert err == "error: DegenerateImmersion: metric degenerate at node (3,)\n"
+        assert len(out.splitlines()) == 2   # the header and the triple (4, 5, 6)
+
     def test_rescale_subcommand(self, tmp_path):
         cfgp = tmp_path / "r.cfg"
         cfgp.write_text(
@@ -469,6 +569,32 @@ class TestCLI:
         imm, s = read_snapshot(str(snaps[0]))
         radius = np.sqrt((imm.values**2).sum(-1))
         assert np.abs(radius - 1.0).max() < 2e-2  # rescaled shrinker radius
+
+    def test_resume_of_finished_run_rescales(self, tmp_path):
+        # the checkpoint of a run that reached the cap resumes without a
+        # step; its final record still carries the snapshot type1 rescales
+        cfgp = tmp_path / "r.cfg"
+        cfgp.write_text(
+            "name = resc\n"
+            "initial.catalog = circle\n"
+            "initial.n = 128\n"
+            "flow.cfl_sigma = 0.5\n"
+            "flow.record_every = 25\n"
+            "flow.snapshot_every = 4\n"
+            "analyses = rescale\n"
+            f"output.dir = {tmp_path / 'out'}\n"
+        )
+        out = tmp_path / "out"
+        r = run_cli("run", str(cfgp))
+        assert r.returncode == 2, (r.stdout, r.stderr)
+        csv = (out / "resc.csv").read_bytes()
+        snap = (out / "resc-rescaled.snap").read_bytes()
+        (out / "resc.csv").unlink()
+        (out / "resc-rescaled.snap").unlink()
+        r = run_cli("run", str(cfgp), "--resume", str(out / "resc.ckpt"))
+        assert r.returncode == 2, (r.stdout, r.stderr)
+        assert (out / "resc.csv").read_bytes() == csv
+        assert (out / "resc-rescaled.snap").read_bytes() == snap
 
     def test_determinism_across_processes(self, tmp_path):
         cfgp = tmp_path / "d.cfg"

@@ -19,9 +19,8 @@ import sys
 import numpy as np
 
 from . import catalog
-from .config import Scenario, evaluate_phi, parse_config
-from .errors import (CodimflowError, ConfigError, DegenerateImmersion,
-                     NonFiniteError, SolverError, UsageError)
+from .config import Scenario, coerce_scalar, evaluate_phi, parse_config
+from .errors import CodimflowError, ConfigError, UsageError
 from .flow import (FlowState, FlowTrace, Termination, estimate_singular_time,
                    evolution_residuals, run, trajectory)
 from .geometry import Immersion, build_bundle, structure_residuals
@@ -278,15 +277,6 @@ def cmd_lagrangian(args) -> int:
     return EXIT_OK
 
 
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
-
-
 def cmd_catalog(args) -> int:
     params = {}
     rest = list(args.params)
@@ -294,7 +284,7 @@ def cmd_catalog(args) -> int:
         key = rest.pop(0)
         if not key.startswith("--") or not rest:
             raise UsageError(f"catalog parameters must be --name value pairs, got {key!r}")
-        params[key[2:].replace("-", "_")] = _coerce(rest.pop(0))
+        params[key[2:].replace("-", "_")] = coerce_scalar(rest.pop(0))
     if "m" in params:
         # dimension is implied by each family; accept and check the obvious ones
         m = params.pop("m")
@@ -364,14 +354,10 @@ def main(argv=None) -> int:
         return _fail("UsageError", f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
-    except (ConfigError, UsageError) as exc:
-        return _fail(type(exc).__name__, str(exc))
-    except (DegenerateImmersion, NonFiniteError, SolverError) as exc:
+    except CodimflowError as exc:
         return _fail(type(exc).__name__, str(exc))
     except FileNotFoundError as exc:
         return _fail("UsageError", str(exc))
-    except CodimflowError as exc:
-        return _fail(type(exc).__name__, str(exc))
 
 
 def main_entry():

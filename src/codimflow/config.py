@@ -7,7 +7,6 @@ stopping at the first.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -45,7 +44,6 @@ class Scenario:
     flow: FlowConfig
     analyses: list[AnalysisSpec]
     output_dir: str
-    source_text: str = ""
 
 
 _PHI_TERM = re.compile(
@@ -65,6 +63,16 @@ def parse_phi_term(text: str):
         k = int(fm.group("k") or 1)
         factors.append((fm.group("fn"), k, int(fm.group("ax")) - 1))
     return coef, factors
+
+
+def coerce_scalar(raw: str):
+    """raw as an int, else as a float, else the string itself."""
+    for cast in (int, float):
+        try:
+            return cast(raw)
+        except ValueError:
+            continue
+    return raw
 
 
 def evaluate_phi(spec: PotentialSpec, mesh: list[np.ndarray]) -> np.ndarray:
@@ -136,6 +144,9 @@ class _Parser:
                 self.errors.append(f"line {lineno}: unknown key {key!r}")
 
 
+_FLOW_KEYS = (("cfl_sigma", float), ("curvature_cap_rho", float), ("stop_max_A2", float),
+              ("stop_t_max", float), ("stop_dt_min", float), ("record_every", int),
+              ("snapshot_every", int), ("fixed_dt", float))
 _KNOWN_ANALYSES = ("monotonicity", "soliton", "rescale", "classify", "lagrangian_report")
 
 
@@ -173,15 +184,7 @@ def parse_config(text: str) -> Scenario:
             if key.startswith("initial.") and key not in (
                 "initial.catalog", "initial.snapshot"
             ) and not key.startswith("initial.potential."):
-                pname = key.split(".", 1)[1]
-                raw = p.get(key)
-                try:
-                    catalog_params[pname] = int(raw)
-                except ValueError:
-                    try:
-                        catalog_params[pname] = float(raw)
-                    except ValueError:
-                        catalog_params[pname] = raw
+                catalog_params[key.split(".", 1)[1]] = coerce_scalar(p.get(key))
 
     potential = None
     if has_potential:
@@ -244,27 +247,20 @@ def parse_config(text: str) -> Scenario:
         else:
             catalog_params.setdefault("fd_order", fd)
 
-    # --- flow config -------------------------------------------------------
-    integ_raw = p.get("flow.integrator", "explicit")
-    try:
-        integrator = Integrator(integ_raw)
-    except ValueError:
-        p.err("flow.integrator",
-              f"integrator must be one of {[i.value for i in Integrator]}, got {integ_raw!r}")
-        integrator = Integrator.EXPLICIT_EULER
-    flow_kwargs = dict(
-        integrator=integrator,
-        cfl_sigma=p.get_typed("flow.cfl_sigma", float, 0.25, "number"),
-        curvature_cap_rho=p.get_typed("flow.curvature_cap_rho", float, 0.05, "number"),
-        stop_max_A2=p.get_typed("flow.stop_max_A2", float, 1e6, "number"),
-        stop_t_max=p.get_typed("flow.stop_t_max", float, math.inf, "number"),
-        stop_dt_min=p.get_typed("flow.stop_dt_min", float, 1e-12, "number"),
-        record_every=p.get_typed("flow.record_every", int, 1, "integer"),
-        snapshot_every=p.get_typed("flow.snapshot_every", int, 0, "integer"),
-    )
-    fixed_dt = p.get_typed("flow.fixed_dt", float, None, "number")
-    if fixed_dt is not None:
-        flow_kwargs["fixed_dt"] = fixed_dt
+    # --- flow config: the keys the file sets; FlowConfig holds the defaults
+    flow_kwargs = {}
+    integ_raw = p.get("flow.integrator")
+    if integ_raw is not None:
+        try:
+            flow_kwargs["integrator"] = Integrator(integ_raw)
+        except ValueError:
+            p.err("flow.integrator",
+                  f"integrator must be one of {[i.value for i in Integrator]}, got {integ_raw!r}")
+    for key, cast in _FLOW_KEYS:
+        value = p.get_typed(f"flow.{key}", cast, None,
+                            "integer" if cast is int else "number")
+        if value is not None:
+            flow_kwargs[key] = value
     try:
         flow = FlowConfig(**flow_kwargs)
     except Exception as exc:
@@ -328,5 +324,4 @@ def parse_config(text: str) -> Scenario:
         flow=flow,
         analyses=analyses,
         output_dir=output_dir,
-        source_text=text,
     )

@@ -122,7 +122,6 @@ class FlowTrace:
     records: list[TraceRecord] = field(default_factory=list)
     termination: Termination | None = None
     termination_detail: str = ""
-    chart_shape: tuple[int, ...] = ()
 
     @property
     def times(self) -> np.ndarray:
@@ -540,8 +539,7 @@ def run(initial: Immersion, config: FlowConfig, huisken_params=None,
     for state, dt in steps:
         cadence.note(state, dt, state.step_index)
     return FlowTrace(records=cadence.finish(), termination=steps.termination,
-                     termination_detail=steps.detail,
-                     chart_shape=state.imm.chart.shape), state
+                     termination_detail=steps.detail), state
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +591,7 @@ def _time_weights(t0: float, t1: float, t2: float) -> tuple[float, float, float]
     return w0, w1, w2
 
 
-def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState,
-                        pole_margin: int = 1) -> EvolutionReport:
+def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState) -> EvolutionReport:
     """Residuals of the evolution equations across a consecutive state
     triple: time derivatives use central weights across (before, mid,
     after), and the right-hand sides are evaluated at mid."""
@@ -607,7 +604,7 @@ def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState,
 
     b = ref.bundle
     chart = b.chart
-    mask = trusted_mask(ref.imm, pole_margin)
+    mask = trusted_mask(ref.imm)
     bundles = [s.bundle for s in states]
     cp = CurvatureProducts(b)
 
@@ -689,8 +686,8 @@ def _affine_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return c0, c1
 
 
-def estimate_singular_time(trace: FlowTrace, window: int = 10) -> SingularTimeEstimate:
-    """Least-squares affine fit of 1/max|A|^2 over the last `window` records
+def estimate_singular_time(trace: FlowTrace) -> SingularTimeEstimate:
+    """Least-squares affine fit of 1/max|A|^2 over the last 10 records
     of the terminal growth phase; the estimated singular time is the root of
     the fit. The maximum is taken over the trusted region
     (TraceRecord.max_A2_trusted), so the pole rings of a sphere chart, whose
@@ -699,6 +696,7 @@ def estimate_singular_time(trace: FlowTrace, window: int = 10) -> SingularTimeEs
     increasing max|A|^2 (early records can jitter while the grid rearranges).
     Flagged unreliable when the curvature history is not growing or the fit
     has no future root."""
+    window = 10
     if len(trace.records) < window:
         return SingularTimeEstimate(math.nan, math.inf, False,
                                     f"only {len(trace.records)} records")

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateImmersion, NonFiniteError, UsageError
-from .grid import AxisKind, Chart, Domain, GridField, diff1, diff2, diff_mixed, integrate_values, make_chart
+from .grid import AxisKind, Chart, Domain, GridField, diff1, diff2, diff_mixed, integrate_values
 
 DET_G_FLOOR = 1e-12
 PINCHING_H2_FLOOR = 1e-12
@@ -685,8 +685,7 @@ def simons2_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.
     return cp.A_ddH - rhs
 
 
-def structure_residuals(imm: Immersion, bundle: GeometryBundle | None = None,
-                        pole_margin: int = 1) -> CurvatureReport:
+def structure_residuals(imm: Immersion, bundle: GeometryBundle | None = None) -> CurvatureReport:
     """Numerical residuals of the Gauss, Codazzi, Ricci, and both Simons
     identities, with every ambient-curvature term set to zero.
 
@@ -695,7 +694,7 @@ def structure_residuals(imm: Immersion, bundle: GeometryBundle | None = None,
     are taken over the trusted region (see trusted_mask)."""
     if bundle is None:
         bundle = build_bundle(imm)
-    mask = trusted_mask(imm, pole_margin)
+    mask = trusted_mask(imm)
     cp = CurvatureProducts(bundle)
 
     def norms(field, scale):

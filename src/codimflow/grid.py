@@ -20,7 +20,7 @@ ends, which callers exclude via node masks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

@@ -39,7 +39,7 @@ from .geometry import (
     laplace_beltrami,
     trusted_mask,
 )
-from .grid import Chart, ChartSpec, Domain, GridField, make_chart
+from .grid import Chart, Domain, GridField
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +189,10 @@ class LagrangianReport:
     calibration_min: float | None     # min cos(alpha), potentials only
     pinching_gap_min: float
     pinching_identity_defect: float   # algebraic cross-check, relative
-    angle: np.ndarray | None = None
-    H_form: np.ndarray | None = None
 
 
 def mean_curvature_form(imm: Immersion, bundle: GeometryBundle | None = None,
-                        alpha: np.ndarray | None = None,
-                        pole_margin: int = 0) -> LagrangianReport:
+                        alpha: np.ndarray | None = None) -> LagrangianReport:
     """Trilinear form h(X,Y,Z) = <J F_X, A(Y,Z)>, its trace H_i = g^kl h_ikl,
     and the residuals: full symmetry of h, closedness dH = 0, the exterior
     relation d alpha = H (when an angle field is supplied), and the
@@ -208,7 +205,7 @@ def mean_curvature_form(imm: Immersion, bundle: GeometryBundle | None = None,
     chart = imm.chart
     m = imm.m
     m_amb = imm.n // 2
-    mask = trusted_mask(imm, pole_margin)
+    mask = trusted_mask(imm, 0)
 
     dF = bundle.dF
     nu = np.concatenate([-dF[..., m_amb:], dF[..., :m_amb]], axis=-1)  # J F_i
@@ -246,8 +243,6 @@ def mean_curvature_form(imm: Immersion, bundle: GeometryBundle | None = None,
         calibration_min=calibration,
         pinching_gap_min=float(gap_eff.min()),
         pinching_identity_defect=identity_defect,
-        angle=alpha,
-        H_form=H_form,
     )
 
 

@@ -133,10 +133,9 @@ class MonotonicityCheck:
     tolerance: float
 
 
-def monotonicity_check(trace: FlowTrace, params: DensityParams,
-                       rel_tolerance: float = 1e-3) -> MonotonicityCheck:
+def monotonicity_check(trace: FlowTrace, params: DensityParams) -> MonotonicityCheck:
     """Evaluate the Gaussian-weighted area on the stored snapshots and flag
-    any increase above rel_tolerance times the local value."""
+    any increase above 1e-3 times the largest value."""
     snaps = [(r.t, r.snapshot) for r in trace.records
              if r.snapshot is not None and r.t < params.t0]
     if len(snaps) < 3:
@@ -151,7 +150,7 @@ def monotonicity_check(trace: FlowTrace, params: DensityParams,
     values = np.array(values)
     jumps = np.diff(values)
     max_jump = float(jumps.max(initial=0.0))
-    tol = rel_tolerance * float(values.max())
+    tol = 1e-3 * float(values.max())
     return MonotonicityCheck(
         is_nonincreasing=bool(max_jump <= tol),
         max_positive_jump=max_jump,
@@ -179,16 +178,14 @@ def type1_rescale(state, q: np.ndarray, T: float) -> tuple[Immersion, float]:
     return rescaled, s
 
 
-def classify_blowup(trace: FlowTrace, t_hat: float | None = None,
-                    spread_threshold: float = 0.2,
-                    growth_threshold: float = 5.0) -> BlowupReport:
+def classify_blowup(trace: FlowTrace, t_hat: float | None = None) -> BlowupReport:
     """Classify the blow-up rate over the last decade of records.
 
     The diagnostic quantity is y(t) = max|A|^2 (T_hat - t), with the maximum
     over the trusted region (TraceRecord.max_A2_trusted). Records with
     T_hat - t within a factor 10 of the final gap form the window: a bounded
-    fitted sup (relative spread below spread_threshold) is Type I with
-    c_hat = sup y; growth of y beyond growth_threshold is Type II; anything
+    fitted sup (relative spread below 0.2) is Type I with c_hat = sup y;
+    growth of y (last over first) beyond 5 is Type II; anything
     else is inconclusive. Both raw fits are always reported.
     """
     if trace.termination not in (Termination.CURVATURE_CAP, Termination.DT_UNDERFLOW):
@@ -232,9 +229,9 @@ def classify_blowup(trace: FlowTrace, t_hat: float | None = None,
     lower = float(y.min())
     spread = float((y.max() - y.min()) / y.max())
     growth = float(y[-1] / y[0])
-    if growth > growth_threshold:
+    if growth > 5.0:
         cls = BlowupClass.TYPE_II
-    elif spread < spread_threshold:
+    elif spread < 0.2:
         cls = BlowupClass.TYPE_I
     else:
         cls = BlowupClass.INCONCLUSIVE
@@ -264,7 +261,7 @@ def hamilton_rescale(trace: FlowTrace, t_hat: float, k: int) -> HamiltonSequence
         # first record (and np.argmax already picks the first node)
         if best_val is None or val > best_val * (1.0 + 1e-15) + 1e-300:
             best_i, best_r, best_val = i, r, val
-    node = np.unravel_index(best_r.argmax_node, trace.chart_shape)
+    node = np.unravel_index(best_r.argmax_node, best_r.snapshot.chart.shape)
     L = math.sqrt(best_r.max_A2)
     t_k = best_r.t
     alpha = -L * L * t_k

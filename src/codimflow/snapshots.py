@@ -2,8 +2,10 @@
 
 Snapshots are diff-able text with a fixed header and one row per node in
 lexicographic index order; floats are printed with 17 significant digits so
-a read-back reproduces the positions bit-exactly. All writes are whole-file
-atomic (temp file + rename).
+a read-back reproduces the positions bit-exactly; one writer and one reader
+serve both snapshot files and checkpoints. A checkpoint is a JSON object
+holding its state as snapshot text and the trace's records field by field.
+All writes are whole-file atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -13,16 +15,17 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import CodimflowError, ConfigError, UsageError
 from .flow import FlowConfig, FlowState, FlowTrace, TraceRecord, run
-from .geometry import Immersion
+from .geometry import Immersion, build_bundle
 from .grid import ChartSpec, Domain, make_chart
 
 SNAPSHOT_SCHEMA = "codimflow.snapshot.v1"
-CHECKPOINT_SCHEMA = "codimflow.checkpoint.v1"
+CHECKPOINT_SCHEMA = "codimflow.checkpoint.v2"
 
 
 def _fmt(x: float) -> str:
@@ -47,12 +50,8 @@ def _atomic_write(path: str, text: str):
 # snapshots
 # ---------------------------------------------------------------------------
 
-def write_snapshot(state: FlowState | Immersion, path: str, t: float | None = None):
-    """Write an immersion (or flow state) as a text snapshot."""
-    if isinstance(state, Immersion):
-        imm, t = state, (0.0 if t is None else t)
-    else:
-        imm, t = state.imm, state.t
+def _snapshot_text(imm: Immersion, t: float) -> str:
+    """The snapshot of an immersion at flow time t, as text."""
     chart = imm.chart
     spec = chart.spec
     lines = [f"# schema={SNAPSHOT_SCHEMA}"]
@@ -69,22 +68,21 @@ def write_snapshot(state: FlowState | Immersion, path: str, t: float | None = No
     if imm.norm_mask is not None:
         packed = "".join("1" if v else "0" for v in imm.norm_mask.ravel())
         lines.append(f"# norm_mask={packed}")
-    mesh = chart.mesh()
-    vals = imm.values
-    for idx in np.ndindex(chart.shape):
-        cols = [str(i) for i in idx]
-        cols += [_fmt(mesh[a][idx]) for a in range(chart.m)]
-        cols += [_fmt(vals[idx + (c,)]) for c in range(imm.n)]
-        lines.append(" ".join(cols))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    # one row per node in lexicographic order: index, coordinates, values
+    table = np.concatenate([np.indices(chart.shape).reshape(chart.m, -1).T,
+                            np.stack([c.ravel() for c in chart.mesh()], axis=1),
+                            imm.values.reshape(-1, imm.n)], axis=1)
+    row = " ".join(["%d"] * chart.m + ["%.17g"] * (chart.m + imm.n))
+    lines += [row % tuple(r) for r in table.tolist()]
+    return "\n".join(lines) + "\n"
 
 
-def read_snapshot(path: str) -> tuple[Immersion, float]:
-    """Read a snapshot; returns the immersion and its flow time."""
-    with open(path, "r") as f:
-        lines = f.read().splitlines()
+def _parse_snapshot(text: str, source: str) -> tuple[Immersion, float]:
+    """The immersion and flow time of snapshot text; any defect raises
+    ConfigError naming source."""
+    lines = text.splitlines()
     if not lines or lines[0].strip() != f"# schema={SNAPSHOT_SCHEMA}":
-        raise ConfigError(f"{path}: not a {SNAPSHOT_SCHEMA} file")
+        raise ConfigError(f"{source}: not a {SNAPSHOT_SCHEMA} file")
     meta: dict[str, str] = {}
     body_start = 0
     for i, line in enumerate(lines):
@@ -108,35 +106,55 @@ def read_snapshot(path: str) -> tuple[Immersion, float]:
         if "interval" in meta:
             a, b = meta["interval"].split(",")
             bounds = (float(a), float(b))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed snapshot header ({exc})") from None
-    spec = ChartSpec(domain, resolution, fd_order=fd_order, interval_bounds=bounds)
-    chart = make_chart(spec)
+        affine = None
+        if "affine" in meta:
+            nums = [float(x) for x in meta["affine"].split(",")]
+            if len(nums) != n * m + n:
+                raise ValueError(f"affine has {len(nums)} entries, expected {n * m + n}")
+            affine = (np.array(nums[: n * m]).reshape(n, m), np.array(nums[n * m:]))
+        chart = make_chart(ChartSpec(domain, resolution, fd_order=fd_order,
+                                     interval_bounds=bounds))
+        mask = None
+        if "norm_mask" in meta:
+            packed = meta["norm_mask"]
+            if len(packed) != chart.node_count or set(packed) - {"0", "1"}:
+                raise ValueError(f"norm_mask is not {chart.node_count} digits 0 or 1")
+            mask = np.array([c == "1" for c in packed]).reshape(chart.shape)
+    except (KeyError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"{source}: malformed snapshot header ({exc})") from None
     if chart.m != m:
-        raise ConfigError(f"{path}: header m={m} conflicts with domain/resolution")
+        raise ConfigError(f"{source}: header m={m} conflicts with domain/resolution")
     rows = [l for l in lines[body_start:] if l.strip()]
     expected = chart.node_count
     if len(rows) != expected:
-        raise ConfigError(f"{path}: row-count mismatch: expected {expected} data rows, found {len(rows)}")
+        raise ConfigError(f"{source}: row-count mismatch: expected {expected} data rows, found {len(rows)}")
     try:
         table = np.loadtxt(rows, ndmin=2)
     except ValueError as exc:
-        raise ConfigError(f"{path}: malformed data rows ({exc})") from None
+        raise ConfigError(f"{source}: malformed data rows ({exc})") from None
     ncols = m + m + n
     if table.shape[1] != ncols:
-        raise ConfigError(f"{path}: bad rows ({table.shape[1]} columns, expected {ncols})")
-    vals = _place_rows(path, table, chart, n)
-    affine = None
-    if "affine" in meta:
-        nums = [float(x) for x in meta["affine"].split(",")]
-        mat = np.array(nums[: n * m]).reshape(n, m)
-        off = np.array(nums[n * m:])
-        affine = (mat, off)
-    mask = None
-    if "norm_mask" in meta:
-        flat = np.array([c == "1" for c in meta["norm_mask"]], dtype=bool)
-        mask = flat.reshape(chart.shape)
-    return Immersion(chart, vals, affine=affine, norm_mask=mask), t
+        raise ConfigError(f"{source}: bad rows ({table.shape[1]} columns, expected {ncols})")
+    vals = _place_rows(source, table, chart, n)
+    try:
+        return Immersion(chart, vals, affine=affine, norm_mask=mask), t
+    except CodimflowError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
+def write_snapshot(state: FlowState | Immersion, path: str, t: float | None = None):
+    """Write an immersion (or flow state) as a text snapshot."""
+    if isinstance(state, Immersion):
+        imm, t = state, (0.0 if t is None else t)
+    else:
+        imm, t = state.imm, state.t
+    _atomic_write(path, _snapshot_text(imm, t))
+
+
+def read_snapshot(path: str) -> tuple[Immersion, float]:
+    """Read a snapshot; returns the immersion and its flow time."""
+    with open(path, "r") as f:
+        return _parse_snapshot(f.read(), path)
 
 
 def _place_rows(path: str, table: np.ndarray, chart, n: int) -> np.ndarray:
@@ -217,93 +235,68 @@ def scenario_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _imm_to_json(imm: Immersion) -> dict:
-    spec = imm.chart.spec
-    d = {
-        "domain": spec.domain.value,
-        "resolution": list(spec.resolution),
-        "fd_order": spec.fd_order,
-        "n": imm.n,
-        "values": [float(x) for x in imm.values.ravel()],
-    }
-    if spec.interval_bounds is not None:
-        d["interval_bounds"] = list(spec.interval_bounds)
-    if imm.affine is not None:
-        d["affine_matrix"] = [float(x) for x in imm.affine[0].ravel()]
-        d["affine_offset"] = [float(x) for x in imm.affine[1]]
-    if imm.norm_mask is not None:
-        d["norm_mask"] = "".join("1" if v else "0" for v in imm.norm_mask.ravel())
-    return d
+# JSON types of the record fields, by annotation; a record is written and
+# read field by field, so TraceRecord is the one statement of its schema
+_JSON_TYPES = {"int": (int,), "float": (float, int), "float | None": (float, int, type(None))}
+_RECORD_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(TraceRecord)
+                  if f.name != "snapshot"}
+_CHECKPOINT_FIELDS = {"schema": (str,), "scenario_hash": (str,), "step_index": (int,),
+                      "snapshot": (str,), "records": (list,)}
 
 
-def _imm_from_json(d: dict) -> Immersion:
-    bounds = tuple(d["interval_bounds"]) if "interval_bounds" in d else None
-    spec = ChartSpec(Domain(d["domain"]), tuple(d["resolution"]),
-                     fd_order=d["fd_order"], interval_bounds=bounds)
-    chart = make_chart(spec)
-    vals = np.array(d["values"]).reshape(chart.shape + (d["n"],))
-    affine = None
-    if "affine_matrix" in d:
-        mat = np.array(d["affine_matrix"]).reshape(d["n"], chart.m)
-        affine = (mat, np.array(d["affine_offset"]))
-    mask = None
-    if "norm_mask" in d:
-        mask = np.array([c == "1" for c in d["norm_mask"]], dtype=bool).reshape(chart.shape)
-    return Immersion(chart, vals, affine=affine, norm_mask=mask)
-
-
-def _record_to_json(r: TraceRecord) -> dict:
-    return {
-        "t": r.t, "dt": r.dt, "max_A2": r.max_A2,
-        "max_A2_trusted": r.max_A2_trusted, "max_H2": r.max_H2,
-        "volume": r.volume, "min_detg": r.min_detg,
-        "argmax_node": r.argmax_node, "step_index": r.step_index,
-        "huisken": r.huisken,
-    }
+def _checked(path: str, what: str, doc, spec: dict) -> dict:
+    """doc, when it is a JSON object with exactly the fields of spec, each
+    of one of its types; ConfigError otherwise."""
+    if type(doc) is not dict:
+        raise ConfigError(f"{path}: {what} is not a JSON object")
+    for name, types in spec.items():
+        if name not in doc:
+            raise ConfigError(f"{path}: {what} lacks the field {name}")
+        if type(doc[name]) not in types:
+            raise ConfigError(f"{path}: {what} field {name} is a {type(doc[name]).__name__}")
+    unknown = [name for name in doc if name not in spec]
+    if unknown:
+        raise ConfigError(f"{path}: {what} has the unknown field {unknown[0]}")
+    return doc
 
 
 def write_checkpoint(path: str, state: FlowState, trace: FlowTrace,
                      scenario_text: str):
+    """The state as a snapshot, and the trace's records without theirs."""
     doc = {
         "schema": CHECKPOINT_SCHEMA,
         "scenario_hash": scenario_hash(scenario_text),
-        "t": state.t,
         "step_index": state.step_index,
-        "immersion": _imm_to_json(state.imm),
-        "records": [_record_to_json(r) for r in trace.records],
-        "chart_shape": list(trace.chart_shape),
+        "snapshot": _snapshot_text(state.imm, state.t),
+        "records": [{name: getattr(r, name) for name in _RECORD_FIELDS}
+                    for r in trace.records],
     }
     _atomic_write(path, json.dumps(doc))
 
 
 def read_checkpoint(path: str, scenario_text: str | None = None) -> tuple[FlowState, FlowTrace]:
+    """The state and trace of a checkpoint; a malformed file raises
+    ConfigError, one of another scenario UsageError."""
     with open(path, "r") as f:
-        doc = json.load(f)
-    if doc.get("schema") != CHECKPOINT_SCHEMA:
+        try:
+            doc = json.load(f)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not JSON ({exc})") from None
+    if type(doc) is not dict or doc.get("schema") != CHECKPOINT_SCHEMA:
         raise ConfigError(f"{path}: not a {CHECKPOINT_SCHEMA} file")
+    _checked(path, "the checkpoint", doc, _CHECKPOINT_FIELDS)
     if scenario_text is not None and doc["scenario_hash"] != scenario_hash(scenario_text):
         raise UsageError(
             f"{path}: checkpoint belongs to a different scenario "
             f"(hash {doc['scenario_hash']})")
-    imm = _imm_from_json(doc["immersion"])
-    from .geometry import build_bundle
-
-    state = FlowState(t=doc["t"], imm=imm, bundle=build_bundle(imm),
-                      step_index=doc["step_index"])
-    trace = FlowTrace(chart_shape=tuple(doc["chart_shape"]))
-    for i, rd in enumerate(doc["records"]):
-        if "max_A2_trusted" not in rd:
-            # no fallback to max_A2: the fit and the classification of a
-            # resumed run must read the same series as an uninterrupted one
-            raise ConfigError(f"{path}: record {i} lacks the field max_A2_trusted")
-        trace.records.append(TraceRecord(
-            t=rd["t"], dt=rd["dt"], max_A2=rd["max_A2"],
-            max_A2_trusted=rd["max_A2_trusted"], max_H2=rd["max_H2"],
-            volume=rd["volume"], min_detg=rd["min_detg"],
-            argmax_node=rd["argmax_node"], step_index=rd.get("step_index", 0),
-            huisken=rd["huisken"],
-        ))
-    return state, trace
+    # no fallback for a record that lacks max_A2_trusted: the fit and the
+    # classification of a resumed run must read the same series as an
+    # uninterrupted one
+    records = [TraceRecord(**_checked(path, f"record {i}", rd, _RECORD_FIELDS))
+               for i, rd in enumerate(doc["records"])]
+    imm, t = _parse_snapshot(doc["snapshot"], f"{path}: snapshot")
+    state = FlowState(t=t, imm=imm, bundle=build_bundle(imm), step_index=doc["step_index"])
+    return state, FlowTrace(records=records)
 
 
 def resume_run(state: FlowState, saved: FlowTrace, config: FlowConfig,

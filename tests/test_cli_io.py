@@ -256,11 +256,32 @@ class TestSnapshots:
             with pytest.raises(ConfigError, match="malformed snapshot header"):
                 read_snapshot(str(path))
 
+    def test_malformed_affine_and_mask_error(self, tmp_path):
+        # a header error, not a failed reshape or a silently wrong mask
+        path = tmp_path / "h.snap"
+        write_snapshot(catalog.grim_reaper(n=16), str(path))
+        text = path.read_text()
+        for old, new, message in (("# affine=1,0,0,0", "# affine=1,0,0", "affine has 3 entries"),
+                                  ("=0000111111110000", "=000011111111000", "norm_mask is not 16"),
+                                  ("=0000111111110000", "=000011111111000x", "norm_mask is not 16")):
+            path.write_text(text.replace(old, new))
+            with pytest.raises(ConfigError, match=f"malformed snapshot header \\({message}"):
+                read_snapshot(str(path))
+
     def test_wrong_schema_errors(self, tmp_path):
         path = tmp_path / "w.snap"
         path.write_text("# schema=somethingelse.v9\n")
         with pytest.raises(ConfigError, match="not a codimflow.snapshot.v1"):
             read_snapshot(str(path))
+
+
+def _edit_doc(change):
+    """An edit of checkpoint text that applies change to its JSON object."""
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return edit
 
 
 class TestCheckpointResume:
@@ -348,13 +369,32 @@ class TestCheckpointResume:
         with pytest.raises(ConfigError, match="record 1 lacks the field max_A2_trusted"):
             read_checkpoint(str(ck), scenario_text="scenario")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text[: len(text) // 2], "not JSON"),
+        (_edit_doc(lambda d: d.update(snapshot=d["snapshot"].rstrip("\n").rsplit("\n", 1)[0])),
+         "snapshot: row-count mismatch: expected 64 data rows, found 63"),
+        (_edit_doc(lambda d: d.pop("step_index")), "lacks the field step_index"),
+        (_edit_doc(lambda d: d.update(schema="codimflow.checkpoint.v1")),
+         "not a codimflow.checkpoint.v2 file"),
+        (_edit_doc(lambda d: d["records"][0].update(argmax_value=1.0)),
+         "record 0 has the unknown field argmax_value"),
+    ], ids=["not-json", "snapshot-row-lost", "no-step-index", "schema-v1", "unknown-record-field"])
+    def test_malformed_checkpoint_errors(self, tmp_path, edit, message):
+        cfg = FlowConfig(cfl_sigma=0.5, stop_t_max=0.02, record_every=5)
+        tr, fin = run(catalog.circle(n=64), cfg)
+        ck = tmp_path / "c.ckpt"
+        write_checkpoint(str(ck), fin, tr, "scenario")
+        ck.write_text(edit(ck.read_text()))
+        with pytest.raises(ConfigError, match=message):
+            read_checkpoint(str(ck), scenario_text="scenario")
+
     def test_scenario_hash_guard(self, tmp_path):
         cfg = FlowConfig(cfl_sigma=0.5, stop_t_max=0.02, record_every=5)
         _, fin = run(catalog.circle(n=64), cfg)
         ck = tmp_path / "c.ckpt"
         from codimflow.flow import FlowTrace
 
-        write_checkpoint(str(ck), fin, FlowTrace(chart_shape=(64,)), "original")
+        write_checkpoint(str(ck), fin, FlowTrace(), "original")
         with pytest.raises(UsageError, match="different scenario"):
             read_checkpoint(str(ck), scenario_text="tampered")
 
@@ -614,6 +654,17 @@ class TestCLI:
         r2 = run_cli("run", str(cfgp))
         assert csv1 == (tmp_path / "o1" / "det.csv").read_bytes()
         assert snap1 == (tmp_path / "o1" / "det-final.snap").read_bytes()
+
+    def test_resume_from_malformed_checkpoint_exit_4(self, tmp_path):
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(f"name = c\ninitial.catalog = circle\ninitial.n = 64\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        ck = tmp_path / "c.ckpt"
+        ck.write_text("# schema=codimflow.snapshot.v1\n")
+        r = run_cli("run", str(cfgp), "--resume", str(ck))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith(f"error: ConfigError: {ck}: not JSON")
 
     def test_resume_with_several_configs_rejected(self, tmp_path):
         paths = []

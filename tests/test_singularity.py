@@ -163,7 +163,7 @@ def sphere_chart_trace(T=0.25, n_records=150):
     gaps = T * 0.968 ** np.arange(n_records)
     trusted = 1.0 / (2.0 * gaps)
     full = trusted * np.maximum(1.0, 10.0 * gaps[-1] / gaps)
-    trace = FlowTrace(chart_shape=(48, 96), termination=Termination.CURVATURE_CAP)
+    trace = FlowTrace(termination=Termination.CURVATURE_CAP)
     trace.records = [
         TraceRecord(t=T - g, dt=0.0, max_A2=f, max_A2_trusted=a, max_H2=2.0 * a,
                     volume=16.0 * math.pi * g, min_detg=0.0, argmax_node=0,
@@ -183,7 +183,7 @@ class TestClassify:
         assert rep.c_hat == pytest.approx(0.5, rel=1e-6)
         assert rep.lower_rate == pytest.approx(0.5, rel=1e-6)
         # the same records read through the full maximum grow like Type II
-        full = FlowTrace(chart_shape=trace.chart_shape, termination=trace.termination)
+        full = FlowTrace(termination=trace.termination)
         full.records = [replace(r, max_A2_trusted=r.max_A2) for r in trace.records]
         assert classify_blowup(full, t_hat=0.25).classification is BlowupClass.TYPE_II
         assert classify_blowup(full).classification is not BlowupClass.TYPE_I

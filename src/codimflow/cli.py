@@ -20,7 +20,7 @@ import numpy as np
 
 from . import catalog
 from .config import Scenario, coerce_scalar, evaluate_phi, parse_config
-from .errors import CodimflowError, ConfigError, UsageError
+from .errors import CodimflowError, UsageError
 from .flow import (FlowState, FlowTrace, Termination, estimate_singular_time,
                    evolution_residuals, run, trajectory)
 from .geometry import Immersion, build_bundle, structure_residuals
@@ -30,7 +30,7 @@ from .lagrangian import (Potential, PotentialFlowConfig, lag_immersion,
 from .singularity import (DensityParams, SolitonKind, classify_blowup,
                           hamilton_rescale, monotonicity_check, soliton_residual,
                           type1_rescale)
-from .snapshots import (read_checkpoint, read_snapshot, resume_run,
+from .snapshots import (read_checkpoint, read_snapshot, read_text, resume_run,
                         write_checkpoint, write_diagnostics, write_snapshot)
 
 EXIT_OK = 0
@@ -61,8 +61,6 @@ def build_initial(scenario: Scenario) -> Immersion:
 
 def build_potential(scenario: Scenario) -> Potential:
     ps = scenario.potential
-    if ps is None:
-        raise ConfigError("scenario has no potential initial data")
     spec = ChartSpec(Domain.TORUS, ps.resolution, fd_order=ps.fd_order)
     chart = make_chart(spec)
     phi = evaluate_phi(ps, chart.mesh())
@@ -85,17 +83,11 @@ def _termination_exit(trace: FlowTrace) -> int:
 
 
 def _run_one(config_path: str, resume: str | None = None) -> int:
-    with open(config_path) as f:
-        text = f.read()
+    text = read_text(config_path)
     scenario = parse_config(text)
     out = scenario.output_dir
     os.makedirs(out, exist_ok=True)
     params = _density_params(scenario)
-
-    if scenario.initial_kind == "potential" and any(
-        a.kind == "lagrangian_report" for a in scenario.analyses
-    ) and not math.isfinite(scenario.flow.stop_t_max):
-        raise ConfigError("potential runs need flow.stop_t_max")
 
     if resume is not None:
         state, saved = read_checkpoint(resume, scenario_text=text)
@@ -143,7 +135,7 @@ def _do_rescale(trace: FlowTrace, final: FlowState, params: dict, base: str):
     est = estimate_singular_time(trace)
     if not est.reliable:
         raise UsageError(f"cannot rescale: unreliable singular time ({est.detail})")
-    if params.get("mode", "type1") == "type1":
+    if params["mode"] == "type1":
         snaps = [r for r in trace.records if r.snapshot is not None and r.t < est.t_hat]
         if not snaps:
             raise UsageError("no snapshots before T_hat for rescaling")
@@ -155,7 +147,7 @@ def _do_rescale(trace: FlowTrace, final: FlowState, params: dict, base: str):
         write_snapshot(imm, path, t=s)
         print(f"  type1 rescale at t={rec.t:.6g}: s={s:.4f} -> {path}")
     else:
-        k = int(params.get("k", 10))
+        k = params["k"]
         ham = hamilton_rescale(trace, est.t_hat, k)
         zero = min(ham.rescaled, key=lambda pair: abs(pair[0]))
         path = base + f"-hamilton-k{k}.snap"
@@ -174,9 +166,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.config) as f:
-        text = f.read()
-    scenario = parse_config(text)
+    scenario = parse_config(read_text(args.config))
     initial = build_initial(scenario)
     cfg = scenario.flow
     state = FlowState.initial(initial)
@@ -223,8 +213,7 @@ def cmd_soliton(args) -> int:
 
 
 def cmd_rescale(args) -> int:
-    with open(args.config) as f:
-        scenario = parse_config(f.read())
+    scenario = parse_config(read_text(args.config))
     initial = build_initial(scenario)
     trace, final = run(initial, scenario.flow,
                        huisken_params=_density_params(scenario))
@@ -235,16 +224,12 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_lagrangian(args) -> int:
-    with open(args.config) as f:
-        scenario = parse_config(f.read())
+    scenario = parse_config(read_text(args.config))
     if scenario.initial_kind == "potential":
         p0 = build_potential(scenario)
-        t_max = scenario.flow.stop_t_max
-        if not math.isfinite(t_max):
-            raise ConfigError("potential runs need flow.stop_t_max")
         cfg = PotentialFlowConfig(
             cfl_sigma=scenario.flow.cfl_sigma,
-            stop_t_max=t_max,
+            stop_t_max=scenario.flow.stop_t_max,
             record_every=scenario.flow.record_every,
             snapshot_every=scenario.flow.snapshot_every,
         )
@@ -266,10 +251,7 @@ def cmd_lagrangian(args) -> int:
         print(f"  pinching gap min={rep.pinching_gap_min:.3e} "
               f"identity defect={rep.pinching_identity_defect:.3e}")
         return EXIT_OK
-    imm = build_initial(scenario)
-    if imm.n % 2 != 0:
-        raise UsageError("lagrangian report requires even ambient dimension")
-    rep = mean_curvature_form(imm)
+    rep = mean_curvature_form(build_initial(scenario))
     print(f"lagrangian residual={rep.lagrangian_residual:.3e} "
           f"h symmetry defect={rep.h_symmetry_defect:.3e}")
     print(f"  |dH|={rep.dH_residual.linf:.3e} pinching gap min={rep.pinching_gap_min:.3e} "
@@ -285,14 +267,6 @@ def cmd_catalog(args) -> int:
         if not key.startswith("--") or not rest:
             raise UsageError(f"catalog parameters must be --name value pairs, got {key!r}")
         params[key[2:].replace("-", "_")] = coerce_scalar(rest.pop(0))
-    if "m" in params:
-        # dimension is implied by each family; accept and check the obvious ones
-        m = params.pop("m")
-        implied = {"sphere": 2, "clifford_torus": 2}.get(args.name)
-        if args.name == "whitney":
-            params["m"] = m
-        elif implied is not None and m != implied:
-            raise ConfigError(f"{args.name} has dimension {implied}, got m={m}")
     imm = catalog.make_example(args.name, **params)
     write_snapshot(imm, args.output)
     b = build_bundle(imm)
@@ -356,7 +330,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CodimflowError as exc:
         return _fail(type(exc).__name__, str(exc))
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail("UsageError", str(exc))
 
 

@@ -7,6 +7,7 @@ stopping at the first.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -118,13 +119,15 @@ class _Parser:
             return default
         return self.kv[key][0]
 
-    def get_typed(self, key: str, cast, default=None, what: str = "value"):
+    def get_typed(self, key: str, cast, default=None):
+        """The value at key cast by int or float; default when unset or bad."""
         raw = self.get(key)
         if raw is None:
             return default
         try:
             return cast(raw)
         except (TypeError, ValueError):
+            what = "integer" if cast is int else "number"
             self.err(key, f"{key}: expected {what}, got {raw!r}")
             return default
 
@@ -137,6 +140,22 @@ class _Parser:
         except ValueError:
             self.err(key, f"{key}: expected comma-separated numbers, got {raw!r}")
             return default
+
+    def resolution(self, key: str):
+        """The comma-separated node counts at key, None when unset or bad;
+        each below MIN_RESOLUTION is reported."""
+        raw = self.get(key)
+        if raw is None:
+            return None
+        try:
+            res = tuple(int(x) for x in raw.split(","))
+        except ValueError:
+            self.err(key, "expected comma-separated integers")
+            return None
+        for r in res:
+            if r < MIN_RESOLUTION:
+                self.err(key, f"resolution below minimum {MIN_RESOLUTION}")
+        return res
 
     def finish_unknown(self):
         for key, (_, lineno) in sorted(self.kv.items(), key=lambda it: it[1][1]):
@@ -188,19 +207,10 @@ def parse_config(text: str) -> Scenario:
 
     potential = None
     if has_potential:
-        m = p.get_typed("initial.potential.m", int, 2, "integer")
-        res = p.get("initial.potential.resolution", "64")
-        try:
-            resolution = tuple(int(x) for x in res.split(","))
-        except ValueError:
-            p.err("initial.potential.resolution", "expected comma-separated integers")
-            resolution = (64,)
+        m = p.get_typed("initial.potential.m", int, 2)
+        resolution = p.resolution("initial.potential.resolution") or (64,)
         if len(resolution) == 1:
             resolution = resolution * m
-        for r in resolution:
-            if r < MIN_RESOLUTION:
-                p.err("initial.potential.resolution",
-                      f"resolution below minimum {MIN_RESOLUTION}")
         svals = p.floats("initial.potential.S", [0.0] * (m * m))
         S = np.zeros((m, m))
         if svals is not None:
@@ -219,33 +229,22 @@ def parse_config(text: str) -> Scenario:
                     phi_terms.append(parse_phi_term(term))
                 except ValueError as exc:
                     p.err("initial.potential.phi", str(exc))
-        fd_order = p.get_typed("initial.potential.fd_order", int, 2, "integer")
+        fd_order = p.get_typed("initial.potential.fd_order", int, 2)
         potential = PotentialSpec(m=m, S=S, phi_terms=phi_terms,
                                   resolution=resolution, fd_order=fd_order)
 
     # --- grid overrides for catalog sources -------------------------------
-    res_raw = p.get("grid.resolution")
-    if res_raw is not None:
-        try:
-            res = [int(x) for x in res_raw.split(",")]
-        except ValueError:
-            p.err("grid.resolution", "expected comma-separated integers")
-            res = []
-        for r in res:
-            if r < MIN_RESOLUTION:
-                p.err("grid.resolution", f"resolution below minimum {MIN_RESOLUTION}")
-        if len(res) == 1:
-            catalog_params.setdefault("n", res[0])
-        elif len(res) == 2:
-            catalog_params.setdefault("J", res[0])
-            catalog_params.setdefault("K", res[1])
-    fd_raw = p.get("grid.fd_order")
-    if fd_raw is not None:
-        fd = p.get_typed("grid.fd_order", int, 2, "integer")
-        if fd not in (2, 4):
-            p.err("grid.fd_order", "fd_order must be 2 or 4")
-        else:
-            catalog_params.setdefault("fd_order", fd)
+    res = p.resolution("grid.resolution") or ()
+    if len(res) == 1:
+        catalog_params.setdefault("n", res[0])
+    elif len(res) == 2:
+        catalog_params.setdefault("J", res[0])
+        catalog_params.setdefault("K", res[1])
+    fd = p.get_typed("grid.fd_order", int)
+    if fd in (2, 4):
+        catalog_params.setdefault("fd_order", fd)
+    elif fd is not None:
+        p.err("grid.fd_order", "fd_order must be 2 or 4")
 
     # --- flow config: the keys the file sets; FlowConfig holds the defaults
     flow_kwargs = {}
@@ -257,8 +256,7 @@ def parse_config(text: str) -> Scenario:
             p.err("flow.integrator",
                   f"integrator must be one of {[i.value for i in Integrator]}, got {integ_raw!r}")
     for key, cast in _FLOW_KEYS:
-        value = p.get_typed(f"flow.{key}", cast, None,
-                            "integer" if cast is int else "number")
+        value = p.get_typed(f"flow.{key}", cast)
         if value is not None:
             flow_kwargs[key] = value
     try:
@@ -266,6 +264,9 @@ def parse_config(text: str) -> Scenario:
     except Exception as exc:
         p.errors.append(f"flow configuration invalid: {exc}")
         flow = FlowConfig()
+    if has_potential and not math.isfinite(flow.stop_t_max):
+        # no stop condition fires on a flattening graph
+        p.errors.append("potential scenarios need flow.stop_t_max")
 
     # --- analyses ----------------------------------------------------------
     analyses: list[AnalysisSpec] = []
@@ -278,7 +279,7 @@ def parse_config(text: str) -> Scenario:
         params: dict = {}
         if a == "monotonicity":
             q = p.floats("analysis.monotonicity.q", [0.0, 0.0])
-            t0 = p.get_typed("analysis.monotonicity.t0", float, None, "number")
+            t0 = p.get_typed("analysis.monotonicity.t0", float)
             if t0 is None:
                 p.errors.append("analysis.monotonicity.t0 is required")
                 t0 = 1.0
@@ -298,7 +299,7 @@ def parse_config(text: str) -> Scenario:
             if mode not in ("type1", "type2"):
                 p.err("analysis.rescale.mode", f"mode must be type1 or type2, got {mode!r}")
             params = {"mode": mode,
-                      "k": p.get_typed("analysis.rescale.k", int, 10, "integer")}
+                      "k": p.get_typed("analysis.rescale.k", int, 10)}
         analyses.append(AnalysisSpec(kind=a, params=params))
 
     if any(a.kind == "lagrangian_report" for a in analyses):

@@ -22,10 +22,9 @@ class UsageError(CodimflowError):
 class DegenerateImmersion(CodimflowError):
     """The induced metric dropped below the positive-definiteness floor."""
 
-    def __init__(self, message: str, node=None, det_value=None):
+    def __init__(self, message: str, node=None):
         super().__init__(message)
         self.node = node
-        self.det_value = det_value
 
 
 class NonFiniteError(CodimflowError):

@@ -79,9 +79,7 @@ class Immersion:
         return self.chart.m
 
     def affine_values(self) -> np.ndarray:
-        """Evaluate the affine summand on the chart (zero if absent)."""
-        if self.affine is None:
-            return np.zeros(self.chart.shape + (self.n,))
+        """Evaluate the affine summand on the chart."""
         mat, off = self.affine
         out = np.broadcast_to(off, self.chart.shape + (self.n,)).copy()
         for i, xi in enumerate(self.chart.mesh()):
@@ -108,16 +106,9 @@ class Immersion:
 # parity bookkeeping for sphere charts
 # ---------------------------------------------------------------------------
 
-def _axis_signs(chart: Chart) -> np.ndarray:
-    s = np.ones(chart.m)
-    for a, kind in enumerate(chart.axis_kinds):
-        if kind is AxisKind.POLE:
-            s[a] = -1.0
-    return s
-
-
 def _parity(chart: Chart, trailing_shape: tuple[int, ...], tensor_axes: tuple[int, ...]):
-    """Per-component parity for a field with the given trailing index shape.
+    """Per-component parity for a field with the given trailing index shape,
+    flattened over those components.
 
     tensor_axes lists which trailing axes are chart-index (m-sized) slots;
     remaining trailing axes are ambient/scalar slots with parity +1. On
@@ -126,23 +117,20 @@ def _parity(chart: Chart, trailing_shape: tuple[int, ...], tensor_axes: tuple[in
     """
     if chart.spec.domain is not Domain.SPHERE or not tensor_axes:
         return 1.0
+    signs = np.array([-1.0 if k is AxisKind.POLE else 1.0 for k in chart.axis_kinds])
     p = np.ones(trailing_shape)
-    s = _axis_signs(chart)
     for ax in tensor_axes:
         shape = [1] * len(trailing_shape)
         shape[ax] = chart.m
-        p = p * s.reshape(shape)
-    return p
+        p = p * signs.reshape(shape)
+    return p.ravel()
 
 
 def d1_tensor(values: np.ndarray, chart: Chart, tensor_axes: tuple[int, ...] = ()) -> np.ndarray:
     """Partial derivatives d_k T, derivative index prepended to the trailing
     indices: output shape chart.shape + (m,) + trailing."""
-    gdim = len(chart.shape)
-    trailing = values.shape[gdim:]
+    trailing = values.shape[len(chart.shape):]
     par = _parity(chart, trailing, tensor_axes)
-    if isinstance(par, np.ndarray):
-        par = par.ravel()
     flat = values.reshape(chart.shape + (-1,))
     out = np.empty(chart.shape + (chart.m,) + (flat.shape[-1],))
     for a in range(chart.m):
@@ -152,11 +140,8 @@ def d1_tensor(values: np.ndarray, chart: Chart, tensor_axes: tuple[int, ...] = (
 
 def d2_tensor(values: np.ndarray, chart: Chart, tensor_axes: tuple[int, ...] = ()) -> np.ndarray:
     """Second partials d_k d_l T with two derivative indices prepended."""
-    gdim = len(chart.shape)
-    trailing = values.shape[gdim:]
+    trailing = values.shape[len(chart.shape):]
     par = _parity(chart, trailing, tensor_axes)
-    if isinstance(par, np.ndarray):
-        par = par.ravel()
     flat = values.reshape(chart.shape + (-1,))
     m = chart.m
     out = np.empty(chart.shape + (m, m) + (flat.shape[-1],))
@@ -300,7 +285,6 @@ def induced_metric(imm: Immersion):
             f"induced metric degenerate: det g = {dmin:.3e} < floor {floor:.3e} "
             f"at node {node}",
             node=node,
-            det_value=dmin,
         )
     if m == 1:
         ginv = (1.0 / det)[..., None, None]

@@ -84,10 +84,6 @@ class ChartSpec:
         elif self.interval_bounds is not None:
             raise ConfigError("interval_bounds only valid for interval charts")
 
-    @property
-    def m(self) -> int:
-        return len(self.resolution)
-
 
 @dataclass(frozen=True)
 class Chart:

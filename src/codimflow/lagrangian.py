@@ -46,10 +46,13 @@ from .grid import Chart, Domain, GridField
 # complex structure on R^{2m}
 # ---------------------------------------------------------------------------
 
-def symplectic_form(V: np.ndarray, W: np.ndarray, m: int) -> np.ndarray:
-    """omega(V, W) = <J V, W> for trailing-component vector fields."""
-    JV = np.concatenate([-V[..., m:], V[..., :m]], axis=-1)
-    return np.einsum("...a,...a->...", JV, W)
+def _J(V: np.ndarray) -> np.ndarray:
+    """J V for trailing-component vector fields V in R^{2m}."""
+    n = V.shape[-1]
+    if n % 2 != 0:
+        raise UsageError(f"the complex structure needs an even ambient dimension, got {n}")
+    m = n // 2
+    return np.concatenate([-V[..., m:], V[..., :m]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +145,14 @@ def lag_immersion(p: Potential) -> Immersion:
 
 
 def lagrangian_residual(imm: Immersion, bundle: GeometryBundle | None = None) -> float:
-    """max over nodes and index pairs of |omega(F_i, F_j)|; zero exactly on
-    Lagrangian immersions, rounding-level on potential graphs (the same
-    stencils feed both slots), an honest O(h^2) measurement otherwise."""
-    if imm.n % 2 != 0:
-        raise UsageError("Lagrangian residual requires even ambient dimension")
-    m_amb = imm.n // 2
+    """max over nodes and index pairs of |omega(F_i, F_j)| = |<J F_i, F_j>|;
+    zero exactly on Lagrangian immersions, rounding-level on potential graphs
+    (the same stencils feed both slots), an honest O(h^2) measurement
+    otherwise."""
     if bundle is None:
         bundle = build_bundle(imm)
     dF = bundle.dF  # (*, i, a)
-    om = np.empty(imm.chart.shape + (imm.m, imm.m))
-    for i in range(imm.m):
-        for j in range(imm.m):
-            om[..., i, j] = symplectic_form(dF[..., i, :], dF[..., j, :], m_amb)
-    return float(np.abs(om).max())
+    return float(np.abs(np.matmul(_J(dF), np.swapaxes(dF, -1, -2))).max())
 
 
 def lagrangian_angle(p: Potential) -> tuple[np.ndarray, float]:
@@ -198,17 +195,12 @@ def mean_curvature_form(imm: Immersion, bundle: GeometryBundle | None = None,
     relation d alpha = H (when an angle field is supplied), and the
     Lagrangian pinching gap |A|^2 - 3/(m+2) |H_vec|^2 with its algebraic
     cross-check."""
-    if imm.n % 2 != 0:
-        raise UsageError("mean curvature form requires even ambient dimension")
     if bundle is None:
         bundle = build_bundle(imm)
     chart = imm.chart
-    m = imm.m
-    m_amb = imm.n // 2
     mask = trusted_mask(imm, 0)
 
-    dF = bundle.dF
-    nu = np.concatenate([-dF[..., m_amb:], dF[..., :m_amb]], axis=-1)  # J F_i
+    nu = _J(bundle.dF)  # J F_i
     h = np.einsum("...ia,...jka->...ijk", nu, bundle.A)
     sym_defect = max(
         float(np.abs(h - np.einsum("...jik->...ijk", h)).max()),
@@ -260,11 +252,8 @@ def pinching_gap(imm: Immersion, bundle: GeometryBundle | None = None,
     if bundle is None:
         bundle = build_bundle(imm)
     m = imm.m
-    m_amb = imm.n // 2
     if h is None:
-        dF = bundle.dF
-        nu = np.concatenate([-dF[..., m_amb:], dF[..., :m_amb]], axis=-1)
-        h = np.einsum("...ia,...jka->...ijk", nu, bundle.A)
+        h = np.einsum("...ia,...jka->...ijk", _J(bundle.dF), bundle.A)
 
     gap = bundle.normA2 - (3.0 / (m + 2)) * bundle.normH2
 
@@ -330,10 +319,6 @@ class PotentialTrace:
     records: list[PotentialRecord] = field(default_factory=list)
     final: Potential | None = None
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
-
 
 def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
     """Explicit potential flow du/dt = alpha(Hess u) under dt = sigma h^2/2.
@@ -366,8 +351,6 @@ def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
         step_dt = min(dt, config.stop_t_max - t)
         alpha = lagrangian_angle_of_hessian(p.hessian())
         new_phi = p.phi.values[..., 0] + step_dt * (alpha - alpha.mean())
-        if not np.all(np.isfinite(new_phi)):
-            raise NonFiniteError("potential flow produced non-finite values")
         p = Potential(p.S, GridField(chart, new_phi[..., None]))
         t += step_dt
         step += 1

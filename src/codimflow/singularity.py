@@ -85,13 +85,6 @@ class HamiltonSequence:
     rescaled: list[tuple[float, Immersion]]  # (tau, immersion) pairs
 
 
-def _bundle_of(state) -> tuple[GeometryBundle, float]:
-    """Accept a FlowState or a bare Immersion (then t = 0)."""
-    if isinstance(state, Immersion):
-        return build_bundle(state), 0.0
-    return state.bundle, state.t
-
-
 def gaussian_density_field(bundle: GeometryBundle, t: float, params: DensityParams) -> np.ndarray:
     tau = params.t0 - t
     if tau <= 0:
@@ -102,23 +95,19 @@ def gaussian_density_field(bundle: GeometryBundle, t: float, params: DensityPara
     return (4.0 * math.pi * tau) ** (-0.5 * m) * np.exp(-r2 / (4.0 * tau))
 
 
-def huisken_functional(state, params: DensityParams) -> float:
+def huisken_functional(state: FlowState, params: DensityParams) -> float:
     """Gaussian-weighted area of the immersion at its current time."""
-    bundle, t = _bundle_of(state)
-    rho = gaussian_density_field(bundle, t, params)
+    bundle = state.bundle
+    rho = gaussian_density_field(bundle, state.t, params)
     return integrate_values(rho, bundle.sqrt_det_g, bundle.chart)
 
 
-def monotonicity_defect(state, params: DensityParams) -> float:
+def monotonicity_defect(state: FlowState, params: DensityParams) -> float:
     """The decay-rate integral int |H + F^perp/(2(t0-t))|^2 rho dmu >= 0."""
-    bundle, t = _bundle_of(state)
-    tau = params.t0 - t
-    if tau <= 0:
-        raise UsageError("t0 must exceed the evaluation time")
-    rho = gaussian_density_field(bundle, t, params)
-    Fq = bundle.imm.values - params.q
-    Fperp = normal_part(bundle, Fq)
-    defect = bundle.H + Fperp / (2.0 * tau)
+    bundle = state.bundle
+    rho = gaussian_density_field(bundle, state.t, params)
+    Fperp = normal_part(bundle, bundle.imm.values - params.q)
+    defect = bundle.H + Fperp / (2.0 * (params.t0 - state.t))
     mag2 = np.einsum("...a,...a->...", defect, defect)
     return integrate_values(mag2 * rho, bundle.sqrt_det_g, bundle.chart)
 
@@ -161,21 +150,23 @@ def monotonicity_check(trace: FlowTrace, params: DensityParams) -> MonotonicityC
     )
 
 
-def type1_rescale(state, q: np.ndarray, T: float) -> tuple[Immersion, float]:
-    """Parabolic rescaling F_tilde = (2(T-t))^{-1/2} (F - q); returns the
-    rescaled immersion and the rescaled time s = -log(T - t)/2."""
-    bundle, t = _bundle_of(state)
-    if t >= T:
-        raise UsageError("rescaling requires t < T")
-    q = np.asarray(q, dtype=np.float64)
-    lam = (2.0 * (T - t)) ** -0.5
-    imm = bundle.imm
+def _rescaled(imm: Immersion, lam: float, c: np.ndarray) -> Immersion:
+    """The immersion lam (F - c), its affine part included."""
     affine = None
     if imm.affine is not None:
-        affine = (lam * imm.affine[0], lam * (imm.affine[1] - q))
-    rescaled = replace(imm, values=lam * (imm.values - q), affine=affine)
-    s = -0.5 * math.log(T - t)
-    return rescaled, s
+        affine = (lam * imm.affine[0], lam * (imm.affine[1] - c))
+    return replace(imm, values=lam * (imm.values - c), affine=affine)
+
+
+def type1_rescale(state: FlowState, q: np.ndarray, T: float) -> tuple[Immersion, float]:
+    """Parabolic rescaling F_tilde = (2(T-t))^{-1/2} (F - q); returns the
+    rescaled immersion and the rescaled time s = -log(T - t)/2."""
+    t = state.t
+    if t >= T:
+        raise UsageError("rescaling requires t < T")
+    lam = (2.0 * (T - t)) ** -0.5
+    rescaled = _rescaled(state.imm, lam, np.asarray(q, dtype=np.float64))
+    return rescaled, -0.5 * math.log(T - t)
 
 
 def classify_blowup(trace: FlowTrace, t_hat: float | None = None) -> BlowupReport:
@@ -274,11 +265,7 @@ def hamilton_rescale(trace: FlowTrace, t_hat: float, k: int) -> HamiltonSequence
         tau = L * L * (r.t - t_k)
         if tau < alpha - 1e-12 or tau > omega + 1e-12:
             continue
-        imm = r.snapshot
-        affine = None
-        if imm.affine is not None:
-            affine = (L * imm.affine[0], L * (imm.affine[1] - base))
-        rescaled.append((tau, replace(imm, values=L * (imm.values - base), affine=affine)))
+        rescaled.append((tau, _rescaled(r.snapshot, L, base)))
     return HamiltonSequence(k=k, record_index=best_i, node=tuple(int(x) for x in node),
                             t_k=t_k, L_k=L, alpha_k=alpha, omega_k=omega,
                             rescaled=rescaled)

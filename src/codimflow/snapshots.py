@@ -32,6 +32,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; undecodable bytes raise ConfigError naming
+    the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
@@ -153,8 +163,7 @@ def write_snapshot(state: FlowState | Immersion, path: str, t: float | None = No
 
 def read_snapshot(path: str) -> tuple[Immersion, float]:
     """Read a snapshot; returns the immersion and its flow time."""
-    with open(path, "r") as f:
-        return _parse_snapshot(f.read(), path)
+    return _parse_snapshot(read_text(path), path)
 
 
 def _place_rows(path: str, table: np.ndarray, chart, n: int) -> np.ndarray:
@@ -277,11 +286,10 @@ def write_checkpoint(path: str, state: FlowState, trace: FlowTrace,
 def read_checkpoint(path: str, scenario_text: str | None = None) -> tuple[FlowState, FlowTrace]:
     """The state and trace of a checkpoint; a malformed file raises
     ConfigError, one of another scenario UsageError."""
-    with open(path, "r") as f:
-        try:
-            doc = json.load(f)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: not JSON ({exc})") from None
+    try:
+        doc = json.loads(read_text(path))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not JSON ({exc})") from None
     if type(doc) is not dict or doc.get("schema") != CHECKPOINT_SCHEMA:
         raise ConfigError(f"{path}: not a {CHECKPOINT_SCHEMA} file")
     _checked(path, "the checkpoint", doc, _CHECKPOINT_FIELDS)

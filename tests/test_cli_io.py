@@ -14,6 +14,7 @@ from codimflow import catalog
 from codimflow.config import parse_config
 from codimflow.errors import ConfigError, UsageError
 from codimflow.flow import FlowConfig, FlowState, Integrator, run
+from codimflow.geometry import build_bundle
 from codimflow.snapshots import (
     read_checkpoint, read_snapshot, resume_run, write_checkpoint,
     write_diagnostics, write_snapshot,
@@ -93,6 +94,11 @@ class TestParseConfig:
         coef, factors = s.potential.phi_terms[0]
         assert coef == 0.2
         assert factors == [("sin", 1, 0), ("cos", 2, 1)]
+
+    def test_potential_needs_stop_t_max(self):
+        # no stop condition fires on a flattening graph
+        with pytest.raises(ConfigError, match="potential scenarios need flow.stop_t_max"):
+            parse_config("initial.potential.m = 2\ninitial.potential.resolution = 16\n")
 
     def test_translator_requires_V(self):
         with pytest.raises(ConfigError, match="soliton.V"):
@@ -677,3 +683,97 @@ class TestCLI:
         assert r.returncode == 4, (r.stdout, r.stderr)
         assert "--resume" in r.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("run", "{dir}"),
+        ("verify", "{dir}"),
+        ("run", "{cfg}"),
+        ("soliton", "{snap}", "--kind", "shrinker"),
+    ])
+    def test_unreadable_input_exit_4(self, tmp_path, args):
+        # a directory, or a file that is not UTF-8 text
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"name = caf\xe9\ninitial.catalog = circle\n")
+        snap = tmp_path / "latin1.snap"
+        snap.write_bytes(b"# schema=codimflow.snapshot.v1\n# t=0 caf\xe9\n")
+        r = run_cli(*(a.format(dir=tmp_path, cfg=cfg, snap=snap) for a in args))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("error:")
+
+    def test_potential_run_without_horizon_exit_4(self, tmp_path):
+        cfgp = tmp_path / "p.cfg"
+        cfgp.write_text("name = p\ninitial.potential.m = 2\n"
+                        "initial.potential.resolution = 16\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli("run", str(cfgp))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert "potential scenarios need flow.stop_t_max" in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_catalog_m_reaches_the_family(self, tmp_path):
+        out = tmp_path / "t.snap"
+        r = run_cli("catalog", "flat_torus_graph", "--m", "3", "--n-per-axis", "8",
+                    "-o", str(out))
+        assert r.returncode == 0, (r.stdout, r.stderr)
+        imm, _ = read_snapshot(str(out))
+        assert imm.m == 3 and imm.n == 7
+
+    def test_catalog_m_rejected_by_other_families(self, tmp_path):
+        out = tmp_path / "s.snap"
+        r = run_cli("catalog", "sphere", "--m", "2", "-o", str(out))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert r.stderr.startswith("error: ConfigError: bad parameters for catalog example")
+        assert not out.exists()
+
+    def test_run_with_analyses(self, tmp_path):
+        cfgp = tmp_path / "a.cfg"
+        cfgp.write_text(
+            "name = an\n"
+            "initial.catalog = circle\n"
+            "initial.n = 128\n"
+            "flow.cfl_sigma = 0.5\n"
+            "flow.record_every = 25\n"
+            "flow.snapshot_every = 4\n"
+            "analyses = monotonicity,soliton,classify\n"
+            "analysis.monotonicity.q = 0,0\n"
+            "analysis.monotonicity.t0 = 0.5\n"
+            f"output.dir = {tmp_path / 'out'}\n"
+        )
+        r = run_cli("run", str(cfgp))
+        assert r.returncode == 2, (r.stdout, r.stderr)
+        assert "monotonicity: nonincreasing=True" in r.stdout
+        linf = float(r.stdout.split("soliton[shrinker]: Linf=")[1].split()[0])
+        assert linf > 0.0
+        assert "blowup: TypeI" in r.stdout
+        header = (tmp_path / "out" / "an.csv").read_text().splitlines()[0]
+        assert header.endswith(",huisken")
+
+    def test_rescale_type2(self, tmp_path):
+        cfgp = tmp_path / "r.cfg"
+        cfgp.write_text(
+            "name = resc\n"
+            "initial.catalog = circle\n"
+            "initial.n = 128\n"
+            "flow.cfl_sigma = 0.5\n"
+            "flow.record_every = 25\n"
+            "flow.snapshot_every = 4\n"
+            f"output.dir = {tmp_path / 'out'}\n"
+        )
+        r = run_cli("rescale", str(cfgp), "--mode", "type2", "--k", "10")
+        assert r.returncode == 2, (r.stdout, r.stderr)
+        assert "type2 rescale k=10" in r.stdout
+        imm, tau = read_snapshot(str(tmp_path / "out" / "resc-hamilton-k10.snap"))
+        # the snapshot nearest tau = 0: unit curvature at the marked point
+        assert float(build_bundle(imm).normA2.max()) == pytest.approx(1.0, rel=1e-9)
+
+    def test_lagrangian_catalog_whitney(self, tmp_path):
+        cfgp = tmp_path / "w.cfg"
+        cfgp.write_text("name = w\ninitial.catalog = whitney\n"
+                        "initial.J = 24\ninitial.K = 48\n")
+        r = run_cli("lagrangian", str(cfgp))
+        assert r.returncode == 0, (r.stdout, r.stderr)
+        residual = float(r.stdout.split("lagrangian residual=")[1].split()[0])
+        assert residual < 1e-2
+        gap = float(r.stdout.split("pinching gap min=")[1].split()[0])
+        assert abs(gap) < 1e-2

@@ -1,11 +1,13 @@
 """Integrator accuracy against closed-form shrinking solutions, run
 termination, evolution-equation residuals, and flow symmetries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from codimflow import catalog, flow
-from codimflow.errors import SolverError
+from codimflow.errors import NonFiniteError, SolverError
 from codimflow.flow import (
     FlowConfig, FlowState, Integrator, Termination, adaptive_dt,
     assemble_step_matrix, estimate_singular_time, evolution_residuals, run,
@@ -44,6 +46,19 @@ class TestSteps:
         assert np.array_equal(st2.imm.values, imm.values)
         st3 = step_semi_implicit(st, 1e-3)
         assert np.abs(st3.imm.values - imm.values).max() < 1e-12
+
+    def test_non_finite_step_ends_degenerate(self):
+        # the immersion's own check rejects non-finite stepped positions
+        st = FlowState.initial(catalog.circle(n=64))
+        H = st.bundle.H.copy()
+        H[5, 0] = np.nan
+        st = replace(st, bundle=replace(st.bundle, H=H))
+        with pytest.raises(NonFiniteError):
+            step_explicit(st, 1e-4)
+        steps = flow.trajectory(st, FlowConfig())
+        assert list(steps) == []
+        assert steps.termination is Termination.DEGENERATE
+        assert isinstance(steps.error, NonFiniteError)
 
     def test_semi_implicit_circle_oracle(self):
         st = FlowState.initial(catalog.circle(radius=1.0, n=256))

@@ -14,6 +14,8 @@ from codimflow.flow import (
     estimate_singular_time, run,
 )
 from codimflow.geometry import build_bundle
+from codimflow.grid import ChartSpec, Domain, GridField, make_chart
+from codimflow.lagrangian import Potential, lag_immersion
 from codimflow.singularity import (
     BlowupClass, DensityParams, SolitonKind, classify_blowup,
     hamilton_rescale, huisken_functional, monotonicity_check,
@@ -152,6 +154,36 @@ class TestType1Rescale:
         with pytest.raises(UsageError):
             type1_rescale(FlowState(t=1.0, imm=st.imm, bundle=st.bundle),
                           np.zeros(2), 0.5)
+
+
+class TestRescaleAffine:
+    """Both rescalings scale a graph's periodic part by their factor: the
+    centre only moves the affine offset."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        ch = make_chart(ChartSpec(Domain.TORUS, (16, 16)))
+        x, y = ch.mesh()
+        phi = 0.1 * np.sin(x) * np.cos(y)
+        return lag_immersion(Potential(np.diag([0.5, 0.8]), GridField(ch, phi[..., None])))
+
+    def test_type1(self, graph):
+        st = FlowState(t=0.1, imm=graph, bundle=build_bundle(graph))
+        resc, _ = type1_rescale(st, np.array([0.3, -0.2, 0.1, 0.5]), 0.5)
+        lam = 0.8 ** -0.5
+        assert np.abs(resc.periodic_values() - lam * graph.periodic_values()).max() < 1e-12
+
+    def test_hamilton(self, graph):
+        trace = FlowTrace(termination=Termination.CURVATURE_CAP)
+        trace.records = [
+            TraceRecord(t=t, dt=0.0, max_A2=a, max_A2_trusted=a, max_H2=a, volume=1.0,
+                        min_detg=1.0, argmax_node=3, snapshot=graph)
+            for t, a in ((0.0, 1.0), (0.1, 4.0), (0.2, 9.0))
+        ]
+        ham = hamilton_rescale(trace, 1.0, 2)
+        assert ham.L_k == 3.0 and len(ham.rescaled) == 3
+        for _, imm in ham.rescaled:
+            assert np.abs(imm.periodic_values() - 3.0 * graph.periodic_values()).max() < 1e-12
 
 
 def sphere_chart_trace(T=0.25, n_records=150):

@@ -114,8 +114,13 @@ def _run_one(config_path: str, resume: str | None = None) -> int:
                   f"max_jump={chk.max_positive_jump:.3e}")
         elif a.kind == "soliton":
             kind = SolitonKind(a.params["kind"])
-            V = np.array(a.params["V"]) if "V" in a.params else None
-            rep = soliton_residual(final.imm, kind, V=V, bundle=final.bundle)
+            if kind is SolitonKind.SHRINKER:
+                # the shrinker is the Type I blow-up limit, not the final state
+                _, imm, _ = _type1_rescaled(trace, _singular_time(trace))
+                rep = soliton_residual(imm, kind)
+            else:
+                V = np.array(a.params["V"]) if "V" in a.params else None
+                rep = soliton_residual(final.imm, kind, V=V, bundle=final.bundle)
             print(f"  soliton[{kind.value}]: Linf={rep.linf:.6e} L2={rep.l2:.6e}")
         elif a.kind == "classify":
             rep = classify_blowup(trace)
@@ -123,7 +128,7 @@ def _run_one(config_path: str, resume: str | None = None) -> int:
                   f"lower={rep.lower_rate:.4g} spread={rep.spread:.3g} "
                   f"growth={rep.growth:.3g}")
         elif a.kind == "rescale":
-            _do_rescale(trace, final, a.params, base)
+            _do_rescale(trace, a.params, base)
         elif a.kind == "lagrangian_report":
             rep = mean_curvature_form(final.imm, final.bundle)
             print(f"  lagrangian: residual={rep.lagrangian_residual:.3e} "
@@ -131,24 +136,36 @@ def _run_one(config_path: str, resume: str | None = None) -> int:
     return _termination_exit(trace)
 
 
-def _do_rescale(trace: FlowTrace, final: FlowState, params: dict, base: str):
+def _singular_time(trace: FlowTrace) -> float:
     est = estimate_singular_time(trace)
     if not est.reliable:
         raise UsageError(f"cannot rescale: unreliable singular time ({est.detail})")
+    return est.t_hat
+
+
+def _type1_rescaled(trace: FlowTrace, t_hat: float):
+    """The last snapshot before t_hat, Type I rescaled about the origin:
+    returns its time, the rescaled immersion and the rescaled time s."""
+    snaps = [r for r in trace.records if r.snapshot is not None and r.t < t_hat]
+    if not snaps:
+        raise UsageError("no snapshots before T_hat for rescaling")
+    rec = snaps[-1]
+    imm, s = type1_rescale(
+        FlowState(t=rec.t, imm=rec.snapshot, bundle=build_bundle(rec.snapshot)),
+        q=np.zeros(rec.snapshot.n), T=t_hat)
+    return rec.t, imm, s
+
+
+def _do_rescale(trace: FlowTrace, params: dict, base: str):
+    t_hat = _singular_time(trace)
     if params["mode"] == "type1":
-        snaps = [r for r in trace.records if r.snapshot is not None and r.t < est.t_hat]
-        if not snaps:
-            raise UsageError("no snapshots before T_hat for rescaling")
-        rec = snaps[-1]
-        imm, s = type1_rescale(
-            FlowState(t=rec.t, imm=rec.snapshot, bundle=build_bundle(rec.snapshot)),
-            q=np.zeros(rec.snapshot.n), T=est.t_hat)
+        t, imm, s = _type1_rescaled(trace, t_hat)
         path = base + "-rescaled.snap"
         write_snapshot(imm, path, t=s)
-        print(f"  type1 rescale at t={rec.t:.6g}: s={s:.4f} -> {path}")
+        print(f"  type1 rescale at t={t:.6g}: s={s:.4f} -> {path}")
     else:
         k = params["k"]
-        ham = hamilton_rescale(trace, est.t_hat, k)
+        ham = hamilton_rescale(trace, t_hat, k)
         zero = min(ham.rescaled, key=lambda pair: abs(pair[0]))
         path = base + f"-hamilton-k{k}.snap"
         write_snapshot(zero[1], path, t=zero[0])
@@ -215,11 +232,10 @@ def cmd_soliton(args) -> int:
 def cmd_rescale(args) -> int:
     scenario = parse_config(read_text(args.config))
     initial = build_initial(scenario)
-    trace, final = run(initial, scenario.flow,
-                       huisken_params=_density_params(scenario))
+    trace, _ = run(initial, scenario.flow, huisken_params=_density_params(scenario))
     os.makedirs(scenario.output_dir, exist_ok=True)
     base = os.path.join(scenario.output_dir, scenario.name)
-    _do_rescale(trace, final, {"mode": args.mode, "k": args.k}, base)
+    _do_rescale(trace, {"mode": args.mode, "k": args.k}, base)
     return _termination_exit(trace)
 
 

@@ -310,12 +310,13 @@ class TestCheckpointResume:
         # differs from max_A2; a resumed run must carry the same series
         cfg = FlowConfig(integrator=Integrator.SEMI_IMPLICIT, curvature_cap_rho=0.02,
                          stop_t_max=0.1, record_every=2)
-        tr_full, _ = run(catalog.sphere(radius=1.0, J=12, K=24), cfg)  # 13 steps
+        tr_full, fin_full = run(catalog.sphere(radius=1.0, J=12, K=24), cfg)  # 13 steps
         tr_half, fin_half = run(catalog.sphere(radius=1.0, J=12, K=24), cfg, max_steps=5)
         ck = tmp_path / "s.ckpt"
         write_checkpoint(str(ck), fin_half, tr_half, "sphere")
         state, saved = read_checkpoint(str(ck), scenario_text="sphere")
-        tr_res, _ = resume_run(state, saved, cfg)
+        tr_res, fin_res = resume_run(state, saved, cfg)
+        assert np.array_equal(fin_full.imm.values, fin_res.imm.values)
         assert any(r.max_A2_trusted != r.max_A2 for r in tr_full.records)
         assert np.array_equal(tr_full.max_A2_trusted_series, tr_res.max_A2_trusted_series)
         assert np.array_equal(tr_full.max_A2_series, tr_res.max_A2_series)
@@ -744,10 +745,20 @@ class TestCLI:
         assert r.returncode == 2, (r.stdout, r.stderr)
         assert "monotonicity: nonincreasing=True" in r.stdout
         linf = float(r.stdout.split("soliton[shrinker]: Linf=")[1].split()[0])
-        assert linf > 0.0
+        assert linf < 1e-2  # read on the Type I rescaled snapshot, not the final state
         assert "blowup: TypeI" in r.stdout
         header = (tmp_path / "out" / "an.csv").read_text().splitlines()[0]
         assert header.endswith(",huisken")
+
+    def test_shrinker_analysis_needs_singular_time(self, tmp_path):
+        # a flat graph does not blow up: no T_hat, no rescaled snapshot to check
+        cfgp = tmp_path / "f.cfg"
+        cfgp.write_text("name = flat\ninitial.catalog = flat_torus_graph\n"
+                        "flow.stop_t_max = 0.01\nanalyses = soliton\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli("run", str(cfgp))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert r.stderr.startswith("error: UsageError: cannot rescale: unreliable singular time")
 
     def test_rescale_type2(self, tmp_path):
         cfgp = tmp_path / "r.cfg"

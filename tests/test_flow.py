@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from codimflow import catalog, flow
 from codimflow.errors import NonFiniteError, SolverError
@@ -79,6 +80,44 @@ class TestSteps:
             b = step_semi_implicit(st, dt)
             gaps.append(np.abs(a.imm.values - b.imm.values).max())
         assert gaps[0] / gaps[1] > 3.0  # O(dt^2) disagreement
+
+    def test_semi_implicit_affine_part(self):
+        # a curved graph with an affine summand: the solve acts on the periodic
+        # part, with dt Lap_g(affine) = dt (H - Lap_g P) added to its right side
+        imm = torus_graph()
+        st = FlowState.initial(imm)
+        b, dt = st.bundle, 1e-2
+        P = imm.periodic_values()
+        lap_aff = -np.einsum("nk,ak->na", flow._drift_weights(b), imm.affine[0])
+        lap_aff = lap_aff.reshape(P.shape)
+        lap_P = np.stack([laplace_beltrami(P[..., a], b) for a in range(imm.n)], -1)
+        assert np.abs(lap_aff - (b.H - lap_P)).max() <= 1e-10 * np.abs(b.H).max()
+        A = assemble_step_matrix(b, dt)
+        got = step_semi_implicit(st, dt).imm.periodic_values()
+        lu = splu(A.tocsc())
+        for a in range(imm.n):
+            want = lu.solve((P + dt * lap_aff)[..., a].ravel()).reshape(P.shape[:-1])
+            assert np.abs(got[..., a] - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_predictor_iteration_budget(self, monkeypatch):
+        # started at the explicit predictor F + dt H, each component of a
+        # first sphere step converges within 4 bicgstab iterations (7 from F)
+        st = FlowState.initial(catalog.sphere(radius=1.0, J=48, K=96))
+        solve = flow.bicgstab
+        iters = []
+
+        def counted(*args, **kwargs):
+            iters.append(0)
+
+            def tick(xk):
+                iters[-1] += 1
+
+            return solve(*args, **kwargs, callback=tick)
+
+        monkeypatch.setattr(flow, "bicgstab", counted)
+        step_semi_implicit(st, 2e-3)
+        assert len(iters) == st.imm.n
+        assert max(iters) <= 4, iters
 
 
 def torus_graph():

@@ -20,17 +20,17 @@ import numpy as np
 
 from . import catalog
 from .config import Scenario, coerce_scalar, evaluate_phi, parse_config
-from .errors import CodimflowError, UsageError
+from .errors import CodimflowError, ConfigError, UsageError
 from .flow import (FlowState, FlowTrace, Termination, estimate_singular_time,
                    evolution_residuals, run, trajectory)
 from .geometry import Immersion, build_bundle, structure_residuals
-from .grid import ChartSpec, Domain, GridField, make_chart
+from .grid import ChartSpec, Domain, GridField, integrate_values, make_chart
 from .lagrangian import (Potential, PotentialFlowConfig, lag_immersion,
                          lagrangian_angle, ma_run, mean_curvature_form)
 from .singularity import (DensityParams, SolitonKind, classify_blowup,
                           hamilton_rescale, monotonicity_check, soliton_residual,
                           type1_rescale)
-from .snapshots import (read_checkpoint, read_snapshot, read_text, resume_run,
+from .snapshots import (read_checkpoint, read_snapshot, read_text,
                         write_checkpoint, write_diagnostics, write_snapshot)
 
 EXIT_OK = 0
@@ -85,18 +85,20 @@ def _termination_exit(trace: FlowTrace) -> int:
 def _run_one(config_path: str, resume: str | None = None) -> int:
     text = read_text(config_path)
     scenario = parse_config(text)
-    out = scenario.output_dir
-    os.makedirs(out, exist_ok=True)
     params = _density_params(scenario)
 
     if resume is not None:
         state, saved = read_checkpoint(resume, scenario_text=text)
-        trace, final = resume_run(state, saved, scenario.flow, huisken_params=params)
+        records = saved.records
     else:
-        initial = build_initial(scenario)
-        trace, final = run(initial, scenario.flow, huisken_params=params)
+        state, records = FlowState.initial(build_initial(scenario)), None
+    n = state.imm.n
+    if n % 2 and any(a.kind == "lagrangian_report" for a in scenario.analyses):
+        raise ConfigError(f"lagrangian_report requires even ambient dimension, got n = {n}")
+    trace, final = run(state.imm, scenario.flow, huisken_params=params,
+                       initial_state=state, records=records)
 
-    base = os.path.join(out, scenario.name)
+    base = os.path.join(scenario.output_dir, scenario.name)
     write_diagnostics(trace, base + ".csv")
     write_snapshot(final, base + "-final.snap")
     write_checkpoint(base + ".ckpt", final, trace, text)
@@ -144,15 +146,17 @@ def _singular_time(trace: FlowTrace) -> float:
 
 
 def _type1_rescaled(trace: FlowTrace, t_hat: float):
-    """The last snapshot before t_hat, Type I rescaled about the origin:
+    """The last snapshot before t_hat, Type I rescaled about its
+    volume-weighted centroid (the singular point of a shrinking flow):
     returns its time, the rescaled immersion and the rescaled time s."""
     snaps = [r for r in trace.records if r.snapshot is not None and r.t < t_hat]
     if not snaps:
         raise UsageError("no snapshots before T_hat for rescaling")
     rec = snaps[-1]
-    imm, s = type1_rescale(
-        FlowState(t=rec.t, imm=rec.snapshot, bundle=build_bundle(rec.snapshot)),
-        q=np.zeros(rec.snapshot.n), T=t_hat)
+    snap, bundle = rec.snapshot, build_bundle(rec.snapshot)
+    q = np.array([integrate_values(snap.values[..., a], bundle.sqrt_det_g, snap.chart)
+                  for a in range(snap.n)]) / bundle.total_volume()
+    imm, s = type1_rescale(FlowState(t=rec.t, imm=snap, bundle=bundle), q=q, T=t_hat)
     return rec.t, imm, s
 
 
@@ -233,7 +237,6 @@ def cmd_rescale(args) -> int:
     scenario = parse_config(read_text(args.config))
     initial = build_initial(scenario)
     trace, _ = run(initial, scenario.flow, huisken_params=_density_params(scenario))
-    os.makedirs(scenario.output_dir, exist_ok=True)
     base = os.path.join(scenario.output_dir, scenario.name)
     _do_rescale(trace, {"mode": args.mode, "k": args.k}, base)
     return _termination_exit(trace)
@@ -250,7 +253,6 @@ def cmd_lagrangian(args) -> int:
             snapshot_every=scenario.flow.snapshot_every,
         )
         tr = ma_run(p0, cfg)
-        os.makedirs(scenario.output_dir, exist_ok=True)
         base = os.path.join(scenario.output_dir, scenario.name)
         write_diagnostics(tr, base + ".csv")
         p = tr.final

@@ -302,14 +302,6 @@ def parse_config(text: str) -> Scenario:
                       "k": p.get_typed("analysis.rescale.k", int, 10)}
         analyses.append(AnalysisSpec(kind=a, params=params))
 
-    if any(a.kind == "lagrangian_report" for a in analyses):
-        if initial_kind == "catalog" and catalog_name not in ("whitney", "clifford_torus"):
-            even_ok = catalog_name in ("circle",) and catalog_params.get("ambient_dim", 2) % 2 == 0
-            if not even_ok:
-                p.errors.append(
-                    "lagrangian_report requires even ambient dimension "
-                    f"(initial {catalog_name!r} does not guarantee it)")
-
     output_dir = p.get("output.dir", "out")
 
     p.finish_unknown()

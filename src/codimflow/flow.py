@@ -179,15 +179,14 @@ class _StepPattern:
 
     The Laplacian part of the step matrix is a sum of couplings, one per
     stencil term and node: the term's per-node weight times its stencil
-    coefficient. Coupling (term t, node n) has flat index t * N + n. The
-    couplings landing on one CSR position are summed in that order.
+    coefficient. Coupling (term t, node n) has flat index t * N + n; slot
+    maps it to its CSR position, and the couplings landing on one position
+    are summed in flat-index order.
     """
 
     weight_row: np.ndarray     # per term: its row of the weight stack
     term_coeff: np.ndarray     # per term: stencil coefficient over spacings
-    first: np.ndarray          # per CSR position: its first coupling
-    repeats: tuple             # (CSR positions, couplings): the k-th further
-                               # coupling of each position, k = 1, 2, ...
+    slot: np.ndarray           # per coupling: its CSR position
     indices: np.ndarray        # CSR column indices
     indptr: np.ndarray         # CSR row pointers
     diag: np.ndarray           # CSR positions of the diagonal
@@ -234,16 +233,12 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
                     add(nbs[b][o2][base], pair, c1 * c2 / (h * hb))
             pair += 1
     key = (node * N + np.stack(cols)).ravel()   # row * N + column per coupling
-    srt = np.argsort(key, kind="stable")        # stable: repeats keep their order
+    srt = np.argsort(key)
     key = key[srt]
     new = np.r_[True, key[1:] != key[:-1]]
-    first = np.flatnonzero(new)
-    r, c = np.divmod(key[first], N)
-    dup = np.flatnonzero(~new)
-    pos = np.searchsorted(first, dup, side="right") - 1
-    rank = dup - first[pos]
-    repeats = tuple((pos[rank == k], srt[dup[rank == k]])
-                    for k in range(1, int(rank.max(initial=0)) + 1))
+    slot = np.empty_like(srt)
+    slot[srt] = np.cumsum(new) - 1
+    r, c = np.divmod(key[new], N)
     indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=N))]
 
     # zig-zag numbering 0, K-1, 1, K-2, ... inside each line of the last axis
@@ -260,8 +255,7 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
     pattern = _StepPattern(
         weight_row=np.array(weight_row),
         term_coeff=np.array(term_coeff),
-        first=srt[first],
-        repeats=repeats,
+        slot=slot,
         indices=c.astype(np.int32),
         indptr=indptr.astype(np.int32),
         diag=np.flatnonzero(r == c),
@@ -273,17 +267,10 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
     )
     # every step matrix shares indices and indptr with the cache: make the
     # arrays read-only so an in-place edit of one matrix fails loudly
-    arrays = [v for v in vars(pattern).values() if isinstance(v, np.ndarray)]
-    for arr in arrays + [a for rep in repeats for a in rep]:
-        arr.setflags(write=False)
+    for arr in vars(pattern).values():
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
     return pattern
-
-
-def _drift_weights(bundle: GeometryBundle) -> np.ndarray:
-    """(N, m) array of w_k = g^ij Gamma^k_ij: lap f = g^ij d_i d_j f - w_k d_k f."""
-    N, m = bundle.chart.node_count, bundle.chart.m
-    return np.einsum("nij,nkij->nk", bundle.ginv.reshape(N, m, m),
-                     bundle.gamma.reshape(N, m, m, m))
 
 
 def assemble_step_matrix(bundle: GeometryBundle, dt: float) -> sp.csr_matrix:
@@ -293,27 +280,25 @@ def assemble_step_matrix(bundle: GeometryBundle, dt: float) -> sp.csr_matrix:
     matrix-free operators, so A @ f.ravel() reproduces
     (f - dt lap(f)).ravel() to rounding. Per node and axis a it couples the
     second-derivative stencil times g^aa, the first-derivative stencil times
-    the drift -(g^ij Gamma^a_ij), and for each axis pair a < b the product
-    of first-derivative stencils times 2 g^ab. The sparsity pattern is fixed
-    per chart spec and cached; entries that vanish for this metric stay
-    stored as zeros.
+    the bundle's drift -w^a, and for each axis pair a < b the product of
+    first-derivative stencils times 2 g^ab. The sparsity pattern is fixed
+    per chart spec and cached; one bincount over its slots sums the
+    couplings of each CSR position in the pattern's order. Entries that
+    vanish for this metric stay stored as zeros.
     """
     chart = bundle.chart
     pat = _step_pattern(chart.spec)
     m = chart.m
     N = chart.node_count
     ginv = bundle.ginv.reshape(N, m, m)
-    w = _drift_weights(bundle)
+    w = bundle.drift.reshape(N, m)
     weights = np.stack(
         [ginv[:, a, a] for a in range(m)]
         + [-w[:, a] for a in range(m)]
         + [2.0 * ginv[:, a, b] for a in range(m) for b in range(a + 1, m)]
     )
     couplings = (weights[pat.weight_row] * pat.term_coeff[:, None]).ravel()
-    lap = couplings[pat.first]
-    for pos, coupling in pat.repeats:
-        lap[pos] += couplings[coupling]
-    data = -dt * lap
+    data = -dt * np.bincount(pat.slot, weights=couplings, minlength=pat.indices.size)
     data[pat.diag] += 1.0
     return sp.csr_matrix((data, pat.indices, pat.indptr), shape=(N, N))
 
@@ -369,9 +354,8 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     rhs_extra = 0.0
     if imm.affine is not None:
         mat, _ = imm.affine
-        # Lap_g of an affine map: g^ij (0 - Gamma^k_ij d_k) = -w_k M_k
-        lap_aff = -np.einsum("nk,ak->na", _drift_weights(bundle), mat)
-        rhs_extra = dt * lap_aff.reshape(P.shape)
+        # Lap_g of an affine map: g^ij (0 - Gamma^k_ij d_k) = -w^k M_k
+        rhs_extra = -dt * np.einsum("...k,ak->...a", bundle.drift, mat)
     A = assemble_step_matrix(bundle, dt)
     precond = _line_preconditioner(A, chart)
     new_P = np.empty_like(P)
@@ -415,8 +399,7 @@ def _record(state: FlowState, dt: float, huisken_params=None,
     hval = None
     if huisken_params is not None and state.t < huisken_params.t0:
         hval = huisken_functional(state, huisken_params)
-    mask = trusted_mask(state.imm)
-    trusted = b.normA2 if mask is None else b.normA2[mask]
+    trusted = b.normA2[trusted_mask(state.imm)]
     return TraceRecord(
         t=state.t,
         dt=dt,

@@ -209,7 +209,8 @@ class GeometryBundle:
     """Per-node geometric data derived from one immersion: the first
     partials, the metric with its inverse and volume density, both kinds of
     Christoffel symbols, the second fundamental tensor, and the curvature
-    invariants. The normal projector is built on first use."""
+    invariants. The Laplacian's drift and the normal projector are built
+    on first use."""
 
     imm: Immersion
     dF: np.ndarray          # (*, m, n)    first partials of F
@@ -227,6 +228,12 @@ class GeometryBundle:
     @property
     def chart(self) -> Chart:
         return self.imm.chart
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        """w^k = g^ij Gamma^k_ij, shape (*, m): the connection term of the
+        Laplace-Beltrami operator, Lap f = g^ij d_i d_j f - w^k d_k f."""
+        return np.einsum("...ij,...kij->...k", self.ginv, self.gamma)
 
     @cached_property
     def normal_projector(self) -> np.ndarray:
@@ -354,7 +361,8 @@ def tangency_defect(bundle: GeometryBundle) -> np.ndarray:
 
 
 def laplace_beltrami(values: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
-    """Laplace-Beltrami of component fields: g^ij (d_i d_j f - Gamma^k_ij d_k f).
+    """Laplace-Beltrami of component fields: g^ij d_i d_j f - w^k d_k f, with
+    the drift w^k = g^ij Gamma^k_ij of the bundle.
 
     values has shape chart.shape (scalar) or chart.shape + (c,); components
     must be scalar functions on the chart (even pole parity).
@@ -362,10 +370,8 @@ def laplace_beltrami(values: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     chart = bundle.chart
     scalar = values.ndim == len(chart.shape)
     v = values[..., None] if scalar else values
-    d1 = d1_tensor(v, chart)
-    d2 = d2_tensor(v, chart)
-    hess = d2 - np.einsum("...kij,...kc->...ijc", bundle.gamma, d1)
-    out = np.einsum("...ij,...ijc->...c", bundle.ginv, hess)
+    out = (np.einsum("...ij,...ijc->...c", bundle.ginv, d2_tensor(v, chart))
+           - np.einsum("...k,...kc->...c", bundle.drift, d1_tensor(v, chart)))
     return out[..., 0] if scalar else out
 
 
@@ -526,45 +532,43 @@ class CurvatureReport:
     simons2: ResidualNorms
 
 
-def trusted_mask(imm: Immersion, pole_margin: int = 1) -> np.ndarray | None:
-    """Nodes whose residual values are trusted by norm reports.
+def trusted_mask(imm: Immersion, pole_margin: int = 1) -> np.ndarray:
+    """Boolean node array of the nodes whose residual values are trusted by
+    norm reports.
 
     Combines the immersion's own norm_mask (truncated profiles) with an
     optional exclusion of pole-adjacent colatitude rings on sphere charts,
     where the coordinate degeneracy of the chart slows the pointwise
     convergence of deep covariant compositions by one order.
     """
-    mask = None
-    if imm.norm_mask is not None:
+    if imm.norm_mask is None:
+        mask = np.ones(imm.chart.shape, dtype=bool)
+    else:
         mask = imm.norm_mask.copy()
     if pole_margin > 0 and imm.chart.spec.domain is Domain.SPHERE:
-        if mask is None:
-            mask = np.ones(imm.chart.shape, dtype=bool)
         mask[:pole_margin, :] = False
         mask[-pole_margin:, :] = False
     return mask
 
 
+def _masked_l2(per_node_sq: np.ndarray, bundle: GeometryBundle, mask: np.ndarray) -> float:
+    """Volume-weighted RMS over the masked nodes of a per-node squared norm."""
+    chart = bundle.chart
+    w = np.where(mask, bundle.sqrt_det_g, 0.0)
+    vol = integrate_values(np.ones(chart.shape), w, chart)
+    return float(np.sqrt(integrate_values(np.where(mask, per_node_sq, 0.0), w, chart) / vol))
+
+
 def _norms(res_field: np.ndarray, bundle: GeometryBundle,
-           mask: np.ndarray | None, scale_field: np.ndarray | None = None) -> ResidualNorms:
+           mask: np.ndarray, scale_field: np.ndarray | None = None) -> ResidualNorms:
     chart = bundle.chart
     flat = res_field.reshape(chart.shape + (-1,))
-    per_node_sq = np.einsum("...c,...c->...", flat, flat)
-    per_node_max = np.abs(flat).max(axis=-1)
-    w = bundle.sqrt_det_g
-    if mask is not None:
-        per_node_max = np.where(mask, per_node_max, 0.0)
-        per_node_sq = np.where(mask, per_node_sq, 0.0)
-        w = np.where(mask, w, 0.0)
-    vol = integrate_values(np.ones(chart.shape), w, chart)
-    linf = float(per_node_max.max())
-    l2 = float(np.sqrt(integrate_values(per_node_sq, w, chart) / vol))
+    linf = float(np.where(mask, np.abs(flat).max(axis=-1), 0.0).max())
+    l2 = _masked_l2(np.einsum("...c,...c->...", flat, flat), bundle, mask)
     scale = 1.0
     if scale_field is not None:
         sflat = np.abs(scale_field.reshape(chart.shape + (-1,))).max(axis=-1)
-        if mask is not None:
-            sflat = np.where(mask, sflat, 0.0)
-        scale = max(1.0, float(sflat.max()))
+        scale = max(1.0, float(np.where(mask, sflat, 0.0).max()))
     return ResidualNorms(linf=linf, l2=l2, scale=scale)
 
 
@@ -628,9 +632,8 @@ def simons_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.n
     nA = cp.nA
     pair = ginv.reshape(nodes + (1, m * m))
     dnA = d1_tensor(nA, chart, tensor_axes=(0, 1, 2)).reshape(nodes + (m * m, -1))
-    # drift g^pi Gamma^q_pi, shape (*, 1, q)
-    drift = np.matmul(pair, np.swapaxes(gamma.reshape(nodes + (m, m * m)), -1, -2))
-    lapA = np.matmul(pair, dnA) - np.matmul(drift, nA.reshape(nodes + (m, -1)))
+    lapA = (np.matmul(pair, dnA)
+            - np.matmul(bundle.drift[..., None, :], nA.reshape(nodes + (m, -1))))
     lapA = lapA.reshape(nodes + (m, m, n))
     gamma_up = _raise(ginv, np.swapaxes(gamma, -3, -2))  # (*, i, q, k) = g^ip Gamma^q_pk
     side = np.matmul(np.swapaxes(gamma_up.reshape(nodes + (m * m, m)), -1, -2),

@@ -30,7 +30,6 @@ from .geometry import (
     GeometryBundle,
     Immersion,
     ResidualNorms,
-    _gamma_dot,
     _norms,
     _sq_norm,
     build_bundle,
@@ -224,7 +223,6 @@ def mean_curvature_form(imm: Immersion, bundle: GeometryBundle | None = None,
         calibration = float(np.cos(alpha).min())
 
     gap, identity_defect = pinching_gap(imm, bundle, h=h)
-    gap_eff = gap if mask is None else np.where(mask, gap, np.inf)
 
     return LagrangianReport(
         lagrangian_residual=lagrangian_residual(imm, bundle),
@@ -233,7 +231,7 @@ def mean_curvature_form(imm: Immersion, bundle: GeometryBundle | None = None,
         dalpha_minus_H_residual=dalpha_res,
         form_vs_vector_defect=form_vs_vector,
         calibration_min=calibration,
-        pinching_gap_min=float(gap_eff.min()),
+        pinching_gap_min=float(np.where(mask, gap, np.inf).min()),
         pinching_identity_defect=identity_defect,
     )
 
@@ -382,6 +380,5 @@ def angle_evolution_residual(p_prev: Potential, p_mid: Potential, p_next: Potent
     bundle = build_bundle(imm)
     lap = laplace_beltrami(alphas[1], bundle)
     dal = d1_tensor(alphas[1], imm.chart)
-    drift = np.einsum("...ij,...ij->...", bundle.ginv, _gamma_dot(bundle.gamma, dal))
-    res = dadt - lap - drift
+    res = dadt - lap - np.einsum("...k,...k->...", bundle.drift, dal)
     return _norms(res, bundle, trusted_mask(imm, 0), scale_field=lap)

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import UsageError
 from .flow import (FlowState, FlowTrace, Termination, _affine_fit,
                    estimate_singular_time)
-from .geometry import GeometryBundle, Immersion, build_bundle, normal_part
+from .geometry import (GeometryBundle, Immersion, _masked_l2, build_bundle, normal_part,
+                       trusted_mask)
 from .grid import integrate_values
 
 
@@ -288,13 +289,9 @@ def soliton_residual(imm: Immersion, kind: SolitonKind,
     else:
         Fperp = normal_part(bundle, imm.values)
         res = bundle.H + Fperp if kind is SolitonKind.SHRINKER else bundle.H - Fperp
-    mag = np.sqrt(np.einsum("...a,...a->...", res, res))
-    mask = imm.norm_mask
-    mag_eff = mag if mask is None else np.where(mask, mag, 0.0)
-    worst = np.unravel_index(int(np.argmax(mag_eff)), imm.chart.shape)
-    w = bundle.sqrt_det_g if mask is None else np.where(mask, bundle.sqrt_det_g, 0.0)
-    vol = integrate_values(np.ones(imm.chart.shape), w, imm.chart)
-    l2 = math.sqrt(integrate_values(mag_eff**2, w, imm.chart) / vol)
-    return SolitonReport(kind=kind, linf=float(mag_eff.max()), l2=l2,
+    mask = trusted_mask(imm, 0)
+    mag = np.where(mask, np.sqrt(np.einsum("...a,...a->...", res, res)), 0.0)
+    worst = np.unravel_index(int(np.argmax(mag)), imm.chart.shape)
+    return SolitonReport(kind=kind, linf=float(mag.max()), l2=_masked_l2(mag**2, bundle, mask),
                          worst_node=tuple(int(x) for x in worst),
                          V=None if V is None else V.copy())

@@ -750,6 +750,50 @@ class TestCLI:
         header = (tmp_path / "out" / "an.csv").read_text().splitlines()[0]
         assert header.endswith(",huisken")
 
+    def test_shrinker_rescaled_about_the_singular_point(self, tmp_path):
+        # a circle centred at (2, 0) shrinks to (2, 0): rescaled about the
+        # origin it would be far from the shrinker H + F^perp = 0
+        snap = tmp_path / "c.snap"
+        shifted = catalog.circle(radius=1.0, n=128).transformed(np.eye(2), np.array([2.0, 0.0]))
+        write_snapshot(shifted, str(snap))
+        cfgp = tmp_path / "t.cfg"
+        cfgp.write_text(
+            "name = shifted\n"
+            f"initial.snapshot = {snap}\n"
+            "flow.cfl_sigma = 0.5\n"
+            "flow.record_every = 25\n"
+            "flow.snapshot_every = 4\n"
+            "analyses = soliton,classify\n"
+            f"output.dir = {tmp_path / 'out'}\n"
+        )
+        r = run_cli("run", str(cfgp))
+        assert r.returncode == 2, (r.stdout, r.stderr)
+        linf = float(r.stdout.split("soliton[shrinker]: Linf=")[1].split()[0])
+        assert linf < 1e-2
+
+    def test_lagrangian_report_on_a_planar_curve(self, tmp_path):
+        # n = 2 is even: the report runs on any planar curve, not only a circle
+        cfgp = tmp_path / "e.cfg"
+        cfgp.write_text("name = ell\ninitial.catalog = ellipse\ninitial.n = 64\n"
+                        "flow.stop_t_max = 0.01\nanalyses = lagrangian_report\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli("run", str(cfgp))
+        assert r.returncode == 0, (r.stdout, r.stderr)
+        assert "lagrangian: residual=" in r.stdout
+
+    def test_lagrangian_report_odd_ambient_rejected_before_the_flow(self, tmp_path):
+        snap = tmp_path / "g.snap"
+        write_snapshot(catalog.planar_graph(n=64), str(snap))   # n = 3
+        cfgp = tmp_path / "g.cfg"
+        cfgp.write_text(f"name = odd\ninitial.snapshot = {snap}\n"
+                        "flow.stop_t_max = 0.01\nanalyses = lagrangian_report\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli("run", str(cfgp))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert r.stderr.startswith(
+            "error: ConfigError: lagrangian_report requires even ambient dimension, got n = 3")
+        assert not (tmp_path / "out" / "odd.csv").exists()
+
     def test_shrinker_analysis_needs_singular_time(self, tmp_path):
         # a flat graph does not blow up: no T_hat, no rescaled snapshot to check
         cfgp = tmp_path / "f.cfg"

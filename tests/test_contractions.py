@@ -266,6 +266,9 @@ def test_bundle_matches_reference(name):
     for field in ("ginv", "det_g", "H", "normA2", "gamma"):
         a, b = getattr(got, field), getattr(want, field)
         assert np.abs(a - b).max() <= REL * np.abs(b).max(), field
+    # the Laplacian's drift w^k = g^kl g^ij Gamma_lij
+    drift = np.einsum("...kl,...ij,...lij->...k", want.ginv, want.ginv, want.gamma1)
+    assert np.abs(got.drift - drift).max() <= REL * np.abs(drift).max(), "drift"
 
 
 @pytest.mark.parametrize("name", list(CHARTS))

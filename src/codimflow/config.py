@@ -213,14 +213,15 @@ def parse_config(text: str) -> Scenario:
             resolution = resolution * m
         svals = p.floats("initial.potential.S", [0.0] * (m * m))
         S = np.zeros((m, m))
-        if svals is not None:
-            if len(svals) == m * m:
-                S = np.array(svals).reshape(m, m)
-            elif len(svals) == m:
-                S = np.diag(svals)
-            else:
-                p.err("initial.potential.S",
-                      f"S needs {m} (diagonal) or {m * m} (full) entries")
+        if not all(map(math.isfinite, svals)):
+            p.err("initial.potential.S", "initial.potential.S: entries must be finite")
+        elif len(svals) == m * m:
+            S = np.array(svals).reshape(m, m)
+        elif len(svals) == m:
+            S = np.diag(svals)
+        else:
+            p.err("initial.potential.S",
+                  f"S needs {m} (diagonal) or {m * m} (full) entries")
         phi_terms = []
         raw_phi = p.get("initial.potential.phi", "")
         if raw_phi:

@@ -70,7 +70,10 @@ class Potential:
         m = self.phi.chart.m
         if S.shape != (m, m):
             raise UsageError(f"S must be {m}x{m} for an m-torus potential")
-        if not np.allclose(S, S.T, atol=1e-14):
+        if not np.all(np.isfinite(S)):
+            raise NonFiniteError("quadratic part S contains non-finite values")
+        # np.allclose(S, S.T, atol=1e-14) written out: each flow step checks it
+        if not np.all(np.abs(S - S.T) <= 1e-14 + 1e-5 * np.abs(S.T)):
             raise UsageError("quadratic part S must be symmetric")
         if self.phi.components != 1:
             raise UsageError("phi must be a scalar field")
@@ -93,32 +96,29 @@ class Potential:
 
     def hessian(self) -> np.ndarray:
         """Hess u = S + Hess phi per node, symmetric by construction."""
-        h = d2_tensor(self.phi.values[..., 0], self.chart)
-        return self.S + h
+        H = d2_tensor(self.phi.values[..., 0], self.chart)
+        for i, j in np.ndindex(self.S.shape):
+            H[..., i, j] += self.S[i, j]
+        return H
 
     def gradient_periodic(self) -> np.ndarray:
         """grad phi per node (the periodic part of grad u)."""
         return d1_tensor(self.phi.values[..., 0], self.chart)
 
 
-def hessian_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric per-node Hessian stack, ascending."""
+def lagrangian_angle_of_hessian(H: np.ndarray) -> np.ndarray:
+    """alpha = sum_i arctan(lambda_i(H)): the smooth branch of arg det(I + i H),
+    valued in (-m pi/2, m pi/2); the lambda_i are in closed form for m <= 2."""
     m = H.shape[-1]
     if m == 1:
-        return H[..., 0, :]
+        return np.arctan(H[..., 0, 0])
     if m == 2:
         a, b, c = H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
         half = 0.5 * (a + c)
         disc = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
-        return np.stack([half - disc, half + disc], axis=-1)
-    return np.linalg.eigvalsh(H)
-
-
-def lagrangian_angle_of_hessian(H: np.ndarray) -> np.ndarray:
-    """alpha = sum_i arctan(lambda_i(H)): the smooth branch of
-    arg det(I + i H), valued in (-m pi/2, m pi/2)."""
-    lam = hessian_eigenvalues(H)
-    return np.arctan(lam).sum(axis=-1)
+        return np.arctan(half - disc) + np.arctan(half + disc)
+    lam = np.moveaxis(np.arctan(np.linalg.eigvalsh(H)), -1, 0)
+    return sum(lam[1:], lam[0])
 
 
 def lag_immersion(p: Potential) -> Immersion:
@@ -330,30 +330,29 @@ def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
     dt = config.cfl_sigma * h_min * h_min / 2.0
 
     def record(state, dt_used: float, snap: bool) -> PotentialRecord:
-        p, t = state
-        H = p.hessian()
-        alpha = lagrangian_angle_of_hessian(H)
-        dal = d1_tensor(alpha, chart)
+        p, t, H, alpha = state
         return PotentialRecord(
             t=t, dt=dt_used,
             alpha_min=float(alpha.min()), alpha_max=float(alpha.max()),
             hess_phi_inf=float(np.abs(H - p.S).max()),
-            H_inf=float(np.abs(dal).max()),   # d alpha = H for graphs
+            H_inf=float(np.abs(d1_tensor(alpha, chart)).max()),   # d alpha = H for graphs
             potential=p if snap else None,
         )
 
-    p, t, step = p0, 0.0, 0
+    p, t, step, step_dt = p0, 0.0, 0, 0.0
     cadence = RecordCadence(record, config.record_every, config.snapshot_every)
-    cadence.note((p, t), 0.0, step)
-    while t < config.stop_t_max * (1.0 - 1e-14):
+    while True:
+        # one Hessian and one angle per state, for its record and its step
+        H = p.hessian()
+        alpha = lagrangian_angle_of_hessian(H)
+        cadence.note((p, t, H, alpha), step_dt, step)
+        if t >= config.stop_t_max * (1.0 - 1e-14):
+            return PotentialTrace(records=cadence.finish(), final=p)
         step_dt = min(dt, config.stop_t_max - t)
-        alpha = lagrangian_angle_of_hessian(p.hessian())
         new_phi = p.phi.values[..., 0] + step_dt * (alpha - alpha.mean())
         p = Potential(p.S, GridField(chart, new_phi[..., None]))
         t += step_dt
         step += 1
-        cadence.note((p, t), step_dt, step)
-    return PotentialTrace(records=cadence.finish(), final=p)
 
 
 def angle_evolution_residual(p_prev: Potential, p_mid: Potential, p_next: Potential,

@@ -95,6 +95,13 @@ class TestParseConfig:
         assert coef == 0.2
         assert factors == [("sin", 1, 0), ("cos", 2, 1)]
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_potential_nonfinite_S_rejected(self, bad):
+        with pytest.raises(ConfigError, match="initial.potential.S: entries must be finite"):
+            parse_config("initial.potential.m = 2\n"
+                         f"initial.potential.S = {bad},0,0,1\n"
+                         "flow.stop_t_max = 1\n")
+
     def test_potential_needs_stop_t_max(self):
         # no stop condition fires on a flattening graph
         with pytest.raises(ConfigError, match="potential scenarios need flow.stop_t_max"):
@@ -701,6 +708,18 @@ class TestCLI:
         assert r.returncode == 4, (r.stdout, r.stderr)
         assert len(r.stderr.splitlines()) == 1
         assert r.stderr.startswith("error:")
+
+    def test_lagrangian_nonfinite_S_exit_4(self, tmp_path):
+        cfgp = tmp_path / "p.cfg"
+        cfgp.write_text("name = p\ninitial.potential.m = 2\n"
+                        "initial.potential.resolution = 16\n"
+                        "initial.potential.S = nan,0,0,1\n"
+                        "flow.stop_t_max = 0.01\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli("lagrangian", str(cfgp))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert "initial.potential.S: entries must be finite" in r.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_potential_run_without_horizon_exit_4(self, tmp_path):
         cfgp = tmp_path / "p.cfg"

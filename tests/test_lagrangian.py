@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from codimflow import catalog
-from codimflow.errors import UsageError
+from codimflow.errors import NonFiniteError, UsageError
 from codimflow.flow import FlowConfig, FlowState, run, step_explicit
-from codimflow.geometry import Immersion, build_bundle
+from codimflow.geometry import Immersion, build_bundle, d1_tensor, d2_tensor
 from codimflow.grid import ChartSpec, Domain, GridField, make_chart
 from codimflow.lagrangian import (
     Potential, PotentialFlowConfig, angle_evolution_residual, lag_immersion,
@@ -59,6 +59,22 @@ class TestPotentialAndGraph:
         with pytest.raises(UsageError):
             potential(np.array([[0.0, 1.0], [0.0, 0.0]]), n=16)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_S_rejected(self, bad):
+        # named as S's own fault before the symmetry test can misreport it
+        with pytest.raises(NonFiniteError, match="quadratic part S"):
+            potential(np.array([[bad, 0.0], [0.0, 1.0]]), n=16)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_hessian_is_S_plus_hess_phi_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((m, m))
+        p = potential(X + X.T, lambda *x: 0.2 * np.sin(x[0]) * np.cos(x[-1] + 0.3),
+                      n=12, m=m)
+        H = p.hessian()
+        assert np.array_equal(H, np.swapaxes(H, -1, -2))
+        assert np.array_equal(H, p.S + d2_tensor(p.phi.values[..., 0], p.chart))
+
 
 class TestLagrangianResidual:
     def test_graph_residual_rounding_level(self):
@@ -106,6 +122,18 @@ class TestLagrangianAngle:
         p = potential(np.diag([5.0, 5.0]), n=16)
         alpha, _ = lagrangian_angle(p)
         assert np.all(np.abs(alpha) < np.pi)  # m pi / 2 with m = 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_angle_matches_eigvalsh(self, m, scale):
+        rng = np.random.default_rng(10 * m + int(scale))
+        X = scale * rng.standard_normal((40, 40, m, m))
+        H = X + np.swapaxes(X, -1, -2)
+        H[0, :, :, :] = scale * np.eye(m)   # repeated eigenvalue: a = c, b = 0
+        ref = np.arctan(np.linalg.eigvalsh(H)).sum(axis=-1)
+        # each route resolves an eigenvalue to rounding of |H|, and arctan
+        # is 1-Lipschitz: the tolerance is 1e-14 on unit entries
+        assert np.abs(lagrangian_angle_of_hessian(H) - ref).max() <= 1e-14 * scale
 
 
 class TestMeanCurvatureForm:
@@ -217,6 +245,23 @@ class TestPotentialFlow:
             if rec.potential is not None:
                 assert np.array_equal(rec.potential.S, p0.S)
                 assert abs(rec.potential.phi.values.mean()) < 1e-13
+
+    def test_records_read_their_own_state(self):
+        # a record's figures come from the Hessian and angle of the state it
+        # snapshots, which ma_run carries from the state to its step
+        p0 = potential(np.diag([0.5, 0.8]),
+                       lambda x, y: 0.1 * (np.sin(x) + np.cos(2 * y)), n=16)
+        tr = ma_run(p0, PotentialFlowConfig(stop_t_max=0.1, record_every=1,
+                                            snapshot_every=1))
+        assert len(tr.records) > 3
+        for rec in tr.records:
+            p = rec.potential
+            H = p.hessian()
+            alpha = lagrangian_angle_of_hessian(H)
+            assert rec.alpha_min == float(alpha.min())
+            assert rec.alpha_max == float(alpha.max())
+            assert rec.hess_phi_inf == float(np.abs(H - p.S).max())
+            assert rec.H_inf == float(np.abs(d1_tensor(alpha, p.chart)).max())
 
     def test_maximum_principle(self):
         p0 = potential(np.diag([0.5, 0.8]),

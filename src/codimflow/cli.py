@@ -187,6 +187,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.checks < 1:
+        raise UsageError("--checks must be a positive integer")
     scenario = parse_config(read_text(args.config))
     initial = build_initial(scenario)
     cfg = scenario.flow
@@ -234,6 +236,8 @@ def cmd_soliton(args) -> int:
 
 
 def cmd_rescale(args) -> int:
+    if args.k < 1:
+        raise UsageError("--k must be a positive integer")
     scenario = parse_config(read_text(args.config))
     initial = build_initial(scenario)
     trace, _ = run(initial, scenario.flow, huisken_params=_density_params(scenario))

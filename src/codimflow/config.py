@@ -299,8 +299,10 @@ def parse_config(text: str) -> Scenario:
             mode = p.get("analysis.rescale.mode", "type1")
             if mode not in ("type1", "type2"):
                 p.err("analysis.rescale.mode", f"mode must be type1 or type2, got {mode!r}")
-            params = {"mode": mode,
-                      "k": p.get_typed("analysis.rescale.k", int, 10)}
+            k = p.get_typed("analysis.rescale.k", int, 10)
+            if k < 1:
+                p.err("analysis.rescale.k", "analysis.rescale.k must be a positive integer")
+            params = {"mode": mode, "k": k}
         analyses.append(AnalysisSpec(kind=a, params=params))
 
     output_dir = p.get("output.dir", "out")

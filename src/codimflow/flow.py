@@ -35,7 +35,6 @@ from scipy.sparse.linalg import LinearOperator, bicgstab, gmres, splu
 
 from .errors import DegenerateImmersion, NonFiniteError, SolverError, UsageError
 from .geometry import (
-    CurvatureProducts,
     GeometryBundle,
     Immersion,
     ResidualNorms,
@@ -78,15 +77,16 @@ class FlowConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl_sigma <= 1.0):
             raise UsageError("cfl_sigma must lie in (0, 1]")
-        for name in ("curvature_cap_rho", "stop_max_A2", "stop_dt_min"):
-            if getattr(self, name) <= 0:
+        for name in ("stop_max_A2", "stop_t_max"):  # negated: NaN fails
+            if not getattr(self, name) > 0:
                 raise UsageError(f"{name} must be positive")
-        if self.stop_t_max <= 0:
-            raise UsageError("stop_t_max must be positive")
-        if self.record_every < 1:
-            raise UsageError("record_every must be >= 1")
-        if self.fixed_dt is not None and self.fixed_dt <= 0:
-            raise UsageError("fixed_dt must be positive")
+        for name in ("curvature_cap_rho", "stop_dt_min"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise UsageError(f"{name} must be positive and finite")
+        if self.fixed_dt is not None and not 0 < self.fixed_dt < math.inf:
+            raise UsageError("fixed_dt must be positive and finite")
+        if not (self.record_every >= 1 and self.snapshot_every >= 0):
+            raise UsageError("record_every must be >= 1 and snapshot_every >= 0")
 
 
 @dataclass(frozen=True)
@@ -547,9 +547,9 @@ class EvolutionReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def christoffel_rate(bundle: GeometryBundle, S: np.ndarray) -> np.ndarray:
+def christoffel_rate(bundle: GeometryBundle) -> np.ndarray:
     """C^k_ij = -g^kl (nab_i S_jl + nab_j S_il - nab_l S_ij) with S_ij = <H, A_ij>."""
-    nodes, m = bundle.chart.shape, bundle.chart.m
+    nodes, m, S = bundle.chart.shape, bundle.chart.m, bundle.HA
     dS = d1_tensor(S, bundle.chart, tensor_axes=(0, 1))  # (*, k, i, j)
     corr = _gamma_dot(bundle.gamma, S)  # Gamma^p_ki S_pj; S symmetric
     nabS = dS - corr - np.swapaxes(corr, -2, -1)
@@ -583,16 +583,15 @@ def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState) -> 
     chart = b.chart
     mask = trusted_mask(ref.imm)
     bundles = [s.bundle for s in states]
-    cp = CurvatureProducts(b)
 
     # (evol 2) metric
     dgdt = ddt(*[bb.g for bb in bundles])
-    res_metric = dgdt + 2.0 * cp.HA
-    metric = _norms(res_metric, b, mask, scale_field=2.0 * cp.HA)
+    res_metric = dgdt + 2.0 * b.HA
+    metric = _norms(res_metric, b, mask, scale_field=2.0 * b.HA)
 
     # Christoffel corollary
     dGdt = ddt(*[bb.gamma for bb in bundles])
-    C = christoffel_rate(b, cp.HA)
+    C = christoffel_rate(b)
     christoffel = _norms(dGdt - C, b, mask, scale_field=C)
 
     # (evol 3) volume form, pointwise and integrated
@@ -606,19 +605,19 @@ def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState) -> 
 
     # (evol sec) second fundamental tensor
     dAdt = ddt(*[bb.A for bb in bundles])
-    rhs_A = cp.ddH - _gamma_dot(C, b.dF)
+    rhs_A = b.ddH - _gamma_dot(C, b.dF)
     second_fundamental = _norms(dAdt - rhs_A, b, mask, scale_field=rhs_A)
 
     # (evol mean3) |H|^2
     dH2dt = ddt(*[bb.normH2 for bb in bundles])
     gradperpH2 = _sq_norm(b.ginv, normal_part(b, d1_tensor(b.H, chart)), 1)
-    rhs_H2 = laplace_beltrami(b.normH2, b) - 2.0 * gradperpH2 + 2.0 * cp.HA_sq
+    rhs_H2 = laplace_beltrami(b.normH2, b) - 2.0 * gradperpH2 + 2.0 * b.HA_sq
     mean_sq = _norms(dH2dt - rhs_H2, b, mask, scale_field=rhs_H2)
 
     # (evol sec3) |A|^2
     dA2dt = ddt(*[bb.normA2 for bb in bundles])
-    rhs_A2 = (laplace_beltrami(b.normA2, b) - 2.0 * cp.grad_perp_A_sq
-              + 2.0 * _sq_norm(b.ginv, cp.AA, 4) + cp.comm_sq)
+    rhs_A2 = (laplace_beltrami(b.normA2, b) - 2.0 * b.grad_perp_A_sq
+              + 2.0 * _sq_norm(b.ginv, b.AA, 4) + b.comm_sq)
     a_sq = _norms(dA2dt - rhs_A2, b, mask, scale_field=rhs_A2)
 
     # heat identity for f = |F|^2 + 2 m t. Direct stencils apply when |F|^2

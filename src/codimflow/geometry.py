@@ -209,8 +209,10 @@ class GeometryBundle:
     """Per-node geometric data derived from one immersion: the first
     partials, the metric with its inverse and volume density, both kinds of
     Christoffel symbols, the second fundamental tensor, and the curvature
-    invariants. The Laplacian's drift and the normal projector are built
-    on first use."""
+    invariants. The Laplacian's drift, the normal projector and the
+    curvature contractions of the residual checks are built on first use
+    and kept, so the structure and evolution checks of one state share
+    them."""
 
     imm: Immersion
     dF: np.ndarray          # (*, m, n)    first partials of F
@@ -241,6 +243,80 @@ class GeometryBundle:
         normal part of the ambient basis vector e_b."""
         tangent = np.matmul(np.swapaxes(self.dF, -1, -2), np.matmul(self.ginv, self.dF))
         return np.eye(self.imm.n) - tangent
+
+    @cached_property
+    def A_up(self) -> np.ndarray:
+        """A^i_j = g^ik A_kj, shape (*, i, j, a)."""
+        return _raise(self.ginv, self.A)
+
+    @cached_property
+    def A_uu(self) -> np.ndarray:
+        """A^ij = A^i_k g^kj, shape (*, i, j, a)."""
+        return np.swapaxes(_raise(self.ginv, np.swapaxes(self.A_up, -3, -2)), -3, -2)
+
+    @cached_property
+    def AA(self) -> np.ndarray:
+        """<A_ij, A_kl>, shape (*, i, j, k, l)."""
+        nodes, m = self.chart.shape, self.imm.m
+        flat = self.A.reshape(nodes + (m * m, self.imm.n))
+        return np.matmul(flat, np.swapaxes(flat, -1, -2)).reshape(nodes + (m,) * 4)
+
+    @cached_property
+    def A_mixed(self) -> np.ndarray:
+        """g^kl A^a_ik A^b_jl = A^a_ik A^k_j^b, shape (*, i, j, a, b)."""
+        nodes, m, n = self.chart.shape, self.imm.m, self.imm.n
+        A_ia = np.swapaxes(self.A, -2, -1).reshape(nodes + (m * n, m))
+        prod = np.matmul(A_ia, self.A_up.reshape(nodes + (m, m * n)))
+        return np.einsum("...iajb->...ijab", prod.reshape(nodes + (m, n, m, n)))
+
+    @cached_property
+    def HA(self) -> np.ndarray:
+        """<H, A_ij>, shape (*, i, j)."""
+        nodes, m = self.chart.shape, self.imm.m
+        HA = np.matmul(self.A.reshape(nodes + (m * m, self.imm.n)), self.H[..., None])
+        return HA.reshape(nodes + (m, m))
+
+    @cached_property
+    def nA(self) -> np.ndarray:
+        """(nabla_i A)_jk, shape (*, i, j, k, a)."""
+        return nabla_A(self)
+
+    @cached_property
+    def ddH(self) -> np.ndarray:
+        """nabla_k nabla_l H, shape (*, k, l, a)."""
+        return second_covariant_H(self)
+
+    @cached_property
+    def gauss(self) -> np.ndarray:
+        """<A_ik, A_jl> - <A_il, A_jk>: the extrinsic side of the Gauss equation."""
+        AA = np.einsum("...ikjl->...ijkl", self.AA)
+        return AA - np.swapaxes(AA, -1, -2)
+
+    @cached_property
+    def ricci(self) -> np.ndarray:
+        """g^kl R_ikjl = <H, A_ij> - g^kl <A_ik, A_jl> by the Gauss equation."""
+        return self.HA - np.einsum("...ijaa->...ij", self.A_mixed)
+
+    @cached_property
+    def A_ddH(self) -> np.ndarray:
+        """2 <A^kl, nabla_k nabla_l H>: the left side of the second Simons identity."""
+        return 2.0 * _node_dot(self.ddH, self.A_uu, self.chart.shape)
+
+    @cached_property
+    def HA_sq(self) -> np.ndarray:
+        """|<H, A_ij>|^2."""
+        return _sq_norm(self.ginv, self.HA, 2)
+
+    @cached_property
+    def grad_perp_A_sq(self) -> np.ndarray:
+        """|nabla^perp A|^2 = g^ip g^jq g^kr <(nabla_i A_jk)^perp, (nabla_p A_qr)^perp>."""
+        return _sq_norm(self.ginv, normal_part(self, self.nA), 3)
+
+    @cached_property
+    def comm_sq(self) -> np.ndarray:
+        """|A-commutator|^2, the commutator being A_mixed minus its a <-> b transpose."""
+        comm = self.A_mixed - np.swapaxes(self.A_mixed, -1, -2)
+        return _sq_norm(self.ginv, comm, 2)
 
     def total_volume(self) -> float:
         return integrate_values(np.ones(self.chart.shape), self.sqrt_det_g, self.chart)
@@ -354,12 +430,6 @@ def normal_part(bundle: GeometryBundle, V: np.ndarray) -> np.ndarray:
     return np.matmul(stacked, P).reshape(V.shape)
 
 
-def tangency_defect(bundle: GeometryBundle) -> np.ndarray:
-    """max_{i,j,k} |<A_ij, F_k>| per node (vanishes in the continuum)."""
-    t = np.einsum("...ija,...ka->...ijk", bundle.A, bundle.dF)
-    return np.abs(t).max(axis=(-3, -2, -1))
-
-
 def laplace_beltrami(values: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     """Laplace-Beltrami of component fields: g^ij d_i d_j f - w^k d_k f, with
     the drift w^k = g^ij Gamma^k_ij of the bundle.
@@ -411,92 +481,6 @@ def intrinsic_curvature(bundle: GeometryBundle) -> np.ndarray:
     # g^pq Gamma_qkj Gamma_pli = Gamma^p_kj Gamma_pli, minus the same with k <-> l
     quad = np.einsum("...kjli->...ijkl", _gamma_dot(bundle.gamma, bundle.gamma1))
     return part + (quad - np.swapaxes(quad, -1, -2))
-
-
-class CurvatureProducts:
-    """Contractions of one bundle's curvature fields that several residual
-    checks share. Each is computed on first use, so a check that reads a
-    field many times computes it once."""
-
-    def __init__(self, bundle: GeometryBundle):
-        self.bundle = bundle
-
-    @cached_property
-    def A_up(self) -> np.ndarray:
-        """A^i_j = g^ik A_kj, shape (*, i, j, a)."""
-        return _raise(self.bundle.ginv, self.bundle.A)
-
-    @cached_property
-    def A_uu(self) -> np.ndarray:
-        """A^ij = A^i_k g^kj, shape (*, i, j, a)."""
-        return np.swapaxes(_raise(self.bundle.ginv, np.swapaxes(self.A_up, -3, -2)), -3, -2)
-
-    @cached_property
-    def AA(self) -> np.ndarray:
-        """<A_ij, A_kl>, shape (*, i, j, k, l)."""
-        b = self.bundle
-        nodes, m = b.chart.shape, b.imm.m
-        flat = b.A.reshape(nodes + (m * m, b.imm.n))
-        return np.matmul(flat, np.swapaxes(flat, -1, -2)).reshape(nodes + (m,) * 4)
-
-    @cached_property
-    def A_mixed(self) -> np.ndarray:
-        """g^kl A^a_ik A^b_jl = A^a_ik A^k_j^b, shape (*, i, j, a, b)."""
-        b = self.bundle
-        nodes, m, n = b.chart.shape, b.imm.m, b.imm.n
-        A_ia = np.swapaxes(b.A, -2, -1).reshape(nodes + (m * n, m))
-        prod = np.matmul(A_ia, self.A_up.reshape(nodes + (m, m * n)))
-        return np.einsum("...iajb->...ijab", prod.reshape(nodes + (m, n, m, n)))
-
-    @cached_property
-    def HA(self) -> np.ndarray:
-        """<H, A_ij>, shape (*, i, j)."""
-        b = self.bundle
-        nodes, m = b.chart.shape, b.imm.m
-        HA = np.matmul(b.A.reshape(nodes + (m * m, b.imm.n)), b.H[..., None])
-        return HA.reshape(nodes + (m, m))
-
-    @cached_property
-    def nA(self) -> np.ndarray:
-        """(nabla_i A)_jk, shape (*, i, j, k, a)."""
-        return nabla_A(self.bundle)
-
-    @cached_property
-    def ddH(self) -> np.ndarray:
-        """nabla_k nabla_l H, shape (*, k, l, a)."""
-        return second_covariant_H(self.bundle)
-
-    @cached_property
-    def gauss(self) -> np.ndarray:
-        """<A_ik, A_jl> - <A_il, A_jk>: the extrinsic side of the Gauss equation."""
-        AA = np.einsum("...ikjl->...ijkl", self.AA)
-        return AA - np.swapaxes(AA, -1, -2)
-
-    @cached_property
-    def ricci(self) -> np.ndarray:
-        """g^kl R_ikjl = <H, A_ij> - g^kl <A_ik, A_jl> by the Gauss equation."""
-        return self.HA - np.einsum("...ijaa->...ij", self.A_mixed)
-
-    @cached_property
-    def A_ddH(self) -> np.ndarray:
-        """2 <A^kl, nabla_k nabla_l H>: the left side of the second Simons identity."""
-        return 2.0 * _node_dot(self.ddH, self.A_uu, self.bundle.chart.shape)
-
-    @cached_property
-    def HA_sq(self) -> np.ndarray:
-        """|<H, A_ij>|^2."""
-        return _sq_norm(self.bundle.ginv, self.HA, 2)
-
-    @cached_property
-    def grad_perp_A_sq(self) -> np.ndarray:
-        """|nabla^perp A|^2 = g^ip g^jq g^kr <(nabla_i A_jk)^perp, (nabla_p A_qr)^perp>."""
-        return _sq_norm(self.bundle.ginv, normal_part(self.bundle, self.nA), 3)
-
-    @cached_property
-    def comm_sq(self) -> np.ndarray:
-        """|A-commutator|^2, the commutator being A_mixed minus its a <-> b transpose."""
-        comm = self.A_mixed - np.swapaxes(self.A_mixed, -1, -2)
-        return _sq_norm(self.bundle.ginv, comm, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -572,16 +556,16 @@ def _norms(res_field: np.ndarray, bundle: GeometryBundle,
     return ResidualNorms(linf=linf, l2=l2, scale=scale)
 
 
-def gauss_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.ndarray:
-    return intrinsic_curvature(bundle) - cp.gauss
+def gauss_residual_field(bundle: GeometryBundle) -> np.ndarray:
+    return intrinsic_curvature(bundle) - bundle.gauss
 
 
-def codazzi_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.ndarray:
+def codazzi_residual_field(bundle: GeometryBundle) -> np.ndarray:
     """Normal part of (nabla_i A)_jk - (nabla_j A)_ik (vanishes for R^N = 0)."""
-    return normal_part(bundle, cp.nA - np.swapaxes(cp.nA, -4, -3))
+    return normal_part(bundle, bundle.nA - np.swapaxes(bundle.nA, -4, -3))
 
 
-def ricci_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.ndarray:
+def ricci_residual_field(bundle: GeometryBundle) -> np.ndarray:
     """Ricci-equation defect tested on the normal parts of the ambient basis.
 
     For each ambient basis vector e_b, nu = e_b^perp is a smooth normal field
@@ -602,13 +586,13 @@ def ricci_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.nd
     lhs = normal_part(bundle, dY - np.swapaxes(dY, -4, -3))
     # g^kl <nu, A_ik> A_jl = <nu, A_ik> A^k_j
     nuA = np.matmul(nu, np.swapaxes(bundle.A.reshape(nodes + (m * m, n)), -1, -2))
-    half = np.matmul(nuA.reshape(nodes + (n * m, m)), cp.A_up.reshape(nodes + (m, m * n)))
+    half = np.matmul(nuA.reshape(nodes + (n * m, m)), bundle.A_up.reshape(nodes + (m, m * n)))
     half = np.moveaxis(half.reshape(nodes + (n, m, m, n)), -4, -2)  # (*, i, j, b, a)
     rhs = -(half - np.swapaxes(half, -4, -3))
     return np.moveaxis(lhs - rhs, -2, -1)
 
 
-def simons_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.ndarray:
+def simons_residual_field(bundle: GeometryBundle) -> np.ndarray:
     """Defect of Simons' identity in flat ambient space:
 
         nabla_k nabla_l H = Delta A_kl
@@ -623,13 +607,13 @@ def simons_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.n
     chart = bundle.chart
     nodes, m, n = chart.shape, chart.m, bundle.imm.n
     ginv, gamma = bundle.ginv, bundle.gamma
-    ric = cp.ricci
+    ric = bundle.ricci
     corr = _gamma_dot(gamma, ric)  # Gamma^p_ki R_pj; R symmetric
     nabla_ric = d1_tensor(ric, chart, tensor_axes=(0, 1)) - corr - np.swapaxes(corr, -2, -1)
 
     # Delta A_kl = g^pi (d_p nabla_i A_kl - Gamma^q_pi nabla_q A_kl
     #              - Gamma^q_pk nabla_i A_ql - Gamma^q_pl nabla_i A_kq)
-    nA = cp.nA
+    nA = bundle.nA
     pair = ginv.reshape(nodes + (1, m * m))
     dnA = d1_tensor(nA, chart, tensor_axes=(0, 1, 2)).reshape(nodes + (m * m, -1))
     lapA = (np.matmul(pair, dnA)
@@ -647,17 +631,17 @@ def simons_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.n
     F_up = np.matmul(ginv, bundle.dF)
     F_term = np.matmul(grad_ric.reshape(nodes + (m * m, m)), F_up).reshape(nodes + (m, m, n))
 
-    R_pairs = np.einsum("...kplq->...klpq", cp.gauss).reshape(nodes + (m * m, m * m))
-    RA_term = 2.0 * np.matmul(R_pairs, cp.A_uu.reshape(nodes + (m * m, n)))
-    ricA = np.matmul(np.swapaxes(ric, -1, -2), cp.A_up.reshape(nodes + (m, m * n)))
+    R_pairs = np.einsum("...kplq->...klpq", bundle.gauss).reshape(nodes + (m * m, m * m))
+    RA_term = 2.0 * np.matmul(R_pairs, bundle.A_uu.reshape(nodes + (m * m, n)))
+    ricA = np.matmul(np.swapaxes(ric, -1, -2), bundle.A_up.reshape(nodes + (m, m * n)))
     ricA = ricA.reshape(nodes + (m, m, n))
     ricA = ricA + np.swapaxes(ricA, -3, -2)
 
     rhs = lapA - F_term + RA_term.reshape(nodes + (m, m, n)) - ricA
-    return cp.ddH - rhs
+    return bundle.ddH - rhs
 
 
-def simons2_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.ndarray:
+def simons2_residual_field(bundle: GeometryBundle) -> np.ndarray:
     """Defect of the contracted (second) Simons identity in flat space:
 
         2 <A, nabla^2 H> = Delta |A|^2 - 2 |nabla^perp A|^2
@@ -665,11 +649,11 @@ def simons2_residual_field(bundle: GeometryBundle, cp: CurvatureProducts) -> np.
                            + 2 |<H,A_ij> - <A_ik, A_j^k>|^2 - 2 |<H,A_ij>|^2
     """
     ginv = bundle.ginv
-    T1 = cp.AA - np.einsum("...iljk->...ijkl", cp.AA)
-    T3sq = _sq_norm(ginv, cp.ricci, 2)  # <H,A_ij> - <A_ik, A_j^k> is the Ricci tensor
-    rhs = (laplace_beltrami(bundle.normA2, bundle) - 2.0 * cp.grad_perp_A_sq
-           + _sq_norm(ginv, T1, 4) + cp.comm_sq + 2.0 * T3sq - 2.0 * cp.HA_sq)
-    return cp.A_ddH - rhs
+    T1 = bundle.AA - np.einsum("...iljk->...ijkl", bundle.AA)
+    T3sq = _sq_norm(ginv, bundle.ricci, 2)  # <H,A_ij> - <A_ik, A_j^k> is the Ricci tensor
+    rhs = (laplace_beltrami(bundle.normA2, bundle) - 2.0 * bundle.grad_perp_A_sq
+           + _sq_norm(ginv, T1, 4) + bundle.comm_sq + 2.0 * T3sq - 2.0 * bundle.HA_sq)
+    return bundle.A_ddH - rhs
 
 
 def structure_residuals(imm: Immersion, bundle: GeometryBundle | None = None) -> CurvatureReport:
@@ -682,17 +666,16 @@ def structure_residuals(imm: Immersion, bundle: GeometryBundle | None = None) ->
     if bundle is None:
         bundle = build_bundle(imm)
     mask = trusted_mask(imm)
-    cp = CurvatureProducts(bundle)
 
     def norms(field, scale):
-        return _norms(field(bundle, cp), bundle, mask, scale_field=scale)
+        return _norms(field(bundle), bundle, mask, scale_field=scale)
 
     return CurvatureReport(
-        gauss=norms(gauss_residual_field, cp.gauss),
-        codazzi=norms(codazzi_residual_field, cp.nA),
+        gauss=norms(gauss_residual_field, bundle.gauss),
+        codazzi=norms(codazzi_residual_field, bundle.nA),
         ricci=norms(ricci_residual_field, bundle.normA2),
-        simons=norms(simons_residual_field, cp.ddH),
-        simons2=norms(simons2_residual_field, cp.A_ddH),
+        simons=norms(simons_residual_field, bundle.ddH),
+        simons2=norms(simons2_residual_field, bundle.A_ddH),
     )
 
 

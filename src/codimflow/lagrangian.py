@@ -297,7 +297,8 @@ class PotentialFlowConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl_sigma <= 1.0):
             raise UsageError("cfl_sigma must lie in (0, 1]")
-        if self.stop_t_max <= 0 or self.record_every < 1:
+        if not (0 < self.stop_t_max < np.inf and self.record_every >= 1
+                and self.snapshot_every >= 0):
             raise UsageError("bad potential-flow configuration")
 
 

@@ -731,6 +731,43 @@ class TestCLI:
         assert "potential scenarios need flow.stop_t_max" in r.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", [
+        "flow.curvature_cap_rho = nan", "flow.curvature_cap_rho = inf",
+        "flow.fixed_dt = nan", "flow.fixed_dt = inf", "flow.stop_max_A2 = nan",
+        "flow.stop_dt_min = nan", "flow.stop_dt_min = inf", "flow.stop_t_max = nan",
+        "flow.snapshot_every = -2",
+    ])
+    def test_malformed_flow_value_exit_4_before_the_flow(self, tmp_path, line):
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(f"name = c\ninitial.catalog = circle\ninitial.n = 32\n{line}\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli("run", str(cfgp))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert r.stderr.startswith("error: ConfigError:")
+        assert not (tmp_path / "out").exists()
+
+    def test_rescale_k_rejected_before_the_flow(self, tmp_path):
+        cfgp = tmp_path / "r.cfg"
+        cfgp.write_text("name = r\ninitial.catalog = circle\ninitial.n = 32\n"
+                        "analyses = rescale\nanalysis.rescale.mode = type2\n"
+                        "analysis.rescale.k = 0\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli("run", str(cfgp))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert "line 6: analysis.rescale.k must be a positive integer" in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("verify", "--checks", "-3"), ("rescale", "--k", "0"),
+    ])
+    def test_count_below_one_exit_4_before_the_flow(self, tmp_path, command, flag, value):
+        cfgp = tmp_path / "v.cfg"
+        cfgp.write_text("name = v\ninitial.catalog = circle\ninitial.n = 32\n")
+        r = run_cli(command, str(cfgp), flag, value, cwd=tmp_path)
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert r.stderr == f"error: UsageError: {flag} must be a positive integer\n"
+        assert r.stdout == ""
+
     def test_catalog_m_reaches_the_family(self, tmp_path):
         out = tmp_path / "t.snap"
         r = run_cli("catalog", "flat_torus_graph", "--m", "3", "--n-per-axis", "8",

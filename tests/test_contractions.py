@@ -19,7 +19,7 @@ compared field by field.
 import numpy as np
 import pytest
 
-from codimflow import catalog
+from codimflow import catalog, geometry
 from codimflow.flow import (
     FlowConfig, FlowState, _time_weights, adaptive_dt, evolution_residuals,
     step_explicit,
@@ -290,6 +290,25 @@ def test_evolution_residuals_match_reference(name):
     assert got.keys() == want.keys()
     for field, norms in want.items():
         assert_norms_match(got[field], norms, field)
+
+
+@pytest.mark.parametrize("name", ["whitney", "clifford"])
+def test_checks_of_one_state_share_its_contractions(name, monkeypatch):
+    # the evolution check fills the middle bundle's contractions and the
+    # structure check reads them: nabla A is built once per bundle, and the
+    # norms equal those of a fresh bundle bit for bit
+    built = []
+    nabla_A = geometry.nabla_A
+    monkeypatch.setattr(geometry, "nabla_A", lambda b: built.append(b) or nabla_A(b))
+    s0 = FlowState.initial(CHARTS[name]())
+    cfg = FlowConfig(cfl_sigma=0.5)
+    s1 = step_explicit(s0, adaptive_dt(s0, cfg))
+    s2 = step_explicit(s1, adaptive_dt(s1, cfg))
+    evolution_residuals(s0, s2, mid=s1)
+    shared = structure_residuals(s1.imm, s1.bundle)
+    assert len(built) == 1 and built[0] is s1.bundle
+    assert shared == structure_residuals(s1.imm)
+    assert len(built) == 2 and built[1] is not s1.bundle
 
 
 @pytest.mark.parametrize("name", ["sphere", "whitney", "clifford"])

@@ -227,6 +227,15 @@ class TestPotentialFlow:
         assert tr.records[-1].hess_phi_inf < 1e-12
         assert tr.records[-1].H_inf < 1e-10
 
+    @pytest.mark.parametrize("kwargs", [
+        {"cfl_sigma": np.nan}, {"stop_t_max": np.nan}, {"stop_t_max": np.inf},
+        {"stop_t_max": 0.0}, {"record_every": 0}, {"snapshot_every": -2},
+    ])
+    def test_malformed_config_rejected(self, kwargs):
+        # stop_t_max = nan or inf would never end ma_run
+        with pytest.raises(UsageError):
+            PotentialFlowConfig(**kwargs)
+
     def test_linear_mode_heat_decay(self):
         # S = 0, phi = eps sin x1: the linearized flow is the heat equation,
         # so the amplitude decays by e^{-t} over t in [0, 1] within 5 percent

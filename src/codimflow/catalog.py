@@ -181,14 +181,18 @@ def catalog_names() -> list[str]:
 
 
 def make_example(name: str, **params) -> Immersion:
-    """Build a named catalog immersion. Unknown names or invalid parameters
-    raise a configuration error."""
+    """Build a named catalog immersion. Unknown names, non-finite numbers
+    and other invalid parameters raise a configuration error."""
     try:
         ctor = _CONSTRUCTORS[name]
     except KeyError:
         raise ConfigError(
             f"unknown catalog example {name!r}; known: {', '.join(catalog_names())}"
         ) from None
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"catalog parameter {key} of {name!r} must be finite, "
+                              f"got {value}")
     try:
         return ctor(**params)
     except TypeError as exc:

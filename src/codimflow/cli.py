@@ -28,7 +28,7 @@ from .grid import ChartSpec, Domain, GridField, integrate_values, make_chart
 from .lagrangian import (Potential, PotentialFlowConfig, lag_immersion,
                          lagrangian_angle, ma_run, mean_curvature_form)
 from .singularity import (DensityParams, SolitonKind, classify_blowup,
-                          hamilton_rescale, monotonicity_check, soliton_residual,
+                          hamilton_rescale, monotone_verdict, soliton_residual,
                           type1_rescale)
 from .snapshots import (read_checkpoint, read_snapshot, read_text,
                         write_checkpoint, write_diagnostics, write_snapshot)
@@ -111,9 +111,10 @@ def _run_one(config_path: str, resume: str | None = None) -> int:
         print(f"  T_hat={est.t_hat:.6g} fit_rms={est.fit_rms:.3g}")
     for a in scenario.analyses:
         if a.kind == "monotonicity":
-            chk = monotonicity_check(trace, params)
-            print(f"  monotonicity: nonincreasing={chk.is_nonincreasing} "
-                  f"max_jump={chk.max_positive_jump:.3e}")
+            # the series run recorded at (q, t0); a checkpoint keeps it
+            ok, jump, _ = monotone_verdict(
+                [r.huisken for r in trace.records if r.huisken is not None])
+            print(f"  monotonicity: nonincreasing={ok} max_jump={jump:.3e}")
         elif a.kind == "soliton":
             kind = SolitonKind(a.params["kind"])
             if kind is SolitonKind.SHRINKER:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +52,12 @@ class ChartSpec:
     interval_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
-        res = tuple(int(n) for n in self.resolution)
+        try:
+            res = tuple(int(n) for n in self.resolution)
+        except (TypeError, ValueError, OverflowError):
+            res = None
+        if res != tuple(self.resolution):
+            raise ConfigError(f"node counts must be whole numbers, got {self.resolution}")
         object.__setattr__(self, "resolution", res)
         if self.fd_order not in (2, 4):
             raise ConfigError(f"fd_order must be 2 or 4, got {self.fd_order}")
@@ -266,25 +270,19 @@ def diff2(values: np.ndarray, axis: int, chart: Chart, parity=1.0) -> np.ndarray
 
 
 def diff_mixed(values, axis_a: int, axis_b: int, chart: Chart, parity=1.0) -> np.ndarray:
-    """Mixed second derivative, symmetric in the two axes by construction.
+    """Mixed second derivative: the later axis's first derivative of the
+    earlier axis's first derivative.
 
-    Both orders of sequential first-derivative stencils are averaged; floating
-    point addition is commutative, so swapping the axes is bit-exact.
-
-    A first theta-derivative flips pole parity; derivatives along other axes
-    leave it unchanged.
+    The axes are sorted first, so swapping them is bit-exact. Only axis 0 of
+    a chart can be a pole axis, so the outer derivative always runs along a
+    periodic axis, reads no pole ghost and needs no parity flip; the stencils
+    commute, also across the antipodal ghosts, so the other order would give
+    the same operator up to rounding.
     """
     if axis_a == axis_b:
         raise UsageError("diff_mixed requires two distinct axes")
-    pa_after_b = parity  # parity seen by the outer derivative along axis_a
-    pb_after_a = parity
-    if chart.axis_kinds[axis_b] is AxisKind.POLE:
-        pa_after_b = -1.0 * np.asarray(parity)
-    if chart.axis_kinds[axis_a] is AxisKind.POLE:
-        pb_after_a = -1.0 * np.asarray(parity)
-    u = diff1(diff1(values, axis_b, chart, parity), axis_a, chart, pa_after_b)
-    v = diff1(diff1(values, axis_a, chart, parity), axis_b, chart, pb_after_a)
-    return 0.5 * (u + v)
+    a, b = sorted((axis_a, axis_b))
+    return diff1(diff1(values, a, chart, parity), b, chart, parity)
 
 
 def integrate_values(values: np.ndarray, density: np.ndarray, chart: Chart) -> float:
@@ -304,14 +302,7 @@ def neighbor_maps(chart: Chart, axis: int) -> dict[int, np.ndarray]:
     The maps are read off the node indices padded by _pad, so they follow the
     stencils' ghost rules by construction (scalar fields: even pole parity),
     and matrices assembled from them act as the matrix-free operators do.
-    Cached per chart spec.
     """
-    return _neighbor_maps_cached(chart.spec, axis)
-
-
-@lru_cache(maxsize=64)
-def _neighbor_maps_cached(spec: ChartSpec, axis: int) -> dict[int, np.ndarray]:
-    chart = make_chart(spec)
     idx = np.arange(chart.node_count).reshape(chart.shape)
     ext = _pad(idx, axis, chart, 1)
     return {o: _slice_axis(ext, axis, o).ravel() for o in range(-_PAD, _PAD + 1)}

@@ -123,32 +123,31 @@ class MonotonicityCheck:
     tolerance: float
 
 
-def monotonicity_check(trace: FlowTrace, params: DensityParams) -> MonotonicityCheck:
-    """Evaluate the Gaussian-weighted area on the stored snapshots and flag
-    any increase above 1e-3 times the largest value."""
-    snaps = [(r.t, r.snapshot) for r in trace.records
-             if r.snapshot is not None and r.t < params.t0]
-    if len(snaps) < 3:
-        raise UsageError("monotonicity check needs at least 3 snapshots before t0")
-    values, defects, times = [], [], []
-    for t, imm in snaps:
-        b = build_bundle(imm)
-        st = FlowState(t=t, imm=imm, bundle=b)
-        values.append(huisken_functional(st, params))
-        defects.append(monotonicity_defect(st, params))
-        times.append(t)
-    values = np.array(values)
-    jumps = np.diff(values)
-    max_jump = float(jumps.max(initial=0.0))
+def monotone_verdict(values) -> tuple[bool, float, float]:
+    """The verdict on a series of Gaussian-weighted areas: nonincreasing when
+    no increase between consecutive values exceeds 1e-3 times the largest
+    value. Returns (nonincreasing, largest increase, tolerance)."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 3:
+        raise UsageError("monotonicity check needs at least 3 values before t0, "
+                         f"got {values.size}")
+    max_jump = float(np.diff(values).max(initial=0.0))
     tol = 1e-3 * float(values.max())
-    return MonotonicityCheck(
-        is_nonincreasing=bool(max_jump <= tol),
-        max_positive_jump=max_jump,
-        values=values,
-        times=np.array(times),
-        defects=np.array(defects),
-        tolerance=tol,
-    )
+    return max_jump <= tol, max_jump, tol
+
+
+def monotonicity_check(trace: FlowTrace, params: DensityParams) -> MonotonicityCheck:
+    """Evaluate the Gaussian-weighted area and the defect on the stored
+    snapshots before t0, with the verdict of monotone_verdict."""
+    rows = []
+    for r in trace.records:
+        if r.snapshot is not None and r.t < params.t0:
+            st = FlowState(t=r.t, imm=r.snapshot, bundle=build_bundle(r.snapshot))
+            rows.append((r.t, huisken_functional(st, params), monotonicity_defect(st, params)))
+    times, values, defects = np.array(rows).reshape(-1, 3).T
+    ok, max_jump, tol = monotone_verdict(values)
+    return MonotonicityCheck(is_nonincreasing=ok, max_positive_jump=max_jump, values=values,
+                             times=times, defects=defects, tolerance=tol)
 
 
 def _rescaled(imm: Immersion, lam: float, c: np.ndarray) -> Immersion:

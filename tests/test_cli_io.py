@@ -806,6 +806,51 @@ class TestCLI:
         header = (tmp_path / "out" / "an.csv").read_text().splitlines()[0]
         assert header.endswith(",huisken")
 
+    def test_resumed_run_prints_the_same_monotonicity_verdict(self, tmp_path):
+        # the analysis reads the recorded huisken series, which the
+        # checkpoint keeps; checkpoints carry no snapshots
+        cfgp = tmp_path / "m.cfg"
+        cfgp.write_text(
+            "name = circ\n"
+            "initial.catalog = circle\n"
+            "initial.n = 128\n"
+            "flow.cfl_sigma = 0.5\n"
+            "flow.record_every = 25\n"
+            "flow.snapshot_every = 4\n"
+            "analyses = monotonicity\n"
+            "analysis.monotonicity.q = 0.3,0\n"
+            "analysis.monotonicity.t0 = 0.5\n"
+            f"output.dir = {tmp_path / 'out'}\n"
+        )
+        verdicts = []
+        for extra in ((), ("--resume", str(tmp_path / "out" / "circ.ckpt"))):
+            r = run_cli("run", str(cfgp), *extra)
+            assert r.returncode == 2, (r.stdout, r.stderr)
+            verdicts.append([ln for ln in r.stdout.splitlines() if "monotonicity:" in ln])
+        assert len(verdicts[0]) == 1
+        assert "nonincreasing=True" in verdicts[0][0]
+        assert verdicts[1] == verdicts[0]
+
+    @pytest.mark.parametrize("catalog_name, params", [
+        ("circle", {"n": "nan"}),
+        ("circle", {"n": "128", "radius": "nan"}),
+        ("cardioid", {"n": "129", "loop": "nan"}),
+        ("circle", {"n": "2.5"}),
+    ])
+    def test_malformed_catalog_parameter_exit_4(self, tmp_path, catalog_name, params):
+        cfgp = tmp_path / "p.cfg"
+        cfgp.write_text(
+            f"name = bad\ninitial.catalog = {catalog_name}\n"
+            + "".join(f"initial.{k} = {v}\n" for k, v in params.items())
+            + f"output.dir = {tmp_path / 'out'}\n"
+        )
+        r = run_cli("run", str(cfgp))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert r.stderr.startswith("error: ConfigError:")
+        assert len(r.stderr.splitlines()) == 1
+        assert list(params.values())[-1] in r.stderr   # names the value given
+        assert not (tmp_path / "out" / "bad.csv").exists()
+
     def test_shrinker_rescaled_about_the_singular_point(self, tmp_path):
         # a circle centred at (2, 0) shrinks to (2, 0): rescaled about the
         # origin it would be far from the shrinker H + F^perp = 0

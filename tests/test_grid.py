@@ -6,8 +6,8 @@ import pytest
 from codimflow.errors import ConfigError
 from codimflow.geometry import d1_tensor, d2_tensor
 from codimflow.grid import (
-    STENCILS, AxisKind, ChartSpec, Domain, diff1, diff2, integrate_values,
-    make_chart, neighbor_maps,
+    STENCILS, AxisKind, ChartSpec, Domain, diff1, diff2, diff_mixed,
+    integrate_values, make_chart, neighbor_maps,
 )
 from conftest import roll_field
 
@@ -87,10 +87,48 @@ class TestPartials:
         assert errs[0] / errs[1] >= 3.5
 
     def test_mixed_partials_bit_symmetric(self):
-        ch = make_chart(ChartSpec(Domain.TORUS, (16, 16)))
         rng = np.random.default_rng(7)
-        vals = d2_tensor(rng.normal(size=(16, 16, 1)), ch)[..., 0]
-        assert np.array_equal(vals[..., 0, 1], vals[..., 1, 0])
+        for domain, shape, tensor_axes in (
+            (Domain.TORUS, (16, 16), ()),
+            (Domain.SPHERE, (16, 32), (0,)),   # a pole-odd theta component
+        ):
+            ch = make_chart(ChartSpec(domain, shape))
+            vals = d2_tensor(rng.normal(size=shape + (2,)), ch, tensor_axes)
+            assert np.array_equal(vals[..., 0, 1, :], vals[..., 1, 0, :])
+            assert np.array_equal(diff_mixed(vals[..., 0, 0, :], 0, 1, ch),
+                                  diff_mixed(vals[..., 0, 0, :], 1, 0, ch))
+
+    @pytest.mark.parametrize("domain, shape, tensor_axes, a, b", [
+        (Domain.TORUS, (16, 24), (), 0, 1),
+        (Domain.SPHERE, (16, 32), (0,), 0, 1),
+        (Domain.TORUS, (8, 10, 12), (), 1, 2),
+    ])
+    def test_mixed_partial_is_one_composition(self, domain, shape, tensor_axes, a, b):
+        # d_a d_b f for a < b is the later-axis derivative of the
+        # earlier-axis derivative, with the field's parity on both passes
+        ch = make_chart(ChartSpec(domain, shape))
+        m = len(shape)
+        v = np.random.default_rng(5).normal(size=shape + (m,))
+        par = np.array([-1.0, 1.0]) if tensor_axes else 1.0  # T_theta, T_phi
+        composed = diff1(diff1(v, a, ch, par), b, ch, par)
+        out = d2_tensor(v, ch, tensor_axes)
+        assert np.array_equal(out[..., a, b, :], composed)
+        assert np.array_equal(out[..., b, a, :], composed)
+
+    def test_mixed_partial_of_pole_odd_component_converges(self):
+        # T = df for f = sin(theta) cos(theta) cos(phi): the pole-odd
+        # component T_theta = cos(2 theta) cos(phi) has the mixed partial
+        # d_theta d_phi T_theta = 2 sin(2 theta) sin(phi)
+        errs = []
+        for J in (32, 64):
+            ch = make_chart(ChartSpec(Domain.SPHERE, (J, 2 * J), fd_order=4))
+            TH, PH = ch.mesh()
+            T = np.stack([np.cos(2 * TH) * np.cos(PH),
+                          -np.sin(TH) * np.cos(TH) * np.sin(PH)], axis=-1)
+            mixed = d2_tensor(T, ch, tensor_axes=(0,))[..., 0, 1, 0]
+            err = np.abs(mixed - 2 * np.sin(2 * TH) * np.sin(PH))
+            errs.append(err[2:-2].max())   # away from the pole rings
+        assert np.log2(errs[0] / errs[1]) >= 3.5
 
     def test_shift_equivariance_bit_exact(self):
         ch = make_chart(ChartSpec(Domain.TORUS, (16, 24)))

@@ -121,8 +121,7 @@ def whitney_sphere(radius: float = 1.0, m: int = 2, J: int = 48, K: int = 96,
     return Immersion(ch, np.stack(comps, axis=-1))
 
 
-def grim_reaper(delta: float = 0.05, n: int = 512, fd_order: int = 4,
-                margin_fraction: float = 1 / 16) -> Immersion:
+def grim_reaper(delta: float = 0.05, n: int = 512, fd_order: int = 4) -> Immersion:
     """Truncated grim reaper y = -log cos x on x in [-pi/2 + delta, pi/2 - delta].
 
     A translating soliton with velocity (0, 1). The curve is non-compact;
@@ -138,7 +137,7 @@ def grim_reaper(delta: float = 0.05, n: int = 512, fd_order: int = 4,
     vals = np.stack([x, -np.log(np.cos(x))], axis=-1)
     affine = (np.array([[1.0], [0.0]]), np.zeros(2))  # x-part is exactly affine
     mask = np.ones(n, dtype=bool)
-    margin = max(ch.spec.fd_order, int(n * margin_fraction))
+    margin = max(ch.spec.fd_order, n // 16)
     mask[:margin] = False
     mask[-margin:] = False
     return Immersion(ch, vals, affine=affine, norm_mask=mask)
@@ -181,8 +180,9 @@ def catalog_names() -> list[str]:
 
 
 def make_example(name: str, **params) -> Immersion:
-    """Build a named catalog immersion. Unknown names, non-finite numbers
-    and other invalid parameters raise a configuration error."""
+    """Build a named catalog immersion. A whole-number float given for an int
+    parameter becomes that int; unknown names, non-finite numbers, fractional
+    counts and other invalid parameters raise a configuration error."""
     try:
         ctor = _CONSTRUCTORS[name]
     except KeyError:
@@ -190,9 +190,12 @@ def make_example(name: str, **params) -> Immersion:
             f"unknown catalog example {name!r}; known: {', '.join(catalog_names())}"
         ) from None
     for key, value in params.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"catalog parameter {key} of {name!r} must be finite, "
-                              f"got {value}")
+        whole = ctor.__annotations__.get(key) == "int"
+        if isinstance(value, float) and not (value.is_integer() if whole else math.isfinite(value)):
+            raise ConfigError(f"catalog parameter {key} of {name!r} must be "
+                              f"{'a whole number' if whole else 'finite'}, got {value}")
+        if whole and isinstance(value, float):
+            params[key] = int(value)
     try:
         return ctor(**params)
     except TypeError as exc:

@@ -120,6 +120,7 @@ class TraceRecord:
 
 @dataclass
 class FlowTrace:
+    CSV_COLUMNS = ("t", "dt", "max_A2", "max_H2", "volume", "min_detg")
     records: list[TraceRecord] = field(default_factory=list)
     termination: Termination | None = None
     termination_detail: str = ""
@@ -683,14 +684,10 @@ def estimate_singular_time(trace: FlowTrace) -> SingularTimeEstimate:
     start = len(all_a2) - 1
     while start > 0 and all_a2[start - 1] < all_a2[start] * (1.0 + 1e-3):
         start -= 1
-    recs = trace.records[start:]
-    if len(recs) < window:
-        return SingularTimeEstimate(math.nan, math.inf, False,
-                                    "max|A|^2 not increasing over fit window")
-    recs = recs[-window:]
+    recs = trace.records[start:][-window:]
     t = np.array([r.t for r in recs])
     a2 = np.array([r.max_A2_trusted for r in recs])
-    if not a2[-1] > a2[0] * (1.0 + 1e-6):
+    if len(recs) < window or not a2[-1] > a2[0] * (1.0 + 1e-6):
         return SingularTimeEstimate(math.nan, math.inf, False,
                                     "max|A|^2 not increasing over fit window")
     y = 1.0 / a2

@@ -21,6 +21,8 @@ diffeomorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import permutations
 
 import numpy as np
 
@@ -258,21 +260,12 @@ def pinching_gap(imm: Immersion, bundle: GeometryBundle | None = None,
     # the trace-removal identity is exact multilinear algebra only for a
     # fully symmetric trilinear form; symmetrize the discrete h (its raw
     # asymmetry is reported separately as h_symmetry_defect)
-    h = (
-        h
-        + np.einsum("...ikj->...ijk", h)
-        + np.einsum("...jik->...ijk", h)
-        + np.einsum("...jki->...ijk", h)
-        + np.einsum("...kij->...ijk", h)
-        + np.einsum("...kji->...ijk", h)
-    ) / 6.0
+    h = reduce(np.add, (np.einsum("..." + "".join(p) + "->...ijk", h)
+                        for p in permutations("ijk"))) / 6.0
     H_form = np.einsum("...kl,...ikl->...i", bundle.ginv, h)
 
-    sym = (
-        np.einsum("...i,...jk->...ijk", H_form, bundle.g)
-        + np.einsum("...j,...ki->...ijk", H_form, bundle.g)
-        + np.einsum("...k,...ij->...ijk", H_form, bundle.g)
-    )
+    sym = reduce(np.add, (np.einsum(f"...{a},...{b}{c}->...ijk", H_form, bundle.g)
+                          for a, b, c in ("ijk", "jki", "kij")))
     defect_t = h - sym / (m + 2)
     defect_sq = _sq_norm(bundle.ginv, defect_t, 3)
     h_sq = _sq_norm(bundle.ginv, h, 3)
@@ -315,6 +308,7 @@ class PotentialRecord:
 
 @dataclass
 class PotentialTrace:
+    CSV_COLUMNS = ("t", "dt", "alpha_min", "alpha_max", "hess_phi_inf", "H_inf")
     records: list[PotentialRecord] = field(default_factory=list)
     final: Potential | None = None
 

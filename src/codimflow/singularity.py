@@ -67,10 +67,10 @@ class BlowupClass(enum.Enum):
 @dataclass(frozen=True)
 class BlowupReport:
     classification: BlowupClass
-    c_hat: float          # fitted sup of max_A2_trusted (T_hat - t) over the window
-    lower_rate: float     # fitted inf of the same quantity
-    spread: float         # relative spread over the window
-    growth: float         # last/first ratio over the window
+    c_hat: float = math.nan       # fitted sup of max_A2_trusted (T_hat - t) over the window
+    lower_rate: float = math.nan  # fitted inf of the same quantity
+    spread: float = math.nan      # relative spread over the window
+    growth: float = math.nan      # last/first ratio over the window
     detail: str = ""
 
 
@@ -180,24 +180,21 @@ def classify_blowup(trace: FlowTrace, t_hat: float | None = None) -> BlowupRepor
     else is inconclusive. Both raw fits are always reported.
     """
     if trace.termination not in (Termination.CURVATURE_CAP, Termination.DT_UNDERFLOW):
-        return BlowupReport(BlowupClass.INCONCLUSIVE, math.nan, math.nan,
-                            math.nan, math.nan,
-                            f"trace ended with {trace.termination}, not a singularity signal")
+        return BlowupReport(BlowupClass.INCONCLUSIVE, detail=(
+            f"trace ended with {trace.termination}, not a singularity signal"))
     refit = t_hat is None
     if refit:
         est = estimate_singular_time(trace)
         if not est.reliable:
-            return BlowupReport(BlowupClass.INCONCLUSIVE, math.nan, math.nan,
-                                math.nan, math.nan,
-                                f"unreliable singular-time estimate: {est.detail}")
+            return BlowupReport(BlowupClass.INCONCLUSIVE,
+                                detail=f"unreliable singular-time estimate: {est.detail}")
         t_hat = est.t_hat
     t = trace.times
     a2 = trace.max_A2_trusted_series
     gap = t_hat - t
     valid = gap > 0
     if valid.sum() < 5:
-        return BlowupReport(BlowupClass.INCONCLUSIVE, math.nan, math.nan,
-                            math.nan, math.nan, "too few records before T_hat")
+        return BlowupReport(BlowupClass.INCONCLUSIVE, detail="too few records before T_hat")
     gmin = gap[valid].min()
     window = valid & (gap <= 10.0 * gmin)
     if window.sum() < 5:
@@ -231,7 +228,8 @@ def classify_blowup(trace: FlowTrace, t_hat: float | None = None) -> BlowupRepor
 
 
 def hamilton_rescale(trace: FlowTrace, t_hat: float, k: int) -> HamiltonSequence:
-    """Type II rescaling sequence member k over the stored records.
+    """Type II rescaling sequence member k over the stored records, which
+    must include the first record's snapshot.
 
     (record, node) maximize max|A|^2 (T_hat - 1/k - t) over records with
     snapshots and t <= T_hat - 1/k; ties break lexicographically. The
@@ -240,9 +238,13 @@ def hamilton_rescale(trace: FlowTrace, t_hat: float, k: int) -> HamiltonSequence
     """
     if k < 1:
         raise UsageError("k must be a positive integer")
+    snaps = [(i, r) for i, r in enumerate(trace.records) if r.snapshot is not None]
+    if snaps and snaps[0][0] > 0:
+        raise UsageError(f"the Hamilton window reaches back to t = {trace.records[0].t:.6g}, "
+                         f"but the earliest kept snapshot is at t = {snaps[0][1].t:.6g} (a "
+                         "resumed run keeps no snapshots from before its checkpoint)")
     t_cut = t_hat - 1.0 / k
-    candidates = [(i, r) for i, r in enumerate(trace.records)
-                  if r.snapshot is not None and r.t <= t_cut]
+    candidates = [(i, r) for i, r in snaps if r.t <= t_cut]
     if not candidates:
         raise UsageError(f"no stored records with t <= T_hat - 1/k = {t_cut:.6g}")
     best_i, best_r, best_val = None, None, None
@@ -259,13 +261,10 @@ def hamilton_rescale(trace: FlowTrace, t_hat: float, k: int) -> HamiltonSequence
     omega = L * L * (t_hat - t_k - 1.0 / k)
     base = best_r.snapshot.values[node]
     rescaled = []
-    for r in trace.records:
-        if r.snapshot is None:
-            continue
+    for _, r in snaps:
         tau = L * L * (r.t - t_k)
-        if tau < alpha - 1e-12 or tau > omega + 1e-12:
-            continue
-        rescaled.append((tau, _rescaled(r.snapshot, L, base)))
+        if alpha - 1e-12 <= tau <= omega + 1e-12:
+            rescaled.append((tau, _rescaled(r.snapshot, L, base)))
     return HamiltonSequence(k=k, record_index=best_i, node=tuple(int(x) for x in node),
                             t_k=t_k, L_k=L, alpha_k=alpha, omega_k=omega,
                             rescaled=rescaled)

@@ -209,30 +209,18 @@ def _place_rows(path: str, table: np.ndarray, chart, n: int) -> np.ndarray:
 def write_diagnostics(trace, path: str):
     """One CSV row per trace record, full double precision, LF endings.
 
-    Works for both flow traces (t, dt, max_A2, max_H2, volume, min_detg and
-    optionally huisken) and potential-flow traces (alpha and Hessian
-    columns)."""
+    The columns are the trace's CSV_COLUMNS (flow traces: t, dt, max_A2,
+    max_H2, volume, min_detg; potential-flow traces: alpha and Hessian
+    columns), then huisken when any record has a Huisken value; a record
+    without one writes nan there."""
     records = trace.records
-    is_potential = bool(records) and hasattr(records[0], "alpha_min")
-    if is_potential:
-        header = ["t", "dt", "alpha_min", "alpha_max", "hess_phi_inf", "H_inf"]
-        rows = [
-            [r.t, r.dt, r.alpha_min, r.alpha_max, r.hess_phi_inf, r.H_inf]
-            for r in records
-        ]
-    else:
-        with_h = any(r.huisken is not None for r in records)
-        header = ["t", "dt", "max_A2", "max_H2", "volume", "min_detg"]
-        if with_h:
-            header.append("huisken")
-        rows = []
-        for r in records:
-            row = [r.t, r.dt, r.max_A2, r.max_H2, r.volume, r.min_detg]
-            if with_h:
-                row.append(math.nan if r.huisken is None else r.huisken)
-            rows.append(row)
+    header = trace.CSV_COLUMNS
+    if any(getattr(r, "huisken", None) is not None for r in records):
+        header += ("huisken",)
     lines = [",".join(header)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    for r in records:
+        row = (getattr(r, c) for c in header)
+        lines.append(",".join(_fmt(math.nan if x is None else x) for x in row))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -1,7 +1,10 @@
 """Every name by which the benchmark's tracer and workloads reach into the
-package must resolve: a traced run looks each one up with getattr, so a name
-that stops resolving fails every traced run with AttributeError."""
+package must resolve: a traced run looks each tracer target up with getattr,
+and every run calls the workloads' names, so a name that stops resolving
+fails the benchmark with AttributeError or ImportError. perfbench/ is read
+by path and never changed here."""
 
+import ast
 import functools
 import importlib
 import importlib.util
@@ -9,8 +12,10 @@ import os
 
 import pytest
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+TRACING = os.path.join(PERFBENCH, "tracing.py")
+WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
 
 
 def _targets():
@@ -27,3 +32,32 @@ def _targets():
 def test_benchmark_target_resolves(home, attr):
     target = functools.reduce(getattr, attr.split("."), importlib.import_module(home))
     assert callable(target)
+
+
+def _workload_names():
+    """(module, dotted name) for every codimflow name the workloads use: the
+    names imported with `from codimflow... import`, their attributes, and
+    the attributes of the imported modules (catalog.whitney_sphere, ...)."""
+    with open(WORKLOADS, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    home = {}   # local name -> (module it comes from, attribute path there)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("codimflow"):
+            for alias in node.names:
+                # `from codimflow import flow` names a module, `from
+                # codimflow.flow import run` an attribute of one
+                home[alias.asname or alias.name] = (
+                    (f"codimflow.{alias.name}", "") if node.module == "codimflow"
+                    else (node.module, alias.name))
+    names = {(module, attr) for module, attr in home.values() if attr}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in home):
+            module, attr = home[node.value.id]
+            names.add((module, f"{attr}.{node.attr}" if attr else node.attr))
+    return names
+
+
+@pytest.mark.parametrize("home, attr", sorted(_workload_names()))
+def test_workload_name_resolves(home, attr):
+    functools.reduce(getattr, attr.split("."), importlib.import_module(home))

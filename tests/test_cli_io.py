@@ -13,8 +13,9 @@ import pytest
 from codimflow import catalog
 from codimflow.config import parse_config
 from codimflow.errors import ConfigError, UsageError
-from codimflow.flow import FlowConfig, FlowState, Integrator, run
+from codimflow.flow import FlowConfig, FlowState, Integrator, estimate_singular_time, run
 from codimflow.geometry import build_bundle
+from codimflow.singularity import hamilton_rescale
 from codimflow.snapshots import (
     read_checkpoint, read_snapshot, resume_run, write_checkpoint,
     write_diagnostics, write_snapshot,
@@ -149,6 +150,26 @@ class TestDiagnosticsCSV:
         path = tmp_path / "e.csv"
         write_diagnostics(FlowTrace(), str(path))
         assert path.read_text() == "t,dt,max_A2,max_H2,volume,min_detg\n"
+
+    def test_huisken_cells_from_t0_on_are_nan(self, tmp_path):
+        from codimflow.singularity import DensityParams
+
+        cfg = FlowConfig(cfl_sigma=0.5, stop_t_max=0.05, record_every=5)
+        trace, _ = run(catalog.circle(n=64), cfg,
+                       huisken_params=DensityParams(q=np.zeros(2), t0=0.02))
+        path = tmp_path / "d.csv"
+        write_diagnostics(trace, str(path))
+        header, *rows = [l.split(",") for l in path.read_text().splitlines()]
+        assert header[-1] == "huisken"
+        assert len(rows) == len(trace.records)
+        assert all(len(row) == len(header) for row in rows)
+        assert any(r.t < 0.02 for r in trace.records)
+        assert any(r.t >= 0.02 for r in trace.records)
+        for r, row in zip(trace.records, rows):
+            if r.t >= 0.02:
+                assert row[-1] == "nan"
+            else:
+                assert float(row[-1]) == r.huisken
 
     def test_potential_trace_columns(self, tmp_path):
         from codimflow.grid import ChartSpec, Domain, GridField, make_chart
@@ -371,6 +392,23 @@ class TestCheckpointResume:
         assert tr_res.termination is tr.termination
         assert len(tr_res.records) == len(tr.records)
         assert np.array_equal(tr_res.records[-1].snapshot.values, state.imm.values)
+
+    def test_type2_rescale_after_resume_names_the_missing_window(self, tmp_path):
+        # checkpoint records keep no snapshots, so the Hamilton window, which
+        # reaches back to t = 0, is not covered after a resume
+        cfg = FlowConfig(cfl_sigma=0.5, record_every=25, snapshot_every=4)
+        tr_full, _ = run(catalog.circle(n=64), cfg)
+        t_hat = estimate_singular_time(tr_full).t_hat
+        assert hamilton_rescale(tr_full, t_hat, 10).rescaled
+        tr_half, fin_half = run(catalog.circle(n=64), cfg, max_steps=60)
+        ck = tmp_path / "c.ckpt"
+        write_checkpoint(str(ck), fin_half, tr_half, "scenario")
+        state, saved = read_checkpoint(str(ck), scenario_text="scenario")
+        tr_res, _ = resume_run(state, saved, cfg)
+        first = next(r.t for r in tr_res.records if r.snapshot is not None)
+        assert first > 0.0
+        with pytest.raises(UsageError, match=f"earliest kept snapshot is at t = {first:.6g} "):
+            hamilton_rescale(tr_res, t_hat, 10)
 
     def test_record_without_trusted_max_errors(self, tmp_path):
         cfg = FlowConfig(cfl_sigma=0.5, stop_t_max=0.02, record_every=5)
@@ -649,6 +687,43 @@ class TestCLI:
         assert r.returncode == 2, (r.stdout, r.stderr)
         assert (out / "resc.csv").read_bytes() == csv
         assert (out / "resc-rescaled.snap").read_bytes() == snap
+
+    def test_resumed_run_type2_rescale_exit_4(self, tmp_path):
+        cfgp = tmp_path / "r.cfg"
+        cfgp.write_text(
+            "name = resc\n"
+            "initial.catalog = circle\n"
+            "initial.n = 64\n"
+            "flow.cfl_sigma = 0.5\n"
+            "flow.record_every = 25\n"
+            "flow.snapshot_every = 4\n"
+            "analyses = rescale\n"
+            "analysis.rescale.mode = type2\n"
+            "analysis.rescale.k = 10\n"
+            f"output.dir = {tmp_path / 'out'}\n"
+        )
+        out = tmp_path / "out"
+        r = run_cli("run", str(cfgp))
+        assert r.returncode == 2, (r.stdout, r.stderr)
+        assert (out / "resc-hamilton-k10.snap").exists()
+        (out / "resc-hamilton-k10.snap").unlink()
+        r = run_cli("run", str(cfgp), "--resume", str(out / "resc.ckpt"))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert r.stderr.startswith("error: UsageError: the Hamilton window reaches back "
+                                   "to t = 0, but the earliest kept snapshot is at t = ")
+        assert not (out / "resc-hamilton-k10.snap").exists()
+
+    def test_whole_number_float_node_count(self, tmp_path):
+        csvs = []
+        for n in ("128", "128.0"):
+            cfgp = tmp_path / f"n{n}.cfg"
+            cfgp.write_text(f"name = c\ninitial.catalog = circle\ninitial.n = {n}\n"
+                            "flow.stop_t_max = 0.01\n"
+                            f"output.dir = {tmp_path / n}\n")
+            r = run_cli("run", str(cfgp))
+            assert r.returncode == 0, (r.stdout, r.stderr)
+            csvs.append((tmp_path / n / "c.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_determinism_across_processes(self, tmp_path):
         cfgp = tmp_path / "d.cfg"

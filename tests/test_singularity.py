@@ -332,6 +332,20 @@ class TestCatalog:
         with pytest.raises(ConfigError):
             catalog.make_example("circle", bogus=3)
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("circle", "n", 128), ("flat_torus_graph", "m", 2), ("grim_reaper", "n", 64),
+    ])
+    def test_whole_number_float_parameters(self, name, key, value):
+        # a count written as a whole-number float builds the same immersion
+        a = catalog.make_example(name, **{key: value})
+        b = catalog.make_example(name, **{key: float(value)})
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.norm_mask, b.norm_mask)
+        with pytest.raises(ConfigError,
+                           match=rf"parameter {key} of '{name}' must be a whole number, "
+                                 rf"got {value}\.5"):
+            catalog.make_example(name, **{key: value + 0.5})
+
     def test_whitney_pinching(self):
         imm = catalog.whitney_sphere(radius=1.0, m=2)
         b = build_bundle(imm)

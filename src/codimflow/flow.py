@@ -179,15 +179,15 @@ class _StepPattern:
     """Chart-static structure of the step matrix and its line preconditioner.
 
     The Laplacian part of the step matrix is a sum of couplings, one per
-    stencil term and node: the term's per-node weight times its stencil
-    coefficient. Coupling (term t, node n) has flat index t * N + n; slot
-    maps it to its CSR position, and the couplings landing on one position
-    are summed in flat-index order.
+    stencil term and node: the term's stencil coefficient times its per-node
+    weight. coupling maps the flattened weight stack (row r, node n at
+    r * N + n) to the step matrix's CSR data: its row p holds the
+    coefficient of every coupling that lands on CSR position p, in the order
+    of the coupling's flat index t * N + n (term t, node n). It is never
+    canonicalised, since merging duplicate entries would change the rounding.
     """
 
-    weight_row: np.ndarray     # per term: its row of the weight stack
-    term_coeff: np.ndarray     # per term: stencil coefficient over spacings
-    slot: np.ndarray           # per coupling: its CSR position
+    coupling: sp.csr_matrix    # CSR position x weight-stack entry
     indices: np.ndarray        # CSR column indices
     indptr: np.ndarray         # CSR row pointers
     diag: np.ndarray           # CSR positions of the diagonal
@@ -234,11 +234,14 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
                     add(nbs[b][o2][base], pair, c1 * c2 / (h * hb))
             pair += 1
     key = (node * N + np.stack(cols)).ravel()   # row * N + column per coupling
-    srt = np.argsort(key)
+    srt = np.argsort(key, kind="stable")
     key = key[srt]
     new = np.r_[True, key[1:] != key[:-1]]
-    slot = np.empty_like(srt)
-    slot[srt] = np.cumsum(new) - 1
+    t, n = np.divmod(srt, N)
+    coupling = sp.csr_matrix(
+        (np.array(term_coeff)[t], np.array(weight_row)[t] * N + n,
+         np.r_[np.flatnonzero(new), srt.size]),
+        shape=(int(new.sum()), (max(weight_row) + 1) * N))
     r, c = np.divmod(key[new], N)
     indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=N))]
 
@@ -254,9 +257,7 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
     d = banded[r] - banded[c]
     in_band = (r // K == c // K) & (np.abs(d) <= kl)
     pattern = _StepPattern(
-        weight_row=np.array(weight_row),
-        term_coeff=np.array(term_coeff),
-        slot=slot,
+        coupling=coupling,
         indices=c.astype(np.int32),
         indptr=indptr.astype(np.int32),
         diag=np.flatnonzero(r == c),
@@ -267,10 +268,10 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
         band_dst=(banded[c] * (3 * kl + 1) + 2 * kl + d)[in_band],
     )
     # every step matrix shares indices and indptr with the cache: make the
-    # arrays read-only so an in-place edit of one matrix fails loudly
-    for arr in vars(pattern).values():
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)
+    # arrays (coupling's too) read-only so an in-place edit fails loudly
+    frozen = [f for f in vars(pattern).values() if isinstance(f, np.ndarray)]
+    for arr in frozen + [coupling.data, coupling.indices, coupling.indptr]:
+        arr.setflags(write=False)
     return pattern
 
 
@@ -283,8 +284,9 @@ def assemble_step_matrix(bundle: GeometryBundle, dt: float) -> sp.csr_matrix:
     second-derivative stencil times g^aa, the first-derivative stencil times
     the bundle's drift -w^a, and for each axis pair a < b the product of
     first-derivative stencils times 2 g^ab. The sparsity pattern is fixed
-    per chart spec and cached; one bincount over its slots sums the
-    couplings of each CSR position in the pattern's order. Entries that
+    per chart spec and cached, and the entries are one sparse product of the
+    pattern's coupling matrix with the flattened weight stack, which sums
+    each CSR position's couplings in the pattern's order. Entries that
     vanish for this metric stay stored as zeros.
     """
     chart = bundle.chart
@@ -298,8 +300,7 @@ def assemble_step_matrix(bundle: GeometryBundle, dt: float) -> sp.csr_matrix:
         + [-w[:, a] for a in range(m)]
         + [2.0 * ginv[:, a, b] for a in range(m) for b in range(a + 1, m)]
     )
-    couplings = (weights[pat.weight_row] * pat.term_coeff[:, None]).ravel()
-    data = -dt * np.bincount(pat.slot, weights=couplings, minlength=pat.indices.size)
+    data = -dt * (pat.coupling @ weights.ravel())
     data[pat.diag] += 1.0
     return sp.csr_matrix((data, pat.indices, pat.indptr), shape=(N, N))
 

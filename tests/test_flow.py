@@ -15,6 +15,7 @@ from codimflow.flow import (
     step_explicit, step_semi_implicit,
 )
 from codimflow.geometry import Immersion, build_bundle, laplace_beltrami
+from codimflow.grid import STENCILS, neighbor_maps
 
 
 def mean_radius(imm):
@@ -131,16 +132,73 @@ def torus_graph():
                                    GridField(ch, phi[..., None])))
 
 
+def term_major_bincount(b, dt):
+    """Reference step matrix: its CSR keys (row * N + column) and entries,
+    with every coupling laid out term-major (term t, node n at t * N + n)
+    and each position's couplings summed by one bincount in that order."""
+    chart = b.chart
+    m, N = chart.m, chart.node_count
+    nbs = [neighbor_maps(chart, a) for a in range(m)]
+    d1, d2 = ([(o, w / den) for o, w in sorted(weights)]
+              for weights, den in (STENCILS[chart.fd_order, 1], STENCILS[chart.fd_order, 2]))
+    ginv = b.ginv.reshape(N, m, m)
+    w = b.drift.reshape(N, m)
+    cols, couplings = [], []
+    for a in range(m):
+        h = chart.spacings[a]
+        for o, c in d2:
+            cols.append(nbs[a][o])
+            couplings.append(ginv[:, a, a] * (c / (h * h)))
+        for o, c in d1:
+            cols.append(nbs[a][o])
+            couplings.append(-w[:, a] * (c / h))
+        for e in range(a + 1, m):
+            he = chart.spacings[e]
+            for o1, c1 in d1:
+                for o2, c2 in d1:
+                    cols.append(nbs[e][o2][nbs[a][o1]])
+                    couplings.append(2.0 * ginv[:, a, e] * (c1 * c2 / (h * he)))
+    key, slot = np.unique((np.arange(N) * N + np.stack(cols)).ravel(), return_inverse=True)
+    data = -dt * np.bincount(slot.ravel(), weights=np.concatenate(couplings))
+    data[key // N == key % N] += 1.0
+    return key, data
+
+
+STEP_CHARTS = {
+    "sphere": lambda: catalog.sphere(radius=1.0, J=24, K=48, fd_order=4),
+    # three couplings meet in one CSR position on this small chart
+    "sphere-8x8": lambda: catalog.sphere(radius=1.0, J=8, K=8),
+    "clifford": lambda: catalog.clifford_torus(n1=16, n2=24, fd_order=4),
+    "circle": lambda: catalog.circle(radius=1.0, n=64),
+    "torus-graph": torus_graph,
+    "three-axis": lambda: catalog.flat_torus_graph(m=3, n_per_axis=8),
+}
+
+
 class TestStepMatrix:
-    @pytest.mark.parametrize("make", [
-        lambda: catalog.sphere(radius=1.0, J=24, K=48, fd_order=4),
-        # three couplings meet in one CSR position on this small chart
-        lambda: catalog.sphere(radius=1.0, J=8, K=8),
-        lambda: catalog.clifford_torus(n1=16, n2=24, fd_order=4),
-        lambda: catalog.circle(radius=1.0, n=64),
-        torus_graph,
-    ], ids=["sphere", "sphere-8x8", "clifford", "circle", "torus-graph"])
-    def test_matches_matrix_free_operator(self, make):
+    @pytest.mark.parametrize("name", list(STEP_CHARTS))
+    def test_bit_identical_to_term_major_bincount(self, name):
+        b = build_bundle(STEP_CHARTS[name]())
+        A = assemble_step_matrix(b, 2e-3)
+        key, data = term_major_bincount(b, 2e-3)
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        assert np.array_equal(rows * A.shape[0] + A.indices, key)
+        assert A.data.tobytes() == data.tobytes()
+
+    def test_cached_pattern_is_read_only(self):
+        b = build_bundle(catalog.sphere(radius=1.0, J=8, K=8))
+        A = assemble_step_matrix(b, 1e-2)
+        pat = flow._step_pattern(b.chart.spec)
+        arrays = [f for f in vars(pat).values() if isinstance(f, np.ndarray)]
+        arrays += [pat.coupling.data, pat.coupling.indices, pat.coupling.indptr,
+                   A.indices, A.indptr]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+    @pytest.mark.parametrize("name", list(STEP_CHARTS))
+    def test_matches_matrix_free_operator(self, name):
+        make = STEP_CHARTS[name]
         imm = make()
         b = build_bundle(imm)
         dt = 1e-2   # dt Lap f is a few percent of f, far above the 1e-12 bar

@@ -46,6 +46,27 @@ class TestInducedMetric:
         eye = np.einsum("...ij,...jk->...ik", b.ginv, b.g)
         assert np.abs(eye - np.eye(2)).max() < 1e-10
 
+    @pytest.mark.parametrize("make", [
+        lambda: catalog.sphere(radius=1.0, J=24, K=48),
+        lambda: catalog.whitney_sphere(J=24, K=48),
+        lambda: catalog.flat_torus_graph(m=3, n_per_axis=8),
+    ], ids=["sphere", "whitney", "three-axis"])
+    def test_metric_exactly_symmetric(self, make):
+        g = build_bundle(make()).g
+        assert np.array_equal(g, np.swapaxes(g, -1, -2))
+
+    @pytest.mark.parametrize("make", [
+        lambda: catalog.circle(radius=1.0, n=256),
+        lambda: catalog.cardioid(),
+        lambda: catalog.planar_graph(amplitude=0.1),   # a curve with an affine part
+    ], ids=["circle", "cardioid", "planar-graph"])
+    def test_curve_metric_is_the_einsum(self, make):
+        # curves keep the einsum: their metric, and every explicit curve flow
+        # built on it, stays bit-identical
+        b = build_bundle(make())
+        want = np.einsum("...ia,...ja->...ij", b.dF, b.dF)
+        assert b.g.tobytes() == want.tobytes()
+
     def test_degenerate_immersion_names_node(self):
         # a curve that collapses three adjacent nodes to one point has zero
         # discrete speed there and must be rejected, naming the node

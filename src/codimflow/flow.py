@@ -3,14 +3,15 @@ along computed flows.
 
 Two integrators: explicit Euler under a parabolic CFL coupled with a
 curvature-adaptive brake, and a semi-implicit step that solves
-(Id - dt * Laplace-Beltrami(g(t))) F(t+dt) = F(t) with the operator frozen at
-the current metric (the flat-ambient trace of the Gauss formula makes the
-mean curvature vector exactly that Laplacian applied to the position).
-The step matrix is assembled on a sparsity pattern cached per chart, and
-its solve starts at the explicit Euler predictor F + dt H and is
-preconditioned by an exact banded LU of the couplings inside each line of
-the chart's last axis (the sphere's colatitude rings), with the nodes of a
-line numbered zig-zag so the periodic wrap stays in the band.
+(Id - dt * L-hat) F(t+dt) = F(t) with the operator frozen at the current
+metric. L-hat is the Laplace-Beltrami operator with its connection replaced
+by a chart-static reference (DeTurck's trick), so the step is mean
+curvature flow plus a tangential velocity that keeps the sphere chart's
+pole rings from degenerating. The step matrix is assembled on a sparsity
+pattern cached per chart, and its solve starts at a second-order predictor
+and is preconditioned by an exact banded LU of the couplings inside each
+line of the chart's last axis (the sphere's colatitude rings), with the
+nodes of a line numbered zig-zag so the periodic wrap stays in the band.
 
 One iterable, trajectory, steps the flow and decides where it stops: on a
 reached time horizon, on the curvature cap, on time-step underflow (both
@@ -18,7 +19,8 @@ curvature signals), or on metric degeneration. run, a resumed run and the
 evolution checks of `codimflow verify` all step along it. Evolution
 residuals difference state triples in time (central weights, supporting
 non-uniform spacing) and compare against the right-hand sides evaluated at
-the middle state.
+the middle state, with the Lie-derivative terms of a tangential velocity
+when one is given.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import LinearOperator, bicgstab, gmres, splu
 
+from . import catalog
 from .errors import DegenerateImmersion, NonFiniteError, SolverError, UsageError
 from .geometry import (
     GeometryBundle,
@@ -47,7 +50,7 @@ from .geometry import (
     normal_part,
     trusted_mask,
 )
-from .grid import STENCILS, ChartSpec, integrate_values, make_chart, neighbor_maps
+from .grid import STENCILS, ChartSpec, Domain, integrate_values, make_chart, neighbor_maps
 
 
 class Integrator(enum.Enum):
@@ -275,14 +278,17 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
     return pattern
 
 
-def assemble_step_matrix(bundle: GeometryBundle, dt: float) -> sp.csr_matrix:
-    """Sparse matrix of (Id - dt Lap_g) acting on scalar node fields.
+def assemble_step_matrix(bundle: GeometryBundle, dt: float,
+                         drift: np.ndarray | None = None) -> sp.csr_matrix:
+    """Sparse matrix of (Id - dt L) acting on scalar node fields, where
+    L f = g^ij d_i d_j f - drift^k d_k f; the drift defaults to the bundle's
+    w^k = g^ij Gamma^k_ij, which makes L the Laplace-Beltrami operator.
 
     Assembled from the same stencil coefficients and ghost-index maps as the
-    matrix-free operators, so A @ f.ravel() reproduces
-    (f - dt lap(f)).ravel() to rounding. Per node and axis a it couples the
-    second-derivative stencil times g^aa, the first-derivative stencil times
-    the bundle's drift -w^a, and for each axis pair a < b the product of
+    matrix-free operators, so with the default drift A @ f.ravel()
+    reproduces (f - dt lap(f)).ravel() to rounding. Per node and axis a it
+    couples the second-derivative stencil times g^aa, the first-derivative
+    stencil times -drift^a, and for each axis pair a < b the product of
     first-derivative stencils times 2 g^ab. The sparsity pattern is fixed
     per chart spec and cached, and the entries are one sparse product of the
     pattern's coupling matrix with the flattened weight stack, which sums
@@ -294,7 +300,7 @@ def assemble_step_matrix(bundle: GeometryBundle, dt: float) -> sp.csr_matrix:
     m = chart.m
     N = chart.node_count
     ginv = bundle.ginv.reshape(N, m, m)
-    w = bundle.drift.reshape(N, m)
+    w = (bundle.drift if drift is None else drift).reshape(N, m)
     weights = np.stack(
         [ginv[:, a, a] for a in range(m)]
         + [-w[:, a] for a in range(m)]
@@ -330,12 +336,49 @@ def _line_preconditioner(A: sp.csr_matrix, chart) -> LinearOperator:
     return LinearOperator(A.shape, matvec=apply, dtype=np.float64)
 
 
+@lru_cache(maxsize=16)
+def reference_connection(spec: ChartSpec) -> np.ndarray:
+    """The chart-static connection Gamma-hat^k_ij of the semi-implicit step,
+    shape chart.shape + (m, m, m), read-only: on sphere charts the discrete
+    Christoffel symbols of the unit round sphere (Gamma is scale-invariant),
+    zero on flat charts."""
+    if spec.domain is Domain.SPHERE:
+        unit = catalog.sphere(1.0, *spec.resolution, fd_order=spec.fd_order)
+        gamma = build_bundle(unit).gamma
+    else:
+        m = len(spec.resolution)
+        gamma = np.zeros(spec.resolution + (m, m, m))
+    gamma.setflags(write=False)
+    return gamma
+
+
+def reference_drift(bundle: GeometryBundle) -> np.ndarray:
+    """w-hat^k = g^ij Gamma-hat^k_ij, shape (*, m): the drift of the
+    semi-implicit step's operator L-hat."""
+    return np.einsum("...ij,...kij->...k", bundle.ginv,
+                     reference_connection(bundle.chart.spec))
+
+
+def tangential_velocity(bundle: GeometryBundle) -> np.ndarray:
+    """V^k = w^k - w-hat^k, shape (*, m): the chart components of the
+    tangential velocity V^k F_k that the semi-implicit step adds to H."""
+    return bundle.drift - reference_drift(bundle)
+
+
 def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
-    """Backward-Euler-type step with the Laplace-Beltrami operator frozen at
-    the current metric: (Id - dt * Lap_g) F_new = F_old, solved componentwise
-    to a relative residual of 1e-10 by a deterministic stabilized
-    bi-conjugate gradient iteration started at the explicit Euler predictor
-    F + dt H (O(dt^2) from the answer: half the iterations of a start at F).
+    """Backward-Euler-type step with DeTurck's operator frozen at the current
+    metric: (Id - dt L-hat) F_new = F_old, L-hat f = g^ij (d_i d_j f -
+    Gamma-hat^k_ij d_k f) with the chart's reference connection. It steps
+    dF/dt = L-hat F = H + V^k F_k, mean curvature flow up to the tangential
+    velocity V = w - w-hat (tangential_velocity), which vanishes on a round
+    sphere and on flat graphs.
+
+    Each component is solved to a relative residual of 1e-10 by a
+    deterministic stabilized bi-conjugate gradient iteration started at the
+    second-order predictor P + dt q + dt^2 L-hat q with q = L-hat F, formed
+    as P + dt (2q - A q) by one matvec (A q = q - dt L-hat q). It is
+    O(dt^3) from the answer and depends only on the state, so a resumed run
+    repeats the same iterations.
 
     The preconditioner is an exact banded LU of the couplings inside each
     line of the chart's last axis, factored afresh every step so the step
@@ -345,26 +388,28 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     sparse LU are the fallbacks when bicgstab does not converge.
 
     For immersions with an affine summand the solve acts on the periodic
-    remainder; the affine part contributes dt * Lap_g(affine) to the right
-    side and passes through unchanged; H is periodic, so its predictor is
-    P + dt H.
+    remainder; the affine part contributes dt * L-hat(affine) to the right
+    side and passes through unchanged.
     """
     bundle = state.bundle
     chart = bundle.chart
     imm = state.imm
     P = imm.periodic_values()
-    rhs_extra = 0.0
+    w_hat = reference_drift(bundle)
+    rhs_all = P
     if imm.affine is not None:
         mat, _ = imm.affine
-        # Lap_g of an affine map: g^ij (0 - Gamma^k_ij d_k) = -w^k M_k
-        rhs_extra = -dt * np.einsum("...k,ak->...a", bundle.drift, mat)
-    A = assemble_step_matrix(bundle, dt)
+        # L-hat of an affine map: g^ij (0 - Gamma-hat^k_ij M_k) = -w-hat^k M_k
+        rhs_all = P - dt * np.einsum("...k,ak->...a", w_hat, mat)
+    # q = L-hat F = H + V^k F_k: the Gauss formula gives Lap_g F = H
+    q = bundle.H + np.einsum("...k,...ka->...a", bundle.drift - w_hat, bundle.dF)
+    A = assemble_step_matrix(bundle, dt, drift=w_hat)
     precond = _line_preconditioner(A, chart)
     new_P = np.empty_like(P)
-    rhs_all = P + rhs_extra
     for a in range(imm.n):
         b = rhs_all[..., a].ravel()
-        x0 = (P[..., a] + dt * bundle.H[..., a]).ravel()
+        qa = q[..., a].ravel()
+        x0 = P[..., a].ravel() + dt * (2.0 * qa - A @ qa)
         x, info = bicgstab(A, b, x0=x0, rtol=1e-10, atol=0.0,
                            maxiter=400, M=precond)
         if info != 0:
@@ -536,17 +581,23 @@ def run(initial: Immersion, config: FlowConfig, huisken_params=None,
 
 @dataclass(frozen=True)
 class EvolutionReport:
+    """Residual norms of the evolution equations across one state triple.
+    With a tangential velocity the right-hand sides carry its Lie-derivative
+    terms, and christoffel and second_fundamental are None."""
+
     metric: ResidualNorms             # d/dt g_ij = -2 <H, A_ij>
-    christoffel: ResidualNorms        # d/dt Gamma^k_ij = C^k_ij
+    christoffel: ResidualNorms | None # d/dt Gamma^k_ij = C^k_ij
     volume_form: ResidualNorms        # d/dt sqrt(det g) = -|H|^2 sqrt(det g)
     volume_total: ResidualNorms       # d/dt Vol = -int |H|^2 dmu
-    second_fundamental: ResidualNorms # d/dt A^a_ij = grad_i grad_j H^a - C^k_ij F^a_k
+    second_fundamental: ResidualNorms | None  # d/dt A^a_ij = grad_i grad_j H^a - C^k_ij F^a_k
     mean_sq: ResidualNorms            # d/dt |H|^2 = Lap|H|^2 - 2|grad^perp H|^2 + 2<A^ij,H><A_ij,H>
     a_sq: ResidualNorms               # d/dt |A|^2 = Lap|A|^2 - 2|grad^perp A|^2 + 2|<A_ij,A_kl>|^2 + |comm|^2
     heat: ResidualNorms               # d/dt (|F|^2 + 2 m t) = Lap (|F|^2)
 
     def as_dict(self) -> dict[str, ResidualNorms]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The residuals checked, by name; checks left out (None) are absent."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
 
 def christoffel_rate(bundle: GeometryBundle) -> np.ndarray:
@@ -570,10 +621,20 @@ def _time_weights(t0: float, t1: float, t2: float) -> tuple[float, float, float]
     return w0, w1, w2
 
 
-def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState) -> EvolutionReport:
+def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState,
+                        V: np.ndarray | None = None) -> EvolutionReport:
     """Residuals of the evolution equations across a consecutive state
     triple: time derivatives use central weights across (before, mid,
-    after), and the right-hand sides are evaluated at mid."""
+    after), and the right-hand sides are evaluated at mid.
+
+    V, shape chart.shape + (m,), is the chart components of a tangential
+    velocity of the flow at mid, dF/dt = H + V^k F_k (the semi-implicit
+    step's tangential_velocity). Its Lie-derivative terms are added to the
+    right-hand sides of the metric (nab_i V_j + nab_j V_i), the volume form
+    (div V sqrt(det g)), |H|^2, |A|^2 and the heat identity (V^k d_k f);
+    the integrated volume rate has none. The Christoffel and second
+    fundamental tensor checks have no Lie terms here, so with V they are
+    left out of the report."""
     if not before.t < mid.t < after.t:
         raise UsageError("state triple out of order")
     w0, w1, w2 = _time_weights(before.t, mid.t, after.t)
@@ -585,42 +646,55 @@ def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState) -> 
     chart = b.chart
     mask = trusted_mask(ref.imm)
     bundles = [s.bundle for s in states]
+    # the Lie derivative V^k d_k f of a scalar field f (none without V)
+    along_V = lambda f: 0.0 if V is None else np.einsum("...k,...k->...", V, d1_tensor(f, chart))
 
     # (evol 2) metric
     dgdt = ddt(*[bb.g for bb in bundles])
     res_metric = dgdt + 2.0 * b.HA
+    if V is not None:
+        V_low = np.matmul(b.g, V[..., None])[..., 0]
+        dV_low = d1_tensor(V_low, chart, tensor_axes=(0,))   # (*, i, j) = d_i V_j
+        res_metric = res_metric - (dV_low + np.swapaxes(dV_low, -1, -2)
+                                   - 2.0 * _gamma_dot(b.gamma, V_low))
     metric = _norms(res_metric, b, mask, scale_field=2.0 * b.HA)
 
-    # Christoffel corollary
-    dGdt = ddt(*[bb.gamma for bb in bundles])
-    C = christoffel_rate(b)
-    christoffel = _norms(dGdt - C, b, mask, scale_field=C)
+    christoffel = second_fundamental = None
+    if V is None:
+        # Christoffel corollary
+        dGdt = ddt(*[bb.gamma for bb in bundles])
+        C = christoffel_rate(b)
+        christoffel = _norms(dGdt - C, b, mask, scale_field=C)
+        # (evol sec) second fundamental tensor
+        dAdt = ddt(*[bb.A for bb in bundles])
+        rhs_A = b.ddH - _gamma_dot(C, b.dF)
+        second_fundamental = _norms(dAdt - rhs_A, b, mask, scale_field=rhs_A)
 
     # (evol 3) volume form, pointwise and integrated
     dsq = ddt(*[bb.sqrt_det_g for bb in bundles])
     res_vol = dsq + b.normH2 * b.sqrt_det_g
+    if V is not None:
+        # div V = d_k V^k + Gamma^k_kl V^l
+        div_V = (np.einsum("...kk->...", d1_tensor(V, chart, tensor_axes=(0,)))
+                 + np.einsum("...kkl,...l->...", b.gamma, V))
+        res_vol = res_vol - div_V * b.sqrt_det_g
     volume_form = _norms(res_vol, b, mask, scale_field=b.normH2 * b.sqrt_det_g)
     dV = ddt(*[bb.total_volume() for bb in bundles])
     rate = integrate_values(b.normH2, b.sqrt_det_g, chart)
     vres = abs(dV + rate)
     volume_total = ResidualNorms(linf=vres, l2=vres, scale=max(1.0, abs(rate)))
 
-    # (evol sec) second fundamental tensor
-    dAdt = ddt(*[bb.A for bb in bundles])
-    rhs_A = b.ddH - _gamma_dot(C, b.dF)
-    second_fundamental = _norms(dAdt - rhs_A, b, mask, scale_field=rhs_A)
-
     # (evol mean3) |H|^2
     dH2dt = ddt(*[bb.normH2 for bb in bundles])
     gradperpH2 = _sq_norm(b.ginv, normal_part(b, d1_tensor(b.H, chart)), 1)
     rhs_H2 = laplace_beltrami(b.normH2, b) - 2.0 * gradperpH2 + 2.0 * b.HA_sq
-    mean_sq = _norms(dH2dt - rhs_H2, b, mask, scale_field=rhs_H2)
+    mean_sq = _norms(dH2dt - rhs_H2 - along_V(b.normH2), b, mask, scale_field=rhs_H2)
 
     # (evol sec3) |A|^2
     dA2dt = ddt(*[bb.normA2 for bb in bundles])
     rhs_A2 = (laplace_beltrami(b.normA2, b) - 2.0 * b.grad_perp_A_sq
               + 2.0 * _sq_norm(b.ginv, b.AA, 4) + b.comm_sq)
-    a_sq = _norms(dA2dt - rhs_A2, b, mask, scale_field=rhs_A2)
+    a_sq = _norms(dA2dt - rhs_A2 - along_V(b.normA2), b, mask, scale_field=rhs_A2)
 
     # heat identity for f = |F|^2 + 2 m t. Direct stencils apply when |F|^2
     # is a chart-periodic field; with an affine summand (graph immersions)
@@ -637,6 +711,10 @@ def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState) -> 
     else:
         lapf = (2.0 * np.einsum("...a,...a->...", ref.imm.values, b.H)
                 + 2.0 * np.einsum("...ij,...ij->...", b.ginv, b.g))
+    if V is not None:
+        # V^k d_k |F|^2 = 2 <F, V^k F_k>, affine summand included
+        tangent = np.einsum("...k,...ka->...a", V, b.dF)
+        lapf = lapf + 2.0 * np.einsum("...a,...a->...", ref.imm.values, tangent)
     heat = _norms(dfdt - lapf, b, mask, scale_field=np.full(chart.shape, 2.0 * ref.imm.m))
 
     return EvolutionReport(
@@ -668,9 +746,9 @@ def estimate_singular_time(trace: FlowTrace) -> SingularTimeEstimate:
     """Least-squares affine fit of 1/max|A|^2 over the last 10 records
     of the terminal growth phase; the estimated singular time is the root of
     the fit. The maximum is taken over the trusted region
-    (TraceRecord.max_A2_trusted), so the pole rings of a sphere chart, whose
-    curvature outgrows the round value near the singularity, do not bend the
-    fit. The growth phase is the longest suffix of records with strictly
+    (TraceRecord.max_A2_trusted), so the pole rings of a sphere chart, where
+    the chart degeneracy slows pointwise convergence, do not bend the fit.
+    The growth phase is the longest suffix of records with strictly
     increasing max|A|^2 (early records can jitter while the grid rearranges).
     Flagged unreliable when the curvature history is not growing or the fit
     has no future root."""

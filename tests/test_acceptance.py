@@ -302,6 +302,16 @@ def test_criterion_8_type1_rescaling(sphere_run):
     ])
 
 
+def test_sphere_pole_rings_track_the_interior(sphere_run):
+    # the semi-implicit step's reference connection keeps the pole-adjacent
+    # rings from degenerating: at the fixture's last record the full
+    # max|A|^2, which the brake and the cap read, is the trusted one's
+    _, trB, _, _ = sphere_run
+    last = trB.records[-1]
+    ratio = last.max_A2 / last.max_A2_trusted
+    assert ratio < 1.05, f"max_A2 / max_A2_trusted = {ratio:.3f} at t = {last.t:.6g}"
+
+
 def test_criterion_9_lagrangian_identity_suite(ma_flow_128):
     p0, tr = ma_flow_128
     imm = lag_immersion(p0)

@@ -557,6 +557,43 @@ class TestCLI:
         assert t_printed == pytest.approx(st.t, rel=1e-5)
         assert st.t > 0.05   # the explicit CFL would allow ~1e-3 per step
 
+    @pytest.mark.parametrize("integrator", ["explicit", "semi_implicit"])
+    def test_verify_lie_terms_on_semi_implicit_runs(self, tmp_path, monkeypatch,
+                                                   capsys, integrator):
+        # the semi-implicit flow moves tangentially: verify passes the middle
+        # state's tangential velocity and prints the Christoffel and A
+        # columns, which have no Lie terms, as skipped
+        import argparse
+
+        from codimflow import cli
+        from codimflow.flow import tangential_velocity
+
+        cfgp = tmp_path / "v.cfg"
+        cfgp.write_text(
+            "name = v\n"
+            "initial.catalog = ellipse\n"
+            "initial.n = 64\n"
+            f"flow.integrator = {integrator}\n"
+            "flow.record_every = 2\n"
+            f"output.dir = {tmp_path / 'out'}\n"
+        )
+        passed = []
+        residuals = cli.evolution_residuals
+
+        def spy(before, after, mid=None, V=None):
+            passed.append((mid, V))
+            return residuals(before, after, mid=mid, V=V)
+
+        monkeypatch.setattr(cli, "evolution_residuals", spy)
+        assert cli.cmd_verify(argparse.Namespace(config=str(cfgp), checks=1)) == 0
+        (mid, V), = passed
+        row = capsys.readouterr().out.splitlines()[1].split()
+        if integrator == "explicit":
+            assert V is None and "skipped" not in row
+        else:
+            assert np.array_equal(V, tangential_velocity(mid.bundle))
+            assert row[2] == row[4] == "skipped"
+
     def test_verify_stops_at_the_horizon(self, tmp_path, monkeypatch, capsys):
         # verify steps as flow.run does: the last step is clipped onto
         # stop_t_max and no triple is formed past it
@@ -577,9 +614,9 @@ class TestCLI:
         triples = []
         residuals = cli.evolution_residuals
 
-        def spy(before, after, mid=None):
+        def spy(before, after, mid=None, V=None):
             triples.append((before.t, mid.t, after.t))
-            return residuals(before, after, mid=mid)
+            return residuals(before, after, mid=mid, V=V)
 
         monkeypatch.setattr(cli, "evolution_residuals", spy)
         assert cli.cmd_verify(argparse.Namespace(config=str(cfgp), checks=5)) == 0
@@ -783,6 +820,41 @@ class TestCLI:
         assert r.returncode == 4, (r.stdout, r.stderr)
         assert len(r.stderr.splitlines()) == 1
         assert r.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("line", [
+        "flow.integrator = semi_implicit", "flow.curvature_cap_rho = 0.5",
+        "flow.stop_max_A2 = 10", "flow.stop_dt_min = 1e-9", "flow.fixed_dt = 0.001",
+    ])
+    def test_lagrangian_unread_flow_key_exit_4(self, tmp_path, line):
+        # the potential flow reads cfl_sigma, stop_t_max and the cadence
+        # only; any other flow key set away from its default is named
+        cfgp = tmp_path / "p.cfg"
+        cfgp.write_text("name = p\ninitial.potential.m = 2\n"
+                        "initial.potential.resolution = 16\n"
+                        "flow.stop_t_max = 0.01\n"
+                        f"{line}\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli("lagrangian", str(cfgp))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert r.stderr.startswith("error: ConfigError:")
+        assert line.split(" = ")[0] in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_run_reads_the_keys_the_potential_flow_does_not(self, tmp_path):
+        # `codimflow run` steps the graph by mean curvature flow, which reads
+        # the time-step keys that `codimflow lagrangian` refuses
+        cfgp = tmp_path / "p.cfg"
+        cfgp.write_text("name = p\ninitial.potential.m = 2\n"
+                        "initial.potential.resolution = 16\n"
+                        "initial.potential.phi = 0.05*sin(x1)\n"
+                        "flow.stop_t_max = 0.01\n"
+                        "flow.fixed_dt = 0.004\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli("run", str(cfgp))
+        assert r.returncode == 0, (r.stdout, r.stderr)
+        rows = (tmp_path / "out" / "p.csv").read_text().splitlines()
+        dts = [float(row.split(",")[1]) for row in rows[2:]]
+        assert dts == [0.004, 0.004, 0.002]
 
     def test_lagrangian_nonfinite_S_exit_4(self, tmp_path):
         cfgp = tmp_path / "p.cfg"

@@ -84,7 +84,10 @@ class TestSteps:
 
     def test_semi_implicit_affine_part(self):
         # a curved graph with an affine summand: the solve acts on the periodic
-        # part, with dt Lap_g(affine) = dt (H - Lap_g P) added to its right side
+        # part, with dt L-hat(affine) = -dt w-hat^k M_k added to its right
+        # side, L-hat being the step's operator with the reference drift
+        # w-hat (zero on this flat chart); with the bundle's own drift the
+        # same term is Lap_g(affine) = H - Lap_g P
         imm = torus_graph()
         st = FlowState.initial(imm)
         b, dt = st.bundle, 1e-2
@@ -92,16 +95,21 @@ class TestSteps:
         lap_aff = -np.einsum("...k,ak->...a", b.drift, imm.affine[0])
         lap_P = np.stack([laplace_beltrami(P[..., a], b) for a in range(imm.n)], -1)
         assert np.abs(lap_aff - (b.H - lap_P)).max() <= 1e-10 * np.abs(b.H).max()
-        A = assemble_step_matrix(b, dt)
+        w_hat = flow.reference_drift(b)
+        A = assemble_step_matrix(b, dt, drift=w_hat)
+        rhs = P - dt * np.einsum("...k,ak->...a", w_hat, imm.affine[0])
         got = step_semi_implicit(st, dt).imm.periodic_values()
         lu = splu(A.tocsc())
         for a in range(imm.n):
-            want = lu.solve((P + dt * lap_aff)[..., a].ravel()).reshape(P.shape[:-1])
+            want = lu.solve(rhs[..., a].ravel()).reshape(P.shape[:-1])
             assert np.abs(got[..., a] - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_predictor_iteration_budget(self, monkeypatch):
-        # started at the explicit predictor F + dt H, each component of a
-        # first sphere step converges within 4 bicgstab iterations (7 from F)
+        """The second-order start bounds the iterations of a first sphere step."""
+        # started at F + dt q + dt^2 L-hat q (q = L-hat F = H on the round
+        # sphere), each component converges within 4 bicgstab iterations, as
+        # from the Euler predictor F + dt H (7 from F); the start's gain
+        # shows on later steps, about 2 iterations each
         st = FlowState.initial(catalog.sphere(radius=1.0, J=48, K=96))
         solve = flow.bicgstab
         iters = []
@@ -118,6 +126,25 @@ class TestSteps:
         step_semi_implicit(st, 2e-3)
         assert len(iters) == st.imm.n
         assert max(iters) <= 4, iters
+
+    def test_second_order_start_residual(self, monkeypatch):
+        # on a first 48x96 sphere step the second-order start leaves at most
+        # a fifth of the Euler predictor's relative residual
+        st = FlowState.initial(catalog.sphere(radius=1.0, J=48, K=96))
+        dt = 2e-3
+        solve = flow.bicgstab
+        ratios = []
+
+        def measured(A, b, x0=None, **kwargs):
+            euler = (st.imm.values + dt * st.bundle.H)[..., len(ratios)].ravel()
+            res = [np.linalg.norm(A @ x - b) / np.linalg.norm(b) for x in (x0, euler)]
+            ratios.append(res[0] / res[1])
+            return solve(A, b, x0=x0, **kwargs)
+
+        monkeypatch.setattr(flow, "bicgstab", measured)
+        step_semi_implicit(st, dt)
+        assert len(ratios) == st.imm.n
+        assert max(ratios) <= 0.2, ratios
 
 
 def torus_graph():
@@ -231,6 +258,34 @@ class TestStepMatrix:
         got = step_semi_implicit(st, 1e-2)
         assert infos == [0] * st.imm.n
         assert np.array_equal(got.imm.values, want.imm.values)
+
+
+class TestReferenceConnection:
+    def test_zero_on_flat_charts(self):
+        spec = torus_graph().chart.spec
+        gamma = flow.reference_connection(spec)
+        assert gamma.shape == spec.resolution + (2, 2, 2)
+        assert not gamma.any()
+
+    def test_round_sphere_on_sphere_charts(self):
+        # the Whitney sphere's chart gets the unit round sphere's connection
+        spec = catalog.whitney_sphere(radius=1.0, m=2, J=12, K=24).chart.spec
+        want = build_bundle(catalog.sphere(radius=1.0, J=12, K=24)).gamma
+        assert np.array_equal(flow.reference_connection(spec), want)
+
+    def test_round_sphere_moves_normally(self):
+        # Gamma is scale-invariant, so a round sphere of any radius has no
+        # tangential velocity beyond rounding
+        b = build_bundle(catalog.sphere(radius=0.3, J=12, K=24))
+        assert np.abs(flow.tangential_velocity(b)).max() <= 1e-12 * np.abs(b.drift).max()
+
+    @pytest.mark.parametrize("make", [
+        lambda: catalog.sphere(radius=1.0, J=8, K=8), torus_graph,
+    ], ids=["sphere", "torus"])
+    def test_cached_connection_is_read_only(self, make):
+        gamma = flow.reference_connection(make().chart.spec)
+        with pytest.raises(ValueError, match="read-only"):
+            gamma[0, 0, 0, 0, 0] = 1.0
 
 
 class TestSolverFallbacks:
@@ -399,6 +454,50 @@ class TestEvolutionResiduals:
                 continue  # d/dt(|F|^2 + 2mt) = 2m exactly, balanced by Lap
             assert rn.linf < 1e-10, (name, rn.linf)
         assert rep.heat.linf < 1e-10
+
+    def test_lie_terms_on_a_reparametrized_shrinking_sphere(self):
+        # the shrinking sphere sqrt(1 - 4t) pulled back by the flow of
+        # V = a sin(theta) d_theta, which moves colatitudes as
+        # tan(theta_t / 2) = tan(theta / 2) e^(a t): its metric and volume
+        # form change at O(a), all of it the Lie terms of V
+        imm = catalog.sphere(radius=1.0, J=24, K=48)
+        theta, phi = imm.chart.mesh()
+        a = 0.5
+
+        def state(t):
+            th = 2.0 * np.arctan(np.tan(theta / 2) * np.exp(a * t))
+            x = np.stack([np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi),
+                          np.cos(th)], axis=-1)
+            moved = Immersion(imm.chart, np.sqrt(1.0 - 4.0 * t) * x)
+            return FlowState(t=t, imm=moved, bundle=build_bundle(moved))
+
+        s0, s1, s2 = (state(0.05 + k * 1e-4) for k in range(3))
+        V = np.stack([a * np.sin(theta), np.zeros_like(theta)], axis=-1)
+        plain = evolution_residuals(s0, s2, mid=s1)
+        lie = evolution_residuals(s0, s2, mid=s1, V=V)
+        assert lie.christoffel is None and lie.second_fundamental is None
+        assert set(lie.as_dict()) == set(plain.as_dict()) - {"christoffel", "second_fundamental"}
+        for name in ("metric", "volume_form"):
+            assert getattr(plain, name).l2_rel > 1e-2, name
+            assert getattr(lie, name).l2_rel < 1e-4, name
+        for name, rn in lie.as_dict().items():
+            assert rn.linf < 1e-3 * rn.scale, (name, rn.linf)
+
+    @pytest.mark.parametrize("dt, names", [
+        (1e-4, ("metric", "volume_form")),
+        # once the step's own O(dt) error is small, the scalar terms show too
+        (6.25e-6, ("metric", "volume_form", "mean_sq", "heat")),
+    ])
+    def test_tangential_velocity_lowers_semi_implicit_residuals(self, dt, names):
+        # a semi-implicit triple on the Whitney sphere moves tangentially; its
+        # residuals fall once V's terms are added
+        st = FlowState.initial(catalog.whitney_sphere(radius=1.0, m=2, J=32, K=64))
+        s1 = step_semi_implicit(st, dt)
+        s2 = step_semi_implicit(s1, dt)
+        plain = evolution_residuals(st, s2, mid=s1)
+        lie = evolution_residuals(st, s2, mid=s1, V=flow.tangential_velocity(s1.bundle))
+        for name in names:
+            assert getattr(lie, name).l2_rel < getattr(plain, name).l2_rel, name
 
     def test_convergence_under_refinement(self):
         def worst(n, dt):

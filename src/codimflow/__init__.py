@@ -25,7 +25,7 @@ from .singularity import (BlowupClass, BlowupReport, DensityParams,
                           SolitonReport, classify_blowup, hamilton_rescale,
                           huisken_functional, monotonicity_check,
                           soliton_residual, type1_rescale)
-from .catalog import catalog_names, example_invariants, make_example
+from .catalog import catalog_names, make_example
 from .lagrangian import (LagrangianReport, Potential, PotentialFlowConfig,
                          PotentialTrace, angle_evolution_residual,
                          lag_immersion, lagrangian_angle,

@@ -1,9 +1,8 @@
 """Closed-form example immersions used as flow initial data and soliton
 test cases.
 
-Each constructor returns a valid Immersion; example_invariants gives the
-closed-form expected values tests assert against. Resolutions and stencil
-orders are free parameters with defaults chosen so each example resolves its
+Each constructor returns a valid Immersion. Resolutions and stencil orders
+are free parameters with defaults chosen so each example resolves its
 curvature scale; sphere-chart examples default to fourth-order stencils
 because the pole-adjacent rings of the staggered chart lose accuracy faster
 under second-order differencing.
@@ -15,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError
 from .geometry import Immersion, graph_immersion
 from .grid import ChartSpec, Domain, GridField, make_chart
 
@@ -201,25 +200,3 @@ def make_example(name: str, **params) -> Immersion:
     except TypeError as exc:
         raise ConfigError(f"bad parameters for catalog example {name!r}: {exc}") from None
 
-
-def example_invariants(name: str, **params) -> dict:
-    """Closed-form expected invariants for catalog members (used by tests)."""
-    if name == "circle":
-        r = params.get("radius", 1.0)
-        return {"normA2": 1.0 / r**2, "normH2": 1.0 / r**2, "volume": 2 * math.pi * r,
-                "extinction_time": r**2 / 2.0}
-    if name == "sphere":
-        r = params.get("radius", 1.0)
-        return {"normA2": 2.0 / r**2, "normH2": 4.0 / r**2,
-                "volume": 4 * math.pi * r**2, "extinction_time": r**2 / 4.0}
-    if name == "clifford_torus":
-        r1, r2 = params.get("r1", 1.0), params.get("r2", 1.0)
-        return {"normA2": 1.0 / r1**2 + 1.0 / r2**2,
-                "normH2": 1.0 / r1**2 + 1.0 / r2**2 if r1 == r2 else None,
-                "volume": 4 * math.pi**2 * r1 * r2}
-    if name == "whitney":
-        m = params.get("m", 2)
-        return {"pinching_ratio": 3.0 / (m + 2)}
-    if name == "grim_reaper":
-        return {"translator_velocity": np.array([0.0, 1.0])}
-    raise UsageError(f"no closed-form invariants recorded for {name!r}")

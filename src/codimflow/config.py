@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class AnalysisSpec:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    m: int
     S: np.ndarray
     phi_terms: list          # [(coef, [(fn, k, axis), ...]), ...]
     resolution: tuple[int, ...]
@@ -119,40 +118,28 @@ class _Parser:
             return default
         return self.kv[key][0]
 
-    def get_typed(self, key: str, cast, default=None):
-        """The value at key cast by int or float; default when unset or bad."""
+    def get_typed(self, key: str, parse, default=None, what: str | None = None):
+        """parse(value at key); default when unset, or when parse fails, which
+        is reported with the expected form `what` (_EXPECTED[parse] unless given)."""
         raw = self.get(key)
         if raw is None:
             return default
         try:
-            return cast(raw)
+            return parse(raw)
         except (TypeError, ValueError):
-            what = "integer" if cast is int else "number"
-            self.err(key, f"{key}: expected {what}, got {raw!r}")
+            self.err(key, f"{key}: expected {what or _EXPECTED[parse]}, got {raw!r}")
             return default
 
     def floats(self, key: str, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return [float(x) for x in raw.split(",")]
-        except ValueError:
-            self.err(key, f"{key}: expected comma-separated numbers, got {raw!r}")
-            return default
+        return self.get_typed(key, lambda raw: [float(x) for x in raw.split(",")], default,
+                              "comma-separated numbers")
 
     def resolution(self, key: str):
         """The comma-separated node counts at key, None when unset or bad;
         each below MIN_RESOLUTION is reported."""
-        raw = self.get(key)
-        if raw is None:
-            return None
-        try:
-            res = tuple(int(x) for x in raw.split(","))
-        except ValueError:
-            self.err(key, "expected comma-separated integers")
-            return None
-        for r in res:
+        res = self.get_typed(key, lambda raw: tuple(int(x) for x in raw.split(",")),
+                             what="comma-separated integers")
+        for r in res or ():
             if r < MIN_RESOLUTION:
                 self.err(key, f"resolution below minimum {MIN_RESOLUTION}")
         return res
@@ -163,9 +150,8 @@ class _Parser:
                 self.errors.append(f"line {lineno}: unknown key {key!r}")
 
 
-_FLOW_KEYS = (("cfl_sigma", float), ("curvature_cap_rho", float), ("stop_max_A2", float),
-              ("stop_t_max", float), ("stop_dt_min", float), ("record_every", int),
-              ("snapshot_every", int), ("fixed_dt", float))
+_EXPECTED = {int: "integer", float: "number",
+             Integrator: f"one of {[i.value for i in Integrator]}"}
 _KNOWN_ANALYSES = ("monotonicity", "soliton", "rescale", "classify", "lagrangian_report")
 
 
@@ -231,7 +217,7 @@ def parse_config(text: str) -> Scenario:
                 except ValueError as exc:
                     p.err("initial.potential.phi", str(exc))
         fd_order = p.get_typed("initial.potential.fd_order", int, 2)
-        potential = PotentialSpec(m=m, S=S, phi_terms=phi_terms,
+        potential = PotentialSpec(S=S, phi_terms=phi_terms,
                                   resolution=resolution, fd_order=fd_order)
 
     # --- grid overrides for catalog sources -------------------------------
@@ -247,19 +233,14 @@ def parse_config(text: str) -> Scenario:
     elif fd is not None:
         p.err("grid.fd_order", "fd_order must be 2 or 4")
 
-    # --- flow config: the keys the file sets; FlowConfig holds the defaults
+    # --- flow config: a flow.* key per FlowConfig field, parsed by the
+    # field's annotation; FlowConfig holds the defaults
     flow_kwargs = {}
-    integ_raw = p.get("flow.integrator")
-    if integ_raw is not None:
-        try:
-            flow_kwargs["integrator"] = Integrator(integ_raw)
-        except ValueError:
-            p.err("flow.integrator",
-                  f"integrator must be one of {[i.value for i in Integrator]}, got {integ_raw!r}")
-    for key, cast in _FLOW_KEYS:
-        value = p.get_typed(f"flow.{key}", cast)
+    for f in fields(FlowConfig):
+        parse = {"int": int, "Integrator": Integrator}.get(f.type, float)
+        value = p.get_typed(f"flow.{f.name}", parse)
         if value is not None:
-            flow_kwargs[key] = value
+            flow_kwargs[f.name] = value
     try:
         flow = FlowConfig(**flow_kwargs)
     except Exception as exc:

@@ -133,16 +133,8 @@ class FlowTrace:
         return np.array([r.t for r in self.records])
 
     @property
-    def max_A2_series(self) -> np.ndarray:
-        return np.array([r.max_A2 for r in self.records])
-
-    @property
     def max_A2_trusted_series(self) -> np.ndarray:
         return np.array([r.max_A2_trusted for r in self.records])
-
-    @property
-    def volumes(self) -> np.ndarray:
-        return np.array([r.volume for r in self.records])
 
 
 def min_physical_spacing(bundle: GeometryBundle) -> float:
@@ -534,9 +526,7 @@ class trajectory:
                 return self._stop(Termination.TIME_REACHED, f"t = {state.t:.9g}")
             if max_steps is not None and state.step_index - first_step >= max_steps:
                 return self._stop(Termination.TIME_REACHED, f"step budget at t = {state.t:.9g}")
-            dt = adaptive_dt(state, config)
-            if math.isfinite(config.stop_t_max):
-                dt = min(dt, config.stop_t_max - state.t)
+            dt = min(adaptive_dt(state, config), config.stop_t_max - state.t)
             if dt < config.stop_dt_min:
                 return self._stop(Termination.DT_UNDERFLOW, f"dt = {dt:.3e} at t = {state.t:.9g}")
             try:
@@ -591,7 +581,7 @@ class EvolutionReport:
     volume_total: ResidualNorms       # d/dt Vol = -int |H|^2 dmu
     second_fundamental: ResidualNorms | None  # d/dt A^a_ij = grad_i grad_j H^a - C^k_ij F^a_k
     mean_sq: ResidualNorms            # d/dt |H|^2 = Lap|H|^2 - 2|grad^perp H|^2 + 2<A^ij,H><A_ij,H>
-    a_sq: ResidualNorms               # d/dt |A|^2 = Lap|A|^2 - 2|grad^perp A|^2 + 2|<A_ij,A_kl>|^2 + |comm|^2
+    a_sq: ResidualNorms               # d/dt |A|^2 = Lap|A|^2 - 2|grad^perp A|^2 + 2|<A_ij,A_kl>|^2 + 2|R^perp|^2
     heat: ResidualNorms               # d/dt (|F|^2 + 2 m t) = Lap (|F|^2)
 
     def as_dict(self) -> dict[str, ResidualNorms]:
@@ -693,7 +683,7 @@ def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState,
     # (evol sec3) |A|^2
     dA2dt = ddt(*[bb.normA2 for bb in bundles])
     rhs_A2 = (laplace_beltrami(b.normA2, b) - 2.0 * b.grad_perp_A_sq
-              + 2.0 * _sq_norm(b.ginv, b.AA, 4) + b.comm_sq)
+              + 2.0 * _sq_norm(b.ginv, b.AA, 4) + 2.0 * b.comm_sq)
     a_sq = _norms(dA2dt - rhs_A2 - along_V(b.normA2), b, mask, scale_field=rhs_A2)
 
     # heat identity for f = |F|^2 + 2 m t. Direct stencils apply when |F|^2

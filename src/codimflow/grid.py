@@ -229,17 +229,15 @@ def _slice_axis(ext: np.ndarray, axis: int, offset: int) -> np.ndarray:
 def _stencil(values, axis: int, chart: Chart, parity, derivative: int) -> np.ndarray:
     """Apply the STENCILS row of this chart's order along one axis.
 
-    Terms are summed in table order, and a weight of +-1 adds or subtracts
-    its slice. The first two terms make one fresh array; the others
-    accumulate into it and the divisor divides it in place.
+    Terms are summed in table order, and a weight of +-1 (every row's first)
+    adds or subtracts its slice. The first two terms make one fresh array;
+    the others accumulate into it and the divisor divides it in place.
     """
     weights, den = STENCILS[chart.fd_order, derivative]
     ext = _pad(values, axis, chart, parity)
     (o0, w0), (o1, w1) = weights[:2]
     a = _slice_axis(ext, axis, o0)
     b = _slice_axis(ext, axis, o1)
-    if abs(w0) != 1:
-        a = abs(w0) * a
     if abs(w1) != 1:
         b = abs(w1) * b
     if w0 > 0:

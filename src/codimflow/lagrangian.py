@@ -20,14 +20,14 @@ diffeomorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import permutations
 
 import numpy as np
 
 from .errors import NonFiniteError, UsageError
-from .flow import RecordCadence, _time_weights
+from .flow import FlowConfig, RecordCadence, _time_weights
 from .geometry import (
     GeometryBundle,
     Immersion,
@@ -103,10 +103,6 @@ class Potential:
             H[..., i, j] += self.S[i, j]
         return H
 
-    def gradient_periodic(self) -> np.ndarray:
-        """grad phi per node (the periodic part of grad u)."""
-        return d1_tensor(self.phi.values[..., 0], self.chart)
-
 
 def lagrangian_angle_of_hessian(H: np.ndarray) -> np.ndarray:
     """alpha = sum_i arctan(lambda_i(H)): the smooth branch of arg det(I + i H),
@@ -132,7 +128,7 @@ def lag_immersion(p: Potential) -> Immersion:
     m = p.m
     chart = p.chart
     mesh = chart.mesh()
-    grad_phi = p.gradient_periodic()
+    grad_phi = d1_tensor(p.phi.values[..., 0], chart)
     vals = np.empty(chart.shape + (2 * m,))
     Sx = np.zeros(chart.shape + (m,))
     for i in range(m):
@@ -288,11 +284,10 @@ class PotentialFlowConfig:
     snapshot_every: int = 0   # in records; 0 keeps first and last potentials
 
     def __post_init__(self):
-        if not (0.0 < self.cfl_sigma <= 1.0):
-            raise UsageError("cfl_sigma must lie in (0, 1]")
-        if not (0 < self.stop_t_max < np.inf and self.record_every >= 1
-                and self.snapshot_every >= 0):
-            raise UsageError("bad potential-flow configuration")
+        # FlowConfig checks the shared fields; ma_run also needs a finite horizon
+        FlowConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
+        if not self.stop_t_max < np.inf:
+            raise UsageError("stop_t_max must be finite")
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ class SolitonReport:
     linf: float
     l2: float
     worst_node: tuple[int, ...]
-    V: np.ndarray | None = None
 
 
 class BlowupClass(enum.Enum):
@@ -291,5 +290,4 @@ def soliton_residual(imm: Immersion, kind: SolitonKind,
     mag = np.where(mask, np.sqrt(np.einsum("...a,...a->...", res, res)), 0.0)
     worst = np.unravel_index(int(np.argmax(mag)), imm.chart.shape)
     return SolitonReport(kind=kind, linf=float(mag.max()), l2=_masked_l2(mag**2, bundle, mask),
-                         worst_node=tuple(int(x) for x in worst),
-                         V=None if V is None else V.copy())
+                         worst_node=tuple(int(x) for x in worst))

@@ -347,7 +347,7 @@ class TestCheckpointResume:
         assert np.array_equal(fin_full.imm.values, fin_res.imm.values)
         assert any(r.max_A2_trusted != r.max_A2 for r in tr_full.records)
         assert np.array_equal(tr_full.max_A2_trusted_series, tr_res.max_A2_trusted_series)
-        assert np.array_equal(tr_full.max_A2_series, tr_res.max_A2_series)
+        assert [r.max_A2 for r in tr_full.records] == [r.max_A2 for r in tr_res.records]
 
     def test_resume_continues_snapshot_cadence(self, tmp_path):
         # interrupted at step 5, off the record cadence; an uninterrupted run
@@ -679,6 +679,73 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert err == "error: DegenerateImmersion: metric degenerate at node (3,)\n"
         assert len(out.splitlines()) == 2   # the header and the triple (4, 5, 6)
+
+    def test_run_degenerate_flow_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the run ends at the last good state, writes its outputs and exits 3
+        from codimflow import cli, flow
+        from codimflow.errors import DegenerateImmersion
+
+        cfgp = tmp_path / "d.cfg"
+        cfgp.write_text("name = d\ninitial.catalog = circle\ninitial.n = 64\n"
+                        f"flow.record_every = 5\noutput.dir = {tmp_path / 'out'}\n")
+        step = flow.step_explicit
+
+        def failing(state, dt):
+            if state.step_index == 8:
+                raise DegenerateImmersion("metric degenerate at node (3,)")
+            return step(state, dt)
+
+        monkeypatch.setattr(flow, "step_explicit", failing)
+        assert cli.main(["run", str(cfgp)]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("run d: Degenerate (metric degenerate at node (3,))\n  records=3 ")
+        assert (tmp_path / "out" / "d-final.snap").exists()
+
+    def test_run_dt_underflow_exit_2(self, tmp_path, capsys):
+        # the shrinking circle's adaptive dt falls below flow.stop_dt_min
+        from codimflow import cli
+
+        cfgp = tmp_path / "u.cfg"
+        cfgp.write_text("name = u\ninitial.catalog = circle\ninitial.n = 64\n"
+                        f"flow.stop_dt_min = 1e-3\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("run u: DtUnderflow (dt = ")
+        assert float(out.split("t_end=")[1].split()[0]) == pytest.approx(0.0835, abs=1e-3)
+
+    def test_grid_keys_reach_a_sphere(self, tmp_path):
+        from codimflow import cli
+
+        cfgp = tmp_path / "s.cfg"
+        cfgp.write_text("name = s\ninitial.catalog = sphere\ngrid.resolution = 12,24\n"
+                        "grid.fd_order = 2\nflow.stop_t_max = 0.001\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 0
+        header = (tmp_path / "out" / "s-final.snap").read_text().splitlines()[1:3]
+        assert header[0].endswith(" resolution=12x24") and header[1] == "# fd_order=2"
+
+    def test_grid_fd_order_3_exit_4(self, tmp_path, capsys):
+        from codimflow import cli
+
+        cfgp = tmp_path / "s.cfg"
+        cfgp.write_text("name = s\ninitial.catalog = sphere\ngrid.fd_order = 3\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 4
+        assert "line 3: fd_order must be 2 or 4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_translator_analysis(self, tmp_path, capsys):
+        # the grim reaper translates with velocity (0, 1)
+        from codimflow import cli
+
+        cfgp = tmp_path / "g.cfg"
+        cfgp.write_text("name = g\ninitial.catalog = grim_reaper\ninitial.n = 128\n"
+                        "flow.stop_t_max = 0.01\nanalyses = soliton\n"
+                        "analysis.soliton.kind = translator\nanalysis.soliton.V = 0,1\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("soliton[translator]: Linf=")[1].split()[0]) < 1e-2
 
     def test_rescale_subcommand(self, tmp_path):
         cfgp = tmp_path / "r.cfg"

@@ -224,7 +224,7 @@ def ref_evolution_residuals(states):
               - 2.0 * np.einsum("...ij,...ia,...ja->...", g, dH_perp, dH_perp)
               + 2.0 * np.einsum("...ik,...jl,...ij,...kl->...", g, g, S, S))
     nperp, _, AA2, comm_sq = ref_quadratic_terms(b)
-    rhs_A2 = laplace_beltrami(b.normA2, b) - 2.0 * nperp + 2.0 * AA2 + comm_sq
+    rhs_A2 = laplace_beltrami(b.normA2, b) - 2.0 * nperp + 2.0 * AA2 + 2.0 * comm_sq
     F = states[1].imm.values
     if states[1].imm.affine is None:
         lapf = laplace_beltrami(np.einsum("...a,...a->...", F, F), b)

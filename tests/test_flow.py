@@ -363,14 +363,14 @@ class TestRun:
         cfg = FlowConfig(stop_t_max=1.0, fixed_dt=0.05)
         trace, final = run(imm, cfg)
         assert trace.termination is Termination.TIME_REACHED
-        vols = trace.volumes
+        vols = np.array([r.volume for r in trace.records])
         assert np.abs(vols - vols[0]).max() < 1e-10
 
     def test_volume_monotone_and_rate(self):
         # per-step decrease matches dt * int |H|^2 dmu within 5 percent
         cfg = FlowConfig(cfl_sigma=0.5, stop_t_max=0.1, record_every=1)
         trace, _ = run(catalog.ellipse(a=1.0, b=0.8, n=128), cfg)
-        vols = trace.volumes
+        vols = np.array([r.volume for r in trace.records])
         assert np.all(np.diff(vols) < 0)
         recs = trace.records
         for k in range(1, min(20, len(recs))):
@@ -498,6 +498,19 @@ class TestEvolutionResiduals:
         lie = evolution_residuals(st, s2, mid=s1, V=flow.tangential_velocity(s1.bundle))
         for name in names:
             assert getattr(lie, name).l2_rel < getattr(plain, name).l2_rel, name
+
+    def test_whitney_a_sq_converges_under_refinement(self):
+        # the Whitney sphere's normal bundle is curved, so the |A|^2 check
+        # reads the weight of its 2|R^perp|^2 term
+        def a_sq(J):
+            st = FlowState.initial(catalog.whitney_sphere(radius=1.0, m=2, J=J, K=2 * J))
+            s1 = step_semi_implicit(st, 6.25e-6)
+            s2 = step_semi_implicit(s1, 6.25e-6)
+            V = flow.tangential_velocity(s1.bundle)
+            return evolution_residuals(st, s2, mid=s1, V=V).a_sq.l2_rel
+
+        errs = [a_sq(J) for J in (16, 32, 48)]
+        assert errs[0] >= 3.0 * errs[1] and errs[1] >= 3.0 * errs[2], errs
 
     def test_convergence_under_refinement(self):
         def worst(n, dt):

@@ -11,6 +11,7 @@ from codimflow.geometry import (
     normal_part, structure_residuals,
 )
 from codimflow.grid import ChartSpec, Domain, GridField, make_chart
+from codimflow.lagrangian import Potential, lag_immersion
 from conftest import roll_field
 
 
@@ -300,6 +301,24 @@ class TestExactSymmetries:
         assert np.abs(b2.normH2 - b.normH2).max() < 1e-10 * max(1, b.normH2.max())
         # A and H rotate with Q
         assert np.abs(b2.H - b.H @ Q.T).max() < 1e-10 * max(1, np.abs(b.H).max())
+
+    def test_isometry_moves_the_affine_summand(self):
+        # a Lagrangian graph stores (x, S x) exactly; rotated and translated,
+        # its periodic part is the old one rotated, so stencils see no seam
+        ch = make_chart(ChartSpec(Domain.TORUS, (32, 32)))
+        x, y = ch.mesh()
+        phi = GridField(ch, (0.5 * np.sin(x) * np.cos(y))[..., None])
+        imm = lag_immersion(Potential(np.array([[0.5, 0.1], [0.1, 0.8]]), phi))
+        rng = np.random.default_rng(7)
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        moved = imm.transformed(Q, rng.normal(size=4))
+        periodic = imm.periodic_values()
+        drift = np.abs(moved.periodic_values() - periodic @ Q.T).max()
+        assert drift < 1e-12 * np.abs(periodic).max()
+        b, b2 = build_bundle(imm), build_bundle(moved)
+        for name in ("normA2", "normH2", "det_g"):
+            want = getattr(b, name)
+            assert np.abs(getattr(b2, name) - want).max() < 1e-12 * np.abs(want).max(), name
 
     def test_index_shift_equivariance_bit_exact(self):
         imm = catalog.clifford_torus(n1=16, n2=16)

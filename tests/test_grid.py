@@ -179,6 +179,10 @@ class TestStencilDefinition:
     def test_table_covers_every_order(self):
         assert set(STENCILS) == {(o, k) for o in (2, 4) for k in (1, 2)}
 
+    def test_every_row_starts_with_unit_weight(self):
+        # diff1/diff2 take the first slice unscaled
+        assert all(abs(weights[0][1]) == 1 for weights, _ in STENCILS.values())
+
     def test_sphere_pole_ghosts(self):
         ch = make_chart(ChartSpec(Domain.SPHERE, (8, 8)))
         maps = {o: v.reshape(8, 8) for o, v in neighbor_maps(ch, 0).items()}

@@ -369,9 +369,3 @@ class TestCatalog:
     def test_cardioid_needs_odd_n(self):
         with pytest.raises(ConfigError):
             catalog.cardioid(n=128)
-
-    def test_invariants_table(self):
-        inv = catalog.example_invariants("sphere", radius=2.0)
-        assert inv["extinction_time"] == pytest.approx(1.0)
-        inv = catalog.example_invariants("whitney", m=2)
-        assert inv["pinching_ratio"] == pytest.approx(0.75)

@@ -178,6 +178,12 @@ def catalog_names() -> list[str]:
     return sorted(_CONSTRUCTORS)
 
 
+def resolution_params(name: str) -> list[str]:
+    """The node-count parameters of a catalog example (n..., J, K)."""
+    return [k for k, t in _CONSTRUCTORS[name].__annotations__.items()
+            if t == "int" and k[0] in "nJK"]
+
+
 def make_example(name: str, **params) -> Immersion:
     """Build a named catalog immersion. A whole-number float given for an int
     parameter becomes that int; unknown names, non-finite numbers, fractional

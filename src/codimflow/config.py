@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .catalog import catalog_names
+from .catalog import catalog_names, resolution_params
 from .errors import ConfigError
 from .flow import FlowConfig, Integrator
 from .grid import MIN_RESOLUTION
@@ -220,18 +220,27 @@ def parse_config(text: str) -> Scenario:
         potential = PotentialSpec(S=S, phi_terms=phi_terms,
                                   resolution=resolution, fd_order=fd_order)
 
-    # --- grid overrides for catalog sources -------------------------------
-    res = p.resolution("grid.resolution") or ()
-    if len(res) == 1:
-        catalog_params.setdefault("n", res[0])
-    elif len(res) == 2:
-        catalog_params.setdefault("J", res[0])
-        catalog_params.setdefault("K", res[1])
+    # --- grid overrides: a catalog example's node counts and order ----------
+    res = p.resolution("grid.resolution")
     fd = p.get_typed("grid.fd_order", int)
-    if fd in (2, 4):
-        catalog_params.setdefault("fd_order", fd)
-    elif fd is not None:
+    if fd not in (None, 2, 4):
         p.err("grid.fd_order", "fd_order must be 2 or 4")
+    for key, value in (("grid.resolution", res), ("grid.fd_order", fd)):
+        if value is not None and catalog_name is None:
+            p.err(key, f"{key} is read only with initial.catalog (a potential sets "
+                       f"initial.potential.{key[5:]}, a snapshot keeps its own grid)")
+    if res and catalog_name in catalog_names():
+        own = resolution_params(catalog_name)
+        names = {1: ("n",), 2: ("J", "K")}.get(len(res))
+        if names and set(names) <= set(own):
+            for k, r in zip(names, res):
+                catalog_params.setdefault(k, r)
+        else:
+            p.err("grid.resolution",
+                  f"grid.resolution: {len(res)} counts do not fit catalog example "
+                  f"{catalog_name!r}; set {', '.join('initial.' + k for k in own)}")
+    if fd in (2, 4) and catalog_name is not None:
+        catalog_params.setdefault("fd_order", fd)
 
     # --- flow config: a flow.* key per FlowConfig field, parsed by the
     # field's annotation; FlowConfig holds the defaults

@@ -202,18 +202,18 @@ def _pad(values: np.ndarray, axis: int, chart: Chart, parity: float | np.ndarray
     on pole axes; reflect axes use even extension regardless.
     """
     kind = chart.axis_kinds[axis]
-    v = values if axis == 0 else np.moveaxis(values, axis, 0)
+    lead = (slice(None),) * axis   # index along axis itself: no moveaxis copy
     if kind is AxisKind.PERIODIC:
-        ext = np.concatenate([v[-_PAD:], v, v[:_PAD]], axis=0)
+        top, bot = values[lead + (slice(-_PAD, None),)], values[lead + (slice(_PAD),)]
     elif kind is AxisKind.POLE:
-        # phi is the following grid axis; after moveaxis it sits at position 1
+        # a pole axis is always axis 0, and phi is the grid axis after it
         K = chart.shape[1]
-        top = np.roll(v[_PAD - 1 :: -1], K // 2, axis=1)
-        bot = np.roll(v[: -_PAD - 1 : -1], K // 2, axis=1)
-        ext = np.concatenate([parity * top, v, parity * bot], axis=0)
+        top = parity * np.roll(values[_PAD - 1 :: -1], K // 2, axis=1)
+        bot = parity * np.roll(values[: -_PAD - 1 : -1], K // 2, axis=1)
     else:  # REFLECT: even extension about the staggered boundary
-        ext = np.concatenate([v[_PAD - 1 :: -1], v, v[: -_PAD - 1 : -1]], axis=0)
-    return ext if axis == 0 else np.moveaxis(ext, 0, axis)
+        top = values[lead + (slice(_PAD - 1, None, -1),)]
+        bot = values[lead + (slice(None, -_PAD - 1, -1),)]
+    return np.concatenate([top, values, bot], axis=axis)
 
 
 def _slice_axis(ext: np.ndarray, axis: int, offset: int) -> np.ndarray:

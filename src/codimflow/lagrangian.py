@@ -36,11 +36,10 @@ from .geometry import (
     _sq_norm,
     build_bundle,
     d1_tensor,
-    d2_tensor,
     laplace_beltrami,
     trusted_mask,
 )
-from .grid import Chart, Domain, GridField
+from .grid import Chart, Domain, GridField, diff2, diff_mixed
 
 
 # ---------------------------------------------------------------------------
@@ -98,23 +97,32 @@ class Potential:
 
     def hessian(self) -> np.ndarray:
         """Hess u = S + Hess phi per node, symmetric by construction."""
-        H = d2_tensor(self.phi.values[..., 0], self.chart)
-        for i, j in np.ndindex(self.S.shape):
-            H[..., i, j] += self.S[i, j]
+        f, chart, S = self.phi.values[..., 0], self.chart, self.S
+        H = np.empty(chart.shape + S.shape)
+        # S joins each contiguous stencil output before the strided write:
+        # an H += S broadcast would run an inner loop of length m
+        for a in range(self.m):
+            H[..., a, a] = diff2(f, a, chart) + S[a, a]
+            for b in range(a + 1, self.m):
+                H[..., a, b] = H[..., b, a] = diff_mixed(f, a, b, chart) + S[a, b]
         return H
 
 
 def lagrangian_angle_of_hessian(H: np.ndarray) -> np.ndarray:
     """alpha = sum_i arctan(lambda_i(H)): the smooth branch of arg det(I + i H),
-    valued in (-m pi/2, m pi/2); the lambda_i are in closed form for m <= 2."""
+    valued in (-m pi/2, m pi/2).
+
+    For m = 2, det(I + i H) = (1 - det H) + i tr H and alpha lies in
+    (-pi, pi), so alpha is that argument, one arctan2; it never meets the
+    branch cut, since 1 - det H < 0 forces lambda_1 lambda_2 > 1 and so
+    tr H != 0. For m = 3 the sum can pass pi, where arg det wraps, so the
+    arctans of eigvalsh are summed instead."""
     m = H.shape[-1]
     if m == 1:
         return np.arctan(H[..., 0, 0])
     if m == 2:
         a, b, c = H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
-        half = 0.5 * (a + c)
-        disc = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
-        return np.arctan(half - disc) + np.arctan(half + disc)
+        return np.arctan2(a + c, 1.0 - (a * c - b * b))
     lam = np.moveaxis(np.arctan(np.linalg.eigvalsh(H)), -1, 0)
     return sum(lam[1:], lam[0])
 

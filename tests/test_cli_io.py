@@ -734,6 +734,47 @@ class TestCLI:
         assert "line 3: fd_order must be 2 or 4" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("example, res, own", [
+        ("circle", "8,8,8", "initial.n"),
+        ("clifford_torus", "16,16", "initial.n1, initial.n2"),
+    ])
+    def test_grid_resolution_unfit_for_example_exit_4(self, tmp_path, capsys,
+                                                      example, res, own):
+        # three counts fit no chart; two counts are J,K, which the torus
+        # does not take: both are named with the example's own keys
+        from codimflow import cli
+
+        cfgp = tmp_path / "s.cfg"
+        cfgp.write_text(f"name = s\ninitial.catalog = {example}\ngrid.resolution = {res}\n"
+                        f"flow.stop_t_max = 0.001\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 4
+        err = capsys.readouterr().err
+        assert f"line 3: grid.resolution: {len(res.split(','))} counts do not fit " \
+               f"catalog example '{example}'; set {own}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["potential", "snapshot"])
+    @pytest.mark.parametrize("line", ["grid.resolution = 64", "grid.fd_order = 4"])
+    def test_grid_keys_off_catalog_exit_4(self, tmp_path, capsys, source, line):
+        # a potential sets its grid under initial.potential.*, and a
+        # snapshot carries its own: the grid.* keys would go unread
+        from codimflow import cli
+
+        if source == "snapshot":
+            snap = tmp_path / "c.snap"
+            write_snapshot(catalog.circle(n=16), str(snap))
+            initial = f"initial.snapshot = {snap}\n"
+        else:
+            initial = "initial.potential.resolution = 16\ninitial.potential.S = 0.5,0.8\n"
+        cfgp = tmp_path / "p.cfg"
+        cfgp.write_text(f"name = p\n{initial}{line}\nflow.stop_t_max = 0.001\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 4
+        key = line.split(" = ")[0]
+        lineno = initial.count("\n") + 2
+        assert f"line {lineno}: {key} is read only with initial.catalog" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_translator_analysis(self, tmp_path, capsys):
         # the grim reaper translates with velocity (0, 1)
         from codimflow import cli

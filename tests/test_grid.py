@@ -6,7 +6,7 @@ import pytest
 from codimflow.errors import ConfigError
 from codimflow.geometry import d1_tensor, d2_tensor
 from codimflow.grid import (
-    STENCILS, AxisKind, ChartSpec, Domain, diff1, diff2, diff_mixed,
+    _PAD, STENCILS, AxisKind, ChartSpec, Domain, _pad, diff1, diff2, diff_mixed,
     integrate_values, make_chart, neighbor_maps,
 )
 from conftest import roll_field
@@ -211,6 +211,57 @@ class TestStencilDefinition:
         sphere = make_chart(ChartSpec(Domain.SPHERE, (8, 8)))
         assert neighbor_maps(sphere, 1)[1].reshape(8, 8)[2, 7] == 2 * 8 + 0
         assert neighbor_maps(sphere, 1)[-2].reshape(8, 8)[5, 1] == 5 * 8 + 7
+
+
+def moveaxis_pad(values, axis, chart, parity):
+    """_pad's ghost rule written with a moveaxis round trip: the reference."""
+    v = np.moveaxis(values, axis, 0)
+    kind = chart.axis_kinds[axis]
+    if kind is AxisKind.PERIODIC:
+        ext = np.concatenate([v[-_PAD:], v, v[:_PAD]], axis=0)
+    elif kind is AxisKind.POLE:
+        K = chart.shape[1]
+        top = np.roll(v[_PAD - 1 :: -1], K // 2, axis=1)
+        bot = np.roll(v[: -_PAD - 1 : -1], K // 2, axis=1)
+        ext = np.concatenate([parity * top, v, parity * bot], axis=0)
+    else:
+        ext = np.concatenate([v[_PAD - 1 :: -1], v, v[: -_PAD - 1 : -1]], axis=0)
+    return np.moveaxis(ext, 0, axis)
+
+
+PAD_CASES = [
+    (ChartSpec(Domain.TORUS, (8, 10, 12)), axis) for axis in (0, 1, 2)
+] + [
+    (ChartSpec(Domain.SPHERE, (8, 12)), axis) for axis in (0, 1)
+] + [(ChartSpec(Domain.INTERVAL, (16,), interval_bounds=(0.0, 1.0)), 0)]
+
+
+class TestGhostLayout:
+    """Ghosts are padded along their own axis, and stencils keep C order."""
+
+    @pytest.mark.parametrize("spec, axis", PAD_CASES)
+    @pytest.mark.parametrize("trailing", [(), (3,), (2, 2, 4)])
+    def test_pad_matches_moveaxis_reference(self, spec, axis, trailing):
+        ch = make_chart(spec)
+        rng = np.random.default_rng(axis + len(trailing))
+        v = rng.standard_normal(ch.shape + trailing)
+        parities = [1.0, -1.0]
+        if trailing:   # per-component parity, as tensor fields on a sphere
+            parities.append(rng.choice([-1.0, 1.0], size=trailing))
+        for parity in parities:
+            ext = _pad(v, axis, ch, parity)
+            assert ext.flags.c_contiguous
+            assert np.array_equal(ext, moveaxis_pad(v, axis, ch, parity))
+
+    @pytest.mark.parametrize("spec, axis", PAD_CASES)
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_stencils_return_c_contiguous(self, spec, axis, order):
+        spec = ChartSpec(spec.domain, spec.resolution, fd_order=order,
+                         interval_bounds=spec.interval_bounds)
+        ch = make_chart(spec)
+        v = np.random.default_rng(order).standard_normal(ch.shape + (3,))
+        for diff in (diff1, diff2):
+            assert diff(v, axis, ch).flags.c_contiguous
 
 
 class TestIntegrate:

@@ -65,7 +65,7 @@ class TestPotentialAndGraph:
         with pytest.raises(NonFiniteError, match="quadratic part S"):
             potential(np.array([[bad, 0.0], [0.0, 1.0]]), n=16)
 
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_hessian_is_S_plus_hess_phi_bitwise(self, m):
         rng = np.random.default_rng(m)
         X = rng.standard_normal((m, m))
@@ -134,6 +134,55 @@ class TestLagrangianAngle:
         # each route resolves an eigenvalue to rounding of |H|, and arctan
         # is 1-Lipschitz: the tolerance is 1e-14 on unit entries
         assert np.abs(lagrangian_angle_of_hessian(H) - ref).max() <= 1e-14 * scale
+
+
+def rotated_hessians(rng, lam1, lam2):
+    """Symmetric 2x2 Hessians with eigenvalues lam1, lam2 in random frames."""
+    t = rng.uniform(0.0, np.pi, lam1.shape)
+    c, s = np.cos(t), np.sin(t)
+    H = np.empty(lam1.shape + (2, 2))
+    H[..., 0, 0] = c * c * lam1 + s * s * lam2
+    H[..., 1, 1] = s * s * lam1 + c * c * lam2
+    H[..., 0, 1] = H[..., 1, 0] = c * s * (lam1 - lam2)
+    return H
+
+
+def crafted_hessians(kind, rng, n=2000):
+    if kind == "random":
+        X = rng.standard_normal((n, 2, 2))
+        return X + np.swapaxes(X, -1, -2)
+    if kind == "trace_zero":
+        H = crafted_hessians("random", rng, n)
+        H[..., 1, 1] = -H[..., 0, 0]
+        return H
+    if kind == "det_near_one":   # 1 - det H ~ 0: alpha near +-pi/2
+        lam = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+        return rotated_hessians(rng, lam, 1.0 / lam)
+    sign = rng.choice([-1.0, 1.0], n)
+    if kind == "both_ge_one":    # 1 - det H < 0: alpha past +-pi/2
+        return rotated_hessians(rng, sign * rng.uniform(1.0, 4.0, n),
+                                sign * rng.uniform(1.0, 4.0, n))
+    # |lambda| up to 1e8: diagonal at every scale, rotated only where both are
+    # large, since eigvalsh resolves a small eigenvalue beside a large one only
+    # to eps |H|, which would test the reference rather than the angle
+    lam = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, n))
+    diag = np.zeros((n, 2, 2))
+    diag[:, 0, 0], diag[:, 1, 1] = lam
+    big = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(4.0, 8.0, (2, n))
+    return np.concatenate([diag, rotated_hessians(rng, *big)])
+
+
+class TestAngleOfHessianM2:
+    """The m = 2 angle is arg det(I + i H) = arctan2(tr H, 1 - det H)."""
+
+    @pytest.mark.parametrize("kind", ["random", "trace_zero", "det_near_one",
+                                      "both_ge_one", "large"])
+    def test_matches_eigenvalue_sum(self, kind):
+        H = crafted_hessians(kind, np.random.default_rng(len(kind)))
+        alpha = lagrangian_angle_of_hessian(H)
+        ref = np.arctan(np.linalg.eigvalsh(H)).sum(axis=-1)
+        assert np.abs(alpha - ref).max() <= 1e-15
+        assert np.all(np.abs(alpha) < np.pi)
 
 
 class TestMeanCurvatureForm:

@@ -138,10 +138,12 @@ class FlowTrace:
 
 
 def min_physical_spacing(bundle: GeometryBundle) -> float:
-    """Smallest metric grid spacing sqrt(g_aa) * dx_a over nodes and axes."""
-    h = np.array(bundle.chart.spacings)
-    gdiag = np.einsum("...aa->...a", bundle.g)
-    return float(np.min(np.sqrt(gdiag) * h))
+    """Smallest metric grid spacing sqrt(g_aa) * dx_a over nodes and axes:
+    per-axis minima of g_aa suffice, since sqrt and the product with
+    dx_a > 0 are monotone, also after rounding."""
+    g = bundle.g
+    return min(math.sqrt(float(g[..., a, a].min())) * h
+               for a, h in enumerate(bundle.chart.spacings))
 
 
 def adaptive_dt(state: FlowState, config: FlowConfig) -> float:

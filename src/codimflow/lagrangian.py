@@ -39,7 +39,7 @@ from .geometry import (
     laplace_beltrami,
     trusted_mask,
 )
-from .grid import Chart, Domain, GridField, diff2, diff_mixed
+from .grid import Chart, Domain, GridField, diff1, diff2, diff_mixed
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +96,20 @@ class Potential:
         return self.phi.chart
 
     def hessian(self) -> np.ndarray:
-        """Hess u = S + Hess phi per node, symmetric by construction."""
+        """Hess u = S + Hess phi per node, symmetric by construction.
+
+        The (*, m, m) result is a view of component-major storage, so each
+        H[..., a, b] is one C-contiguous chart array: the stencils write
+        their outputs, and the angle and the records read the components,
+        at unit stride. Each unique component gets its stencil and S in one
+        pass (an H += S broadcast would run an inner loop of length m)."""
         f, chart, S = self.phi.values[..., 0], self.chart, self.S
-        H = np.empty(chart.shape + S.shape)
-        # S joins each contiguous stencil output before the strided write:
-        # an H += S broadcast would run an inner loop of length m
+        H = np.moveaxis(np.empty(S.shape + chart.shape), (0, 1), (-2, -1))
         for a in range(self.m):
-            H[..., a, a] = diff2(f, a, chart) + S[a, a]
+            np.add(diff2(f, a, chart), S[a, a], out=H[..., a, a])
             for b in range(a + 1, self.m):
-                H[..., a, b] = H[..., b, a] = diff_mixed(f, a, b, chart) + S[a, b]
+                np.add(diff_mixed(f, a, b, chart), S[a, b], out=H[..., a, b])
+                H[..., b, a] = H[..., a, b]
         return H
 
 
@@ -317,23 +322,31 @@ class PotentialTrace:
 
 
 def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
-    """Explicit potential flow du/dt = alpha(Hess u) under dt = sigma h^2/2.
+    """Explicit potential flow du/dt = alpha(Hess u) under dt = sigma h^2/2,
+    stable for sigma <= 1/m (forward Euler on a diffusion of m axes).
 
     The quadratic part S is constant along the flow; the spatially constant
     part of alpha is discarded by the mean-zero gauge of phi (u enters the
     geometry only through du). Records track the angle extremes, the size of
     Hess phi, and the mean curvature 1-form."""
-    chart = p0.chart
+    chart, m = p0.chart, p0.m
+    if config.cfl_sigma > 1.0 / m:
+        raise UsageError(f"flow.cfl_sigma = {config.cfl_sigma} exceeds 1/m = {1.0 / m:.6g}, "
+                         f"the stability bound of the explicit potential flow for m = {m}")
     h_min = min(chart.spacings)
     dt = config.cfl_sigma * h_min * h_min / 2.0
 
     def record(state, dt_used: float, snap: bool) -> PotentialRecord:
+        # maxima over the contiguous components, equal to those over the
+        # full H - S and d alpha (H is symmetric)
         p, t, H, alpha = state
         return PotentialRecord(
             t=t, dt=dt_used,
             alpha_min=float(alpha.min()), alpha_max=float(alpha.max()),
-            hess_phi_inf=float(np.abs(H - p.S).max()),
-            H_inf=float(np.abs(d1_tensor(alpha, chart)).max()),   # d alpha = H for graphs
+            hess_phi_inf=max(float(np.abs(H[..., a, b] - p.S[a, b]).max())
+                             for a in range(m) for b in range(a, m)),
+            H_inf=max(float(np.abs(diff1(alpha, a, chart)).max())   # d alpha = H for graphs
+                      for a in range(m)),
             potential=p if snap else None,
         )
 

@@ -976,6 +976,19 @@ class TestCLI:
         assert "initial.potential.S: entries must be finite" in r.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_lagrangian_unstable_cfl_sigma_exit_4(self, tmp_path):
+        # the explicit potential flow is stable for cfl_sigma <= 1/m only
+        cfgp = tmp_path / "p.cfg"
+        cfgp.write_text("name = p\ninitial.potential.m = 2\n"
+                        "initial.potential.resolution = 16\n"
+                        "flow.cfl_sigma = 0.6\n"
+                        "flow.stop_t_max = 0.01\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli("lagrangian", str(cfgp))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert r.stderr.startswith("error: UsageError: flow.cfl_sigma = 0.6 exceeds 1/m = 0.5")
+        assert not (tmp_path / "out").exists()
+
     def test_potential_run_without_horizon_exit_4(self, tmp_path):
         cfgp = tmp_path / "p.cfg"
         cfgp.write_text("name = p\ninitial.potential.m = 2\n"

@@ -400,6 +400,20 @@ class TestRun:
         dt_si = adaptive_dt(st, cfg_si)
         assert dt_si == pytest.approx(0.01 / st.bundle.normA2.max())
 
+    def test_min_physical_spacing_is_the_per_node_minimum(self):
+        # per-axis minima of g_aa give the per-node minimum of
+        # sqrt(g_aa) * dx_a bit for bit: sqrt and the product are monotone
+        sphere = catalog.sphere(radius=1.0, J=24, K=48)
+        R, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        for imm in (catalog.circle(radius=1.0, n=256),
+                    catalog.circle(radius=0.7, n=64, ambient_dim=3),
+                    Immersion(sphere.chart, sphere.values @ R.T),
+                    catalog.clifford_torus(fd_order=4),
+                    catalog.whitney_sphere(radius=1.0, m=2)):
+            b = build_bundle(imm)
+            per_node = np.sqrt(np.einsum("...aa->...a", b.g)) * np.array(imm.chart.spacings)
+            assert flow.min_physical_spacing(b) == float(per_node.min())
+
 
 class TestEvolutionResiduals:
     @pytest.fixture(scope="class")

@@ -74,6 +74,8 @@ class TestPotentialAndGraph:
         H = p.hessian()
         assert np.array_equal(H, np.swapaxes(H, -1, -2))
         assert np.array_equal(H, p.S + d2_tensor(p.phi.values[..., 0], p.chart))
+        # component-major storage: every component is one contiguous chart array
+        assert all(H[..., a, b].flags.c_contiguous for a in range(m) for b in range(m))
 
 
 class TestLagrangianResidual:
@@ -320,6 +322,41 @@ class TestPotentialFlow:
             assert rec.alpha_max == float(alpha.max())
             assert rec.hess_phi_inf == float(np.abs(H - p.S).max())
             assert rec.H_inf == float(np.abs(d1_tensor(alpha, p.chart)).max())
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_record_maxima_match_full_tensors(self, m):
+        # the records take their maxima per component; they equal the maxima
+        # of the full H - S and d alpha bit for bit, off-diagonal S included
+        rng = np.random.default_rng(10 + m)
+        X = 0.3 * rng.standard_normal((m, m))
+        p0 = potential(X + X.T, lambda *x: 0.1 * np.sin(x[0]) * np.cos(x[-1] + 0.4),
+                       n=24 if m < 3 else 12, m=m)
+        tr = ma_run(p0, PotentialFlowConfig(stop_t_max=0.15, record_every=1,
+                                            snapshot_every=1))
+        assert len(tr.records) > 3
+        for rec in tr.records:
+            p = rec.potential
+            H = p.hessian()
+            alpha = lagrangian_angle_of_hessian(H)
+            assert rec.hess_phi_inf == float(np.abs(H - p.S).max())
+            assert rec.H_inf == float(np.abs(d1_tensor(alpha, p.chart)).max())
+
+    @pytest.mark.parametrize("m, sigma", [(2, 0.6), (3, 0.34)])
+    def test_unstable_cfl_sigma_rejected(self, m, sigma):
+        # forward Euler on u_t = alpha(Hess u) with dt = sigma h^2 / 2 is
+        # stable only for sigma <= 1/m
+        p0 = potential(np.zeros((m, m)), lambda *x: 0.1 * np.sin(x[0]), n=8, m=m)
+        with pytest.raises(UsageError, match=r"cfl_sigma = .* exceeds 1/m"):
+            ma_run(p0, PotentialFlowConfig(cfl_sigma=sigma, stop_t_max=0.1))
+
+    def test_cfl_sigma_at_the_bound_stays_stable(self):
+        # sigma = 1/m runs, and a mode with rounding-size noise decays under
+        # it, where sigma = 0.55 would grow it from 0.1 to 0.18 by t = 2
+        noise = 1e-6 * np.random.default_rng(0).standard_normal((32, 32))
+        p0 = potential(np.zeros((2, 2)), lambda x, y: 0.1 * np.sin(x) + noise, n=32)
+        tr = ma_run(p0, PotentialFlowConfig(cfl_sigma=0.5, stop_t_max=2.0, record_every=500))
+        assert tr.records[-1].t == 2.0
+        assert tr.records[-1].hess_phi_inf < 0.2 * tr.records[0].hess_phi_inf
 
     def test_maximum_principle(self):
         p0 = potential(np.diag([0.5, 0.8]),

@@ -69,11 +69,23 @@ def build_potential(scenario: Scenario) -> Potential:
     return Potential(ps.S, GridField(chart, phi[..., None]))
 
 
-def _density_params(scenario: Scenario) -> DensityParams | None:
+def _density_params(scenario: Scenario, n: int) -> DensityParams | None:
+    """The monotonicity analysis's density parameters in R^n, q the origin
+    unless set. Raises, before any step, on an analysis vector (q, V) without
+    n finite entries or on a t0 that is not finite and positive."""
+    density = None
     for a in scenario.analyses:
+        for key in ("q", "V"):
+            v = a.params.get(key)
+            if v is not None and not (len(v) == n and np.all(np.isfinite(v))):
+                raise ConfigError(f"analysis.{a.kind}.{key} needs {n} finite entries "
+                                  f"(ambient dimension n = {n}), got {v}")
         if a.kind == "monotonicity":
-            return DensityParams(q=np.array(a.params["q"]), t0=a.params["t0"])
-    return None
+            t0 = a.params["t0"]
+            if not (math.isfinite(t0) and t0 > 0):
+                raise ConfigError(f"analysis.monotonicity.t0 must be finite and positive, got {t0}")
+            density = DensityParams(q=np.array(a.params.get("q", np.zeros(n))), t0=t0)
+    return density
 
 
 def _termination_exit(trace: FlowTrace) -> int:
@@ -87,8 +99,6 @@ def _termination_exit(trace: FlowTrace) -> int:
 def _run_one(config_path: str, resume: str | None = None) -> int:
     text = read_text(config_path)
     scenario = parse_config(text)
-    params = _density_params(scenario)
-
     if resume is not None:
         state, saved = read_checkpoint(resume, scenario_text=text)
         records = saved.records
@@ -97,6 +107,7 @@ def _run_one(config_path: str, resume: str | None = None) -> int:
     n = state.imm.n
     if n % 2 and any(a.kind == "lagrangian_report" for a in scenario.analyses):
         raise ConfigError(f"lagrangian_report requires even ambient dimension, got n = {n}")
+    params = _density_params(scenario, n)
     trace, final = run(state.imm, scenario.flow, huisken_params=params,
                        initial_state=state, records=records)
 
@@ -236,7 +247,12 @@ def cmd_verify(args) -> int:
 def cmd_soliton(args) -> int:
     imm, _ = read_snapshot(args.snapshot)
     kind = SolitonKind(args.kind)
-    V = np.array([float(x) for x in args.V.split(",")]) if args.V else None
+    try:
+        V = np.array([float(x) for x in args.V.split(",")]) if args.V else None
+    except ValueError:
+        V = np.array([np.nan])   # reported below, with the non-finite values
+    if V is not None and not np.all(np.isfinite(V)):
+        raise UsageError(f"--V must be comma-separated finite numbers, got {args.V!r}")
     rep = soliton_residual(imm, kind, V=V)
     print(f"soliton[{kind.value}]: Linf={rep.linf:.9e} L2={rep.l2:.9e} "
           f"worst_node={rep.worst_node}")
@@ -248,7 +264,7 @@ def cmd_rescale(args) -> int:
         raise UsageError("--k must be a positive integer")
     scenario = parse_config(read_text(args.config))
     initial = build_initial(scenario)
-    trace, _ = run(initial, scenario.flow, huisken_params=_density_params(scenario))
+    trace, _ = run(initial, scenario.flow, huisken_params=_density_params(scenario, initial.n))
     base = os.path.join(scenario.output_dir, scenario.name)
     _do_rescale(trace, {"mode": args.mode, "k": args.k}, base)
     return _termination_exit(trace)

@@ -269,12 +269,12 @@ def parse_config(text: str) -> Scenario:
             continue
         params: dict = {}
         if a == "monotonicity":
-            q = p.floats("analysis.monotonicity.q", [0.0, 0.0])
+            q = p.floats("analysis.monotonicity.q")   # None: the origin of R^n
             t0 = p.get_typed("analysis.monotonicity.t0", float)
             if t0 is None:
                 p.errors.append("analysis.monotonicity.t0 is required")
                 t0 = 1.0
-            params = {"q": q, "t0": t0}
+            params = {"t0": t0} if q is None else {"q": q, "t0": t0}
         elif a == "soliton":
             kind = p.get("analysis.soliton.kind", "shrinker")
             if kind not in ("shrinker", "expander", "translator"):

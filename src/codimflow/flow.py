@@ -29,6 +29,7 @@ import enum
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -456,42 +457,27 @@ def _record(state: FlowState, dt: float, huisken_params=None,
     )
 
 
-class RecordCadence:
-    """The record and snapshot cadence of a run, shared by both flows.
+def at_horizon(t: float, t_max: float) -> bool:
+    """Whether t is at t_max, up to the rounding of steps clipped onto it."""
+    return t >= t_max * (1.0 - 1e-14)
 
-    A run records its initial state, the state after every record_every-th
-    step and its final state. Every snapshot_every-th record carries a
-    snapshot (none in between when it is 0), and so do the first and the
-    last. make(state, dt, with_snapshot) builds one record. The run notes
-    each state, its initial one first; a noted state is recorded when the
-    next one arrives or the run finishes, so the final state's record is
-    made once, with its snapshot. Given the records of an earlier run, the
-    record and snapshot count continues from them.
-    """
 
-    def __init__(self, make, record_every: int, snapshot_every: int, records=()):
-        self.make = make
-        self.record_every = record_every
-        self.snapshot_every = snapshot_every
-        self.records = list(records)
-        self._last = None    # (state, dt) of the latest state, not yet recorded
-        self._due = False    # whether that state is on the record cadence
-
-    def note(self, state, dt: float, step_index: int) -> None:
-        """Note the state that step number step_index produced with dt (0
-        for an initial state)."""
-        if self._due:
-            n = len(self.records)
-            snap = n == 0 or (self.snapshot_every > 0 and n % self.snapshot_every == 0)
-            self.records.append(self.make(*self._last, snap))
-        self._last = (state, dt)
-        self._due = step_index % self.record_every == 0
-
-    def finish(self) -> list:
-        """Record the final state, with its snapshot; returns all records."""
-        if self._last is not None:
-            self.records.append(self.make(*self._last, True))
-        return self.records
+def recorded(states, make, record_every: int, snapshot_every: int, records=()):
+    """Record a run's stream of (state, dt, step_index), its initial state
+    first; returns the records and the last state. The initial state, the
+    state after every record_every-th step and the final one are recorded;
+    every snapshot_every-th record (none between when 0), the first and the
+    last carry a snapshot. make(state, dt, with_snapshot) builds a record
+    when the next state arrives, so the final one is made once, with its
+    snapshot. Given an earlier run's records, both counts continue them."""
+    records, due = list(records), False
+    for state, dt, step_index in states:
+        if due:
+            n = len(records)
+            records.append(make(*last, n == 0 or snapshot_every > 0 and n % snapshot_every == 0))
+        last, due = (state, dt), step_index % record_every == 0
+    records.append(make(*last, True))
+    return records, last[0]
 
 
 class trajectory:
@@ -524,7 +510,7 @@ class trajectory:
             if max_a2 >= config.stop_max_A2:
                 return self._stop(Termination.CURVATURE_CAP,
                                   f"max|A|^2 = {max_a2:.6e} at t = {state.t:.9g}")
-            if state.t >= config.stop_t_max * (1.0 - 1e-14):
+            if at_horizon(state.t, config.stop_t_max):
                 return self._stop(Termination.TIME_REACHED, f"t = {state.t:.9g}")
             if max_steps is not None and state.step_index - first_step >= max_steps:
                 return self._stop(Termination.TIME_REACHED, f"step budget at t = {state.t:.9g}")
@@ -543,27 +529,24 @@ def run(initial: Immersion, config: FlowConfig, huisken_params=None,
         initial_state: FlowState | None = None,
         max_steps: int | None = None,
         records: list[TraceRecord] | None = None) -> tuple[FlowTrace, FlowState]:
-    """Integrate the flow along trajectory until a stop condition fires.
-
-    Returns the trace and the final state. Records and snapshots follow
-    RecordCadence. max_steps interrupts after that many steps without
-    touching the time-step law, so a checkpointed state resumes onto the
-    identical trajectory. records are those of an earlier run that ended at
+    """Integrate the flow along trajectory until a stop condition fires;
+    returns the trace, recorded through recorded, and the final state.
+    max_steps interrupts after that many steps without touching the
+    time-step law, so a checkpointed state resumes onto the identical
+    trajectory. records are those of an earlier run that ended at
     initial_state, its own record last: the run continues their cadence, so
     that record is made again (with its snapshot when due) or dropped when
     the state is off the record cadence and not final.
     """
     state = initial_state if initial_state is not None else FlowState.initial(initial)
     kept = list(records or ())
-    dt = kept.pop().dt if kept else 0.0
-    cadence = RecordCadence(
+    first = (state, kept.pop().dt if kept else 0.0, state.step_index)
+    steps = trajectory(state, config, max_steps)
+    records, state = recorded(
+        chain([first], ((st, dt, st.step_index) for st, dt in steps)),
         lambda st, dt, snap: _record(st, dt, huisken_params, with_snapshot=snap),
         config.record_every, config.snapshot_every, kept)
-    cadence.note(state, dt, state.step_index)
-    steps = trajectory(state, config, max_steps)
-    for state, dt in steps:
-        cadence.note(state, dt, state.step_index)
-    return FlowTrace(records=cadence.finish(), termination=steps.termination,
+    return FlowTrace(records=records, termination=steps.termination,
                      termination_detail=steps.detail), state
 
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import reduce
-from itertools import permutations
+from itertools import count, permutations
 
 import numpy as np
 
 from .errors import NonFiniteError, UsageError
-from .flow import FlowConfig, RecordCadence, _time_weights
+from .flow import FlowConfig, _time_weights, at_horizon, recorded
 from .geometry import (
     GeometryBundle,
     Immersion,
@@ -350,20 +350,22 @@ def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
             potential=p if snap else None,
         )
 
-    p, t, step, step_dt = p0, 0.0, 0, 0.0
-    cadence = RecordCadence(record, config.record_every, config.snapshot_every)
-    while True:
-        # one Hessian and one angle per state, for its record and its step
-        H = p.hessian()
-        alpha = lagrangian_angle_of_hessian(H)
-        cadence.note((p, t, H, alpha), step_dt, step)
-        if t >= config.stop_t_max * (1.0 - 1e-14):
-            return PotentialTrace(records=cadence.finish(), final=p)
-        step_dt = min(dt, config.stop_t_max - t)
-        new_phi = p.phi.values[..., 0] + step_dt * (alpha - alpha.mean())
-        p = Potential(p.S, GridField(chart, new_phi[..., None]))
-        t += step_dt
-        step += 1
+    def states():
+        p, t, step_dt = p0, 0.0, 0.0
+        for step in count():
+            # one Hessian and one angle per state, for its record and its step
+            H = p.hessian()
+            alpha = lagrangian_angle_of_hessian(H)
+            yield (p, t, H, alpha), step_dt, step
+            if at_horizon(t, config.stop_t_max):
+                return
+            step_dt = min(dt, config.stop_t_max - t)
+            new_phi = p.phi.values[..., 0] + step_dt * (alpha - alpha.mean())
+            p = Potential(p.S, GridField(chart, new_phi[..., None]))
+            t += step_dt
+
+    records, (final, *_) = recorded(states(), record, config.record_every, config.snapshot_every)
+    return PotentialTrace(records=records, final=final)
 
 
 def angle_evolution_residual(p_prev: Potential, p_mid: Potential, p_next: Potential,

@@ -35,6 +35,14 @@ def run_cli(*args, cwd=None, env=None):
 
 
 class TestParseConfig:
+    def test_readme_scenarios_parse(self):
+        # every ini block of the README is a scenario the parser accepts
+        readme = os.path.join(os.path.dirname(SRC), "README.md")
+        text = open(readme, encoding="utf-8").read()
+        blocks = [b.split("```", 1)[0] for b in text.split("```ini\n")[1:]]
+        names = [parse_config(b).name for b in blocks]
+        assert names == ["circle-extinction", "convex-torus"]
+
     def test_valid_sphere_scenario(self):
         s = parse_config(
             "initial.catalog = sphere\n"
@@ -787,6 +795,71 @@ class TestCLI:
         assert cli.main(["run", str(cfgp)]) == 0
         out = capsys.readouterr().out
         assert float(out.split("soliton[translator]: Linf=")[1].split()[0]) < 1e-2
+
+    def test_monotonicity_q_defaults_to_the_origin_of_R_n(self, tmp_path, capsys):
+        # a sphere in R^3 with q unset: the density is centred at the origin
+        from codimflow import cli
+
+        cfgp = tmp_path / "s.cfg"
+        cfgp.write_text("name = s\ninitial.catalog = sphere\ngrid.resolution = 12,24\n"
+                        "flow.stop_t_max = 0.001\nanalyses = monotonicity\n"
+                        f"analysis.monotonicity.t0 = 0.5\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 0
+        assert "monotonicity: nonincreasing=True max_jump=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "resume", "rescale"])
+    @pytest.mark.parametrize("lines, key", [
+        ("analyses = monotonicity\nanalysis.monotonicity.q = nan,0\n"
+         "analysis.monotonicity.t0 = 0.5\n", "analysis.monotonicity.q"),
+        ("analyses = monotonicity\nanalysis.monotonicity.q = 0,0,0\n"
+         "analysis.monotonicity.t0 = 0.5\n", "analysis.monotonicity.q"),
+        ("analyses = monotonicity\nanalysis.monotonicity.t0 = nan\n",
+         "analysis.monotonicity.t0"),
+        ("analyses = monotonicity\nanalysis.monotonicity.t0 = 0\n",
+         "analysis.monotonicity.t0"),
+        ("analyses = soliton\nanalysis.soliton.kind = translator\n"
+         "analysis.soliton.V = 0,1,2\n", "analysis.soliton.V"),
+        ("analyses = soliton\nanalysis.soliton.kind = translator\n"
+         "analysis.soliton.V = inf,1\n", "analysis.soliton.V"),
+    ], ids=["q-nan", "q-length", "t0-nan", "t0-zero", "V-length", "V-inf"])
+    def test_bad_analysis_value_exit_4_before_any_step(self, tmp_path, capsys, command,
+                                                       lines, key):
+        from codimflow import cli
+
+        text = ("name = c\ninitial.catalog = circle\ninitial.n = 64\n"
+                f"flow.stop_t_max = 0.01\n{lines}output.dir = {tmp_path / 'out'}\n")
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(text)
+        args = ["run", str(cfgp)] if command != "rescale" else ["rescale", str(cfgp)]
+        if command == "resume":
+            trace, state = run(catalog.circle(n=64), FlowConfig(), max_steps=2)
+            write_checkpoint(str(tmp_path / "c.ckpt"), state, trace, text)
+            args += ["--resume", str(tmp_path / "c.ckpt")]
+        assert cli.main(args) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: ConfigError: {key} ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_soliton_malformed_velocity_exit_4(self, tmp_path):
+        snap = tmp_path / "g.snap"
+        write_snapshot(catalog.make_example("grim_reaper", n=64), str(snap))
+        for V in ("a,b", "nan,1", "0,1,2"):
+            r = run_cli("soliton", str(snap), "--kind", "translator", "--V", V)
+            assert r.returncode == 4, (V, r.stdout, r.stderr)
+            assert r.stderr.startswith("error: UsageError: ") and r.stdout == ""
+            assert len(r.stderr.splitlines()) == 1
+
+    def test_run_stopped_before_the_first_step_exit_2(self, tmp_path, capsys):
+        from codimflow import cli
+
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text("name = c\ninitial.catalog = circle\ninitial.n = 64\n"
+                        f"flow.stop_max_A2 = 0.5\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 2
+        assert capsys.readouterr().out.startswith("run c: CurvatureCap (")
+        rows = (tmp_path / "out" / "c.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0,")
 
     def test_rescale_subcommand(self, tmp_path):
         cfgp = tmp_path / "r.cfg"

@@ -353,6 +353,16 @@ class TestRun:
         assert est.reliable
         assert est.t_hat == pytest.approx(0.5, abs=0.01)
 
+    def test_stop_before_the_first_step(self):
+        # the unit circle's |A|^2 = 1 is over the cap at the initial state:
+        # the stream is that one state, recorded once, with its snapshot
+        trace, final = run(catalog.circle(n=64), FlowConfig(stop_max_A2=0.5))
+        assert trace.termination is Termination.CURVATURE_CAP
+        assert final.step_index == 0 and final.t == 0.0
+        [rec] = trace.records
+        assert (rec.step_index, rec.t, rec.dt) == (0, 0.0, 0.0)
+        assert rec.snapshot is final.imm
+
     def test_stationary_graph_time_reached(self):
         from codimflow.grid import ChartSpec, Domain, GridField, make_chart
         from codimflow.lagrangian import Potential, lag_immersion

@@ -281,7 +281,10 @@ def parse_config(text: str) -> Scenario:
                 p.err("analysis.soliton.kind", f"bad soliton kind {kind!r}")
             params = {"kind": kind}
             V = p.floats("analysis.soliton.V")
-            if V is not None:
+            if V is not None and kind != "translator":
+                p.err("analysis.soliton.V", f"analysis.soliton.V is read only by kind "
+                                            f"translator, not {kind!r}")
+            elif V is not None:
                 params["V"] = V
             elif kind == "translator":
                 p.errors.append("analysis.soliton.V is required for translator")

@@ -8,10 +8,10 @@ metric. L-hat is the Laplace-Beltrami operator with its connection replaced
 by a chart-static reference (DeTurck's trick), so the step is mean
 curvature flow plus a tangential velocity that keeps the sphere chart's
 pole rings from degenerating. The step matrix is assembled on a sparsity
-pattern cached per chart, and its solve starts at a second-order predictor
-and is preconditioned by an exact banded LU of the couplings inside each
-line of the chart's last axis (the sphere's colatitude rings), with the
-nodes of a line numbered zig-zag so the periodic wrap stays in the band.
+pattern cached per chart. Its solve starts at a second-order predictor and
+is preconditioned, on charts of two or more axes, by T. Chan's optimal
+circulant of each line of the periodic last axis (the sphere's colatitude
+rings), inverted by FFT; on one-axis charts by the exact sparse LU.
 
 One iterable, trajectory, steps the flow and decides where it stops: on a
 reached time horizon, on the curvature cap, on time-step underflow (both
@@ -33,7 +33,6 @@ from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import LinearOperator, bicgstab, gmres, splu
 
 from . import catalog
@@ -183,18 +182,19 @@ class _StepPattern:
     coefficient of every coupling that lands on CSR position p, in the order
     of the coupling's flat index t * N + n (term t, node n). It is never
     canonicalised, since merging duplicate entries would change the rounding.
+
+    line_mean maps the CSR data to the preconditioner's line circulants: its
+    row l * K + d holds 1/K at each CSR position coupling a node of line l
+    (K nodes along the last axis) to the node d places after it, cyclically,
+    the diagonal and the pole ghosts' half-turn (d = K/2) included. One-axis
+    charts, preconditioned by their exact LU, leave it unused.
     """
 
     coupling: sp.csr_matrix    # CSR position x weight-stack entry
     indices: np.ndarray        # CSR column indices
     indptr: np.ndarray         # CSR row pointers
     diag: np.ndarray           # CSR positions of the diagonal
-    half_width: int            # band half-width kl = ku of the line blocks
-    perm: np.ndarray           # banded position -> node
-    banded: np.ndarray         # node -> banded position (inverse of perm)
-    band_src: np.ndarray       # CSR positions of the in-band line couplings
-    band_dst: np.ndarray       # their flat positions in LAPACK band storage,
-                               # held transposed (column-major)
+    line_mean: sp.csr_matrix   # (line, offset) x CSR position
 
 
 @lru_cache(maxsize=16)
@@ -243,33 +243,23 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
     r, c = np.divmod(key[new], N)
     indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=N))]
 
-    # zig-zag numbering 0, K-1, 1, K-2, ... inside each line of the last axis
-    # keeps a stencil offset o within 2|o| banded positions, periodic wrap
-    # included
     K = chart.shape[-1]
-    zig = np.empty(K, dtype=np.int64)
-    zig[0::2] = np.arange((K + 1) // 2)
-    zig[1::2] = np.arange(K - 1, (K + 1) // 2 - 1, -1)
-    banded = (node // K) * K + np.argsort(zig)[node % K]
-    kl = 2 * (order // 2)
-    d = banded[r] - banded[c]
-    in_band = (r // K == c // K) & (np.abs(d) <= kl)
+    inline = np.flatnonzero(r // K == c // K)
+    line_mean = sp.csr_matrix((np.full(inline.size, 1.0 / K),
+                               (r[inline] // K * K + (c - r)[inline] % K, inline)),
+                              shape=(N, r.size))
     pattern = _StepPattern(
         coupling=coupling,
         indices=c.astype(np.int32),
         indptr=indptr.astype(np.int32),
         diag=np.flatnonzero(r == c),
-        half_width=kl,
-        perm=np.argsort(banded),
-        banded=banded,
-        band_src=np.flatnonzero(in_band),
-        band_dst=(banded[c] * (3 * kl + 1) + 2 * kl + d)[in_band],
+        line_mean=line_mean,
     )
     # every step matrix shares indices and indptr with the cache: make the
-    # arrays (coupling's too) read-only so an in-place edit fails loudly
-    frozen = [f for f in vars(pattern).values() if isinstance(f, np.ndarray)]
-    for arr in frozen + [coupling.data, coupling.indices, coupling.indptr]:
-        arr.setflags(write=False)
+    # arrays (the sparse maps' too) read-only so an in-place edit fails loudly
+    for f in vars(pattern).values():
+        for arr in (f.data, f.indices, f.indptr) if sp.issparse(f) else (f,):
+            arr.setflags(write=False)
     return pattern
 
 
@@ -307,26 +297,30 @@ def assemble_step_matrix(bundle: GeometryBundle, dt: float,
 
 
 def _line_preconditioner(A: sp.csr_matrix, chart) -> LinearOperator:
-    """Exact banded LU of the couplings inside each line of the chart's last
-    axis (the sphere's colatitude rings), for a matrix from
-    assemble_step_matrix. In-line couplings beyond the band, which only the
-    pole ghosts' half-turn produces, are left out."""
-    pat = _step_pattern(chart.spec)
-    kl = pat.half_width
-    ab = np.zeros((A.shape[0], 3 * kl + 1))
-    ab.flat[pat.band_dst] = A.data[pat.band_src]
-    lu, piv, info = dgbtrf(ab.T, kl, kl, overwrite_ab=1)
-    if info != 0:
-        where = ""
-        if info > 0:  # U(info, info) is exactly zero
-            node = np.unravel_index(int(pat.perm[info - 1]), chart.shape)
-            where = f" at node {tuple(int(i) for i in node)}"
-        raise SolverError(f"semi-implicit line factor (dgbtrf) failed with "
-                          f"info = {info}{where}")
-    perm, banded = pat.perm, pat.banded
+    """Preconditioner for a matrix from assemble_step_matrix: the exact
+    sparse LU on a one-axis chart; else, per line of the periodic last axis,
+    the circulant of the line's per-offset mean in-line couplings, inverted
+    by FFT. It is the exact in-line inverse where the couplings do not vary
+    along a line, as on a round sphere in any position."""
+    if chart.m == 1:
+        try:
+            return LinearOperator(A.shape, matvec=splu(A.tocsc()).solve, dtype=np.float64)
+        except RuntimeError as exc:
+            raise SolverError(f"semi-implicit line preconditioner failed: {exc}") from None
+    # per line, (C x)_i = sum_d a_d x_(i+d): C's eigenvalues are conj(rfft(a));
+    # one below 1e-12 of its line's largest is zero up to rounding
+    symbol = np.fft.rfft((_step_pattern(chart.spec).line_mean @ A.data)
+                         .reshape(chart.shape)).conj()
+    mag = np.abs(symbol)
+    zero = mag <= 1e-12 * mag.max(axis=-1, keepdims=True)
+    if zero.any():
+        *line, k = map(int, np.argwhere(zero)[0])
+        raise SolverError(f"semi-implicit line preconditioner is singular on "
+                          f"line {tuple(line)} at wavenumber {k}")
+    inverse, K = 1.0 / symbol, chart.shape[-1]
 
     def apply(r):
-        return dgbtrs(lu, kl, kl, r[perm], piv, overwrite_b=1)[0][banded]
+        return np.fft.irfft(np.fft.rfft(r.reshape(chart.shape)) * inverse, n=K).ravel()
 
     return LinearOperator(A.shape, matvec=apply, dtype=np.float64)
 
@@ -375,12 +369,12 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     O(dt^3) from the answer and depends only on the state, so a resumed run
     repeats the same iterations.
 
-    The preconditioner is an exact banded LU of the couplings inside each
-    line of the chart's last axis, factored afresh every step so the step
-    stays a function of its state. On the sphere these lines are the
-    colatitude rings, whose longitude couplings stiffen toward the poles;
-    on a one-axis chart it is the exact inverse. Restarted GMRES and then a
-    sparse LU are the fallbacks when bicgstab does not converge.
+    The preconditioner, built afresh every step so the step stays a function
+    of its state, is the circulant of the mean in-line couplings of each line
+    of the chart's periodic last axis (the sphere's colatitude rings, pole
+    ghosts' half-turn included; exact on a round sphere), inverted by FFT; on
+    a one-axis chart, the exact sparse LU. Restarted GMRES and then a sparse
+    LU are the fallbacks when bicgstab does not converge.
 
     For immersions with an affine summand the solve acts on the periodic
     remainder; the affine part contributes dt * L-hat(affine) to the right

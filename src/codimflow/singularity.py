@@ -273,12 +273,14 @@ def soliton_residual(imm: Immersion, kind: SolitonKind,
                      V: np.ndarray | None = None,
                      bundle: GeometryBundle | None = None) -> SolitonReport:
     """Pointwise residual of the self-similarity equation for the given kind:
-    shrinker H + F^perp, expander H - F^perp, translator H - V^perp."""
+    shrinker H + F^perp, expander H - F^perp, translator H - V^perp. The
+    velocity V is required for a translator and refused for the others."""
+    if (V is None) == (kind is SolitonKind.TRANSLATOR):
+        raise UsageError(f"soliton kind {kind.value}: a velocity V is required for "
+                         f"a translator and read by no other kind")
     if bundle is None:
         bundle = build_bundle(imm)
     if kind is SolitonKind.TRANSLATOR:
-        if V is None:
-            raise UsageError("translator residual requires the velocity vector V")
         V = np.asarray(V, dtype=np.float64)
         if V.shape != (imm.n,):
             raise UsageError(f"V must have {imm.n} components")

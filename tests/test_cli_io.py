@@ -124,6 +124,14 @@ class TestParseConfig:
                 "analysis.soliton.kind = translator\n"
             )
 
+    @pytest.mark.parametrize("kind", ["shrinker", "expander"])
+    def test_soliton_V_refused_for_other_kinds(self, kind):
+        # only the translator residual reads a velocity
+        with pytest.raises(ConfigError, match="line 4: analysis.soliton.V is read only "
+                                              "by kind translator, not '" + kind):
+            parse_config("initial.catalog = circle\nanalyses = soliton\n"
+                         f"analysis.soliton.kind = {kind}\nanalysis.soliton.V = 0,1\n")
+
 
 class TestDiagnosticsCSV:
     def test_columns_and_precision(self, tmp_path):
@@ -840,6 +848,30 @@ class TestCLI:
         assert out == "" and err.startswith(f"error: ConfigError: {key} ")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["shrinker", "expander"])
+    def test_soliton_V_for_other_kinds_exit_4_before_any_step(self, tmp_path, capsys, kind):
+        from codimflow import cli
+
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text("name = c\ninitial.catalog = circle\ninitial.n = 64\n"
+                        "flow.stop_t_max = 0.01\nanalyses = soliton\n"
+                        f"analysis.soliton.kind = {kind}\nanalysis.soliton.V = 0,1\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "line 7: analysis.soliton.V is read only by kind translator" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["shrinker", "expander"])
+    def test_soliton_velocity_for_other_kinds_exit_4(self, tmp_path, kind):
+        snap = tmp_path / "s.snap"
+        write_snapshot(catalog.sphere(radius=math.sqrt(2.0), J=12, K=24), str(snap))
+        r = run_cli("soliton", str(snap), "--kind", kind, "--V", "0,1,2")
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert r.stdout == "" and r.stderr == (
+            f"error: UsageError: soliton kind {kind}: a velocity V is required for "
+            "a translator and read by no other kind\n")
 
     def test_soliton_malformed_velocity_exit_4(self, tmp_path):
         snap = tmp_path / "g.snap"

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import circulant
 from scipy.sparse.linalg import splu
 
 from codimflow import catalog, flow
@@ -200,6 +202,36 @@ STEP_CHARTS = {
     "torus-graph": torus_graph,
     "three-axis": lambda: catalog.flat_torus_graph(m=3, n_per_axis=8),
 }
+# the charts whose preconditioner is the line circulants
+LINE_CHARTS = [name for name, make in STEP_CHARTS.items() if make().chart.m > 1]
+
+
+def rigidly_moved(imm, seed=3):
+    """imm turned by a random rotation of R^n and shifted."""
+    rng = np.random.default_rng(seed)
+    R, _ = np.linalg.qr(rng.standard_normal((imm.n, imm.n)))
+    return Immersion(imm.chart, imm.values @ R.T + rng.standard_normal(imm.n))
+
+
+def line_blocks(A, K, mean=False):
+    """Block-diagonal matrix of A's couplings inside each line of K nodes,
+    built block by block without the cached pattern; with mean, each block
+    is the circulant of its per-offset means, entry (i, j) the mean of the
+    block's entries (i', (i' + j - i) mod K)."""
+    i = np.arange(K)
+    blocks = [A[s:s + K, s:s + K].toarray() for s in range(0, A.shape[0], K)]
+    if mean:
+        blocks = [circulant([blk[i, (i + d) % K].mean() for d in range(K)]).T
+                  for blk in blocks]
+    return sp.block_diag(blocks, format="csr")
+
+
+def step_operator(imm, dt=2e-3):
+    """The semi-implicit step's matrix at imm, its line preconditioner and
+    the chart's line length."""
+    b = build_bundle(imm)
+    A = assemble_step_matrix(b, dt, drift=flow.reference_drift(b))
+    return A, flow._line_preconditioner(A, b.chart), b.chart.shape[-1]
 
 
 class TestStepMatrix:
@@ -218,6 +250,7 @@ class TestStepMatrix:
         pat = flow._step_pattern(b.chart.spec)
         arrays = [f for f in vars(pat).values() if isinstance(f, np.ndarray)]
         arrays += [pat.coupling.data, pat.coupling.indices, pat.coupling.indptr,
+                   pat.line_mean.data, pat.line_mean.indices, pat.line_mean.indptr,
                    A.indices, A.indptr]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -258,6 +291,51 @@ class TestStepMatrix:
         got = step_semi_implicit(st, 1e-2)
         assert infos == [0] * st.imm.n
         assert np.array_equal(got.imm.values, want.imm.values)
+
+    @pytest.mark.parametrize("name", LINE_CHARTS)
+    def test_line_circulants_inverted_exactly(self, name):
+        # the preconditioner inverts the circulants of each line's mean
+        # in-line couplings, the pole ghosts' half-turn included
+        A, M, K = step_operator(STEP_CHARTS[name]())
+        x = np.random.default_rng(0).standard_normal(A.shape[0])
+        y = M @ (line_blocks(A, K, mean=True) @ x)
+        assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["in-place", "moved"])
+    @pytest.mark.parametrize("name", ["sphere", "sphere-8x8", "clifford", "three-axis"])
+    def test_exact_in_line_inverse_on_uniform_lines(self, name, moved):
+        # on a round sphere (K = 48 and K = 8), a product of circles and a
+        # flat torus, in any position, the couplings do not vary along a
+        # line, so the circulants are the exact inverse of the in-line part
+        imm = STEP_CHARTS[name]()
+        A, M, K = step_operator(rigidly_moved(imm) if moved else imm)
+        x = np.random.default_rng(1).standard_normal(A.shape[0])
+        y = M @ (line_blocks(A, K) @ x)
+        assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
+
+    @pytest.mark.parametrize("make, most", [
+        (lambda: catalog.whitney_sphere(radius=1.0, m=2, J=32, K=64), 320),
+        (lambda: catalog.clifford_torus(n1=64, n2=64), 126),
+        (catalog.flat_torus_graph, 0),
+        (lambda: rigidly_moved(catalog.sphere(radius=1.0, J=24, K=48)), 293),
+    ], ids=["whitney", "clifford", "flat-torus-graph", "moved-sphere"])
+    def test_iterations_within_banded_lu_counts(self, make, most, monkeypatch):
+        # 40 steps at rho 0.01 take no more bicgstab iterations in total
+        # than with the banded LU of each line that the circulants replaced
+        solve = flow.bicgstab
+        iters = [0]
+
+        def counted(*args, **kwargs):
+            def tick(xk):
+                iters[0] += 1
+
+            return solve(*args, **kwargs, callback=tick)
+
+        monkeypatch.setattr(flow, "bicgstab", counted)
+        cfg = FlowConfig(integrator=Integrator.SEMI_IMPLICIT, curvature_cap_rho=0.01)
+        steps = flow.trajectory(FlowState.initial(make()), cfg, max_steps=40)
+        assert sum(1 for _ in steps) == 40
+        assert iters[0] <= most, iters[0]
 
 
 class TestReferenceConnection:
@@ -329,18 +407,25 @@ class TestSolverFallbacks:
         with pytest.raises(SolverError, match="exactly singular"):
             step_semi_implicit(self.state(), 2e-3)
 
-    def test_singular_line_factor_raises(self, monkeypatch):
-        dgbtrf = flow.dgbtrf
+    def test_singular_line_circulant_raises(self):
+        # on a flat torus the in-line symbol of the step is 1 - dt sigma_k,
+        # sigma_k the symbol of the Laplacian's in-line couplings at
+        # wavenumber k; the negative dt = 1 / sigma_3 zeroes mode 3 of
+        # every line, and the first line is named
+        st = FlowState.initial(catalog.flat_torus_graph(m=2, n_per_axis=8))
+        ginv, (h0, h1), K = st.bundle.ginv, st.imm.chart.spacings, 8
+        sigma = -2.0 * (ginv[..., 0, 0].mean() / h0**2
+                        + ginv[..., 1, 1].mean() / h1**2 * (1.0 - np.cos(2 * np.pi * 3 / K)))
+        with pytest.raises(SolverError, match=r"singular on line \(0,\) at wavenumber 3$"):
+            step_semi_implicit(st, 1.0 / sigma)
 
-        def zero_pivot(*args, **kwargs):
-            lu, piv, _ = dgbtrf(*args, **kwargs)
-            return lu, piv, 5   # U(5, 5) == 0
+    def test_singular_one_axis_factor_raises(self, monkeypatch):
+        def singular(A):
+            raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(flow, "dgbtrf", zero_pivot)
-        # banded position 4 is the fifth node of ring 0 in zig-zag order
-        # 0, K-1, 1, K-2, 2: node (0, 2)
-        with pytest.raises(SolverError, match=r"line factor \(dgbtrf\).*info = 5 at node \(0, 2\)"):
-            step_semi_implicit(self.state(), 2e-3)
+        monkeypatch.setattr(flow, "splu", singular)
+        with pytest.raises(SolverError, match="preconditioner failed: Factor is exactly singular"):
+            step_semi_implicit(FlowState.initial(catalog.ellipse(n=64)), 1e-2)
 
 
 class TestRun:

@@ -15,16 +15,14 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
 from . import catalog
 from .config import Scenario, coerce_scalar, evaluate_phi, parse_config
 from .errors import CodimflowError, ConfigError, UsageError
-from .flow import (FlowConfig, FlowState, FlowTrace, Integrator, Termination,
-                   estimate_singular_time, evolution_residuals, run,
-                   tangential_velocity, trajectory)
+from .flow import (FlowState, FlowTrace, Integrator, Termination, estimate_singular_time,
+                   evolution_residuals, run, tangential_velocity, trajectory)
 from .geometry import Immersion, build_bundle, structure_residuals
 from .grid import ChartSpec, Domain, GridField, integrate_values, make_chart
 from .lagrangian import (Potential, PotentialFlowConfig, lag_immersion,
@@ -271,18 +269,9 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_lagrangian(args) -> int:
-    scenario = parse_config(read_text(args.config))
+    scenario = parse_config(read_text(args.config), flow_type=PotentialFlowConfig)
     if scenario.initial_kind == "potential":
-        # the potential flow reads the flow keys its config has; a key that
-        # only `codimflow run` reads must not be set and silently ignored
-        read = [f.name for f in fields(PotentialFlowConfig)]
-        unread = [f"flow.{f.name}" for f in fields(FlowConfig)
-                  if f.name not in read and getattr(scenario.flow, f.name) != f.default]
-        if unread:
-            raise ConfigError(f"not read by the potential flow: {', '.join(unread)}")
-        p0 = build_potential(scenario)
-        cfg = PotentialFlowConfig(**{k: getattr(scenario.flow, k) for k in read})
-        tr = ma_run(p0, cfg)
+        tr = ma_run(build_potential(scenario), scenario.flow)
         base = os.path.join(scenario.output_dir, scenario.name)
         write_diagnostics(tr, base + ".csv")
         p = tr.final

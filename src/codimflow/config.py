@@ -41,7 +41,7 @@ class Scenario:
     catalog_params: dict
     potential: PotentialSpec | None
     snapshot_path: str | None
-    flow: FlowConfig
+    flow: FlowConfig               # or the flow_type given to parse_config
     analyses: list[AnalysisSpec]
     output_dir: str
 
@@ -52,16 +52,18 @@ _PHI_TERM = re.compile(
 _PHI_FACTOR = re.compile(r"\*\s*(?P<fn>sin|cos)\(\s*(?:(?P<k>\d+)\s*\*\s*)?x(?P<ax>\d)\s*\)")
 
 
-def parse_phi_term(text: str):
-    """Parse one Fourier product term like `0.1*sin(x1)*cos(2*x2)`."""
-    m = _PHI_TERM.match(text)
-    if not m:
+def parse_phi_term(text: str, m: int):
+    """Parse one Fourier product term like `0.1*sin(x1)*cos(2*x2)` on the m-torus."""
+    match = _PHI_TERM.match(text)
+    if not match:
         raise ValueError(f"bad phi term {text!r}; expected like 0.1*sin(x1)*cos(2*x2)")
-    coef = float(m.group("coef"))
+    coef = float(match.group("coef"))
     factors = []
-    for fm in _PHI_FACTOR.finditer(m.group("factors")):
-        k = int(fm.group("k") or 1)
-        factors.append((fm.group("fn"), k, int(fm.group("ax")) - 1))
+    for fm in _PHI_FACTOR.finditer(match.group("factors")):
+        k, ax = int(fm.group("k") or 1), int(fm.group("ax"))
+        if not 1 <= ax <= m:
+            raise ValueError(f"phi term {text.strip()!r}: the {m}-torus has axes x1..x{m}")
+        factors.append((fm.group("fn"), k, ax - 1))
     return coef, factors
 
 
@@ -80,8 +82,6 @@ def evaluate_phi(spec: PotentialSpec, mesh: list[np.ndarray]) -> np.ndarray:
     for coef, factors in spec.phi_terms:
         term = np.full(mesh[0].shape, coef)
         for fn, k, ax in factors:
-            if ax >= len(mesh):
-                raise ConfigError(f"phi term references axis x{ax + 1} beyond dimension")
             f = np.sin if fn == "sin" else np.cos
             term = term * f(k * mesh[ax])
         out += term
@@ -144,10 +144,16 @@ class _Parser:
                 self.err(key, f"resolution below minimum {MIN_RESOLUTION}")
         return res
 
-    def finish_unknown(self):
+    def finish(self, unread: dict[str, str]):
+        """Raise ConfigError listing every error, then every key set and never
+        looked up: `<key> is read only <unread[key]>` if listed there, else unknown."""
         for key, (_, lineno) in sorted(self.kv.items(), key=lambda it: it[1][1]):
-            if key not in self.used:
+            if key in unread and key not in self.used:
+                self.errors.append(f"line {lineno}: {key} is read only {unread[key]}")
+            elif key not in self.used:
                 self.errors.append(f"line {lineno}: unknown key {key!r}")
+        if self.errors:
+            raise ConfigError("configuration errors:\n  " + "\n  ".join(self.errors))
 
 
 _EXPECTED = {int: "integer", float: "number",
@@ -155,10 +161,17 @@ _EXPECTED = {int: "integer", float: "number",
 _KNOWN_ANALYSES = ("monotonicity", "soliton", "rescale", "classify", "lagrangian_report")
 
 
-def parse_config(text: str) -> Scenario:
-    """Parse and validate a scenario; raises ConfigError listing every
-    problem found (one line each, with line numbers)."""
+def parse_config(text: str, flow_type: type = FlowConfig) -> Scenario:
+    """Parse and validate a scenario with one flow.* key per field of flow_type, the
+    command's flow config; raises ConfigError listing every problem, one line each."""
     p = _Parser(text)
+    # a key is looked up only where its value is used; why a key that is set
+    # and not looked up goes unread, by key (any other is unknown)
+    unread = {f"grid.{k}": f"with initial.catalog (a potential sets initial.potential.{k}, "
+                           "a snapshot keeps its own grid)" for k in ("resolution", "fd_order")}
+    read = {f.name for f in fields(flow_type)}
+    unread.update((f"flow.{f.name}", "by the mean curvature flow (run, verify, rescale)")
+                  for f in fields(FlowConfig) if f.name not in read)
 
     name = p.get("name", "scenario")
 
@@ -190,13 +203,35 @@ def parse_config(text: str) -> Scenario:
                 "initial.catalog", "initial.snapshot"
             ) and not key.startswith("initial.potential."):
                 catalog_params[key.split(".", 1)[1]] = coerce_scalar(p.get(key))
+        # grid overrides: the example's node counts and stencil order
+        res = p.resolution("grid.resolution")
+        fd = p.get_typed("grid.fd_order", int)
+        if fd not in (None, 2, 4):
+            p.err("grid.fd_order", "fd_order must be 2 or 4")
+        elif fd:
+            catalog_params.setdefault("fd_order", fd)
+        if res and catalog_name in catalog_names():
+            own = resolution_params(catalog_name)
+            names = {1: ("n",), 2: ("J", "K")}.get(len(res))
+            if names and set(names) <= set(own):
+                for k, r in zip(names, res):
+                    catalog_params.setdefault(k, r)
+            else:
+                p.err("grid.resolution",
+                      f"grid.resolution: {len(res)} counts do not fit catalog example "
+                      f"{catalog_name!r}; set {', '.join('initial.' + k for k in own)}")
 
     potential = None
     if has_potential:
         m = p.get_typed("initial.potential.m", int, 2)
+        if m not in (1, 2, 3):   # reported, then read as the default like a malformed m
+            p.err("initial.potential.m", f"initial.potential.m must be 1, 2 or 3, got {m}")
+            m = 2
         resolution = p.resolution("initial.potential.resolution") or (64,)
         if len(resolution) == 1:
             resolution = resolution * m
+        elif len(resolution) != m:
+            p.err("initial.potential.resolution", f"the {m}-torus takes 1 or {m} resolution counts")
         svals = p.floats("initial.potential.S", [0.0] * (m * m))
         S = np.zeros((m, m))
         if not all(map(math.isfinite, svals)):
@@ -213,49 +248,29 @@ def parse_config(text: str) -> Scenario:
         if raw_phi:
             for term in raw_phi.split(","):
                 try:
-                    phi_terms.append(parse_phi_term(term))
+                    phi_terms.append(parse_phi_term(term, m))
                 except ValueError as exc:
                     p.err("initial.potential.phi", str(exc))
         fd_order = p.get_typed("initial.potential.fd_order", int, 2)
+        if fd_order not in (2, 4):
+            p.err("initial.potential.fd_order", "fd_order must be 2 or 4")
         potential = PotentialSpec(S=S, phi_terms=phi_terms,
                                   resolution=resolution, fd_order=fd_order)
 
-    # --- grid overrides: a catalog example's node counts and order ----------
-    res = p.resolution("grid.resolution")
-    fd = p.get_typed("grid.fd_order", int)
-    if fd not in (None, 2, 4):
-        p.err("grid.fd_order", "fd_order must be 2 or 4")
-    for key, value in (("grid.resolution", res), ("grid.fd_order", fd)):
-        if value is not None and catalog_name is None:
-            p.err(key, f"{key} is read only with initial.catalog (a potential sets "
-                       f"initial.potential.{key[5:]}, a snapshot keeps its own grid)")
-    if res and catalog_name in catalog_names():
-        own = resolution_params(catalog_name)
-        names = {1: ("n",), 2: ("J", "K")}.get(len(res))
-        if names and set(names) <= set(own):
-            for k, r in zip(names, res):
-                catalog_params.setdefault(k, r)
-        else:
-            p.err("grid.resolution",
-                  f"grid.resolution: {len(res)} counts do not fit catalog example "
-                  f"{catalog_name!r}; set {', '.join('initial.' + k for k in own)}")
-    if fd in (2, 4) and catalog_name is not None:
-        catalog_params.setdefault("fd_order", fd)
-
-    # --- flow config: a flow.* key per FlowConfig field, parsed by the
-    # field's annotation; FlowConfig holds the defaults
+    # --- flow config: a flow.* key per flow_type field, parsed by the
+    # field's annotation; flow_type holds the defaults
     flow_kwargs = {}
-    for f in fields(FlowConfig):
+    for f in fields(flow_type):
         parse = {"int": int, "Integrator": Integrator}.get(f.type, float)
         value = p.get_typed(f"flow.{f.name}", parse)
         if value is not None:
             flow_kwargs[f.name] = value
     try:
-        flow = FlowConfig(**flow_kwargs)
+        flow = flow_type(**flow_kwargs)
     except Exception as exc:
         p.errors.append(f"flow configuration invalid: {exc}")
-        flow = FlowConfig()
-    if has_potential and not math.isfinite(flow.stop_t_max):
+        flow = flow_type()
+    if has_potential and not math.isfinite(flow_kwargs.get("stop_t_max", math.inf)):
         # no stop condition fires on a flattening graph
         p.errors.append("potential scenarios need flow.stop_t_max")
 
@@ -280,14 +295,12 @@ def parse_config(text: str) -> Scenario:
             if kind not in ("shrinker", "expander", "translator"):
                 p.err("analysis.soliton.kind", f"bad soliton kind {kind!r}")
             params = {"kind": kind}
-            V = p.floats("analysis.soliton.V")
-            if V is not None and kind != "translator":
-                p.err("analysis.soliton.V", f"analysis.soliton.V is read only by kind "
-                                            f"translator, not {kind!r}")
-            elif V is not None:
-                params["V"] = V
-            elif kind == "translator":
+            if kind != "translator":
+                unread["analysis.soliton.V"] = f"by kind translator, not {kind!r}"
+            elif (V := p.floats("analysis.soliton.V")) is None:
                 p.errors.append("analysis.soliton.V is required for translator")
+            else:
+                params["V"] = V
         elif a == "rescale":
             mode = p.get("analysis.rescale.mode", "type1")
             if mode not in ("type1", "type2"):
@@ -300,9 +313,7 @@ def parse_config(text: str) -> Scenario:
 
     output_dir = p.get("output.dir", "out")
 
-    p.finish_unknown()
-    if p.errors:
-        raise ConfigError("configuration errors:\n  " + "\n  ".join(p.errors))
+    p.finish(unread)
     return Scenario(
         name=name,
         initial_kind=initial_kind,

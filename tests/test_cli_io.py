@@ -15,6 +15,7 @@ from codimflow.config import parse_config
 from codimflow.errors import ConfigError, UsageError
 from codimflow.flow import FlowConfig, FlowState, Integrator, estimate_singular_time, run
 from codimflow.geometry import build_bundle
+from codimflow.lagrangian import PotentialFlowConfig
 from codimflow.singularity import hamilton_rescale
 from codimflow.snapshots import (
     read_checkpoint, read_snapshot, resume_run, write_checkpoint,
@@ -115,6 +116,31 @@ class TestParseConfig:
         # no stop condition fires on a flattening graph
         with pytest.raises(ConfigError, match="potential scenarios need flow.stop_t_max"):
             parse_config("initial.potential.m = 2\ninitial.potential.resolution = 16\n")
+
+    @pytest.mark.parametrize("phi", ["0.1*sin(x0)", "0.1*cos(x1)*sin(2*x3)"])
+    def test_phi_axis_outside_the_torus_rejected_with_line(self, phi):
+        # the 2-torus has axes x1 and x2 only: x0 and x3 name none
+        with pytest.raises(ConfigError, match=r"line 2: phi term .*: the 2-torus has axes x1..x2"):
+            parse_config(f"initial.potential.m = 2\ninitial.potential.phi = {phi}\n"
+                         "flow.stop_t_max = 1\n")
+
+    @pytest.mark.parametrize("flow_type", [FlowConfig, PotentialFlowConfig],
+                             ids=["run", "lagrangian"])
+    def test_one_error_lists_every_unread_key(self, flow_type):
+        # the keys set and never read follow the value errors, each with its line
+        with pytest.raises(ConfigError) as exc:
+            parse_config("initial.potential.m = 2\ninitial.potential.S = inf,0,0,1\n"
+                         "grid.fd_order = 4\nflow.stop_t_max = 1\nanalyses = soliton\n"
+                         "analysis.soliton.kind = shrinker\nanalysis.soliton.V = 0,1\n"
+                         "flow.bogus = 3\n", flow_type)
+        assert str(exc.value).splitlines() == [
+            "configuration errors:",
+            "  line 2: initial.potential.S: entries must be finite",
+            "  line 3: grid.fd_order is read only with initial.catalog (a potential sets "
+            "initial.potential.fd_order, a snapshot keeps its own grid)",
+            "  line 7: analysis.soliton.V is read only by kind translator, not 'shrinker'",
+            "  line 8: unknown key 'flow.bogus'",
+        ]
 
     def test_translator_requires_V(self):
         with pytest.raises(ConfigError, match="soliton.V"):
@@ -1037,10 +1063,12 @@ class TestCLI:
     @pytest.mark.parametrize("line", [
         "flow.integrator = semi_implicit", "flow.curvature_cap_rho = 0.5",
         "flow.stop_max_A2 = 10", "flow.stop_dt_min = 1e-9", "flow.fixed_dt = 0.001",
+        "flow.integrator = explicit", "flow.curvature_cap_rho = 0.05",
     ])
     def test_lagrangian_unread_flow_key_exit_4(self, tmp_path, line):
         # the potential flow reads cfl_sigma, stop_t_max and the cadence
-        # only; any other flow key set away from its default is named
+        # only; any other flow key that is set is named with its line, also
+        # at its default value
         cfgp = tmp_path / "p.cfg"
         cfgp.write_text("name = p\ninitial.potential.m = 2\n"
                         "initial.potential.resolution = 16\n"
@@ -1051,6 +1079,7 @@ class TestCLI:
         assert r.returncode == 4, (r.stdout, r.stderr)
         assert r.stderr.startswith("error: ConfigError:")
         assert line.split(" = ")[0] in r.stderr
+        assert f"line 5: {line.split(' = ')[0]} is read only by the mean curvature flow" in r.stderr
         assert not (tmp_path / "out").exists()
 
     def test_run_reads_the_keys_the_potential_flow_does_not(self, tmp_path):
@@ -1068,6 +1097,28 @@ class TestCLI:
         rows = (tmp_path / "out" / "p.csv").read_text().splitlines()
         dts = [float(row.split(",")[1]) for row in rows[2:]]
         assert dts == [0.004, 0.004, 0.002]
+
+    @pytest.mark.parametrize("line, message", [
+        ("initial.potential.phi = 0.1*sin(x0)", "phi term '0.1*sin(x0)': the 2-torus has "
+                                                "axes x1..x2"),
+        ("initial.potential.m = -1", "initial.potential.m must be 1, 2 or 3, got -1"),
+        ("initial.potential.m = 0", "initial.potential.m must be 1, 2 or 3, got 0"),
+        ("initial.potential.m = 4", "initial.potential.m must be 1, 2 or 3, got 4"),
+        ("initial.potential.resolution = 8,8,8", "the 2-torus takes 1 or 2 resolution counts"),
+        ("initial.potential.fd_order = 3", "fd_order must be 2 or 4"),
+    ], ids=["phi-x0", "m-negative", "m-zero", "m-four", "resolution-length", "fd_order-3"])
+    def test_malformed_potential_exit_4_with_line(self, tmp_path, capsys, line, message):
+        # each is named with its line before any array is built
+        from codimflow import cli
+
+        cfgp = tmp_path / "p.cfg"
+        cfgp.write_text("name = p\ninitial.potential.S = 0.5,0.8\nflow.stop_t_max = 0.01\n"
+                        f"{line}\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["lagrangian", str(cfgp)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: ConfigError: configuration errors:",
+                                                  f"    line 4: {message}"]
+        assert not (tmp_path / "out").exists()
 
     def test_lagrangian_nonfinite_S_exit_4(self, tmp_path):
         cfgp = tmp_path / "p.cfg"

@@ -269,7 +269,8 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_lagrangian(args) -> int:
-    scenario = parse_config(read_text(args.config), flow_type=PotentialFlowConfig)
+    scenario = parse_config(read_text(args.config), flow_type=PotentialFlowConfig,
+                            flow_sources=("potential",))
     if scenario.initial_kind == "potential":
         tr = ma_run(build_potential(scenario), scenario.flow)
         base = os.path.join(scenario.output_dir, scenario.name)

@@ -161,9 +161,11 @@ _EXPECTED = {int: "integer", float: "number",
 _KNOWN_ANALYSES = ("monotonicity", "soliton", "rescale", "classify", "lagrangian_report")
 
 
-def parse_config(text: str, flow_type: type = FlowConfig) -> Scenario:
+def parse_config(text: str, flow_type: type = FlowConfig,
+                 flow_sources: tuple[str, ...] = ("catalog", "potential", "snapshot")) -> Scenario:
     """Parse and validate a scenario with one flow.* key per field of flow_type, the
-    command's flow config; raises ConfigError listing every problem, one line each."""
+    command's flow config, read when the command steps a flow from the initial source
+    (one of flow_sources); raises ConfigError listing every problem, one line each."""
     p = _Parser(text)
     # a key is looked up only where its value is used; why a key that is set
     # and not looked up goes unread, by key (any other is unknown)
@@ -260,7 +262,11 @@ def parse_config(text: str, flow_type: type = FlowConfig) -> Scenario:
     # --- flow config: a flow.* key per flow_type field, parsed by the
     # field's annotation; flow_type holds the defaults
     flow_kwargs = {}
-    for f in fields(flow_type):
+    stepped = len(sources) != 1 or initial_kind in flow_sources
+    unread.update((f"flow.{f.name}", f"with initial.{' or initial.'.join(flow_sources)}: no "
+                   f"flow is stepped from initial.{initial_kind}") for f in fields(flow_type)
+                  if not stepped)
+    for f in fields(flow_type) if stepped else ():
         parse = {"int": int, "Integrator": Integrator}.get(f.type, float)
         value = p.get_typed(f"flow.{f.name}", parse)
         if value is not None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import chain
 
@@ -155,8 +155,7 @@ def adaptive_dt(state: FlowState, config: FlowConfig) -> float:
     every node is stepped, so the step must bound every node."""
     if config.fixed_dt is not None:
         return config.fixed_dt
-    max_a2 = float(state.bundle.normA2.max())
-    dt = config.curvature_cap_rho / max(max_a2, 1e-300)
+    dt = config.curvature_cap_rho / max(state.bundle.max_A2, 1e-300)
     if config.integrator is Integrator.EXPLICIT_EULER:
         m = state.imm.m
         h_min = min_physical_spacing(state.bundle)
@@ -166,7 +165,8 @@ def adaptive_dt(state: FlowState, config: FlowConfig) -> float:
 
 def step_explicit(state: FlowState, dt: float) -> FlowState:
     """Forward Euler step F <- F + dt * H; the bundle is rebuilt."""
-    imm = replace(state.imm, values=state.imm.values + dt * state.bundle.H)
+    old = state.imm
+    imm = Immersion(old.chart, old.values + dt * state.bundle.H, old.affine, old.norm_mask)
     return FlowState(t=state.t + dt, imm=imm, bundle=build_bundle(imm),
                      step_index=state.step_index + 1)
 
@@ -416,7 +416,7 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
             raise SolverError(f"semi-implicit solve inaccurate (component {a}, rel={res:.2e})")
         new_P[..., a] = x.reshape(chart.shape)
     new_vals = new_P if imm.affine is None else new_P + imm.affine_values()
-    new_imm = replace(imm, values=new_vals)
+    new_imm = Immersion(chart, new_vals, imm.affine, imm.norm_mask)
     return FlowState(t=state.t + dt, imm=new_imm, bundle=build_bundle(new_imm),
                      step_index=state.step_index + 1)
 
@@ -439,7 +439,7 @@ def _record(state: FlowState, dt: float, huisken_params=None,
     return TraceRecord(
         t=state.t,
         dt=dt,
-        max_A2=float(b.normA2.max()),
+        max_A2=b.max_A2,
         max_A2_trusted=float(trusted.max()),
         max_H2=float(b.normH2.max()),
         volume=b.total_volume(),
@@ -500,10 +500,9 @@ class trajectory:
     def _advance(self, state, config, max_steps):
         first_step = state.step_index
         while True:
-            max_a2 = float(state.bundle.normA2.max())
-            if max_a2 >= config.stop_max_A2:
-                return self._stop(Termination.CURVATURE_CAP,
-                                  f"max|A|^2 = {max_a2:.6e} at t = {state.t:.9g}")
+            if state.bundle.max_A2 >= config.stop_max_A2:
+                return self._stop(Termination.CURVATURE_CAP, f"max|A|^2 = "
+                                  f"{state.bundle.max_A2:.6e} at t = {state.t:.9g}")
             if at_horizon(state.t, config.stop_t_max):
                 return self._stop(Termination.TIME_REACHED, f"t = {state.t:.9g}")
             if max_steps is not None and state.step_index - first_step >= max_steps:

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateImmersion, NonFiniteError, UsageError
-from .grid import AxisKind, Chart, Domain, GridField, diff1, diff2, diff_mixed, integrate_values
+from .grid import AxisKind, Chart, Domain, GridField, diff1, integrate_values, partials
 
 DET_G_FLOOR = 1e-12
 PINCHING_H2_FLOOR = 1e-12
@@ -60,7 +60,7 @@ class Immersion:
             )
         if v.shape[-1] <= self.chart.m:
             raise UsageError("ambient dimension must exceed intrinsic dimension")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NonFiniteError("immersion contains non-finite positions")
         if self.affine is not None:
             mat, off = self.affine
@@ -142,16 +142,8 @@ def d2_tensor(values: np.ndarray, chart: Chart, tensor_axes: tuple[int, ...] = (
     """Second partials d_k d_l T with two derivative indices prepended."""
     trailing = values.shape[len(chart.shape):]
     par = _parity(chart, trailing, tensor_axes)
-    flat = values.reshape(chart.shape + (-1,))
-    m = chart.m
-    out = np.empty(chart.shape + (m, m) + (flat.shape[-1],))
-    for a in range(m):
-        out[..., a, a, :] = diff2(flat, a, chart, par)
-        for b in range(a + 1, m):
-            mixed = diff_mixed(flat, a, b, chart, par)
-            out[..., a, b, :] = mixed
-            out[..., b, a, :] = mixed
-    return out.reshape(chart.shape + (m, m) + trailing)
+    _, d2 = partials(values.reshape(chart.shape + (-1,)), chart, par)
+    return d2.reshape(chart.shape + (chart.m, chart.m) + trailing)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +203,11 @@ def _node_dot(X: np.ndarray, Y: np.ndarray, nodes: tuple[int, ...]) -> np.ndarra
 class GeometryBundle:
     """Per-node geometric data derived from one immersion: the first
     partials, the metric with its inverse and volume density, both kinds of
-    Christoffel symbols, the second fundamental tensor, and the curvature
-    invariants. The Laplacian's drift, the normal projector and the
+    Christoffel symbols, the second fundamental tensor, H and |A|^2. |H|^2,
+    max |A|^2, the Laplacian's drift, the normal projector and the
     curvature contractions of the residual checks are built on first use
-    and kept, so the structure and evolution checks of one state share
-    them."""
+    and kept, so the stop checks, the records and the structure and
+    evolution checks of one state share them."""
 
     imm: Immersion
     dF: np.ndarray          # (*, m, n)    first partials of F
@@ -228,11 +220,20 @@ class GeometryBundle:
     A: np.ndarray           # (*, m, m, n) second fundamental tensor
     H: np.ndarray           # (*, n)       mean curvature vector
     normA2: np.ndarray      # (*,)
-    normH2: np.ndarray      # (*,)
 
     @property
     def chart(self) -> Chart:
         return self.imm.chart
+
+    @cached_property
+    def normH2(self) -> np.ndarray:
+        """|H|^2, shape (*,)."""
+        return np.einsum("...a,...a->...", self.H, self.H)
+
+    @cached_property
+    def max_A2(self) -> float:
+        """max |A|^2 over all nodes, trusted or not."""
+        return float(self.normA2.max())
 
     @cached_property
     def drift(self) -> np.ndarray:
@@ -332,45 +333,51 @@ class GeometryBundle:
         return r
 
 
-def first_partials(imm: Immersion) -> np.ndarray:
-    """d_i F^a, shape chart.shape + (m, n); exact on any affine summand."""
-    P = imm.periodic_values()
-    d = d1_tensor(P, imm.chart)
+def immersion_partials(imm: Immersion) -> tuple[np.ndarray, np.ndarray]:
+    """d_i F^a and d_i d_j F^a, shapes chart.shape + (m, n) and + (m, m, n),
+    from one grid.partials pass; exact on any affine summand."""
+    d1, d2 = partials(imm.periodic_values(), imm.chart)
     if imm.affine is not None:
-        d = d + imm.affine[0].T  # (m, n) broadcast over nodes
-    return d
+        d1 = d1 + imm.affine[0].T  # (m, n) broadcast over nodes
+    return d1, d2
+
+
+def first_partials(imm: Immersion) -> np.ndarray:
+    return immersion_partials(imm)[0]
 
 
 def second_partials(imm: Immersion) -> np.ndarray:
-    return d2_tensor(imm.periodic_values(), imm.chart)
+    return immersion_partials(imm)[1]
 
 
-def induced_metric(imm: Immersion):
-    """Induced metric g_ij = <d_i F, d_j F>, its inverse and volume density.
+def induced_metric(imm: Immersion, dF: np.ndarray | None = None):
+    """Induced metric g_ij = <d_i F, d_j F>, its inverse and volume density,
+    from the first partials dF (taken from imm when not given).
 
     For m <= 2 the determinant and inverse are closed-form. Raises
     DegenerateImmersion naming the worst node when det g drops below the
     relative positive-definiteness floor. The floor is checked before g is
     inverted, so a degenerate metric never reaches the inversion.
     """
-    dF = first_partials(imm)
+    if dF is None:
+        dF = first_partials(imm)
     m = imm.m
     if m == 1:
         g = np.einsum("...ia,...ja->...ij", dF, dF)
         det = g[..., 0, 0]
     else:  # an explicit sum over the ambient index, each pair formed once
         g = np.empty(dF.shape[:-1] + (m,))
-        for i, j in zip(*np.triu_indices(m)):
+        for i, j in [(i, j) for i in range(m) for j in range(i, m)]:
             v = dF[..., i, 0] * dF[..., j, 0]
             for a in range(1, imm.n):
                 v += dF[..., i, a] * dF[..., j, a]
             g[..., i, j] = g[..., j, i] = v
         det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0] if m == 2
                else np.linalg.det(g))
-    mean_trace = float(np.mean(np.einsum("...ii->...", g)))
+    mean_trace = float(g.trace(axis1=-2, axis2=-1).sum()) / det.size  # as np.mean
     floor = DET_G_FLOOR * (mean_trace / m) ** m
     dmin = float(det.min())
-    if dmin < floor or not np.all(np.isfinite(det)):
+    if dmin < floor or not np.isfinite(det).all():
         node = np.unravel_index(int(np.argmin(det)), imm.chart.shape)
         raise DegenerateImmersion(
             f"induced metric degenerate: det g = {dmin:.3e} < floor {floor:.3e} "
@@ -395,31 +402,21 @@ def christoffel(g: np.ndarray, ginv: np.ndarray, chart: Chart):
     return gamma1, _raise(ginv, gamma1)
 
 
-def second_fundamental(ddF: np.ndarray, dF: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """A^a_ij = d_i d_j F^a - Gamma^k_ij d_k F^a (flat ambient)."""
-    return ddF - _gamma_dot(gamma, dF)
-
-
-def mean_curvature(A: np.ndarray, ginv: np.ndarray):
-    """Trace of A plus the scalar invariants |H|^2 and |A|^2 = A^i_j . A^j_i."""
-    H = np.einsum("...ij,...ija->...a", ginv, A)
-    normH2 = np.einsum("...a,...a->...", H, H)
-    A_up = _raise(ginv, A)
-    normA2 = np.einsum("...ija,...jia->...", A_up, A_up)
-    return H, normH2, normA2
-
-
 def build_bundle(imm: Immersion) -> GeometryBundle:
-    """Compute the full geometric bundle for one immersion."""
-    dF, g, ginv, det, sqrt_det = induced_metric(imm)
+    """Compute the full geometric bundle for one immersion: the second
+    fundamental tensor A^a_ij = d_i d_j F^a - Gamma^k_ij d_k F^a (flat
+    ambient), its trace H and |A|^2 = A^i_j . A^j_i."""
+    dF, ddF = immersion_partials(imm)
+    dF, g, ginv, det, sqrt_det = induced_metric(imm, dF)
     gamma1, gamma = christoffel(g, ginv, imm.chart)
-    A = second_fundamental(second_partials(imm), dF, gamma)
-    H, normH2, normA2 = mean_curvature(A, ginv)
-    if not np.all(np.isfinite(H)):
+    A = ddF - _gamma_dot(gamma, dF)
+    H = np.einsum("...ij,...ija->...a", ginv, A)
+    if not np.isfinite(H).all():
         raise NonFiniteError("mean curvature is non-finite")
+    A_up = _raise(ginv, A)
     return GeometryBundle(
-        imm=imm, dF=dF, g=g, ginv=ginv, det_g=det, sqrt_det_g=sqrt_det,
-        gamma1=gamma1, gamma=gamma, A=A, H=H, normA2=normA2, normH2=normH2,
+        imm=imm, dF=dF, g=g, ginv=ginv, det_g=det, sqrt_det_g=sqrt_det, gamma1=gamma1,
+        gamma=gamma, A=A, H=H, normA2=np.einsum("...ija,...jia->...", A_up, A_up),
     )
 
 
@@ -447,9 +444,9 @@ def laplace_beltrami(values: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     """
     chart = bundle.chart
     scalar = values.ndim == len(chart.shape)
-    v = values[..., None] if scalar else values
-    out = (np.einsum("...ij,...ijc->...c", bundle.ginv, d2_tensor(v, chart))
-           - np.einsum("...k,...kc->...c", bundle.drift, d1_tensor(v, chart)))
+    d1, d2 = partials(values[..., None] if scalar else values, chart)
+    out = (np.einsum("...ij,...ijc->...c", bundle.ginv, d2)
+           - np.einsum("...k,...kc->...c", bundle.drift, d1))
     return out[..., 0] if scalar else out
 
 

@@ -185,7 +185,7 @@ _PAD = 2  # ghost layers per side; enough for the widest (order-4) stencils
 # The one stencil definition. Per (fd_order, derivative order k): integer
 # weights per offset and a common denominator, so that
 #     d^k f / dx^k [i] = sum_o w_o f[i + o] / (den h^k).
-# diff1/diff2 sum the terms in the order listed here; the step matrix
+# the stencils sum the terms in the order listed here; the step matrix
 # (flow._step_pattern) takes its coefficients w_o / den from the same rows.
 STENCILS = {
     (2, 1): (((1, 1), (-1, -1)), 2),
@@ -226,24 +226,23 @@ def _slice_axis(ext: np.ndarray, axis: int, offset: int) -> np.ndarray:
     return ext[tuple(idx)]
 
 
-def _stencil(values, axis: int, chart: Chart, parity, derivative: int) -> np.ndarray:
-    """Apply the STENCILS row of this chart's order along one axis.
+def _weighted(ext: np.ndarray, axis: int, chart: Chart, derivative: int, out=None):
+    """The STENCILS row of this chart's order over values padded along axis.
 
     Terms are summed in table order, and a weight of +-1 (every row's first)
-    adds or subtracts its slice. The first two terms make one fresh array;
-    the others accumulate into it and the divisor divides it in place.
+    adds or subtracts its slice. The first two terms fill out (or one fresh
+    array); the others accumulate into it and the divisor divides it in place.
     """
     weights, den = STENCILS[chart.fd_order, derivative]
-    ext = _pad(values, axis, chart, parity)
     (o0, w0), (o1, w1) = weights[:2]
     a = _slice_axis(ext, axis, o0)
     b = _slice_axis(ext, axis, o1)
     if abs(w1) != 1:
         b = abs(w1) * b
     if w0 > 0:
-        acc = a - b if w1 < 0 else a + b
+        acc = np.subtract(a, b, out=out) if w1 < 0 else np.add(a, b, out=out)
     else:
-        acc = -a - b if w1 < 0 else b - a
+        acc = np.subtract(-a, b, out=out) if w1 < 0 else np.subtract(b, a, out=out)
     for o, w in weights[2:]:
         x = _slice_axis(ext, axis, o)
         if w == 1:
@@ -259,12 +258,12 @@ def _stencil(values, axis: int, chart: Chart, parity, derivative: int) -> np.nda
 
 def diff1(values: np.ndarray, axis: int, chart: Chart, parity=1.0) -> np.ndarray:
     """First derivative along one grid axis (central, fd_order accurate)."""
-    return _stencil(values, axis, chart, parity, 1)
+    return _weighted(_pad(values, axis, chart, parity), axis, chart, 1)
 
 
 def diff2(values: np.ndarray, axis: int, chart: Chart, parity=1.0) -> np.ndarray:
     """Second derivative along one grid axis (compact central stencil)."""
-    return _stencil(values, axis, chart, parity, 2)
+    return _weighted(_pad(values, axis, chart, parity), axis, chart, 2)
 
 
 def diff_mixed(values, axis_a: int, axis_b: int, chart: Chart, parity=1.0) -> np.ndarray:
@@ -281,6 +280,24 @@ def diff_mixed(values, axis_a: int, axis_b: int, chart: Chart, parity=1.0) -> np
         raise UsageError("diff_mixed requires two distinct axes")
     a, b = sorted((axis_a, axis_b))
     return diff1(diff1(values, a, chart, parity), b, chart, parity)
+
+
+def partials(values: np.ndarray, chart: Chart, parity=1.0):
+    """First and second partials, shapes chart.shape + (m,) + trailing and
+    + (m, m) + trailing, from one ghost pad per axis; bit-identical to diff1,
+    diff2 and diff_mixed, whose composition the mixed partials reuse d1 for."""
+    m = chart.m
+    d1 = np.empty(values.shape[:m] + (m,) + values.shape[m:])
+    d2 = np.empty(values.shape[:m] + (m, m) + values.shape[m:])
+    nodes = (slice(None),) * m
+    for a in range(m):
+        ext = _pad(values, a, chart, parity)
+        _weighted(ext, a, chart, 1, out=d1[nodes + (a,)])
+        _weighted(ext, a, chart, 2, out=d2[nodes + (a, a)])
+        for b in range(a):   # d_b d_a: the a-derivative of d_b
+            ext = _pad(d1[nodes + (b,)], a, chart, parity)
+            d2[nodes + (a, b)] = _weighted(ext, a, chart, 1, out=d2[nodes + (b, a)])
+    return d1, d2
 
 
 def integrate_values(values: np.ndarray, density: np.ndarray, chart: Chart) -> float:

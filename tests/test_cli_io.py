@@ -1098,6 +1098,31 @@ class TestCLI:
         dts = [float(row.split(",")[1]) for row in rows[2:]]
         assert dts == [0.004, 0.004, 0.002]
 
+    @pytest.mark.parametrize("source", ["catalog", "snapshot"])
+    @pytest.mark.parametrize("line", ["flow.stop_t_max = 2", "flow.cfl_sigma = 0.5",
+                                      "flow.record_every = 3", "flow.snapshot_every = 1"])
+    def test_lagrangian_on_a_surface_source_refuses_the_potential_flow_keys(
+            self, tmp_path, capsys, source, line):
+        # a catalog or snapshot source gets the identity report and no flow
+        # is stepped, so the potential flow's own keys go unread too
+        from codimflow import cli
+
+        snap = tmp_path / "w.snap"
+        write_snapshot(catalog.whitney_sphere(radius=1.0, m=2, J=8, K=16), str(snap))
+        initial = {"catalog": "initial.catalog = whitney\ninitial.J = 8\ninitial.K = 16",
+                   "snapshot": f"initial.snapshot = {snap}"}[source]
+        cfgp = tmp_path / "w.cfg"
+        cfgp.write_text(f"name = w\n{initial}\n{line}\n")
+        assert cli.main(["lagrangian", str(cfgp)]) == 4
+        out, err = capsys.readouterr()
+        lineno = 5 if source == "catalog" else 3
+        assert out == "" and err.splitlines() == [
+            "error: ConfigError: configuration errors:",
+            f"    line {lineno}: {line.split(' = ')[0]} is read only with initial.potential: "
+            f"no flow is stepped from initial.{source}"]
+        cfgp.write_text(f"name = w\n{initial}\n")
+        assert cli.main(["lagrangian", str(cfgp)]) == 0
+
     @pytest.mark.parametrize("line, message", [
         ("initial.potential.phi = 0.1*sin(x0)", "phi term '0.1*sin(x0)': the 2-torus has "
                                                 "axes x1..x2"),

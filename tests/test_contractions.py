@@ -71,7 +71,6 @@ def ref_bundle(imm):
         imm=imm, dF=dF, g=g, ginv=ginv, det_g=det, sqrt_det_g=np.sqrt(det),
         gamma1=gamma1, gamma=gamma, A=A, H=H,
         normA2=np.einsum("...ik,...jl,...ija,...kla->...", ginv, ginv, A, A),
-        normH2=np.einsum("...a,...a->...", H, H),
     )
 
 

@@ -4,20 +4,55 @@ and the exact symmetries of the discrete geometry."""
 import numpy as np
 import pytest
 
-from codimflow import catalog
+from codimflow import catalog, geometry
 from codimflow.errors import DegenerateImmersion
 from codimflow.geometry import (
-    Immersion, build_bundle, graph_immersion, graph_singular_values,
+    Immersion, build_bundle, graph_immersion, graph_singular_values, induced_metric,
     normal_part, structure_residuals,
 )
-from codimflow.grid import ChartSpec, Domain, GridField, make_chart
+from codimflow.grid import ChartSpec, Domain, GridField, diff1, diff2, diff_mixed, make_chart
 from codimflow.lagrangian import Potential, lag_immersion
 from conftest import roll_field
+from test_contractions import CHARTS
 
 
 def torus_graph(f_values, n=32, order=2):
     ch = make_chart(ChartSpec(Domain.TORUS, (n, n), fd_order=order))
     return graph_immersion(GridField(ch, f_values(ch)))
+
+
+def separate_stencil_partials(values, chart, parity=1.0):
+    """grid.partials written as one diff1, diff2 or diff_mixed call per partial."""
+    m = chart.m
+    d1 = np.stack([diff1(values, a, chart, parity) for a in range(m)], axis=m)
+    d2 = np.stack([np.stack([diff2(values, a, chart, parity) if a == b
+                             else diff_mixed(values, a, b, chart, parity) for b in range(m)],
+                            axis=m) for a in range(m)], axis=m)
+    return d1, d2
+
+
+class TestSharedPass:
+    @pytest.mark.parametrize("name", list(CHARTS))
+    def test_bundle_equals_separate_stencils_bit_for_bit(self, name, monkeypatch):
+        # the torus graph's affine summand is added to the first partials
+        imm = CHARTS[name]()
+        assert (imm.affine is not None) == (name == "torus-graph")
+        got = build_bundle(imm)
+        monkeypatch.setattr(geometry, "partials", separate_stencil_partials)
+        want = build_bundle(imm)
+        for field in ("dF", "g", "ginv", "det_g", "sqrt_det_g", "gamma1", "gamma", "A", "H",
+                      "normA2", "normH2", "drift"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert got.max_A2 == want.max_A2
+        # the metric from the immersion alone takes the same first partials
+        for a, b in zip(induced_metric(imm), (got.dF, got.g, got.ginv, got.det_g, got.sqrt_det_g)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", list(CHARTS))
+    def test_lazy_invariants(self, name):
+        b = build_bundle(CHARTS[name]())
+        assert type(b.max_A2) is float and b.max_A2 == float(b.normA2.max())
+        assert np.array_equal(b.normH2, np.einsum("...a,...a->...", b.H, b.H))
 
 
 class TestInducedMetric:

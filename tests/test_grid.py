@@ -7,7 +7,7 @@ from codimflow.errors import ConfigError
 from codimflow.geometry import d1_tensor, d2_tensor
 from codimflow.grid import (
     _PAD, STENCILS, AxisKind, ChartSpec, Domain, _pad, diff1, diff2, diff_mixed,
-    integrate_values, make_chart, neighbor_maps,
+    integrate_values, make_chart, neighbor_maps, partials,
 )
 from conftest import roll_field
 
@@ -156,6 +156,46 @@ class TestPartials:
         e2 = np.abs(d1_tensor(np.sin(th2.coords[0]), th2)[:, 0] - np.cos(th2.coords[0])).max()
         e4 = np.abs(d1_tensor(np.sin(th4.coords[0]), th4)[:, 0] - np.cos(th4.coords[0])).max()
         assert e4 < e2 / 50
+
+
+# (spec, trailing component shape, tensor_axes of d1_tensor/d2_tensor, the
+# flattened per-component parity those tensor axes give)
+SHARED_PASS_CASES = {
+    "circle-fd2": (ChartSpec(Domain.CIRCLE, (32,)), (3,), (), 1.0),
+    "circle-fd4": (ChartSpec(Domain.CIRCLE, (32,), fd_order=4), (3,), (), 1.0),
+    "torus2-fd4": (ChartSpec(Domain.TORUS, (12, 16), fd_order=4), (4,), (), 1.0),
+    "torus3": (ChartSpec(Domain.TORUS, (8, 10, 12)), (2,), (), 1.0),
+    # T_ij with both indices on the chart: T_theta-phi and T_phi-theta are pole-odd
+    "sphere-tensor": (ChartSpec(Domain.SPHERE, (12, 24), fd_order=4), (2, 2), (0, 1),
+                      np.array([1.0, -1.0, -1.0, 1.0])),
+    "interval": (ChartSpec(Domain.INTERVAL, (16,), interval_bounds=(0.0, 1.0)), (2,), (),
+                 1.0),
+}
+
+
+class TestSharedPass:
+    """grid.partials pads each axis once and must equal the separate stencils."""
+
+    @pytest.mark.parametrize("name", list(SHARED_PASS_CASES))
+    def test_partials_equal_separate_stencils_bit_for_bit(self, name):
+        spec, trailing, tensor_axes, parity = SHARED_PASS_CASES[name]
+        ch = make_chart(spec)
+        m = ch.m
+        T = np.random.default_rng(m + len(trailing)).standard_normal(ch.shape + trailing)
+        flat = T.reshape(ch.shape + (-1,))
+        d1, d2 = partials(flat, ch, parity)
+        assert d1.shape == ch.shape + (m, flat.shape[-1])
+        assert d2.shape == ch.shape + (m, m, flat.shape[-1])
+        for a in range(m):
+            assert np.array_equal(d1[..., a, :], diff1(flat, a, ch, parity))
+            assert np.array_equal(d2[..., a, a, :], diff2(flat, a, ch, parity))
+            for b in range(m):
+                if b != a:
+                    assert np.array_equal(d2[..., a, b, :], diff_mixed(flat, a, b, ch, parity))
+        assert np.array_equal(d1_tensor(T, ch, tensor_axes),
+                              d1.reshape(ch.shape + (m,) + trailing))
+        assert np.array_equal(d2_tensor(T, ch, tensor_axes),
+                              d2.reshape(ch.shape + (m, m) + trailing))
 
 
 class TestStencilDefinition:

@@ -226,12 +226,12 @@ def _slice_axis(ext: np.ndarray, axis: int, offset: int) -> np.ndarray:
     return ext[tuple(idx)]
 
 
-def _weighted(ext: np.ndarray, axis: int, chart: Chart, derivative: int, out=None):
+def _weighted(ext: np.ndarray, axis: int, chart: Chart, derivative: int) -> np.ndarray:
     """The STENCILS row of this chart's order over values padded along axis.
 
     Terms are summed in table order, and a weight of +-1 (every row's first)
-    adds or subtracts its slice. The first two terms fill out (or one fresh
-    array); the others accumulate into it and the divisor divides it in place.
+    adds or subtracts its slice. The first two terms make one fresh array;
+    the others accumulate into it and the divisor divides it in place.
     """
     weights, den = STENCILS[chart.fd_order, derivative]
     (o0, w0), (o1, w1) = weights[:2]
@@ -240,9 +240,9 @@ def _weighted(ext: np.ndarray, axis: int, chart: Chart, derivative: int, out=Non
     if abs(w1) != 1:
         b = abs(w1) * b
     if w0 > 0:
-        acc = np.subtract(a, b, out=out) if w1 < 0 else np.add(a, b, out=out)
+        acc = a - b if w1 < 0 else a + b
     else:
-        acc = np.subtract(-a, b, out=out) if w1 < 0 else np.subtract(b, a, out=out)
+        acc = -a - b if w1 < 0 else b - a
     for o, w in weights[2:]:
         x = _slice_axis(ext, axis, o)
         if w == 1:
@@ -292,11 +292,11 @@ def partials(values: np.ndarray, chart: Chart, parity=1.0):
     nodes = (slice(None),) * m
     for a in range(m):
         ext = _pad(values, a, chart, parity)
-        _weighted(ext, a, chart, 1, out=d1[nodes + (a,)])
-        _weighted(ext, a, chart, 2, out=d2[nodes + (a, a)])
+        d1[nodes + (a,)] = _weighted(ext, a, chart, 1)
+        d2[nodes + (a, a)] = _weighted(ext, a, chart, 2)
         for b in range(a):   # d_b d_a: the a-derivative of d_b
             ext = _pad(d1[nodes + (b,)], a, chart, parity)
-            d2[nodes + (a, b)] = _weighted(ext, a, chart, 1, out=d2[nodes + (b, a)])
+            d2[nodes + (a, b)] = d2[nodes + (b, a)] = _weighted(ext, a, chart, 1)
     return d1, d2
 
 

@@ -9,9 +9,11 @@ by a chart-static reference (DeTurck's trick), so the step is mean
 curvature flow plus a tangential velocity that keeps the sphere chart's
 pole rings from degenerating. The step matrix is assembled on a sparsity
 pattern cached per chart. Its solve starts at a second-order predictor and
-is preconditioned, on charts of two or more axes, by T. Chan's optimal
-circulant of each line of the periodic last axis (the sphere's colatitude
-rings), inverted by FFT; on one-axis charts by the exact sparse LU.
+is preconditioned, on charts of two or more axes, by the exact inverse of
+the step matrix's mean along the periodic axes (T. Chan's optimal circulant
+in its block form): an FFT along those axes, then a division by the symbol
+on tori or one banded LU of the colatitude couplings per wavenumber on
+sphere charts; on one-axis charts by the exact sparse LU.
 
 One iterable, trajectory, steps the flow and decides where it stops: on a
 reached time horizon, on the curvature cap, on time-step underflow (both
@@ -33,6 +35,7 @@ from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.sparse.linalg import LinearOperator, bicgstab, gmres, splu
 
 from . import catalog
@@ -173,7 +176,7 @@ def step_explicit(state: FlowState, dt: float) -> FlowState:
 
 @dataclass(frozen=True)
 class _StepPattern:
-    """Chart-static structure of the step matrix and its line preconditioner.
+    """Chart-static structure of the step matrix and its preconditioner.
 
     The Laplacian part of the step matrix is a sum of couplings, one per
     stencil term and node: the term's stencil coefficient times its per-node
@@ -183,18 +186,28 @@ class _StepPattern:
     of the coupling's flat index t * N + n (term t, node n). It is never
     canonicalised, since merging duplicate entries would change the rounding.
 
-    line_mean maps the CSR data to the preconditioner's line circulants: its
-    row l * K + d holds 1/K at each CSR position coupling a node of line l
-    (K nodes along the last axis) to the node d places after it, cyclically,
-    the diagonal and the pole ghosts' half-turn (d = K/2) included. One-axis
-    charts, preconditioned by their exact LU, leave it unused.
+    mean_map maps the ring means of the weight stack (row r, ring j at
+    r * G + j, G rings) to the step matrix's mean along the periodic axes,
+    the identity left out: a table of per-offset couplings of shape
+    mean_shape. Each entry is indexed by the row's offset from the column
+    along the periodic axes, modulo the node count, so that the table's FFT
+    is the mean's symbol. On tori one ring holds every node and the table
+    has the chart's shape. On sphere charts the rings are the colatitude
+    rings and the table's shape is (K, J, 2b + 1), b = fd_order // 2: the
+    longitude offset, the column's ring j' and b + j - j' for the row's ring
+    j (the pole ghosts' rings are among j - b..j + b), which is LAPACK's
+    band storage. Every node of a ring couples through one stencil term to
+    one table entry, so the mean coupling is the term's coefficient times
+    the ring mean of its weight. One-axis charts, preconditioned by their
+    exact LU, have none.
     """
 
     coupling: sp.csr_matrix    # CSR position x weight-stack entry
     indices: np.ndarray        # CSR column indices
     indptr: np.ndarray         # CSR row pointers
     diag: np.ndarray           # CSR positions of the diagonal
-    line_mean: sp.csr_matrix   # (line, offset) x CSR position
+    mean_map: sp.csr_matrix | None   # table entry x ring-mean weight
+    mean_shape: tuple[int, ...]      # table shape
 
 
 @lru_cache(maxsize=16)
@@ -231,7 +244,8 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
                 for o2, c2 in d1:
                     add(nbs[b][o2][base], pair, c1 * c2 / (h * hb))
             pair += 1
-    key = (node * N + np.stack(cols)).ravel()   # row * N + column per coupling
+    cols = np.stack(cols)
+    key = (node * N + cols).ravel()   # row * N + column per coupling
     srt = np.argsort(key, kind="stable")
     key = key[srt]
     new = np.r_[True, key[1:] != key[:-1]]
@@ -243,23 +257,38 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
     r, c = np.divmod(key[new], N)
     indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=N))]
 
-    K = chart.shape[-1]
-    inline = np.flatnonzero(r // K == c // K)
-    line_mean = sp.csr_matrix((np.full(inline.size, 1.0 / K),
-                               (r[inline] // K * K + (c - r)[inline] % K, inline)),
-                              shape=(N, r.size))
+    mean_map, mean_shape = None, ()
+    if m > 1:
+        # each term's table entry, read off the first node of each ring
+        rings = chart.shape[0] if spec.domain is Domain.SPHERE else 1
+        first = np.arange(rings) * (N // rings)
+        row = np.unravel_index(first, chart.shape)
+        col = np.unravel_index(cols[:, first], chart.shape)
+        entry = [(i - j) % n for i, j, n in zip(row, col, chart.shape)]
+        mean_shape = chart.shape
+        if rings > 1:
+            b = order // 2
+            entry = [entry[1], col[0], b + row[0] - col[0]]
+            mean_shape = (chart.shape[1], rings, 2 * b + 1)
+        mean_map = sp.csr_matrix(
+            (np.repeat(term_coeff, rings),
+             (np.ravel_multi_index(entry, mean_shape).ravel(),
+              (np.array(weight_row)[:, None] * rings + np.arange(rings)).ravel())),
+            shape=(math.prod(mean_shape), (max(weight_row) + 1) * rings))
     pattern = _StepPattern(
         coupling=coupling,
         indices=c.astype(np.int32),
         indptr=indptr.astype(np.int32),
         diag=np.flatnonzero(r == c),
-        line_mean=line_mean,
+        mean_map=mean_map,
+        mean_shape=mean_shape,
     )
     # every step matrix shares indices and indptr with the cache: make the
     # arrays (the sparse maps' too) read-only so an in-place edit fails loudly
     for f in vars(pattern).values():
         for arr in (f.data, f.indices, f.indptr) if sp.issparse(f) else (f,):
-            arr.setflags(write=False)
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
     return pattern
 
 
@@ -282,45 +311,88 @@ def assemble_step_matrix(bundle: GeometryBundle, dt: float,
     """
     chart = bundle.chart
     pat = _step_pattern(chart.spec)
-    m = chart.m
     N = chart.node_count
-    ginv = bundle.ginv.reshape(N, m, m)
-    w = (bundle.drift if drift is None else drift).reshape(N, m)
-    weights = np.stack(
-        [ginv[:, a, a] for a in range(m)]
-        + [-w[:, a] for a in range(m)]
-        + [2.0 * ginv[:, a, b] for a in range(m) for b in range(a + 1, m)]
-    )
+    weights = _weight_stack(bundle.ginv, bundle.drift if drift is None else drift)
     data = -dt * (pat.coupling @ weights.ravel())
     data[pat.diag] += 1.0
     return sp.csr_matrix((data, pat.indices, pat.indptr), shape=(N, N))
 
 
-def _line_preconditioner(A: sp.csr_matrix, chart) -> LinearOperator:
-    """Preconditioner for a matrix from assemble_step_matrix: the exact
-    sparse LU on a one-axis chart; else, per line of the periodic last axis,
-    the circulant of the line's per-offset mean in-line couplings, inverted
-    by FFT. It is the exact in-line inverse where the couplings do not vary
-    along a line, as on a round sphere in any position."""
+def _weight_stack(ginv: np.ndarray, drift: np.ndarray) -> np.ndarray:
+    """The step matrix's per-node weights, shape (rows, N): g^aa (row a),
+    -drift^a (row m + a) and 2 g^ab for each axis pair a < b (from row 2m)."""
+    m = drift.shape[-1]
+    ginv = ginv.reshape(-1, m, m)
+    w = drift.reshape(-1, m)
+    return np.stack(
+        [ginv[:, a, a] for a in range(m)]
+        + [-w[:, a] for a in range(m)]
+        + [2.0 * ginv[:, a, b] for a in range(m) for b in range(a + 1, m)]
+    )
+
+
+def _preconditioner(A: sp.csr_matrix, bundle: GeometryBundle, dt: float,
+                    drift: np.ndarray) -> LinearOperator:
+    """Preconditioner for A = assemble_step_matrix(bundle, dt, drift): the
+    exact sparse LU on a one-axis chart; else the exact inverse of A's mean
+    along the periodic axes (T. Chan's optimal circulant and its block
+    form), which is A itself where the couplings do not vary along those
+    axes, as on a round sphere in any position, the Whitney sphere and flat
+    tori.
+
+    An FFT along the periodic axes diagonalises the mean. On tori that
+    leaves a division by its symbol. On sphere charts it leaves, per
+    longitude wavenumber, a complex band of half-width b = fd_order // 2
+    that couples the rings, the pole ghosts' included; one banded LU factors
+    the bands of all wavenumbers stacked in turn. A pivot (the symbol on
+    tori, U's diagonal on spheres) at or below 1e-12 of the largest (on
+    spheres, of its wavenumber's largest) raises SolverError."""
+    chart = bundle.chart
     if chart.m == 1:
         try:
             return LinearOperator(A.shape, matvec=splu(A.tocsc()).solve, dtype=np.float64)
         except RuntimeError as exc:
-            raise SolverError(f"semi-implicit line preconditioner failed: {exc}") from None
-    # per line, (C x)_i = sum_d a_d x_(i+d): C's eigenvalues are conj(rfft(a));
-    # one below 1e-12 of its line's largest is zero up to rounding
-    symbol = np.fft.rfft((_step_pattern(chart.spec).line_mean @ A.data)
-                         .reshape(chart.shape)).conj()
-    mag = np.abs(symbol)
-    zero = mag <= 1e-12 * mag.max(axis=-1, keepdims=True)
-    if zero.any():
-        *line, k = map(int, np.argwhere(zero)[0])
-        raise SolverError(f"semi-implicit line preconditioner is singular on "
-                          f"line {tuple(line)} at wavenumber {k}")
-    inverse, K = 1.0 / symbol, chart.shape[-1]
+            raise SolverError(f"semi-implicit preconditioner failed: {exc}") from None
+    N, shape = chart.node_count, chart.shape
+    pat = _step_pattern(chart.spec)
+    sphere = chart.spec.domain is Domain.SPHERE
+    rings = shape[0] if sphere else 1
+    weights = _weight_stack(bundle.ginv, drift).reshape(-1, rings, N // rings).mean(axis=-1)
+    table = (-dt * (pat.mean_map @ weights.ravel())).reshape(pat.mean_shape)
+    # (C x)_i = sum_d a_d x_(i-d) has the eigenvalues fft(a)
+    if not sphere:
+        table.flat[0] += 1.0
+        symbol = np.fft.rfftn(table)
+        mag = np.abs(symbol)
+        zero = np.argwhere(mag <= 1e-12 * mag.max())
+        if zero.size:
+            raise SolverError("semi-implicit preconditioner is singular at "
+                              f"wavenumber {tuple(map(int, zero[0]))}")
+
+        def apply(r):
+            return np.fft.irfftn(np.fft.rfftn(r.reshape(shape)) / symbol, s=shape,
+                                 axes=range(len(shape))).ravel()
+
+        return LinearOperator(A.shape, matvec=apply, dtype=np.float64)
+    K, J = table.shape[:2]
+    b, modes = chart.fd_order // 2, K // 2 + 1
+    table[0, :, b] += 1.0
+    # LAPACK band storage, column-major: entry (i, i') of the stacked matrix
+    # (index p J + j for mode p, ring j) sits in row 2b + i - i' of column
+    # i', the transformed table's entry (p, j', b + j - j'); the b rows above
+    # hold the fill
+    ab = np.zeros((modes, J, 3 * b + 1), dtype=complex)
+    ab[:, :, b:] = np.fft.rfft(table, axis=0)
+    lu, piv, _ = zgbtrf(ab.reshape(modes * J, 3 * b + 1).T, b, b, overwrite_ab=True)
+    mag = np.abs(lu[2 * b]).reshape(modes, J)
+    zero = np.argwhere(mag <= 1e-12 * mag.max(axis=1, keepdims=True))
+    if zero.size:
+        raise SolverError("semi-implicit preconditioner is singular at "
+                          "wavenumber {}, ring {}".format(*map(int, zero[0])))
 
     def apply(r):
-        return np.fft.irfft(np.fft.rfft(r.reshape(chart.shape)) * inverse, n=K).ravel()
+        x, _ = zgbtrs(lu, b, b, np.fft.rfft(r.reshape(shape), axis=1).T.ravel(), piv)
+        return np.fft.irfft(x.reshape(modes, J).T, n=K, axis=1).ravel()
 
     return LinearOperator(A.shape, matvec=apply, dtype=np.float64)
 
@@ -370,11 +442,14 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     repeats the same iterations.
 
     The preconditioner, built afresh every step so the step stays a function
-    of its state, is the circulant of the mean in-line couplings of each line
-    of the chart's periodic last axis (the sphere's colatitude rings, pole
-    ghosts' half-turn included; exact on a round sphere), inverted by FFT; on
-    a one-axis chart, the exact sparse LU. Restarted GMRES and then a sparse
-    LU are the fallbacks when bicgstab does not converge.
+    of its state, is the exact inverse of the step matrix's mean along the
+    chart's periodic axes (_preconditioner), which is the step matrix itself
+    on a round sphere in any position, the Whitney sphere, the Clifford
+    torus and flat tori, so that bicgstab leaves at its first half-step
+    there; on a one-axis chart it is the exact sparse LU. Each rung's answer
+    (bicgstab, then restarted GMRES, then a sparse LU) is accepted once its
+    true relative residual is at most 1e-8; SolverError is raised only when
+    the last rung's is not.
 
     For immersions with an affine summand the solve acts on the periodic
     remainder; the affine part contributes dt * L-hat(affine) to the right
@@ -393,26 +468,29 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     # q = L-hat F = H + V^k F_k: the Gauss formula gives Lap_g F = H
     q = bundle.H + np.einsum("...k,...ka->...a", bundle.drift - w_hat, bundle.dF)
     A = assemble_step_matrix(bundle, dt, drift=w_hat)
-    precond = _line_preconditioner(A, chart)
+    precond = _preconditioner(A, bundle, dt, w_hat)
+
+    def answers(b, x0):
+        # BiCGStab can break down or stop short on stiff steps; restarted
+        # GMRES and a direct factorization are the (rare, deterministic)
+        # fallbacks
+        yield bicgstab(A, b, x0=x0, rtol=1e-10, atol=0.0, maxiter=400, M=precond)[0]
+        yield gmres(A, b, x0=x0, rtol=1e-10, atol=0.0, restart=60, maxiter=40, M=precond)[0]
+        try:
+            yield splu(A.tocsc()).solve(b)
+        except RuntimeError as exc:
+            raise SolverError(f"semi-implicit solve failed: {exc}") from None
+
     new_P = np.empty_like(P)
     for a in range(imm.n):
         b = rhs_all[..., a].ravel()
         qa = q[..., a].ravel()
         x0 = P[..., a].ravel() + dt * (2.0 * qa - A @ qa)
-        x, info = bicgstab(A, b, x0=x0, rtol=1e-10, atol=0.0,
-                           maxiter=400, M=precond)
-        if info != 0:
-            # BiCGStab can break down on stiff steps; restarted GMRES and a
-            # direct factorization are the (rare, deterministic) fallbacks.
-            x, info = gmres(A, b, x0=x0, rtol=1e-10, atol=0.0,
-                            restart=60, maxiter=40, M=precond)
-        if info != 0:
-            try:
-                x = splu(A.tocsc()).solve(b)
-            except RuntimeError as exc:
-                raise SolverError(f"semi-implicit solve failed: {exc}") from None
-        res = float(np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300))
-        if res > 1e-8:
+        for x in answers(b, x0):
+            res = float(np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300))
+            if res <= 1e-8:
+                break
+        else:
             raise SolverError(f"semi-implicit solve inaccurate (component {a}, rel={res:.2e})")
         new_P[..., a] = x.reshape(chart.shape)
     new_vals = new_P if imm.affine is None else new_P + imm.affine_values()

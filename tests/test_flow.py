@@ -1,12 +1,11 @@
 """Integrator accuracy against closed-form shrinking solutions, run
 termination, evolution-equation residuals, and flow symmetries."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.linalg import circulant
 from scipy.sparse.linalg import splu
 
 from codimflow import catalog, flow
@@ -17,7 +16,7 @@ from codimflow.flow import (
     step_explicit, step_semi_implicit,
 )
 from codimflow.geometry import Immersion, build_bundle, laplace_beltrami
-from codimflow.grid import STENCILS, neighbor_maps
+from codimflow.grid import STENCILS, AxisKind, neighbor_maps
 
 
 def mean_radius(imm):
@@ -193,8 +192,20 @@ def term_major_bincount(b, dt):
     return key, data
 
 
+def twisted_sphere(J=12, K=24):
+    """The unit sphere with its longitude turned by 0.3 sin^2(theta): its
+    couplings do not vary along the rings, but g^(theta phi) != 0 makes the
+    step's symbol complex."""
+    chart = catalog.sphere(radius=1.0, J=J, K=K).chart
+    theta, phi = chart.mesh()
+    psi = phi + 0.3 * np.sin(theta) ** 2
+    return Immersion(chart, np.stack([np.sin(theta) * np.cos(psi),
+                                      np.sin(theta) * np.sin(psi), np.cos(theta)], axis=-1))
+
+
 STEP_CHARTS = {
     "sphere": lambda: catalog.sphere(radius=1.0, J=24, K=48, fd_order=4),
+    "twisted-sphere": twisted_sphere,
     # three couplings meet in one CSR position on this small chart
     "sphere-8x8": lambda: catalog.sphere(radius=1.0, J=8, K=8),
     "clifford": lambda: catalog.clifford_torus(n1=16, n2=24, fd_order=4),
@@ -202,8 +213,14 @@ STEP_CHARTS = {
     "torus-graph": torus_graph,
     "three-axis": lambda: catalog.flat_torus_graph(m=3, n_per_axis=8),
 }
-# the charts whose preconditioner is the line circulants
-LINE_CHARTS = [name for name, make in STEP_CHARTS.items() if make().chart.m > 1]
+# the charts whose preconditioner inverts the periodic-axis mean
+MEAN_CHARTS = [name for name, make in STEP_CHARTS.items() if make().chart.m > 1]
+# charts whose couplings do not vary along the periodic axes
+UNIFORM_CHARTS = {
+    **{name: STEP_CHARTS[name]
+       for name in ("sphere", "sphere-8x8", "twisted-sphere", "clifford", "three-axis")},
+    "whitney": lambda: catalog.whitney_sphere(radius=1.0, m=2, J=16, K=32),
+}
 
 
 def rigidly_moved(imm, seed=3):
@@ -213,25 +230,28 @@ def rigidly_moved(imm, seed=3):
     return Immersion(imm.chart, imm.values @ R.T + rng.standard_normal(imm.n))
 
 
-def line_blocks(A, K, mean=False):
-    """Block-diagonal matrix of A's couplings inside each line of K nodes,
-    built block by block without the cached pattern; with mean, each block
-    is the circulant of its per-offset means, entry (i, j) the mean of the
-    block's entries (i', (i' + j - i) mod K)."""
-    i = np.arange(K)
-    blocks = [A[s:s + K, s:s + K].toarray() for s in range(0, A.shape[0], K)]
-    if mean:
-        blocks = [circulant([blk[i, (i + d) % K].mean() for d in range(K)]).T
-                  for blk in blocks]
-    return sp.block_diag(blocks, format="csr")
+def periodic_mean(A, chart):
+    """Dense mean of A over the cyclic shifts s of the chart's periodic
+    axes, entry (i, j) the mean of A[s(i), s(j)], built without the cached
+    pattern."""
+    dense = A.toarray()
+    idx = np.arange(chart.node_count).reshape(chart.shape)
+    axes = [a for a, kind in enumerate(chart.axis_kinds) if kind is AxisKind.PERIODIC]
+    shifts = list(itertools.product(*(range(chart.shape[a]) for a in axes)))
+    mean = np.zeros_like(dense)
+    for s in shifts:
+        p = np.roll(idx, s, axis=axes).ravel()
+        mean += dense[np.ix_(p, p)]
+    return mean / len(shifts)
 
 
 def step_operator(imm, dt=2e-3):
-    """The semi-implicit step's matrix at imm, its line preconditioner and
-    the chart's line length."""
+    """The semi-implicit step's matrix at imm, its preconditioner and the
+    chart."""
     b = build_bundle(imm)
-    A = assemble_step_matrix(b, dt, drift=flow.reference_drift(b))
-    return A, flow._line_preconditioner(A, b.chart), b.chart.shape[-1]
+    w_hat = flow.reference_drift(b)
+    A = assemble_step_matrix(b, dt, drift=w_hat)
+    return A, flow._preconditioner(A, b, dt, w_hat), b.chart
 
 
 class TestStepMatrix:
@@ -250,7 +270,7 @@ class TestStepMatrix:
         pat = flow._step_pattern(b.chart.spec)
         arrays = [f for f in vars(pat).values() if isinstance(f, np.ndarray)]
         arrays += [pat.coupling.data, pat.coupling.indices, pat.coupling.indptr,
-                   pat.line_mean.data, pat.line_mean.indices, pat.line_mean.indptr,
+                   pat.mean_map.data, pat.mean_map.indices, pat.mean_map.indptr,
                    A.indices, A.indptr]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -275,8 +295,8 @@ class TestStepMatrix:
         lambda: catalog.grim_reaper(n=64),
     ], ids=["ellipse", "interval"])
     def test_line_preconditioner_exact_on_one_axis(self, make, monkeypatch):
-        # the only line of a one-axis chart is the whole chart, so the
-        # preconditioner is the exact inverse and one iteration suffices
+        # a one-axis chart is preconditioned by the exact LU of its step
+        # matrix, so one iteration suffices
         st = FlowState.initial(make())
         want = step_semi_implicit(st, 1e-2)
         solve = flow.bicgstab
@@ -292,36 +312,40 @@ class TestStepMatrix:
         assert infos == [0] * st.imm.n
         assert np.array_equal(got.imm.values, want.imm.values)
 
-    @pytest.mark.parametrize("name", LINE_CHARTS)
-    def test_line_circulants_inverted_exactly(self, name):
-        # the preconditioner inverts the circulants of each line's mean
-        # in-line couplings, the pole ghosts' half-turn included
-        A, M, K = step_operator(STEP_CHARTS[name]())
+    @pytest.mark.parametrize("name", MEAN_CHARTS)
+    def test_periodic_mean_inverted_exactly(self, name):
+        # the preconditioner inverts the step matrix's mean along the
+        # periodic axes, the pole ghosts' couplings included
+        A, M, chart = step_operator(STEP_CHARTS[name]())
         x = np.random.default_rng(0).standard_normal(A.shape[0])
-        y = M @ (line_blocks(A, K, mean=True) @ x)
+        y = M @ (periodic_mean(A, chart) @ x)
         assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
 
     @pytest.mark.parametrize("moved", [False, True], ids=["in-place", "moved"])
-    @pytest.mark.parametrize("name", ["sphere", "sphere-8x8", "clifford", "three-axis"])
-    def test_exact_in_line_inverse_on_uniform_lines(self, name, moved):
-        # on a round sphere (K = 48 and K = 8), a product of circles and a
-        # flat torus, in any position, the couplings do not vary along a
-        # line, so the circulants are the exact inverse of the in-line part
-        imm = STEP_CHARTS[name]()
-        A, M, K = step_operator(rigidly_moved(imm) if moved else imm)
+    @pytest.mark.parametrize("name", list(UNIFORM_CHARTS))
+    def test_exact_inverse_on_uniform_charts(self, name, moved):
+        # on a round sphere (K = 48 and K = 8, also with twisted rings),
+        # the Whitney sphere, a product of circles and a flat torus, in any
+        # position, the couplings do not vary along the periodic axes, so
+        # the mean is the step matrix and the preconditioner its inverse
+        imm = UNIFORM_CHARTS[name]()
+        A, M, _ = step_operator(rigidly_moved(imm) if moved else imm)
         x = np.random.default_rng(1).standard_normal(A.shape[0])
-        y = M @ (line_blocks(A, K) @ x)
-        assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
+        y = M @ (A @ x)
+        assert np.abs(y - x).max() <= 1e-10 * np.abs(x).max()
 
-    @pytest.mark.parametrize("make, most", [
-        (lambda: catalog.whitney_sphere(radius=1.0, m=2, J=32, K=64), 320),
-        (lambda: catalog.clifford_torus(n1=64, n2=64), 126),
-        (catalog.flat_torus_graph, 0),
-        (lambda: rigidly_moved(catalog.sphere(radius=1.0, J=24, K=48)), 293),
-    ], ids=["whitney", "clifford", "flat-torus-graph", "moved-sphere"])
-    def test_iterations_within_banded_lu_counts(self, make, most, monkeypatch):
-        # 40 steps at rho 0.01 take no more bicgstab iterations in total
-        # than with the banded LU of each line that the circulants replaced
+    @pytest.mark.parametrize("make, steps, most", [
+        (lambda: catalog.whitney_sphere(radius=1.0, m=2, J=32, K=64), 40, 0),
+        (lambda: catalog.clifford_torus(n1=64, n2=64), 40, 0),
+        (catalog.flat_torus_graph, 40, 0),
+        (lambda: rigidly_moved(catalog.sphere(radius=1.0, J=24, K=48)), 40, 0),
+        (torus_graph, 4, 40),
+    ], ids=["whitney", "clifford", "flat-torus-graph", "moved-sphere", "torus-graph"])
+    def test_bicgstab_iteration_counts(self, make, steps, most, monkeypatch):
+        # full bicgstab iterations over the first steps at rho 0.01: none
+        # where the preconditioner is the exact inverse (a solve that leaves
+        # at its first half-step does not call back); torus_graph's
+        # couplings vary along both periodic axes, so its solves iterate
         solve = flow.bicgstab
         iters = [0]
 
@@ -333,8 +357,8 @@ class TestStepMatrix:
 
         monkeypatch.setattr(flow, "bicgstab", counted)
         cfg = FlowConfig(integrator=Integrator.SEMI_IMPLICIT, curvature_cap_rho=0.01)
-        steps = flow.trajectory(FlowState.initial(make()), cfg, max_steps=40)
-        assert sum(1 for _ in steps) == 40
+        trajectory = flow.trajectory(FlowState.initial(make()), cfg, max_steps=steps)
+        assert sum(1 for _ in trajectory) == steps
         assert iters[0] <= most, iters[0]
 
 
@@ -407,17 +431,45 @@ class TestSolverFallbacks:
         with pytest.raises(SolverError, match="exactly singular"):
             step_semi_implicit(self.state(), 2e-3)
 
-    def test_singular_line_circulant_raises(self):
-        # on a flat torus the in-line symbol of the step is 1 - dt sigma_k,
-        # sigma_k the symbol of the Laplacian's in-line couplings at
-        # wavenumber k; the negative dt = 1 / sigma_3 zeroes mode 3 of
-        # every line, and the first line is named
+    def test_false_convergence_takes_the_next_rung(self, monkeypatch):
+        # bicgstab reports convergence at its start; the start's residual
+        # misses 1e-8, so the step goes on and lands on the direct answer
+        st = self.state()
+        b = st.bundle
+        A = assemble_step_matrix(b, 2e-3, drift=flow.reference_drift(b))
+        lu = splu(A.tocsc())
+        want = np.stack([lu.solve(st.imm.values[..., a].ravel()) for a in range(st.imm.n)], -1)
+        monkeypatch.setattr(flow, "bicgstab", lambda A, b, x0=None, **kwargs: (x0.copy(), 0))
+        got = step_semi_implicit(st, 2e-3).imm.values.reshape(want.shape)
+        assert np.abs(got - want).max() < 1e-8
+
+    def test_singular_symbol_raises(self):
+        # on a flat torus the step's symbol is 1 - dt sigma_k, sigma_k the
+        # symbol of the Laplacian at wavenumber k; the negative dt =
+        # 1 / sigma_(2, 3) zeroes it there (and at (3, 2), (6, 3), ...), and
+        # the first in C order is named
         st = FlowState.initial(catalog.flat_torus_graph(m=2, n_per_axis=8))
         ginv, (h0, h1), K = st.bundle.ginv, st.imm.chart.spacings, 8
         sigma = -2.0 * (ginv[..., 0, 0].mean() / h0**2
                         + ginv[..., 1, 1].mean() / h1**2 * (1.0 - np.cos(2 * np.pi * 3 / K)))
-        with pytest.raises(SolverError, match=r"singular on line \(0,\) at wavenumber 3$"):
+        with pytest.raises(SolverError, match=r"singular at wavenumber \(2, 3\)$"):
             step_semi_implicit(st, 1.0 / sigma)
+
+    def test_singular_band_raises(self):
+        # on a sphere chart each longitude wavenumber p has a band B_p =
+        # I - dt L_p coupling the rings; dt = 1 / mu for a real eigenvalue
+        # mu of L_p makes B_p singular, and the wavenumber is named
+        st = self.state()
+        chart, p = st.imm.chart, 3
+        J, K = chart.shape
+        A, _, _ = step_operator(st.imm, dt=1.0)
+        L = np.eye(A.shape[0]) - periodic_mean(A, chart)
+        phase = np.exp(2j * np.pi * p * np.arange(K) / K)
+        mu = np.linalg.eigvals(L.reshape(J, K, J, K)[:, 0] @ phase)
+        mu = mu[np.argmin(np.abs(mu.imag))]
+        assert abs(mu.imag) <= 1e-9 * abs(mu)
+        with pytest.raises(SolverError, match=rf"singular at wavenumber {p}, ring \d+$"):
+            step_semi_implicit(st, 1.0 / mu.real)
 
     def test_singular_one_axis_factor_raises(self, monkeypatch):
         def singular(A):

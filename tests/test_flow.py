@@ -341,11 +341,12 @@ class TestStepMatrix:
         (lambda: rigidly_moved(catalog.sphere(radius=1.0, J=24, K=48)), 40, 0),
         (torus_graph, 4, 40),
     ], ids=["whitney", "clifford", "flat-torus-graph", "moved-sphere", "torus-graph"])
-    def test_bicgstab_iteration_counts(self, make, steps, most, monkeypatch):
-        # full bicgstab iterations over the first steps at rho 0.01: none
-        # where the preconditioner is the exact inverse (a solve that leaves
-        # at its first half-step does not call back); torus_graph's
-        # couplings vary along both periodic axes, so its solves iterate
+    def test_iterations_within_banded_lu_counts(self, make, steps, most, monkeypatch):
+        # full bicgstab iterations over the first steps at rho 0.01 under
+        # the FFT-plus-banded-LU preconditioner: none where it is the exact
+        # inverse (a solve that leaves at its first half-step does not call
+        # back); torus_graph's couplings vary along both periodic axes, so
+        # its solves iterate
         solve = flow.bicgstab
         iters = [0]
 

@@ -9,11 +9,12 @@ by a chart-static reference (DeTurck's trick), so the step is mean
 curvature flow plus a tangential velocity that keeps the sphere chart's
 pole rings from degenerating. The step matrix is assembled on a sparsity
 pattern cached per chart. Its solve starts at a second-order predictor and
-is preconditioned, on charts of two or more axes, by the exact inverse of
-the step matrix's mean along the periodic axes (T. Chan's optimal circulant
-in its block form): an FFT along those axes, then a division by the symbol
-on tori or one banded LU of the colatitude couplings per wavenumber on
-sphere charts; on one-axis charts by the exact sparse LU.
+is preconditioned, on every chart, by the exact inverse of the step
+matrix's mean along the periodic axes (T. Chan's optimal circulant in its
+block form): an FFT along those axes, then one banded LU of each
+wavenumber's couplings across the non-periodic axis (a sphere's colatitude,
+an interval's axis), which on tori and the circle is a division by the
+symbol.
 
 One iterable, trajectory, steps the flow and decides where it stops: on a
 reached time horizon, on the curvature cap, on time-step underflow (both
@@ -53,7 +54,8 @@ from .geometry import (
     normal_part,
     trusted_mask,
 )
-from .grid import STENCILS, ChartSpec, Domain, integrate_values, make_chart, neighbor_maps
+from .grid import (STENCILS, AxisKind, ChartSpec, Domain, integrate_values, make_chart,
+                   neighbor_maps)
 
 
 class Integrator(enum.Enum):
@@ -186,28 +188,29 @@ class _StepPattern:
     of the coupling's flat index t * N + n (term t, node n). It is never
     canonicalised, since merging duplicate entries would change the rounding.
 
-    mean_map maps the ring means of the weight stack (row r, ring j at
-    r * G + j, G rings) to the step matrix's mean along the periodic axes,
+    The preconditioner views the nodes, a plain reshape of their C-order
+    index, as (rings, *periodic axes): G = shape[0] rings of half-width
+    b = fd_order // 2 when axis 0 is not periodic (a sphere's colatitude, an
+    interval's axis, which gets a periodic axis of size 1), else one ring
+    and b = 0. mean_map maps the ring means of the weight stack (row r,
+    ring j at r * G + j) to the step matrix's mean along the periodic axes,
     the identity left out: a table of per-offset couplings of shape
-    mean_shape. Each entry is indexed by the row's offset from the column
-    along the periodic axes, modulo the node count, so that the table's FFT
-    is the mean's symbol. On tori one ring holds every node and the table
-    has the chart's shape. On sphere charts the rings are the colatitude
-    rings and the table's shape is (K, J, 2b + 1), b = fd_order // 2: the
-    longitude offset, the column's ring j' and b + j - j' for the row's ring
-    j (the pole ghosts' rings are among j - b..j + b), which is LAPACK's
-    band storage. Every node of a ring couples through one stencil term to
-    one table entry, so the mean coupling is the term's coefficient times
-    the ring mean of its weight. One-axis charts, preconditioned by their
-    exact LU, have none.
+    mean_shape = periodic + (G, 2b + 1). Its entry (d, j', b + j - j')
+    couples the row's ring j to the column's ring j' at the row's offset d
+    from the column along the periodic axes, modulo the node counts, so that
+    the table's FFT along those axes is the mean's symbol and, per
+    wavenumber, LAPACK's band storage (ghosts' rings lie among j - b..j + b).
+    Every node of a ring couples through one stencil term to one table
+    entry, so the mean coupling is the term's coefficient times the ring
+    mean of its weight.
     """
 
     coupling: sp.csr_matrix    # CSR position x weight-stack entry
     indices: np.ndarray        # CSR column indices
     indptr: np.ndarray         # CSR row pointers
     diag: np.ndarray           # CSR positions of the diagonal
-    mean_map: sp.csr_matrix | None   # table entry x ring-mean weight
-    mean_shape: tuple[int, ...]      # table shape
+    mean_map: sp.csr_matrix    # table entry x ring-mean weight
+    mean_shape: tuple[int, ...]  # table shape: periodic + (rings, 2b + 1)
 
 
 @lru_cache(maxsize=16)
@@ -257,24 +260,22 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
     r, c = np.divmod(key[new], N)
     indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=N))]
 
-    mean_map, mean_shape = None, ()
-    if m > 1:
-        # each term's table entry, read off the first node of each ring
-        rings = chart.shape[0] if spec.domain is Domain.SPHERE else 1
-        first = np.arange(rings) * (N // rings)
-        row = np.unravel_index(first, chart.shape)
-        col = np.unravel_index(cols[:, first], chart.shape)
-        entry = [(i - j) % n for i, j, n in zip(row, col, chart.shape)]
-        mean_shape = chart.shape
-        if rings > 1:
-            b = order // 2
-            entry = [entry[1], col[0], b + row[0] - col[0]]
-            mean_shape = (chart.shape[1], rings, 2 * b + 1)
-        mean_map = sp.csr_matrix(
-            (np.repeat(term_coeff, rings),
-             (np.ravel_multi_index(entry, mean_shape).ravel(),
-              (np.array(weight_row)[:, None] * rings + np.arange(rings)).ravel())),
-            shape=(math.prod(mean_shape), (max(weight_row) + 1) * rings))
+    # each term's table entry, read off the first node of each ring
+    if chart.axis_kinds[0] is AxisKind.PERIODIC:
+        rings, b, periodic = 1, 0, chart.shape
+    else:
+        rings, b, periodic = chart.shape[0], order // 2, chart.shape[1:] or (1,)
+    view = (rings,) + periodic
+    first = np.arange(rings) * (N // rings)
+    row = np.unravel_index(first, view)
+    col = np.unravel_index(cols[:, first], view)
+    entry = [(i - j) % n for i, j, n in zip(row[1:], col[1:], periodic)]
+    mean_shape = periodic + (rings, 2 * b + 1)
+    mean_map = sp.csr_matrix(
+        (np.repeat(term_coeff, rings),
+         (np.ravel_multi_index(entry + [col[0], b + row[0] - col[0]], mean_shape).ravel(),
+          (np.array(weight_row)[:, None] * rings + np.arange(rings)).ravel())),
+        shape=(math.prod(mean_shape), (max(weight_row) + 1) * rings))
     pattern = _StepPattern(
         coupling=coupling,
         indices=c.astype(np.int32),
@@ -334,65 +335,49 @@ def _weight_stack(ginv: np.ndarray, drift: np.ndarray) -> np.ndarray:
 def _preconditioner(A: sp.csr_matrix, bundle: GeometryBundle, dt: float,
                     drift: np.ndarray) -> LinearOperator:
     """Preconditioner for A = assemble_step_matrix(bundle, dt, drift): the
-    exact sparse LU on a one-axis chart; else the exact inverse of A's mean
-    along the periodic axes (T. Chan's optimal circulant and its block
-    form), which is A itself where the couplings do not vary along those
-    axes, as on a round sphere in any position, the Whitney sphere and flat
-    tori.
+    exact inverse of A's mean along the chart's periodic axes (T. Chan's
+    optimal circulant in its block form), which is A itself where the
+    couplings do not vary along those axes, as on a round sphere in any
+    position, the Whitney sphere, flat tori and intervals.
 
-    An FFT along the periodic axes diagonalises the mean. On tori that
-    leaves a division by its symbol. On sphere charts it leaves, per
-    longitude wavenumber, a complex band of half-width b = fd_order // 2
-    that couples the rings, the pole ghosts' included; one banded LU factors
-    the bands of all wavenumbers stacked in turn. A pivot (the symbol on
-    tori, U's diagonal on spheres) at or below 1e-12 of the largest (on
-    spheres, of its wavenumber's largest) raises SolverError."""
-    chart = bundle.chart
-    if chart.m == 1:
-        try:
-            return LinearOperator(A.shape, matvec=splu(A.tocsc()).solve, dtype=np.float64)
-        except RuntimeError as exc:
-            raise SolverError(f"semi-implicit preconditioner failed: {exc}") from None
-    N, shape = chart.node_count, chart.shape
-    pat = _step_pattern(chart.spec)
-    sphere = chart.spec.domain is Domain.SPHERE
-    rings = shape[0] if sphere else 1
-    weights = _weight_stack(bundle.ginv, drift).reshape(-1, rings, N // rings).mean(axis=-1)
-    table = (-dt * (pat.mean_map @ weights.ravel())).reshape(pat.mean_shape)
-    # (C x)_i = sum_d a_d x_(i-d) has the eigenvalues fft(a)
-    if not sphere:
-        table.flat[0] += 1.0
-        symbol = np.fft.rfftn(table)
-        mag = np.abs(symbol)
-        zero = np.argwhere(mag <= 1e-12 * mag.max())
-        if zero.size:
-            raise SolverError("semi-implicit preconditioner is singular at "
-                              f"wavenumber {tuple(map(int, zero[0]))}")
-
-        def apply(r):
-            return np.fft.irfftn(np.fft.rfftn(r.reshape(shape)) / symbol, s=shape,
-                                 axes=range(len(shape))).ravel()
-
-        return LinearOperator(A.shape, matvec=apply, dtype=np.float64)
-    K, J = table.shape[:2]
-    b, modes = chart.fd_order // 2, K // 2 + 1
-    table[0, :, b] += 1.0
-    # LAPACK band storage, column-major: entry (i, i') of the stacked matrix
-    # (index p J + j for mode p, ring j) sits in row 2b + i - i' of column
-    # i', the transformed table's entry (p, j', b + j - j'); the b rows above
-    # hold the fill
-    ab = np.zeros((modes, J, 3 * b + 1), dtype=complex)
-    ab[:, :, b:] = np.fft.rfft(table, axis=0)
-    lu, piv, _ = zgbtrf(ab.reshape(modes * J, 3 * b + 1).T, b, b, overwrite_ab=True)
-    mag = np.abs(lu[2 * b]).reshape(modes, J)
-    zero = np.argwhere(mag <= 1e-12 * mag.max(axis=1, keepdims=True))
+    An FFT along the periodic axes diagonalises the mean. What remains, per
+    wavenumber, is a complex band of half-width b that couples the rings
+    (_StepPattern), the ghosts' couplings included; one banded LU factors
+    the bands of all wavenumbers stacked in turn. On tori and the circle
+    there is one ring and b = 0, so the LU is a division by the symbol. A
+    pivot at or below 1e-12 of the largest over all wavenumbers raises
+    SolverError naming its wavenumber and ring."""
+    pat = _step_pattern(bundle.chart.spec)
+    periodic, (rings, width) = pat.mean_shape[:-2], pat.mean_shape[-2:]
+    b, view = width // 2, (rings,) + periodic
+    weights = _weight_stack(bundle.ginv, drift).reshape(-1, rings, A.shape[0] // rings)
+    table = (-dt * (pat.mean_map @ weights.mean(axis=-1).ravel())).reshape(pat.mean_shape)
+    table[(0,) * len(periodic) + (slice(None), b)] += 1.0   # the identity
+    # (C x)_i = sum_d a_d x_(i-d) has the eigenvalues fft(a). LAPACK band
+    # storage, column-major: entry (i, i') of the stacked matrix (index
+    # p rings + j for mode p, ring j) sits in row 2b + i - i' of column i', the
+    # transformed table's entry (p, j', b + j - j'); the b rows above hold
+    # the fill
+    symbol = np.fft.rfftn(table, s=periodic, axes=range(len(periodic)))
+    modes = symbol.shape[:-2]
+    ab = np.zeros(symbol.shape[:-1] + (3 * b + 1,), dtype=complex)
+    ab[..., b:] = symbol
+    lu, piv, _ = zgbtrf(ab.reshape(-1, 3 * b + 1).T, b, b, overwrite_ab=True)
+    mag = np.abs(lu[2 * b])
+    zero = np.flatnonzero(mag <= 1e-12 * mag.max())
     if zero.size:
-        raise SolverError("semi-implicit preconditioner is singular at "
-                          "wavenumber {}, ring {}".format(*map(int, zero[0])))
+        mode, ring = divmod(int(zero[0]), rings)
+        k = tuple(map(int, np.unravel_index(mode, modes)))
+        raise SolverError("semi-implicit preconditioner is singular at wavenumber "
+                          f"{k if len(k) > 1 else k[0]}, ring {ring}")
+    axes = tuple(range(1, len(view)))   # the periodic axes of the view
+    to_modes, to_rings = axes + (0,), (len(axes),) + tuple(range(len(axes)))
 
     def apply(r):
-        x, _ = zgbtrs(lu, b, b, np.fft.rfft(r.reshape(shape), axis=1).T.ravel(), piv)
-        return np.fft.irfft(x.reshape(modes, J).T, n=K, axis=1).ravel()
+        y = np.fft.rfftn(r.reshape(view), s=periodic, axes=axes)
+        x, _ = zgbtrs(lu, b, b, y.transpose(to_modes).ravel(), piv)
+        x = x.reshape(modes + (rings,)).transpose(to_rings)
+        return np.fft.irfftn(x, s=periodic, axes=axes).ravel()
 
     return LinearOperator(A.shape, matvec=apply, dtype=np.float64)
 
@@ -445,11 +430,10 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     of its state, is the exact inverse of the step matrix's mean along the
     chart's periodic axes (_preconditioner), which is the step matrix itself
     on a round sphere in any position, the Whitney sphere, the Clifford
-    torus and flat tori, so that bicgstab leaves at its first half-step
-    there; on a one-axis chart it is the exact sparse LU. Each rung's answer
-    (bicgstab, then restarted GMRES, then a sparse LU) is accepted once its
-    true relative residual is at most 1e-8; SolverError is raised only when
-    the last rung's is not.
+    torus, flat tori and intervals, so that bicgstab leaves at its first
+    half-step there. Each rung's answer (bicgstab, then restarted GMRES,
+    then a sparse LU) is accepted once its true relative residual is at
+    most 1e-8; SolverError is raised only when the last rung's is not.
 
     For immersions with an affine summand the solve acts on the periodic
     remainder; the affine part contributes dt * L-hat(affine) to the right
@@ -559,9 +543,9 @@ class trajectory:
     Before each step it stops on, in this order: the curvature cap (full
     max|A|^2), the horizon stop_t_max, max_steps taken, dt underflow. dt is
     adaptive_dt clipped onto stop_t_max. A step that raises
-    DegenerateImmersion or NonFiniteError ends it too. Once exhausted,
-    termination and detail say why it stopped; error holds a failed step's
-    exception."""
+    DegenerateImmersion, NonFiniteError or SolverError ends it too, as
+    Degenerate. Once exhausted, termination and detail say why it stopped;
+    error holds a failed step's exception."""
 
     def __init__(self, state: FlowState, config: FlowConfig, max_steps: int | None = None):
         self.termination: Termination | None = None
@@ -590,7 +574,7 @@ class trajectory:
                 return self._stop(Termination.DT_UNDERFLOW, f"dt = {dt:.3e} at t = {state.t:.9g}")
             try:
                 state = _step(state, dt, config)
-            except (DegenerateImmersion, NonFiniteError) as exc:
+            except (DegenerateImmersion, NonFiniteError, SolverError) as exc:
                 self.error = exc
                 return self._stop(Termination.DEGENERATE, str(exc))
             yield state, dt

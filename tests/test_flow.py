@@ -213,8 +213,9 @@ STEP_CHARTS = {
     "torus-graph": torus_graph,
     "three-axis": lambda: catalog.flat_torus_graph(m=3, n_per_axis=8),
 }
-# the charts whose preconditioner inverts the periodic-axis mean
-MEAN_CHARTS = [name for name, make in STEP_CHARTS.items() if make().chart.m > 1]
+# the preconditioner inverts the periodic-axis mean on every chart; on an
+# interval (one periodic mode) the mean is the step matrix itself
+MEAN_CHARTS = {**STEP_CHARTS, "interval": lambda: catalog.grim_reaper(n=32)}
 # charts whose couplings do not vary along the periodic axes
 UNIFORM_CHARTS = {
     **{name: STEP_CHARTS[name]
@@ -291,12 +292,13 @@ class TestStepMatrix:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("make", [
-        lambda: catalog.ellipse(n=64),
+        lambda: catalog.circle(radius=1.0, n=64),
         lambda: catalog.grim_reaper(n=64),
-    ], ids=["ellipse", "interval"])
+    ], ids=["circle", "interval"])
     def test_line_preconditioner_exact_on_one_axis(self, make, monkeypatch):
-        # a one-axis chart is preconditioned by the exact LU of its step
-        # matrix, so one iteration suffices
+        # the periodic mean is the step matrix itself on a round circle (one
+        # ring, a division by the symbol) and on an interval (one band), so
+        # one iteration suffices
         st = FlowState.initial(make())
         want = step_semi_implicit(st, 1e-2)
         solve = flow.bicgstab
@@ -312,11 +314,11 @@ class TestStepMatrix:
         assert infos == [0] * st.imm.n
         assert np.array_equal(got.imm.values, want.imm.values)
 
-    @pytest.mark.parametrize("name", MEAN_CHARTS)
+    @pytest.mark.parametrize("name", list(MEAN_CHARTS))
     def test_periodic_mean_inverted_exactly(self, name):
         # the preconditioner inverts the step matrix's mean along the
-        # periodic axes, the pole ghosts' couplings included
-        A, M, chart = step_operator(STEP_CHARTS[name]())
+        # periodic axes, the pole and reflection ghosts' couplings included
+        A, M, chart = step_operator(MEAN_CHARTS[name]())
         x = np.random.default_rng(0).standard_normal(A.shape[0])
         y = M @ (periodic_mean(A, chart) @ x)
         assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
@@ -340,13 +342,16 @@ class TestStepMatrix:
         (catalog.flat_torus_graph, 40, 0),
         (lambda: rigidly_moved(catalog.sphere(radius=1.0, J=24, K=48)), 40, 0),
         (torus_graph, 4, 40),
-    ], ids=["whitney", "clifford", "flat-torus-graph", "moved-sphere", "torus-graph"])
+        (lambda: catalog.ellipse(n=128), 20, 40),
+    ], ids=["whitney", "clifford", "flat-torus-graph", "moved-sphere", "torus-graph",
+            "ellipse"])
     def test_iterations_within_banded_lu_counts(self, make, steps, most, monkeypatch):
         # full bicgstab iterations over the first steps at rho 0.01 under
         # the FFT-plus-banded-LU preconditioner: none where it is the exact
         # inverse (a solve that leaves at its first half-step does not call
-        # back); torus_graph's couplings vary along both periodic axes, so
-        # its solves iterate
+        # back); the couplings of torus_graph (along both periodic axes) and
+        # of the ellipse vary along the periodic axes, so their solves
+        # iterate
         solve = flow.bicgstab
         iters = [0]
 
@@ -453,7 +458,8 @@ class TestSolverFallbacks:
         ginv, (h0, h1), K = st.bundle.ginv, st.imm.chart.spacings, 8
         sigma = -2.0 * (ginv[..., 0, 0].mean() / h0**2
                         + ginv[..., 1, 1].mean() / h1**2 * (1.0 - np.cos(2 * np.pi * 3 / K)))
-        with pytest.raises(SolverError, match=r"singular at wavenumber \(2, 3\)$"):
+        with pytest.raises(SolverError,
+                           match=r"preconditioner is singular at wavenumber \(2, 3\), ring 0$"):
             step_semi_implicit(st, 1.0 / sigma)
 
     def test_singular_band_raises(self):
@@ -469,16 +475,20 @@ class TestSolverFallbacks:
         mu = np.linalg.eigvals(L.reshape(J, K, J, K)[:, 0] @ phase)
         mu = mu[np.argmin(np.abs(mu.imag))]
         assert abs(mu.imag) <= 1e-9 * abs(mu)
-        with pytest.raises(SolverError, match=rf"singular at wavenumber {p}, ring \d+$"):
+        with pytest.raises(SolverError,
+                           match=rf"preconditioner is singular at wavenumber {p}, ring \d+$"):
             step_semi_implicit(st, 1.0 / mu.real)
 
-    def test_singular_one_axis_factor_raises(self, monkeypatch):
-        def singular(A):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(flow, "splu", singular)
-        with pytest.raises(SolverError, match="preconditioner failed: Factor is exactly singular"):
-            step_semi_implicit(FlowState.initial(catalog.ellipse(n=64)), 1e-2)
+    def test_curve_steps_factor_nothing(self, monkeypatch):
+        # the circulant mean preconditions curves too: splu is the last rung
+        # only, and bicgstab converges on an ellipse
+        calls = []
+        splu = flow.splu
+        monkeypatch.setattr(flow, "splu", lambda A: calls.append(1) or splu(A))
+        cfg = FlowConfig(integrator=Integrator.SEMI_IMPLICIT, curvature_cap_rho=0.01)
+        steps = flow.trajectory(FlowState.initial(catalog.ellipse(n=128)), cfg, max_steps=5)
+        assert sum(1 for _ in steps) == 5
+        assert calls == []
 
 
 class TestRun:
@@ -500,6 +510,17 @@ class TestRun:
         [rec] = trace.records
         assert (rec.step_index, rec.t, rec.dt) == (0, 0.0, 0.0)
         assert rec.snapshot is final.imm
+
+    def test_solver_error_ends_degenerate(self):
+        # the semi-implicit dt is unbounded once the graph flattens: at step
+        # 7 (dt = 5.8e23) the symbol's constant mode is lost to rounding and
+        # the preconditioner raises; run keeps the trace up to step 6 and
+        # ends there, with the exception's message
+        cfg = FlowConfig(integrator=Integrator.SEMI_IMPLICIT, curvature_cap_rho=0.01)
+        trace, final = run(torus_graph(), cfg, max_steps=40)
+        assert trace.termination is Termination.DEGENERATE
+        assert trace.termination_detail.endswith("singular at wavenumber (0, 0), ring 0")
+        assert trace.records[-1].step_index == final.step_index == 6
 
     def test_stationary_graph_time_reached(self):
         from codimflow.grid import ChartSpec, Domain, GridField, make_chart

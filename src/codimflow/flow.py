@@ -11,10 +11,11 @@ pole rings from degenerating. The step matrix is assembled on a sparsity
 pattern cached per chart. Its solve starts at a second-order predictor and
 is preconditioned, on every chart, by the exact inverse of the step
 matrix's mean along the periodic axes (T. Chan's optimal circulant in its
-block form): an FFT along those axes, then one banded LU of each
-wavenumber's couplings across the non-periodic axis (a sphere's colatitude,
-an interval's axis), which on tori and the circle is a division by the
-symbol.
+block form), read off the step matrix's own entries: an FFT along those
+axes, then one banded LU of each wavenumber's couplings across the
+non-periodic axis (a sphere's colatitude, an interval's axis), which on
+tori and the circle is a division by the symbol. The semi-implicit dt is
+bounded by the curvature brake and by rho Vol^(2/m).
 
 One iterable, trajectory, steps the flow and decides where it stops: on a
 reached time horizon, on the curvature cap, on time-step underflow (both
@@ -152,20 +153,22 @@ def min_physical_spacing(bundle: GeometryBundle) -> float:
 
 
 def adaptive_dt(state: FlowState, config: FlowConfig) -> float:
-    """Time-step law: parabolic CFL on the minimal metric spacing coupled
-    with the curvature brake dt <= rho / max|A|^2. The CFL term applies only
-    to the explicit integrator; the semi-implicit step is unconditionally
-    stable and is governed by the curvature brake alone. The brake (like the
-    curvature cap in run) reads the maximum over all nodes, trusted or not:
-    every node is stepped, so the step must bound every node."""
+    """Time-step law: the curvature brake dt <= rho / max|A|^2, coupled for
+    the explicit integrator with a parabolic CFL on the minimal metric
+    spacing. The semi-implicit step is unconditionally stable; its dt is
+    instead bounded by rho Vol^(2/m), which has the units of rho / |A|^2
+    and hardly binds on a closed immersion, but keeps dt finite once a graph
+    flattens. The brake (like the curvature cap in run) reads the maximum
+    over all nodes, trusted or not: every node is stepped, so the step must
+    bound every node."""
     if config.fixed_dt is not None:
         return config.fixed_dt
-    dt = config.curvature_cap_rho / max(state.bundle.max_A2, 1e-300)
+    rho, m = config.curvature_cap_rho, state.imm.m
+    dt = rho / max(state.bundle.max_A2, 1e-300)
     if config.integrator is Integrator.EXPLICIT_EULER:
-        m = state.imm.m
         h_min = min_physical_spacing(state.bundle)
-        dt = min(dt, config.cfl_sigma * h_min * h_min / (2.0 * m))
-    return dt
+        return min(dt, config.cfl_sigma * h_min * h_min / (2.0 * m))
+    return min(dt, rho * state.bundle.total_volume() ** (2.0 / m))
 
 
 def step_explicit(state: FlowState, dt: float) -> FlowState:
@@ -188,28 +191,22 @@ class _StepPattern:
     of the coupling's flat index t * N + n (term t, node n). It is never
     canonicalised, since merging duplicate entries would change the rounding.
 
-    The preconditioner views the nodes, a plain reshape of their C-order
-    index, as (rings, *periodic axes): G = shape[0] rings of half-width
-    b = fd_order // 2 when axis 0 is not periodic (a sphere's colatitude, an
-    interval's axis, which gets a periodic axis of size 1), else one ring
-    and b = 0. mean_map maps the ring means of the weight stack (row r,
-    ring j at r * G + j) to the step matrix's mean along the periodic axes,
-    the identity left out: a table of per-offset couplings of shape
-    mean_shape = periodic + (G, 2b + 1). Its entry (d, j', b + j - j')
-    couples the row's ring j to the column's ring j' at the row's offset d
-    from the column along the periodic axes, modulo the node counts, so that
-    the table's FFT along those axes is the mean's symbol and, per
-    wavenumber, LAPACK's band storage (ghosts' rings lie among j - b..j + b).
-    Every node of a ring couples through one stencil term to one table
-    entry, so the mean coupling is the term's coefficient times the ring
-    mean of its weight.
+    The preconditioner views the nodes (their C-order index reshaped) as
+    (rings, *periodic axes): G = shape[0] rings of half-width
+    b = fd_order // 2 when axis 0 is not periodic (an interval's axis gets a
+    periodic axis of size 1), else one ring and b = 0. ring_mean averages
+    the CSR data into the step matrix's mean along the periodic axes, a
+    table of shape mean_shape = periodic + (G, 2b + 1) whose entry
+    (d, j', b + j - j') couples ring j to ring j' at the row's offset d from
+    the column (modulo the node counts). Its FFT along the periodic axes is
+    the mean's symbol and, per wavenumber, LAPACK's band storage.
     """
 
     coupling: sp.csr_matrix    # CSR position x weight-stack entry
     indices: np.ndarray        # CSR column indices
     indptr: np.ndarray         # CSR row pointers
     diag: np.ndarray           # CSR positions of the diagonal
-    mean_map: sp.csr_matrix    # table entry x ring-mean weight
+    ring_mean: sp.csr_matrix   # table entry x CSR position, entries G / N
     mean_shape: tuple[int, ...]  # table shape: periodic + (rings, 2b + 1)
 
 
@@ -247,8 +244,7 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
                 for o2, c2 in d1:
                     add(nbs[b][o2][base], pair, c1 * c2 / (h * hb))
             pair += 1
-    cols = np.stack(cols)
-    key = (node * N + cols).ravel()   # row * N + column per coupling
+    key = (node * N + np.stack(cols)).ravel()   # row * N + column per coupling
     srt = np.argsort(key, kind="stable")
     key = key[srt]
     new = np.r_[True, key[1:] != key[:-1]]
@@ -259,29 +255,27 @@ def _step_pattern(spec: ChartSpec) -> _StepPattern:
         shape=(int(new.sum()), (max(weight_row) + 1) * N))
     r, c = np.divmod(key[new], N)
     indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=N))]
+    del cols, key, srt, new, t, n   # freed before the mean's: the build sets peak memory
 
-    # each term's table entry, read off the first node of each ring
     if chart.axis_kinds[0] is AxisKind.PERIODIC:
         rings, b, periodic = 1, 0, chart.shape
     else:
         rings, b, periodic = chart.shape[0], order // 2, chart.shape[1:] or (1,)
-    view = (rings,) + periodic
-    first = np.arange(rings) * (N // rings)
-    row = np.unravel_index(first, view)
-    col = np.unravel_index(cols[:, first], view)
-    entry = [(i - j) % n for i, j, n in zip(row[1:], col[1:], periodic)]
+    row, col = np.unravel_index(r, (rings,) + periodic), np.unravel_index(c, (rings,) + periodic)
     mean_shape = periodic + (rings, 2 * b + 1)
-    mean_map = sp.csr_matrix(
-        (np.repeat(term_coeff, rings),
-         (np.ravel_multi_index(entry + [col[0], b + row[0] - col[0]], mean_shape).ravel(),
-          (np.array(weight_row)[:, None] * rings + np.arange(rings)).ravel())),
-        shape=(math.prod(mean_shape), (max(weight_row) + 1) * rings))
+    entry = np.ravel_multi_index([i - j for i, j in zip(row[1:], col[1:])]   # offsets, wrapped
+                                 + [col[0], b + row[0] - col[0]], mean_shape, mode="wrap")
+    size = math.prod(mean_shape)
+    # ring_mean's row for a table entry: its CSR positions, ascending, each
+    # weighted by one over the ring's node count
     pattern = _StepPattern(
         coupling=coupling,
         indices=c.astype(np.int32),
         indptr=indptr.astype(np.int32),
         diag=np.flatnonzero(r == c),
-        mean_map=mean_map,
+        ring_mean=sp.csr_matrix((np.full(r.size, rings / N), np.argsort(entry, kind="stable"),
+                                 np.r_[0, np.cumsum(np.bincount(entry, minlength=size))]),
+                                shape=(size, r.size)),
         mean_shape=mean_shape,
     )
     # every step matrix shares indices and indptr with the cache: make the
@@ -306,53 +300,39 @@ def assemble_step_matrix(bundle: GeometryBundle, dt: float,
     stencil times -drift^a, and for each axis pair a < b the product of
     first-derivative stencils times 2 g^ab. The sparsity pattern is fixed
     per chart spec and cached, and the entries are one sparse product of the
-    pattern's coupling matrix with the flattened weight stack, which sums
-    each CSR position's couplings in the pattern's order. Entries that
-    vanish for this metric stay stored as zeros.
+    pattern's coupling matrix with the flattened stack of these per-node
+    weights, which sums each CSR position's couplings in the pattern's
+    order. Entries that vanish for this metric stay stored as zeros.
     """
     chart = bundle.chart
     pat = _step_pattern(chart.spec)
-    N = chart.node_count
-    weights = _weight_stack(bundle.ginv, bundle.drift if drift is None else drift)
+    m, N = chart.m, chart.node_count
+    ginv = bundle.ginv.reshape(N, m, m)
+    w = (bundle.drift if drift is None else drift).reshape(N, m)
+    weights = np.stack([ginv[:, a, a] for a in range(m)] + [-w[:, a] for a in range(m)]
+                       + [2.0 * ginv[:, a, b] for a in range(m) for b in range(a + 1, m)])
     data = -dt * (pat.coupling @ weights.ravel())
     data[pat.diag] += 1.0
     return sp.csr_matrix((data, pat.indices, pat.indptr), shape=(N, N))
 
 
-def _weight_stack(ginv: np.ndarray, drift: np.ndarray) -> np.ndarray:
-    """The step matrix's per-node weights, shape (rows, N): g^aa (row a),
-    -drift^a (row m + a) and 2 g^ab for each axis pair a < b (from row 2m)."""
-    m = drift.shape[-1]
-    ginv = ginv.reshape(-1, m, m)
-    w = drift.reshape(-1, m)
-    return np.stack(
-        [ginv[:, a, a] for a in range(m)]
-        + [-w[:, a] for a in range(m)]
-        + [2.0 * ginv[:, a, b] for a in range(m) for b in range(a + 1, m)]
-    )
+def _preconditioner(A: sp.csr_matrix, spec: ChartSpec) -> LinearOperator:
+    """The exact inverse of the step matrix A's mean along the periodic axes
+    of the chart spec (T. Chan's optimal circulant in its block form), the
+    mean read off A's own entries (_StepPattern.ring_mean). It is A itself
+    where the couplings do not vary along those axes: on a round sphere in
+    any position, the Whitney sphere, flat tori and intervals.
 
-
-def _preconditioner(A: sp.csr_matrix, bundle: GeometryBundle, dt: float,
-                    drift: np.ndarray) -> LinearOperator:
-    """Preconditioner for A = assemble_step_matrix(bundle, dt, drift): the
-    exact inverse of A's mean along the chart's periodic axes (T. Chan's
-    optimal circulant in its block form), which is A itself where the
-    couplings do not vary along those axes, as on a round sphere in any
-    position, the Whitney sphere, flat tori and intervals.
-
-    An FFT along the periodic axes diagonalises the mean. What remains, per
-    wavenumber, is a complex band of half-width b that couples the rings
-    (_StepPattern), the ghosts' couplings included; one banded LU factors
-    the bands of all wavenumbers stacked in turn. On tori and the circle
-    there is one ring and b = 0, so the LU is a division by the symbol. A
-    pivot at or below 1e-12 of the largest over all wavenumbers raises
-    SolverError naming its wavenumber and ring."""
-    pat = _step_pattern(bundle.chart.spec)
+    An FFT along the periodic axes leaves, per wavenumber, a complex band of
+    half-width b across the rings, the ghosts' couplings included; one
+    banded LU factors the bands of all wavenumbers stacked (on tori and the
+    circle b = 0: a division by the symbol). A pivot at or below 1e-12 of
+    the largest over all wavenumbers raises SolverError naming its
+    wavenumber and ring."""
+    pat = _step_pattern(spec)
     periodic, (rings, width) = pat.mean_shape[:-2], pat.mean_shape[-2:]
     b, view = width // 2, (rings,) + periodic
-    weights = _weight_stack(bundle.ginv, drift).reshape(-1, rings, A.shape[0] // rings)
-    table = (-dt * (pat.mean_map @ weights.mean(axis=-1).ravel())).reshape(pat.mean_shape)
-    table[(0,) * len(periodic) + (slice(None), b)] += 1.0   # the identity
+    table = (pat.ring_mean @ A.data).reshape(pat.mean_shape)
     # (C x)_i = sum_d a_d x_(i-d) has the eigenvalues fft(a). LAPACK band
     # storage, column-major: entry (i, i') of the stacked matrix (index
     # p rings + j for mode p, ring j) sits in row 2b + i - i' of column i', the
@@ -452,7 +432,7 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     # q = L-hat F = H + V^k F_k: the Gauss formula gives Lap_g F = H
     q = bundle.H + np.einsum("...k,...ka->...a", bundle.drift - w_hat, bundle.dF)
     A = assemble_step_matrix(bundle, dt, drift=w_hat)
-    precond = _preconditioner(A, bundle, dt, w_hat)
+    precond = _preconditioner(A, chart.spec)
 
     def answers(b, x0):
         # BiCGStab can break down or stop short on stiff steps; restarted

@@ -342,14 +342,6 @@ def immersion_partials(imm: Immersion) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def first_partials(imm: Immersion) -> np.ndarray:
-    return immersion_partials(imm)[0]
-
-
-def second_partials(imm: Immersion) -> np.ndarray:
-    return immersion_partials(imm)[1]
-
-
 def induced_metric(imm: Immersion, dF: np.ndarray | None = None):
     """Induced metric g_ij = <d_i F, d_j F>, its inverse and volume density,
     from the first partials dF (taken from imm when not given).
@@ -360,7 +352,7 @@ def induced_metric(imm: Immersion, dF: np.ndarray | None = None):
     inverted, so a degenerate metric never reaches the inversion.
     """
     if dF is None:
-        dF = first_partials(imm)
+        dF = immersion_partials(imm)[0]
     m = imm.m
     if m == 1:
         g = np.einsum("...ia,...ja->...ij", dF, dF)

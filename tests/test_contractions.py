@@ -26,8 +26,8 @@ from codimflow.flow import (
 )
 from codimflow.geometry import (
     CurvatureReport, GeometryBundle, ResidualNorms, _norms, build_bundle,
-    d1_tensor, d2_tensor, first_partials, laplace_beltrami, normal_part,
-    second_partials, structure_residuals, trusted_mask,
+    d1_tensor, d2_tensor, immersion_partials, laplace_beltrami, normal_part,
+    structure_residuals, trusted_mask,
 )
 from codimflow.grid import ChartSpec, Domain, GridField, integrate_values, make_chart
 from codimflow.lagrangian import Potential, lag_immersion
@@ -58,14 +58,14 @@ CHARTS = {
 # ---------------------------------------------------------------------------
 
 def ref_bundle(imm):
-    dF = first_partials(imm)
+    dF, d2F = immersion_partials(imm)
     g = np.einsum("...ia,...ja->...ij", dF, dF)
     det = g[..., 0, 0] if imm.m == 1 else np.linalg.det(g)
     ginv = (1.0 / det)[..., None, None] if imm.m == 1 else np.linalg.inv(g)
     dg = d1_tensor(g, imm.chart, tensor_axes=(0, 1))
     gamma1 = 0.5 * (np.einsum("...iaj->...aij", dg) + np.einsum("...jai->...aij", dg) - dg)
     gamma = np.einsum("...al,...lij->...aij", ginv, gamma1)
-    A = second_partials(imm) - np.einsum("...kij,...ka->...ija", gamma, dF)
+    A = d2F - np.einsum("...kij,...ka->...ija", gamma, dF)
     H = np.einsum("...ij,...ija->...a", ginv, A)
     return GeometryBundle(
         imm=imm, dF=dF, g=g, ginv=ginv, det_g=det, sqrt_det_g=np.sqrt(det),

@@ -246,13 +246,12 @@ def periodic_mean(A, chart):
     return mean / len(shifts)
 
 
-def step_operator(imm, dt=2e-3):
-    """The semi-implicit step's matrix at imm, its preconditioner and the
-    chart."""
+def step_operator(imm, dt=2e-3, drift=flow.reference_drift):
+    """The step matrix at imm with drift(bundle), by default the
+    semi-implicit step's w-hat, its preconditioner and the chart."""
     b = build_bundle(imm)
-    w_hat = flow.reference_drift(b)
-    A = assemble_step_matrix(b, dt, drift=w_hat)
-    return A, flow._preconditioner(A, b, dt, w_hat), b.chart
+    A = assemble_step_matrix(b, dt, drift=drift(b))
+    return A, flow._preconditioner(A, b.chart.spec), b.chart
 
 
 class TestStepMatrix:
@@ -271,7 +270,7 @@ class TestStepMatrix:
         pat = flow._step_pattern(b.chart.spec)
         arrays = [f for f in vars(pat).values() if isinstance(f, np.ndarray)]
         arrays += [pat.coupling.data, pat.coupling.indices, pat.coupling.indptr,
-                   pat.mean_map.data, pat.mean_map.indices, pat.mean_map.indptr,
+                   pat.ring_mean.data, pat.ring_mean.indices, pat.ring_mean.indptr,
                    A.indices, A.indptr]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -319,6 +318,16 @@ class TestStepMatrix:
         # the preconditioner inverts the step matrix's mean along the
         # periodic axes, the pole and reflection ghosts' couplings included
         A, M, chart = step_operator(MEAN_CHARTS[name]())
+        x = np.random.default_rng(0).standard_normal(A.shape[0])
+        y = M @ (periodic_mean(A, chart) @ x)
+        assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
+
+    @pytest.mark.parametrize("name", list(MEAN_CHARTS))
+    def test_periodic_mean_follows_the_drift(self, name):
+        # the mean is read off the step matrix, so a matrix assembled with
+        # the bundle's own drift w (assemble_step_matrix's default) in place
+        # of the step's w-hat is inverted as exactly
+        A, M, chart = step_operator(MEAN_CHARTS[name](), drift=lambda b: b.drift)
         x = np.random.default_rng(0).standard_normal(A.shape[0])
         y = M @ (periodic_mean(A, chart) @ x)
         assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
@@ -511,16 +520,38 @@ class TestRun:
         assert (rec.step_index, rec.t, rec.dt) == (0, 0.0, 0.0)
         assert rec.snapshot is final.imm
 
-    def test_solver_error_ends_degenerate(self):
-        # the semi-implicit dt is unbounded once the graph flattens: at step
-        # 7 (dt = 5.8e23) the symbol's constant mode is lost to rounding and
-        # the preconditioner raises; run keeps the trace up to step 6 and
-        # ends there, with the exception's message
+    def test_solver_error_ends_degenerate(self, monkeypatch):
+        # every solver rung fails from the third step on (bicgstab and GMRES
+        # do not converge, splu finds A singular), so that step raises
+        # SolverError; run keeps the trace up to step 2 and ends there, with
+        # the exception's message
+        solve, calls = flow.bicgstab, []
+
+        def fails_late(A, b, x0=None, **kwargs):
+            calls.append(1)
+            return solve(A, b, x0=x0, **kwargs) if len(calls) <= 6 else (x0.copy(), 1)
+
+        def singular(A):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(flow, "bicgstab", fails_late)
+        monkeypatch.setattr(flow, "gmres", TestSolverFallbacks.fail)
+        monkeypatch.setattr(flow, "splu", singular)
+        cfg = FlowConfig(integrator=Integrator.SEMI_IMPLICIT, curvature_cap_rho=0.01)
+        trace, final = run(catalog.sphere(radius=1.0, J=12, K=24), cfg, max_steps=5)
+        assert trace.termination is Termination.DEGENERATE
+        assert trace.termination_detail == "semi-implicit solve failed: Factor is exactly singular"
+        assert trace.records[-1].step_index == final.step_index == 2
+
+    def test_flattening_graph_dt_bounded(self):
+        # max|A|^2 of torus_graph falls to 1e-21, so the brake rho / max|A|^2
+        # no longer bounds dt; rho Vol^(2/m) does, and 40 steps run
         cfg = FlowConfig(integrator=Integrator.SEMI_IMPLICIT, curvature_cap_rho=0.01)
         trace, final = run(torus_graph(), cfg, max_steps=40)
-        assert trace.termination is Termination.DEGENERATE
-        assert trace.termination_detail.endswith("singular at wavenumber (0, 0), ring 0")
-        assert trace.records[-1].step_index == final.step_index == 6
+        assert trace.termination is Termination.TIME_REACHED
+        assert trace.records[-1].step_index == final.step_index == 40
+        dt = max(r.dt for r in trace.records)
+        assert dt <= 0.01 * max(r.volume for r in trace.records)
 
     def test_stationary_graph_time_reached(self):
         from codimflow.grid import ChartSpec, Domain, GridField, make_chart

@@ -1,5 +1,7 @@
 """Source hygiene checked with the standard library's ast module: every
-module-level import of a codimflow module is used in that module."""
+module-level import of a codimflow module is used in that module, and every
+private module-level function or class is referenced somewhere in the
+package."""
 
 import ast
 import pathlib
@@ -8,6 +10,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "codimflow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TREES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -51,3 +54,16 @@ def test_module_level_imports_are_used(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_private_definitions_are_referenced():
+    # a private function or class is read by name (ast.Name) or as a module
+    # attribute (ast.Attribute); its own definition reads neither
+    referenced = set()
+    for tree in TREES.values():
+        referenced |= used_names(tree)
+        referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    orphans = [f"{module}.{node.name}" for module, tree in TREES.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and node.name not in referenced]
+    assert not orphans, f"unreferenced private definitions: {orphans}"

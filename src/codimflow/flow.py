@@ -8,14 +8,16 @@ metric. L-hat is the Laplace-Beltrami operator with its connection replaced
 by a chart-static reference (DeTurck's trick), so the step is mean
 curvature flow plus a tangential velocity that keeps the sphere chart's
 pole rings from degenerating. The step matrix is assembled on a sparsity
-pattern cached per chart. Its solve starts at a second-order predictor and
-is preconditioned, on every chart, by the exact inverse of the step
-matrix's mean along the periodic axes (T. Chan's optimal circulant in its
-block form), read off the step matrix's own entries: an FFT along those
-axes, then one banded LU of each wavenumber's couplings across the
-non-periodic axis (a sphere's colatitude, an interval's axis), which on
-tori and the circle is a division by the symbol. The semi-implicit dt is
-bounded by the curvature brake and by rho Vol^(2/m).
+pattern cached per chart. Its preconditioner M is, on every chart, the
+exact inverse of the step matrix's mean along the periodic axes (T. Chan's
+optimal circulant in its block form), read off the step matrix's own
+entries: an FFT along those axes, then one banded LU of each wavenumber's
+couplings across the non-periodic axis (a sphere's colatitude, an
+interval's axis), which on tori and the circle is a division by the symbol.
+The solve's first answer is M b, kept at a relative residual of 1e-10;
+only when it misses do bicgstab from a second-order predictor, GMRES and a
+sparse LU follow. The semi-implicit dt is bounded by the curvature brake
+and by rho Vol^(2/m).
 
 One iterable, trajectory, steps the flow and decides where it stops: on a
 reached time horizon, on the curvature cap, on time-step underflow (both
@@ -399,21 +401,23 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     velocity V = w - w-hat (tangential_velocity), which vanishes on a round
     sphere and on flat graphs.
 
-    Each component is solved to a relative residual of 1e-10 by a
-    deterministic stabilized bi-conjugate gradient iteration started at the
-    second-order predictor P + dt q + dt^2 L-hat q with q = L-hat F, formed
-    as P + dt (2q - A q) by one matvec (A q = q - dt L-hat q). It is
-    O(dt^3) from the answer and depends only on the state, so a resumed run
-    repeats the same iterations.
+    The preconditioner M, built afresh every step so the step stays a
+    function of its state, is the exact inverse of the step matrix's mean
+    along the chart's periodic axes (_preconditioner). That mean is the step
+    matrix itself on a round sphere in any position, the Whitney sphere, the
+    Clifford torus, flat tori, the round circle and intervals, so there the
+    first rung, x = M b, is the answer: it is kept when its true relative
+    residual is at most 1e-10, bicgstab's own target.
 
-    The preconditioner, built afresh every step so the step stays a function
-    of its state, is the exact inverse of the step matrix's mean along the
-    chart's periodic axes (_preconditioner), which is the step matrix itself
-    on a round sphere in any position, the Whitney sphere, the Clifford
-    torus, flat tori and intervals, so that bicgstab leaves at its first
-    half-step there. Each rung's answer (bicgstab, then restarted GMRES,
-    then a sparse LU) is accepted once its true relative residual is at
-    most 1e-8; SolverError is raised only when the last rung's is not.
+    Where it misses, a deterministic stabilized bi-conjugate gradient
+    iteration preconditioned by M solves to 1e-10, started at the
+    second-order predictor P + dt q + dt^2 L-hat q with q = L-hat F, formed
+    as P + dt (2q - A q) by one matvec (A q = q - dt L-hat q). The
+    predictor is O(dt^3) from the answer and depends only on the state, so
+    a resumed run repeats the same iterations. Each later rung's answer
+    (bicgstab, then restarted GMRES, then a sparse LU) is accepted once its
+    true relative residual is at most 1e-8; SolverError is raised only when
+    the last rung's is not.
 
     For immersions with an affine summand the solve acts on the periodic
     remainder; the affine part contributes dt * L-hat(affine) to the right
@@ -429,30 +433,34 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
         mat, _ = imm.affine
         # L-hat of an affine map: g^ij (0 - Gamma-hat^k_ij M_k) = -w-hat^k M_k
         rhs_all = P - dt * np.einsum("...k,ak->...a", w_hat, mat)
-    # q = L-hat F = H + V^k F_k: the Gauss formula gives Lap_g F = H
-    q = bundle.H + np.einsum("...k,...ka->...a", bundle.drift - w_hat, bundle.dF)
     A = assemble_step_matrix(bundle, dt, drift=w_hat)
     precond = _preconditioner(A, chart.spec)
 
-    def answers(b, x0):
+    def answers(a, b):
+        # (answer, the relative residual it must reach); the preconditioner
+        # is exact where the mean is the step matrix
+        yield precond.matvec(b), 1e-10
+        # q = L-hat F = H + V^k F_k (the Gauss formula gives Lap_g F = H),
+        # needed only for the predictor
+        qa = (bundle.H[..., a] + np.einsum("...k,...k->...", bundle.drift - w_hat,
+                                           bundle.dF[..., a])).ravel()
+        x0 = P[..., a].ravel() + dt * (2.0 * qa - A @ qa)
         # BiCGStab can break down or stop short on stiff steps; restarted
         # GMRES and a direct factorization are the (rare, deterministic)
         # fallbacks
-        yield bicgstab(A, b, x0=x0, rtol=1e-10, atol=0.0, maxiter=400, M=precond)[0]
-        yield gmres(A, b, x0=x0, rtol=1e-10, atol=0.0, restart=60, maxiter=40, M=precond)[0]
+        yield bicgstab(A, b, x0=x0, rtol=1e-10, atol=0.0, maxiter=400, M=precond)[0], 1e-8
+        yield gmres(A, b, x0=x0, rtol=1e-10, atol=0.0, restart=60, maxiter=40, M=precond)[0], 1e-8
         try:
-            yield splu(A.tocsc()).solve(b)
+            yield splu(A.tocsc()).solve(b), 1e-8
         except RuntimeError as exc:
             raise SolverError(f"semi-implicit solve failed: {exc}") from None
 
     new_P = np.empty_like(P)
     for a in range(imm.n):
         b = rhs_all[..., a].ravel()
-        qa = q[..., a].ravel()
-        x0 = P[..., a].ravel() + dt * (2.0 * qa - A @ qa)
-        for x in answers(b, x0):
+        for x, tol in answers(a, b):
             res = float(np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300))
-            if res <= 1e-8:
+            if res <= tol:
                 break
         else:
             raise SolverError(f"semi-implicit solve inaccurate (component {a}, rel={res:.2e})")

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, splu
 
 from codimflow import catalog, flow
 from codimflow.errors import NonFiniteError, SolverError
@@ -21,6 +21,28 @@ from codimflow.grid import STENCILS, AxisKind, neighbor_maps
 
 def mean_radius(imm):
     return float(np.sqrt((imm.values**2).sum(-1)).mean())
+
+
+def miss_first_rung(monkeypatch):
+    """Make the semi-implicit solve's first rung, x = M b, miss on every
+    component: outside bicgstab the preconditioner answers 0 (a relative
+    residual of 1), while bicgstab's own applies get the true M."""
+    precond, solve, inside = flow._preconditioner, flow.bicgstab, []
+
+    def solve_inside(*args, **kwargs):
+        inside.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def missing(A, spec):
+        M = precond(A, spec)
+        return LinearOperator(A.shape, dtype=np.float64,
+                              matvec=lambda r: M.matvec(r) if inside else np.zeros_like(r))
+
+    monkeypatch.setattr(flow, "_preconditioner", missing)
+    monkeypatch.setattr(flow, "bicgstab", solve_inside)
 
 
 class TestSteps:
@@ -106,12 +128,13 @@ class TestSteps:
             assert np.abs(got[..., a] - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_predictor_iteration_budget(self, monkeypatch):
-        """The second-order start bounds the iterations of a first sphere step."""
-        # started at F + dt q + dt^2 L-hat q (q = L-hat F = H on the round
-        # sphere), each component converges within 4 bicgstab iterations, as
-        # from the Euler predictor F + dt H (7 from F); the start's gain
-        # shows on later steps, about 2 iterations each
-        st = FlowState.initial(catalog.sphere(radius=1.0, J=48, K=96))
+        """The second-order start bounds the iterations of a first ellipse step."""
+        # the first rung, x = M b, misses on an ellipse (M inverts the step
+        # matrix's mean along the circle, not the matrix); started at
+        # F + dt q + dt^2 L-hat q (q = L-hat F), each component converges
+        # within 1 bicgstab iteration, from the Euler predictor F + dt H or
+        # from F within 2
+        st = FlowState.initial(catalog.ellipse(n=128))
         solve = flow.bicgstab
         iters = []
 
@@ -126,13 +149,15 @@ class TestSteps:
         monkeypatch.setattr(flow, "bicgstab", counted)
         step_semi_implicit(st, 2e-3)
         assert len(iters) == st.imm.n
-        assert max(iters) <= 4, iters
+        assert max(iters) <= 1, iters
 
     def test_second_order_start_residual(self, monkeypatch):
         # on a first 48x96 sphere step the second-order start leaves at most
-        # a fifth of the Euler predictor's relative residual
+        # a fifth of the Euler predictor's relative residual; the first rung
+        # answers on the sphere, so it is made to miss
         st = FlowState.initial(catalog.sphere(radius=1.0, J=48, K=96))
         dt = 2e-3
+        miss_first_rung(monkeypatch)
         solve = flow.bicgstab
         ratios = []
 
@@ -297,21 +322,17 @@ class TestStepMatrix:
     def test_line_preconditioner_exact_on_one_axis(self, make, monkeypatch):
         # the periodic mean is the step matrix itself on a round circle (one
         # ring, a division by the symbol) and on an interval (one band), so
-        # one iteration suffices
+        # the first rung, x = M b, answers and no later rung is called
         st = FlowState.initial(make())
-        want = step_semi_implicit(st, 1e-2)
-        solve = flow.bicgstab
-        infos = []
-
-        def one_iteration(*args, **kwargs):
-            x, info = solve(*args, **{**kwargs, "maxiter": 1})
-            infos.append(info)
-            return x, info
-
-        monkeypatch.setattr(flow, "bicgstab", one_iteration)
-        got = step_semi_implicit(st, 1e-2)
-        assert infos == [0] * st.imm.n
-        assert np.array_equal(got.imm.values, want.imm.values)
+        _, M, _ = step_operator(st.imm, dt=1e-2)
+        calls = []
+        for name in ("bicgstab", "gmres", "splu"):
+            monkeypatch.setattr(flow, name, lambda *args, **kwargs: calls.append(1))
+        got = step_semi_implicit(st, 1e-2).imm.periodic_values()
+        P = st.imm.periodic_values()
+        assert calls == []
+        for a in range(st.imm.n):
+            assert np.array_equal(got[..., a].ravel(), M.matvec(P[..., a].ravel()))
 
     @pytest.mark.parametrize("name", list(MEAN_CHARTS))
     def test_periodic_mean_inverted_exactly(self, name):
@@ -345,26 +366,30 @@ class TestStepMatrix:
         y = M @ (A @ x)
         assert np.abs(y - x).max() <= 1e-10 * np.abs(x).max()
 
-    @pytest.mark.parametrize("make, steps, most", [
-        (lambda: catalog.whitney_sphere(radius=1.0, m=2, J=32, K=64), 40, 0),
-        (lambda: catalog.clifford_torus(n1=64, n2=64), 40, 0),
-        (catalog.flat_torus_graph, 40, 0),
-        (lambda: rigidly_moved(catalog.sphere(radius=1.0, J=24, K=48)), 40, 0),
-        (torus_graph, 4, 40),
-        (lambda: catalog.ellipse(n=128), 20, 40),
+    @pytest.mark.parametrize("make, steps, called, most", [
+        (lambda: catalog.whitney_sphere(radius=1.0, m=2, J=32, K=64), 40, 0, 0),
+        (lambda: catalog.clifford_torus(n1=64, n2=64), 40, 0, 0),
+        (catalog.flat_torus_graph, 40, 0, 0),
+        (lambda: rigidly_moved(catalog.sphere(radius=1.0, J=24, K=48)), 40, 0, 0),
+        (torus_graph, 4, 8, 40),
+        (lambda: catalog.ellipse(n=128), 20, 40, 40),
     ], ids=["whitney", "clifford", "flat-torus-graph", "moved-sphere", "torus-graph",
             "ellipse"])
-    def test_iterations_within_banded_lu_counts(self, make, steps, most, monkeypatch):
-        # full bicgstab iterations over the first steps at rho 0.01 under
-        # the FFT-plus-banded-LU preconditioner: none where it is the exact
-        # inverse (a solve that leaves at its first half-step does not call
-        # back); the couplings of torus_graph (along both periodic axes) and
-        # of the ellipse vary along the periodic axes, so their solves
-        # iterate
+    def test_iterations_within_banded_lu_counts(self, make, steps, called, most, monkeypatch):
+        # bicgstab calls and full iterations over the first steps at rho
+        # 0.01 under the FFT-plus-banded-LU preconditioner: none where it is
+        # the exact inverse, since the first rung, x = M b, answers there.
+        # The couplings of torus_graph (along both periodic axes) and of the
+        # ellipse vary along the periodic axes, so the first rung misses on
+        # every component with a non-zero right-hand side (two per step on
+        # each: torus_graph's affine components have none) and bicgstab
+        # iterates
         solve = flow.bicgstab
-        iters = [0]
+        calls, iters = [0], [0]
 
         def counted(*args, **kwargs):
+            calls[0] += 1
+
             def tick(xk):
                 iters[0] += 1
 
@@ -374,6 +399,7 @@ class TestStepMatrix:
         cfg = FlowConfig(integrator=Integrator.SEMI_IMPLICIT, curvature_cap_rho=0.01)
         trajectory = flow.trajectory(FlowState.initial(make()), cfg, max_steps=steps)
         assert sum(1 for _ in trajectory) == steps
+        assert calls[0] == called, calls[0]
         assert iters[0] <= most, iters[0]
 
 
@@ -406,22 +432,35 @@ class TestReferenceConnection:
 
 
 class TestSolverFallbacks:
-    """bicgstab, then restarted GMRES, then a sparse LU; each path must land
-    on the same positions."""
+    """The four rungs of a component's solve: x = M b, kept at a true
+    relative residual of at most 1e-10, then bicgstab from the second-order
+    predictor, restarted GMRES and a sparse LU, each kept at 1e-8; each path
+    must land on the same positions. The fallbacks are exercised on an
+    ellipse, where the first rung misses."""
 
     @staticmethod
     def state():
-        return FlowState.initial(catalog.sphere(radius=1.0, J=12, K=24))
+        return FlowState.initial(catalog.ellipse(n=128))
 
     @staticmethod
     def fail(A, b, x0=None, **kwargs):
         return x0.copy(), 1   # positive info: not converged
 
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Record each call of flow's solver rung name in the returned list."""
+        calls, rung = [], getattr(flow, name)
+        monkeypatch.setattr(flow, name,
+                            lambda *args, **kwargs: calls.append(1) or rung(*args, **kwargs))
+        return calls
+
     def test_gmres_path(self, monkeypatch):
         st = self.state()
         want = step_semi_implicit(st, 2e-3).imm.values
         monkeypatch.setattr(flow, "bicgstab", self.fail)
+        calls = self.counted(monkeypatch, "gmres")
         got = step_semi_implicit(st, 2e-3).imm.values
+        assert len(calls) == st.imm.n
         assert np.abs(got - want).max() < 1e-8
 
     def test_splu_path(self, monkeypatch):
@@ -429,9 +468,7 @@ class TestSolverFallbacks:
         want = step_semi_implicit(st, 2e-3).imm.values
         monkeypatch.setattr(flow, "bicgstab", self.fail)
         monkeypatch.setattr(flow, "gmres", self.fail)
-        calls = []
-        splu = flow.splu
-        monkeypatch.setattr(flow, "splu", lambda A: calls.append(1) or splu(A))
+        calls = self.counted(monkeypatch, "splu")
         got = step_semi_implicit(st, 2e-3).imm.values
         assert len(calls) == st.imm.n
         assert np.abs(got - want).max() < 1e-8
@@ -448,15 +485,64 @@ class TestSolverFallbacks:
 
     def test_false_convergence_takes_the_next_rung(self, monkeypatch):
         # bicgstab reports convergence at its start; the start's residual
-        # misses 1e-8, so the step goes on and lands on the direct answer
+        # (about 3e-7 here) misses 1e-8, so the step goes on to GMRES and
+        # lands on the direct answer
         st = self.state()
         b = st.bundle
         A = assemble_step_matrix(b, 2e-3, drift=flow.reference_drift(b))
         lu = splu(A.tocsc())
         want = np.stack([lu.solve(st.imm.values[..., a].ravel()) for a in range(st.imm.n)], -1)
         monkeypatch.setattr(flow, "bicgstab", lambda A, b, x0=None, **kwargs: (x0.copy(), 0))
+        calls = self.counted(monkeypatch, "gmres")
         got = step_semi_implicit(st, 2e-3).imm.values.reshape(want.shape)
+        assert len(calls) == st.imm.n
         assert np.abs(got - want).max() < 1e-8
+
+    @pytest.mark.parametrize("scale, called", [(1e-11, 0), (1e-9, 3)])
+    def test_first_rung_kept_at_1e_10(self, scale, called, monkeypatch):
+        # on a round sphere M is the step matrix's inverse; scaled by
+        # 1 + scale, its answer's relative residual is about scale: kept
+        # below 1e-10, passed on to bicgstab above it
+        precond = flow._preconditioner
+        monkeypatch.setattr(flow, "_preconditioner", lambda A, spec: (1.0 + scale) * precond(A, spec))
+        calls = self.counted(monkeypatch, "bicgstab")
+        step_semi_implicit(FlowState.initial(catalog.sphere(radius=1.0, J=12, K=24)), 2e-3)
+        assert len(calls) == called
+
+    def test_first_rung_stays_on_the_bicgstab_path(self, monkeypatch):
+        # on a rigidly moved 48x96 sphere M is the step matrix's inverse,
+        # so x = M b answers every solve; after 40 steps at dt 2e-3 the
+        # positions lie within rounding of the path on which the first rung
+        # misses and bicgstab answers (8.7e-13 apart, about 2e-13 of the
+        # largest coordinate)
+        imm = rigidly_moved(catalog.sphere(radius=1.0, J=48, K=96))
+        cfg = FlowConfig(integrator=Integrator.SEMI_IMPLICIT, fixed_dt=2e-3)
+
+        def path():
+            for st, _ in flow.trajectory(FlowState.initial(imm), cfg, max_steps=40):
+                pass
+            assert st.step_index == 40
+            return st.imm.values
+
+        calls = self.counted(monkeypatch, "bicgstab")
+        got = path()
+        assert calls == []
+        miss_first_rung(monkeypatch)
+        want = path()
+        assert len(calls) == 40 * imm.n
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_zero_right_hand_side_answered_by_first_rung(self, monkeypatch):
+        # torus_graph's first two components are affine: their periodic
+        # parts and, on a flat chart (w-hat = 0), their right-hand sides
+        # are 0, and the first rung keeps M 0 = 0 exactly; bicgstab solves
+        # the other two
+        st = FlowState.initial(torus_graph())
+        assert not st.imm.periodic_values()[..., :2].any()
+        calls = self.counted(monkeypatch, "bicgstab")
+        new = step_semi_implicit(st, 2e-3).imm.periodic_values()
+        assert not new[..., :2].any()
+        assert len(calls) == st.imm.n - 2
 
     def test_singular_symbol_raises(self):
         # on a flat torus the step's symbol is 1 - dt sigma_k, sigma_k the
@@ -475,7 +561,7 @@ class TestSolverFallbacks:
         # on a sphere chart each longitude wavenumber p has a band B_p =
         # I - dt L_p coupling the rings; dt = 1 / mu for a real eigenvalue
         # mu of L_p makes B_p singular, and the wavenumber is named
-        st = self.state()
+        st = FlowState.initial(catalog.sphere(radius=1.0, J=12, K=24))
         chart, p = st.imm.chart, 3
         J, K = chart.shape
         A, _, _ = step_operator(st.imm, dt=1.0)
@@ -521,7 +607,8 @@ class TestRun:
         assert rec.snapshot is final.imm
 
     def test_solver_error_ends_degenerate(self, monkeypatch):
-        # every solver rung fails from the third step on (bicgstab and GMRES
+        # on an ellipse (two components, where the first rung misses) every
+        # later solver rung fails from the third step on (bicgstab and GMRES
         # do not converge, splu finds A singular), so that step raises
         # SolverError; run keeps the trace up to step 2 and ends there, with
         # the exception's message
@@ -529,7 +616,7 @@ class TestRun:
 
         def fails_late(A, b, x0=None, **kwargs):
             calls.append(1)
-            return solve(A, b, x0=x0, **kwargs) if len(calls) <= 6 else (x0.copy(), 1)
+            return solve(A, b, x0=x0, **kwargs) if len(calls) <= 4 else (x0.copy(), 1)
 
         def singular(A):
             raise RuntimeError("Factor is exactly singular")
@@ -538,7 +625,7 @@ class TestRun:
         monkeypatch.setattr(flow, "gmres", TestSolverFallbacks.fail)
         monkeypatch.setattr(flow, "splu", singular)
         cfg = FlowConfig(integrator=Integrator.SEMI_IMPLICIT, curvature_cap_rho=0.01)
-        trace, final = run(catalog.sphere(radius=1.0, J=12, K=24), cfg, max_steps=5)
+        trace, final = run(catalog.ellipse(n=128), cfg, max_steps=5)
         assert trace.termination is Termination.DEGENERATE
         assert trace.termination_detail == "semi-implicit solve failed: Factor is exactly singular"
         assert trace.records[-1].step_index == final.step_index == 2

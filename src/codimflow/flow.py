@@ -8,16 +8,15 @@ metric. L-hat is the Laplace-Beltrami operator with its connection replaced
 by a chart-static reference (DeTurck's trick), so the step is mean
 curvature flow plus a tangential velocity that keeps the sphere chart's
 pole rings from degenerating. The step matrix is assembled on a sparsity
-pattern cached per chart. Its preconditioner M is, on every chart, the
-exact inverse of the step matrix's mean along the periodic axes (T. Chan's
-optimal circulant in its block form), read off the step matrix's own
-entries: an FFT along those axes, then one banded LU of each wavenumber's
-couplings across the non-periodic axis (a sphere's colatitude, an
-interval's axis), which on tori and the circle is a division by the symbol.
-The solve's first answer is M b, kept at a relative residual of 1e-10;
-only when it misses do bicgstab from a second-order predictor, GMRES and a
-sparse LU follow. The semi-implicit dt is bounded by the curvature brake
-and by rho Vol^(2/m).
+pattern cached per chart. Its solve first tries M b, kept at a relative
+residual of 1e-10, then bicgstab from a second-order predictor, GMRES and a
+sparse LU, each kept at 1e-8. M is, on every chart, the exact inverse of
+the step matrix's mean along the periodic axes (T. Chan's optimal circulant
+in its block form), read off the step matrix's own entries: an FFT along
+those axes, then one banded LU of each wavenumber's couplings across the
+non-periodic axis (a sphere's colatitude, an interval's axis), which on
+tori and the circle is a division by the symbol. The semi-implicit dt is
+bounded by the curvature brake and by rho Vol^(2/m).
 
 One iterable, trajectory, steps the flow and decides where it stops: on a
 reached time horizon, on the curvature cap, on time-step underflow (both
@@ -403,21 +402,19 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
 
     The preconditioner M, built afresh every step so the step stays a
     function of its state, is the exact inverse of the step matrix's mean
-    along the chart's periodic axes (_preconditioner). That mean is the step
-    matrix itself on a round sphere in any position, the Whitney sphere, the
-    Clifford torus, flat tori, the round circle and intervals, so there the
-    first rung, x = M b, is the answer: it is kept when its true relative
-    residual is at most 1e-10, bicgstab's own target.
-
-    Where it misses, a deterministic stabilized bi-conjugate gradient
-    iteration preconditioned by M solves to 1e-10, started at the
-    second-order predictor P + dt q + dt^2 L-hat q with q = L-hat F, formed
-    as P + dt (2q - A q) by one matvec (A q = q - dt L-hat q). The
-    predictor is O(dt^3) from the answer and depends only on the state, so
-    a resumed run repeats the same iterations. Each later rung's answer
-    (bicgstab, then restarted GMRES, then a sparse LU) is accepted once its
-    true relative residual is at most 1e-8; SolverError is raised only when
-    the last rung's is not.
+    along the chart's periodic axes (_preconditioner): the step matrix itself
+    on a round sphere in any position, the Whitney sphere, the Clifford
+    torus, flat tori, the round circle and intervals. So the first rung,
+    x = M b, is kept when its true relative residual is at most 1e-10,
+    bicgstab's own target. Where it misses, a deterministic stabilized
+    bi-conjugate gradient iteration preconditioned by M solves to 1e-10 from
+    the second-order predictor P + dt q + dt^2 L-hat q with q = L-hat F,
+    formed as P + dt (2q - A q) by one matvec (A q = q - dt L-hat q); it is
+    O(dt^3) from the answer and depends only on the state, so a resumed run
+    repeats the same iterations. Each later rung's answer (bicgstab, then
+    restarted GMRES, then a sparse LU) is kept once its true relative
+    residual is at most 1e-8; SolverError is raised only when the last
+    rung's is not.
 
     For immersions with an affine summand the solve acts on the periodic
     remainder; the affine part contributes dt * L-hat(affine) to the right
@@ -437,11 +434,10 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     precond = _preconditioner(A, chart.spec)
 
     def answers(a, b):
-        # (answer, the relative residual it must reach); the preconditioner
-        # is exact where the mean is the step matrix
+        # (answer, the relative residual that keeps it)
         yield precond.matvec(b), 1e-10
-        # q = L-hat F = H + V^k F_k (the Gauss formula gives Lap_g F = H),
-        # needed only for the predictor
+        # the predictor from q = L-hat F = H + V^k F_k (the Gauss formula
+        # gives Lap_g F = H)
         qa = (bundle.H[..., a] + np.einsum("...k,...k->...", bundle.drift - w_hat,
                                            bundle.dF[..., a])).ravel()
         x0 = P[..., a].ravel() + dt * (2.0 * qa - A @ qa)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import splu
 
 from codimflow import catalog, flow
 from codimflow.errors import NonFiniteError, SolverError
@@ -23,26 +23,14 @@ def mean_radius(imm):
     return float(np.sqrt((imm.values**2).sum(-1)).mean())
 
 
-def miss_first_rung(monkeypatch):
-    """Make the semi-implicit solve's first rung, x = M b, miss on every
-    component: outside bicgstab the preconditioner answers 0 (a relative
-    residual of 1), while bicgstab's own applies get the true M."""
-    precond, solve, inside = flow._preconditioner, flow.bicgstab, []
-
-    def solve_inside(*args, **kwargs):
-        inside.append(True)
-        try:
-            return solve(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    def missing(A, spec):
-        M = precond(A, spec)
-        return LinearOperator(A.shape, dtype=np.float64,
-                              matvec=lambda r: M.matvec(r) if inside else np.zeros_like(r))
-
-    monkeypatch.setattr(flow, "_preconditioner", missing)
-    monkeypatch.setattr(flow, "bicgstab", solve_inside)
+def scale_preconditioner(monkeypatch, scale):
+    """Scale the semi-implicit step's preconditioner M by 1 + scale. Where M
+    is the step matrix's inverse, the first rung's answer, x = M b, then
+    has a relative residual of about scale; bicgstab's iterates do not
+    change with a scaled preconditioner, but for rounding."""
+    precond = flow._preconditioner
+    monkeypatch.setattr(flow, "_preconditioner",
+                        lambda A, spec: (1.0 + scale) * precond(A, spec))
 
 
 class TestSteps:
@@ -157,7 +145,7 @@ class TestSteps:
         # answers on the sphere, so it is made to miss
         st = FlowState.initial(catalog.sphere(radius=1.0, J=48, K=96))
         dt = 2e-3
-        miss_first_rung(monkeypatch)
+        scale_preconditioner(monkeypatch, 1e-6)
         solve = flow.bicgstab
         ratios = []
 
@@ -500,11 +488,9 @@ class TestSolverFallbacks:
 
     @pytest.mark.parametrize("scale, called", [(1e-11, 0), (1e-9, 3)])
     def test_first_rung_kept_at_1e_10(self, scale, called, monkeypatch):
-        # on a round sphere M is the step matrix's inverse; scaled by
-        # 1 + scale, its answer's relative residual is about scale: kept
-        # below 1e-10, passed on to bicgstab above it
-        precond = flow._preconditioner
-        monkeypatch.setattr(flow, "_preconditioner", lambda A, spec: (1.0 + scale) * precond(A, spec))
+        # on a round sphere M b is kept at a relative residual below 1e-10
+        # and passed on to bicgstab above it
+        scale_preconditioner(monkeypatch, scale)
         calls = self.counted(monkeypatch, "bicgstab")
         step_semi_implicit(FlowState.initial(catalog.sphere(radius=1.0, J=12, K=24)), 2e-3)
         assert len(calls) == called
@@ -527,7 +513,7 @@ class TestSolverFallbacks:
         calls = self.counted(monkeypatch, "bicgstab")
         got = path()
         assert calls == []
-        miss_first_rung(monkeypatch)
+        scale_preconditioner(monkeypatch, 1e-6)
         want = path()
         assert len(calls) == 40 * imm.n
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -577,11 +563,9 @@ class TestSolverFallbacks:
     def test_curve_steps_factor_nothing(self, monkeypatch):
         # the circulant mean preconditions curves too: splu is the last rung
         # only, and bicgstab converges on an ellipse
-        calls = []
-        splu = flow.splu
-        monkeypatch.setattr(flow, "splu", lambda A: calls.append(1) or splu(A))
+        calls = self.counted(monkeypatch, "splu")
         cfg = FlowConfig(integrator=Integrator.SEMI_IMPLICIT, curvature_cap_rho=0.01)
-        steps = flow.trajectory(FlowState.initial(catalog.ellipse(n=128)), cfg, max_steps=5)
+        steps = flow.trajectory(self.state(), cfg, max_steps=5)
         assert sum(1 for _ in steps) == 5
         assert calls == []
 

@@ -21,7 +21,8 @@ import numpy as np
 from . import catalog
 from .config import Scenario, coerce_scalar, evaluate_phi, parse_config
 from .errors import CodimflowError, ConfigError, UsageError
-from .flow import (FlowState, FlowTrace, Integrator, Termination, estimate_singular_time,
+from .flow import (SINGULARITY_SIGNALS, FlowState, FlowTrace, Integrator,
+                   SingularTimeEstimate, Termination, estimate_singular_time,
                    evolution_residuals, run, tangential_velocity, trajectory)
 from .geometry import Immersion, build_bundle, structure_residuals
 from .grid import ChartSpec, Domain, GridField, integrate_values, make_chart
@@ -87,7 +88,7 @@ def _density_params(scenario: Scenario, n: int) -> DensityParams | None:
 
 
 def _termination_exit(trace: FlowTrace) -> int:
-    if trace.termination in (Termination.CURVATURE_CAP, Termination.DT_UNDERFLOW):
+    if trace.termination in SINGULARITY_SIGNALS:
         return EXIT_SINGULARITY
     if trace.termination is Termination.DEGENERATE:
         return EXIT_NUMERICAL
@@ -130,7 +131,7 @@ def _run_one(config_path: str, resume: str | None = None) -> int:
             kind = SolitonKind(a.params["kind"])
             if kind is SolitonKind.SHRINKER:
                 # the shrinker is the Type I blow-up limit, not the final state
-                _, imm, _ = _type1_rescaled(trace, _singular_time(trace))
+                _, imm, _ = _type1_rescaled(trace, _singular_time(est))
                 rep = soliton_residual(imm, kind)
             else:
                 V = np.array(a.params["V"]) if "V" in a.params else None
@@ -142,7 +143,7 @@ def _run_one(config_path: str, resume: str | None = None) -> int:
                   f"lower={rep.lower_rate:.4g} spread={rep.spread:.3g} "
                   f"growth={rep.growth:.3g}")
         elif a.kind == "rescale":
-            _do_rescale(trace, a.params, base)
+            _do_rescale(trace, est, a.params, base)
         elif a.kind == "lagrangian_report":
             rep = mean_curvature_form(final.imm, final.bundle)
             print(f"  lagrangian: residual={rep.lagrangian_residual:.3e} "
@@ -150,8 +151,7 @@ def _run_one(config_path: str, resume: str | None = None) -> int:
     return _termination_exit(trace)
 
 
-def _singular_time(trace: FlowTrace) -> float:
-    est = estimate_singular_time(trace)
+def _singular_time(est: SingularTimeEstimate) -> float:
     if not est.reliable:
         raise UsageError(f"cannot rescale: unreliable singular time ({est.detail})")
     return est.t_hat
@@ -172,8 +172,8 @@ def _type1_rescaled(trace: FlowTrace, t_hat: float):
     return rec.t, imm, s
 
 
-def _do_rescale(trace: FlowTrace, params: dict, base: str):
-    t_hat = _singular_time(trace)
+def _do_rescale(trace: FlowTrace, est: SingularTimeEstimate, params: dict, base: str):
+    t_hat = _singular_time(est)
     if params["mode"] == "type1":
         t, imm, s = _type1_rescaled(trace, t_hat)
         path = base + "-rescaled.snap"
@@ -264,7 +264,7 @@ def cmd_rescale(args) -> int:
     initial = build_initial(scenario)
     trace, _ = run(initial, scenario.flow, huisken_params=_density_params(scenario, initial.n))
     base = os.path.join(scenario.output_dir, scenario.name)
-    _do_rescale(trace, {"mode": args.mode, "k": args.k}, base)
+    _do_rescale(trace, estimate_singular_time(trace), {"mode": args.mode, "k": args.k}, base)
     return _termination_exit(trace)
 
 

@@ -72,6 +72,10 @@ class Termination(enum.Enum):
     DEGENERATE = "Degenerate"
 
 
+# the terminations that signal a singularity (CLI exit 2; classify_blowup)
+SINGULARITY_SIGNALS = frozenset({Termination.CURVATURE_CAP, Termination.DT_UNDERFLOW})
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     integrator: Integrator = Integrator.EXPLICIT_EULER
@@ -750,10 +754,12 @@ class SingularTimeEstimate:
     detail: str = ""
 
 
-def _affine_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares coefficients (c0, c1) of y ~ c0 + c1 t."""
+def _affine_root(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The root of the least-squares fit y ~ c0 + c1 t (NaN unless c1 < 0)
+    and the fit's RMS residual relative to mean |y|."""
     (c0, c1), *_ = np.linalg.lstsq(np.stack([np.ones_like(t), t], axis=1), y, rcond=None)
-    return c0, c1
+    rms = float(np.sqrt(np.mean((y - (c0 + c1 * t))**2)) / np.mean(np.abs(y)))
+    return (float(-c0 / c1) if c1 < 0 else math.nan), rms
 
 
 def estimate_singular_time(trace: FlowTrace) -> SingularTimeEstimate:
@@ -777,19 +783,14 @@ def estimate_singular_time(trace: FlowTrace) -> SingularTimeEstimate:
     start = len(all_a2) - 1
     while start > 0 and all_a2[start - 1] < all_a2[start] * (1.0 + 1e-3):
         start -= 1
-    recs = trace.records[start:][-window:]
-    t = np.array([r.t for r in recs])
-    a2 = np.array([r.max_A2_trusted for r in recs])
-    if len(recs) < window or not a2[-1] > a2[0] * (1.0 + 1e-6):
+    t, a2 = trace.times[start:][-window:], all_a2[start:][-window:]
+    if len(t) < window or not a2[-1] > a2[0] * (1.0 + 1e-6):
         return SingularTimeEstimate(math.nan, math.inf, False,
                                     "max|A|^2 not increasing over fit window")
     y = 1.0 / a2
-    c0, c1 = _affine_fit(t, y)
-    resid = y - (c0 + c1 * t)
-    rms = float(np.sqrt(np.mean(resid**2)) / np.mean(np.abs(y)))
-    if c1 >= 0:
+    t_hat, rms = _affine_root(t, y)
+    if math.isnan(t_hat):
         return SingularTimeEstimate(math.nan, rms, False, "fit slope not negative")
-    t_hat = float(-c0 / c1)
     if t_hat <= t[-1]:
         # faster-than-affine decay of 1/max|A|^2: the affine root lands
         # inside the data. The secant through the last two records always

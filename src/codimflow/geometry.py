@@ -68,6 +68,8 @@ class Immersion:
             off = np.asarray(off, dtype=np.float64)
             if mat.shape != (self.n, self.m) or off.shape != (self.n,):
                 raise UsageError("affine part has inconsistent shape")
+            if not (np.isfinite(mat).all() and np.isfinite(off).all()):
+                raise NonFiniteError("immersion affine part is non-finite")
             object.__setattr__(self, "affine", (mat, off))
 
     @property
@@ -370,7 +372,7 @@ def induced_metric(imm: Immersion, dF: np.ndarray | None = None):
     floor = DET_G_FLOOR * (mean_trace / m) ** m
     dmin = float(det.min())
     if dmin < floor or not np.isfinite(det).all():
-        node = np.unravel_index(int(np.argmin(det)), imm.chart.shape)
+        node = tuple(int(i) for i in np.unravel_index(int(np.argmin(det)), imm.chart.shape))
         raise DegenerateImmersion(
             f"induced metric degenerate: det g = {dmin:.3e} < floor {floor:.3e} "
             f"at node {node}",

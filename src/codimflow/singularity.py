@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
-from .flow import (FlowState, FlowTrace, Termination, _affine_fit,
+from .flow import (SINGULARITY_SIGNALS, FlowState, FlowTrace, _affine_root,
                    estimate_singular_time)
 from .geometry import (GeometryBundle, Immersion, _masked_l2, build_bundle, normal_part,
                        trusted_mask)
@@ -149,14 +149,6 @@ def monotonicity_check(trace: FlowTrace, params: DensityParams) -> MonotonicityC
                              times=times, defects=defects, tolerance=tol)
 
 
-def _rescaled(imm: Immersion, lam: float, c: np.ndarray) -> Immersion:
-    """The immersion lam (F - c), its affine part included."""
-    affine = None
-    if imm.affine is not None:
-        affine = (lam * imm.affine[0], lam * (imm.affine[1] - c))
-    return replace(imm, values=lam * (imm.values - c), affine=affine)
-
-
 def type1_rescale(state: FlowState, q: np.ndarray, T: float) -> tuple[Immersion, float]:
     """Parabolic rescaling F_tilde = (2(T-t))^{-1/2} (F - q); returns the
     rescaled immersion and the rescaled time s = -log(T - t)/2."""
@@ -164,21 +156,33 @@ def type1_rescale(state: FlowState, q: np.ndarray, T: float) -> tuple[Immersion,
     if t >= T:
         raise UsageError("rescaling requires t < T")
     lam = (2.0 * (T - t)) ** -0.5
-    rescaled = _rescaled(state.imm, lam, np.asarray(q, dtype=np.float64))
-    return rescaled, -0.5 * math.log(T - t)
+    shift = -lam * np.asarray(q, dtype=np.float64)
+    return state.imm.transformed(lam * np.eye(state.imm.n), shift), -0.5 * math.log(T - t)
+
+
+def _window(gap: np.ndarray) -> np.ndarray | None:
+    """The records before T_hat whose gap T_hat - t is within 10x the
+    smallest gap, else within 100x; None when fewer than 5 are."""
+    valid = gap > 0
+    for factor in (10.0, 100.0):
+        window = valid & (gap <= factor * gap[valid].min(initial=np.inf))
+        if window.sum() >= 5:
+            return window
+    return None
 
 
 def classify_blowup(trace: FlowTrace, t_hat: float | None = None) -> BlowupReport:
     """Classify the blow-up rate over the last decade of records.
 
     The diagnostic quantity is y(t) = max|A|^2 (T_hat - t), with the maximum
-    over the trusted region (TraceRecord.max_A2_trusted). Records with
-    T_hat - t within a factor 10 of the final gap form the window: a bounded
+    over the trusted region (TraceRecord.max_A2_trusted). The window is the
+    records before T_hat whose gap T_hat - t is within 10x the smallest gap,
+    else within 100x; fewer than 5 records in it is inconclusive. A bounded
     fitted sup (relative spread below 0.2) is Type I with c_hat = sup y;
-    growth of y (last over first) beyond 5 is Type II; anything
-    else is inconclusive. Both raw fits are always reported.
+    growth of y (last over first) beyond 5 is Type II; anything else is
+    inconclusive. Both raw fits are always reported.
     """
-    if trace.termination not in (Termination.CURVATURE_CAP, Termination.DT_UNDERFLOW):
+    if trace.termination not in SINGULARITY_SIGNALS:
         return BlowupReport(BlowupClass.INCONCLUSIVE, detail=(
             f"trace ended with {trace.termination}, not a singularity signal"))
     refit = t_hat is None
@@ -190,28 +194,20 @@ def classify_blowup(trace: FlowTrace, t_hat: float | None = None) -> BlowupRepor
         t_hat = est.t_hat
     t = trace.times
     a2 = trace.max_A2_trusted_series
-    gap = t_hat - t
-    valid = gap > 0
-    if valid.sum() < 5:
-        return BlowupReport(BlowupClass.INCONCLUSIVE, detail="too few records before T_hat")
-    gmin = gap[valid].min()
-    window = valid & (gap <= 10.0 * gmin)
-    if window.sum() < 5:
-        window = valid & (gap <= 100.0 * gmin)
-    if refit and window.sum() >= 5 and a2[window][-1] > a2[window][0]:
+    window = _window(t_hat - t)
+    if refit and window is not None and a2[window][-1] > a2[window][0]:
         # refit the singular time over the classification window itself, so
         # the diagnostic y = max|A|^2 (T_hat - t) is not distorted at records
         # whose gap is comparable to the estimation error of a fit anchored
         # elsewhere
-        tw = t[window]
-        c0, c1 = _affine_fit(tw, 1.0 / a2[window])
-        if c1 < 0 and -c0 / c1 > tw[-1]:
-            t_hat = float(-c0 / c1)
-            gap = t_hat - t
-            valid = gap > 0
-            gmin = gap[valid].min()
-            window = valid & (gap <= 10.0 * gmin)
-    y = a2[window] * gap[window]
+        root, _ = _affine_root(t[window], 1.0 / a2[window])
+        if root > t[window][-1]:
+            t_hat = root
+            window = _window(t_hat - t)
+    if window is None:
+        return BlowupReport(BlowupClass.INCONCLUSIVE,
+                            detail="fewer than 5 records in the window before T_hat")
+    y = a2[window] * (t_hat - t[window])
     c_hat = float(y.max())
     lower = float(y.min())
     spread = float((y.max() - y.min()) / y.max())
@@ -263,7 +259,7 @@ def hamilton_rescale(trace: FlowTrace, t_hat: float, k: int) -> HamiltonSequence
     for _, r in snaps:
         tau = L * L * (r.t - t_k)
         if alpha - 1e-12 <= tau <= omega + 1e-12:
-            rescaled.append((tau, _rescaled(r.snapshot, L, base)))
+            rescaled.append((tau, r.snapshot.transformed(L * np.eye(r.snapshot.n), -L * base)))
     return HamiltonSequence(k=k, record_index=best_i, node=tuple(int(x) for x in node),
                             t_k=t_k, L_k=L, alpha_k=alpha, omega_k=omega,
                             rescaled=rescaled)

@@ -291,6 +291,10 @@ def read_checkpoint(path: str, scenario_text: str | None = None) -> tuple[FlowSt
     records = [TraceRecord(**_checked(path, f"record {i}", rd, _RECORD_FIELDS))
                for i, rd in enumerate(doc["records"])]
     imm, t = _parse_snapshot(doc["snapshot"], f"{path}: snapshot")
+    # the resumed run continues the record cadence from the state's own record
+    if not records or (records[-1].step_index, records[-1].t) != (doc["step_index"], t):
+        raise ConfigError(f"{path}: the last record is not the checkpointed state's "
+                          f"(step_index {doc['step_index']}, t = {t!r})")
     state = FlowState(t=t, imm=imm, bundle=build_bundle(imm), step_index=doc["step_index"])
     return state, FlowTrace(records=records)
 

@@ -262,6 +262,13 @@ class TestSnapshots:
         with pytest.raises(ConfigError, match="row-count mismatch: expected 16"):
             read_snapshot(str(path))
 
+    def test_header_m_conflicts_with_chart(self, tmp_path):
+        path = tmp_path / "c.snap"
+        write_snapshot(catalog.circle(n=16), str(path))
+        path.write_text(path.read_text().replace(" m=1 ", " m=2 ", 1))
+        with pytest.raises(ConfigError, match="header m=2 conflicts with domain/resolution"):
+            read_snapshot(str(path))
+
     @staticmethod
     def crafted(tmp_path, edit):
         """A snapshot of an 8x8 sphere whose data rows pass through edit."""
@@ -349,6 +356,9 @@ class TestSnapshots:
         path.write_text("# schema=somethingelse.v9\n")
         with pytest.raises(ConfigError, match="not a codimflow.snapshot.v1"):
             read_snapshot(str(path))
+
+
+LAST_RECORD_OFF = "the last record is not the checkpointed state's"
 
 
 def _edit_doc(change):
@@ -472,7 +482,13 @@ class TestCheckpointResume:
          "not a codimflow.checkpoint.v2 file"),
         (_edit_doc(lambda d: d["records"][0].update(argmax_value=1.0)),
          "record 0 has the unknown field argmax_value"),
-    ], ids=["not-json", "snapshot-row-lost", "no-step-index", "schema-v1", "unknown-record-field"])
+        # a resumed run would continue the record cadence from the wrong step
+        (_edit_doc(lambda d: d.update(step_index=3)), LAST_RECORD_OFF),
+        (_edit_doc(lambda d: d["records"][-1].update(t=d["records"][-1]["t"] / 2)),
+         LAST_RECORD_OFF),
+        (_edit_doc(lambda d: d.update(records=[])), LAST_RECORD_OFF),
+    ], ids=["not-json", "snapshot-row-lost", "no-step-index", "schema-v1", "unknown-record-field",
+            "step-index-off", "record-time-off", "no-records"])
     def test_malformed_checkpoint_errors(self, tmp_path, edit, message):
         cfg = FlowConfig(cfl_sigma=0.5, stop_t_max=0.02, record_every=5)
         tr, fin = run(catalog.circle(n=64), cfg)
@@ -1343,6 +1359,58 @@ class TestCLI:
         assert r.stderr.startswith(
             "error: ConfigError: lagrangian_report requires even ambient dimension, got n = 3")
         assert not (tmp_path / "out" / "odd.csv").exists()
+
+    def test_one_singular_time_estimate_per_run(self, tmp_path, monkeypatch, capsys):
+        # the T_hat line, the shrinker and the rescale read one estimate
+        from codimflow import cli
+
+        calls, estimate = [], cli.estimate_singular_time
+        monkeypatch.setattr(cli, "estimate_singular_time",
+                            lambda trace: calls.append(1) or estimate(trace))
+        cfgp = tmp_path / "a.cfg"
+        cfgp.write_text("name = an\ninitial.catalog = circle\ninitial.n = 128\n"
+                        "flow.cfl_sigma = 0.5\nflow.record_every = 25\n"
+                        "flow.snapshot_every = 4\nanalyses = soliton,rescale,classify\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 2
+        out, _ = capsys.readouterr()
+        assert len(calls) == 1
+        for line in ("T_hat=", "soliton[shrinker]", "type1 rescale", "blowup: TypeI"):
+            assert line in out
+
+    @pytest.mark.parametrize("command", ["run", "soliton"])
+    def test_non_finite_affine_part_exit_4(self, tmp_path, capsys, command):
+        from codimflow import cli
+
+        snap = tmp_path / "g.snap"
+        write_snapshot(catalog.grim_reaper(n=64), str(snap))
+        text = snap.read_text()
+        head = next(ln for ln in text.splitlines() if ln.startswith("# affine="))
+        snap.write_text(text.replace(head, "# affine=nan," + head.split(",", 1)[1]))
+        cfgp = tmp_path / "g.cfg"
+        cfgp.write_text(f"name = g\ninitial.snapshot = {snap}\nflow.stop_t_max = 0.01\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        args = (["run", str(cfgp)] if command == "run"
+                else ["soliton", str(snap), "--kind", "shrinker"])
+        assert cli.main(args) == 4
+        _, err = capsys.readouterr()
+        assert err == f"error: ConfigError: {snap}: immersion affine part is non-finite\n"
+
+    def test_resume_from_a_checkpoint_off_its_state_exit_4(self, tmp_path, capsys):
+        from codimflow import cli
+
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text("name = c\ninitial.catalog = circle\ninitial.n = 64\n"
+                        "flow.cfl_sigma = 0.5\nflow.stop_t_max = 0.02\n"
+                        f"flow.record_every = 5\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 0
+        ck = tmp_path / "out" / "c.ckpt"
+        ck.write_text(_edit_doc(lambda d: d.update(step_index=3))(ck.read_text()))
+        capsys.readouterr()
+        assert cli.main(["run", str(cfgp), "--resume", str(ck)]) == 4
+        _, err = capsys.readouterr()
+        assert err.startswith(f"error: ConfigError: {ck}: the last record is not the "
+                              "checkpointed state's (step_index 3, t = ")
 
     def test_shrinker_analysis_needs_singular_time(self, tmp_path):
         # a flat graph does not blow up: no T_hat, no rescaled snapshot to check

@@ -2,16 +2,18 @@
 termination, evolution-equation residuals, and flow symmetries."""
 
 import itertools
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
 from codimflow import catalog, flow
-from codimflow.errors import NonFiniteError, SolverError
+from codimflow.errors import NonFiniteError, SolverError, UsageError
 from codimflow.flow import (
-    FlowConfig, FlowState, Integrator, Termination, adaptive_dt,
+    FlowConfig, FlowState, FlowTrace, Integrator, Termination, TraceRecord, adaptive_dt,
     assemble_step_matrix, estimate_singular_time, evolution_residuals, run,
     step_explicit, step_semi_implicit,
 )
@@ -471,6 +473,16 @@ class TestSolverFallbacks:
         with pytest.raises(SolverError, match="exactly singular"):
             step_semi_implicit(self.state(), 2e-3)
 
+    def test_every_rung_inaccurate_raises(self, monkeypatch):
+        # each rung returns an answer, and none meets its bar
+        scale_preconditioner(monkeypatch, 0.5)
+        monkeypatch.setattr(flow, "bicgstab", self.fail)
+        monkeypatch.setattr(flow, "gmres", self.fail)
+        monkeypatch.setattr(flow, "splu", lambda A: SimpleNamespace(solve=np.zeros_like))
+        with pytest.raises(SolverError, match=r"semi-implicit solve inaccurate "
+                                              r"\(component 0, rel=1.00e\+00\)"):
+            step_semi_implicit(self.state(), 2e-3)
+
     def test_false_convergence_takes_the_next_rung(self, monkeypatch):
         # bicgstab reports convergence at its start; the start's residual
         # (about 3e-7 here) misses 1e-8, so the step goes on to GMRES and
@@ -703,6 +715,11 @@ class TestEvolutionResiduals:
         for name, rn in rep.as_dict().items():
             assert rn.linf < 1e-2, (name, rn.linf)
 
+    def test_triple_out_of_order(self, circle_triple):
+        s0, s1, s2 = circle_triple
+        with pytest.raises(UsageError, match="state triple out of order"):
+            evolution_residuals(s2, s0, mid=s1)
+
     def test_heat_identity_tight(self, circle_triple):
         # f = |F|^2 + 2 m t is constant on the exact shrinking circle
         s0, s1, s2 = circle_triple
@@ -840,6 +857,31 @@ class TestSingularTime:
         trace, _ = run(imm, cfg)
         est = estimate_singular_time(trace)
         assert not est.reliable
+
+    @staticmethod
+    def trace(t, a2):
+        tr = FlowTrace(termination=Termination.CURVATURE_CAP)
+        tr.records = [TraceRecord(t=ti, dt=0.0, max_A2=a, max_A2_trusted=a, max_H2=a,
+                                  volume=1.0, min_detg=1.0, argmax_node=0)
+                      for ti, a in zip(t, a2)]
+        return tr
+
+    def test_fit_slope_not_negative(self):
+        # one early jump, then a slow fall within the 0.1% backstep
+        # tolerance: max|A|^2 ends above its start, but 1/max|A|^2 rises
+        # over the window
+        a2 = np.concatenate([[1.0], 1.005 * (1.00001 / 1.005) ** (np.arange(9) / 8)])
+        est = estimate_singular_time(self.trace(np.arange(10.0), a2))
+        assert (est.reliable, est.detail) == (False, "fit slope not negative")
+        assert math.isnan(est.t_hat)
+
+    def test_fitted_root_not_in_the_future(self):
+        # 1/max|A|^2 falls faster than affinely, so the fit's root lies inside
+        # the data, and a last backstep leaves no secant continuation
+        a2 = np.append(2.0 ** np.arange(9), 255.9)
+        est = estimate_singular_time(self.trace(np.arange(10.0), a2))
+        assert (est.reliable, est.detail) == (False, "fitted root not in the future")
+        assert est.t_hat <= 9.0
 
 
 class TestFlowSymmetries:

@@ -396,6 +396,11 @@ class TestPotentialFlow:
         rn = angle_evolution_residual(p, p, p, 0.0, 1e-4, 2e-4)
         assert rn.linf < 1e-10
 
+    def test_angle_residual_states_out_of_order(self):
+        p = potential(np.diag([0.5, 0.8]), n=16)
+        with pytest.raises(UsageError, match="potential states out of order"):
+            angle_evolution_residual(p, p, p, 0.0, 2e-4, 1e-4)
+
     def test_image_flow_agreement(self):
         # the potential route and the direct immersion flow produce the same
         # image: compare the diffeomorphism-invariant scalar max|H| at equal

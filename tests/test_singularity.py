@@ -228,6 +228,44 @@ class TestClassify:
         assert rep.c_hat == pytest.approx(0.5, abs=0.05)
         assert rep.lower_rate >= 0.1
 
+    @staticmethod
+    def power_law_trace(ratio, n, p):
+        """n records toward T = 1 with gaps ratio^k and max|A|^2 = gap^-p."""
+        gaps = ratio ** np.arange(n)
+        trace = FlowTrace(termination=Termination.CURVATURE_CAP)
+        trace.records = [
+            TraceRecord(t=1.0 - g, dt=0.0, max_A2=a, max_A2_trusted=a, max_H2=a,
+                        volume=1.0, min_detg=1.0, argmax_node=0)
+            for g, a in zip(gaps, gaps ** -p)
+        ]
+        return trace
+
+    def test_no_type1_from_a_single_record(self):
+        # y = max|A|^2 (T - t) grows like gap^-0.6: the window of the refitted
+        # T_hat holds fewer than 5 records, whose y shows no growth
+        rep = classify_blowup(self.power_law_trace(0.7, 12, 1.6))
+        assert rep.classification is BlowupClass.INCONCLUSIVE
+        assert "fewer than 5 records" in rep.detail
+
+    def test_refit_window_widens_to_100x(self):
+        # within 10x of the smallest gap lie 4 halving gaps, too few; 100x
+        # holds 7, before and after the refit
+        rep = classify_blowup(self.power_law_trace(0.5, 30, 1.0))
+        assert rep.detail == "window of 7 records"
+        assert rep.classification is BlowupClass.TYPE_I
+
+    def test_every_classification_reads_at_least_5_records(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            trace = self.power_law_trace(rng.uniform(0.5, 0.95), int(rng.integers(12, 40)),
+                                         rng.uniform(0.5, 2.5))
+            for t_hat in (None, 1.0):
+                rep = classify_blowup(trace, t_hat=t_hat)
+                if rep.detail.startswith("window of"):
+                    assert int(rep.detail.split()[2]) >= 5
+                else:
+                    assert rep.classification is BlowupClass.INCONCLUSIVE
+
     def test_time_reached_is_inconclusive(self, circle_trace):
         trace, _ = circle_trace  # stopped at t = 0.45, no singularity signal
         rep = classify_blowup(trace)

@@ -138,7 +138,7 @@ def _run_one(config_path: str, resume: str | None = None) -> int:
                 rep = soliton_residual(final.imm, kind, V=V, bundle=final.bundle)
             print(f"  soliton[{kind.value}]: Linf={rep.linf:.6e} L2={rep.l2:.6e}")
         elif a.kind == "classify":
-            rep = classify_blowup(trace)
+            rep = classify_blowup(trace, est=est)
             print(f"  blowup: {rep.classification.value} c_hat={rep.c_hat:.4g} "
                   f"lower={rep.lower_rate:.4g} spread={rep.spread:.3g} "
                   f"growth={rep.growth:.3g}")

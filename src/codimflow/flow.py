@@ -57,7 +57,7 @@ from .geometry import (
     trusted_mask,
 )
 from .grid import (STENCILS, AxisKind, ChartSpec, Domain, integrate_values, make_chart,
-                   neighbor_maps)
+                   neighbor_maps, roll_axes)
 
 
 class Integrator(enum.Enum):
@@ -312,10 +312,9 @@ def assemble_step_matrix(bundle: GeometryBundle, dt: float,
     chart = bundle.chart
     pat = _step_pattern(chart.spec)
     m, N = chart.m, chart.node_count
-    ginv = bundle.ginv.reshape(N, m, m)
-    w = (bundle.drift if drift is None else drift).reshape(N, m)
-    weights = np.stack([ginv[:, a, a] for a in range(m)] + [-w[:, a] for a in range(m)]
-                       + [2.0 * ginv[:, a, b] for a in range(m) for b in range(a + 1, m)])
+    ginv, w = roll_axes(bundle.ginv, -2), roll_axes(bundle.drift if drift is None else drift, -1)
+    weights = np.stack([ginv[a, a] for a in range(m)] + [-w[a] for a in range(m)]
+                       + [2.0 * ginv[a, b] for a in range(m) for b in range(a + 1, m)])
     data = -dt * (pat.coupling @ weights.ravel())
     data[pat.diag] += 1.0
     return sp.csr_matrix((data, pat.indices, pat.indptr), shape=(N, N))

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateImmersion, NonFiniteError, UsageError
-from .grid import AxisKind, Chart, Domain, GridField, diff1, integrate_values, partials
+from .grid import AxisKind, Chart, Domain, GridField, diff1, integrate_values, partials, roll_axes
 
 DET_G_FLOOR = 1e-12
 PINCHING_H2_FLOOR = 1e-12
@@ -151,21 +151,26 @@ def d2_tensor(values: np.ndarray, chart: Chart, tensor_axes: tuple[int, ...] = (
 # ---------------------------------------------------------------------------
 # index contractions
 #
-# Every contraction is a two-operand step over tiny chart axes (m <= 3), done
-# as a stacked matmul: indices are raised once (A^i_j = g^ik A_kj) and
-# invariants are traces of products, e.g. |A|^2 = A^i_j . A^j_i. On curves
-# (m = 1) a contraction is a plain product, which avoids one matmul dispatch
-# per node on the small arrays of a curve flow. The metric of a surface or
-# solid is a sum of whole-chart products over the ambient index: a per-node
-# reduction over n <= 4 entries is mostly call overhead (48x96 sphere on a
-# 2-core Xeon: 74 us, against 520 us as a stacked matmul and 910 as einsum).
+# The bundle is computed on index-major storage (index axes first, node axes
+# last), where a contraction sums whole-chart products over the index axes
+# (48x96 sphere, 2-core Xeon: a (2, 2, 2) field plus its transpose in two
+# indices takes 23 us index-major, 129 us node-major with inner loops of 2).
+# Its fields are node-major views of that storage, which the checks contract
+# two operands at a time as stacked matmuls: indices are raised once
+# (A^i_j = g^ik A_kj) and invariants are traces, e.g. |A|^2 = A^i_j . A^j_i.
 # ---------------------------------------------------------------------------
+
+def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """sum_p X[p] * Y[p] over the leading axis, the terms added in order."""
+    acc = X[0] * Y[0]
+    for p in range(1, len(X)):
+        acc += X[p] * Y[p]
+    return acc
+
 
 def _raise(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
     """g^ip T_p...: raise the first chart index of T, shape (*, m, ...)."""
     lead = ginv.shape[:-1]
-    if ginv.shape[-1] == 1:  # a curve: the product with g^11
-        return ginv.reshape(lead + (1,) * (T.ndim - len(lead))) * T
     return np.matmul(ginv, T.reshape(lead + (-1,))).reshape(T.shape)
 
 
@@ -175,8 +180,6 @@ def _gamma_dot(gamma: np.ndarray, T: np.ndarray) -> np.ndarray:
     lead = gamma.shape[:-3]
     m = gamma.shape[-1]
     rest = T.shape[len(lead) + 1:]
-    if m == 1:  # a curve: the product with Gamma^1_11
-        return gamma.reshape(lead + (1, 1) + (1,) * len(rest)) * T.reshape(lead + (1, 1) + rest)
     G = np.swapaxes(gamma.reshape(lead + (m, m * m)), -1, -2)
     return np.matmul(G, T.reshape(lead + (m, -1))).reshape(lead + (m, m) + rest)
 
@@ -339,8 +342,8 @@ def immersion_partials(imm: Immersion) -> tuple[np.ndarray, np.ndarray]:
     """d_i F^a and d_i d_j F^a, shapes chart.shape + (m, n) and + (m, m, n),
     from one grid.partials pass; exact on any affine summand."""
     d1, d2 = partials(imm.periodic_values(), imm.chart)
-    if imm.affine is not None:
-        d1 = d1 + imm.affine[0].T  # (m, n) broadcast over nodes
+    if imm.affine is not None:  # (m, n, 1, ...) broadcast over the index-major nodes
+        roll_axes(d1, -2)[...] += imm.affine[0].T.reshape(imm.affine[0].T.shape + (1,) * imm.m)
     return d1, d2
 
 
@@ -353,47 +356,51 @@ def induced_metric(imm: Immersion, dF: np.ndarray | None = None):
     relative positive-definiteness floor. The floor is checked before g is
     inverted, so a degenerate metric never reaches the inversion.
     """
-    if dF is None:
-        dF = immersion_partials(imm)[0]
-    m = imm.m
-    if m == 1:
-        g = np.einsum("...ia,...ja->...ij", dF, dF)
-        det = g[..., 0, 0]
-    else:  # an explicit sum over the ambient index, each pair formed once
-        g = np.empty(dF.shape[:-1] + (m,))
-        for i, j in [(i, j) for i in range(m) for j in range(i, m)]:
-            v = dF[..., i, 0] * dF[..., j, 0]
-            for a in range(1, imm.n):
-                v += dF[..., i, a] * dF[..., j, a]
-            g[..., i, j] = g[..., j, i] = v
-        det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0] if m == 2
-               else np.linalg.det(g))
-    mean_trace = float(g.trace(axis1=-2, axis2=-1).sum()) / det.size  # as np.mean
+    dF = immersion_partials(imm)[0] if dF is None else dF
+    g, ginv, det = _metric(roll_axes(dF, -2), imm.chart)
+    return dF, roll_axes(g, 2), roll_axes(ginv, 2), det, np.sqrt(det)
+
+
+def _metric(F: np.ndarray, chart: Chart):
+    """g, g^-1 (m, m, *) and det g (*) from index-major partials F (m, n, *)."""
+    m, F = chart.m, F.swapaxes(0, 1)  # a sum over the ambient index
+    g = _dot(F[:, :, None], F[:, None])
+    det = (g[0, 0] if m == 1 else g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] if m == 2
+           else np.linalg.det(roll_axes(g, 2)))
+    mean_trace = float(g.trace().sum()) / det.size  # as np.mean
     floor = DET_G_FLOOR * (mean_trace / m) ** m
     dmin = float(det.min())
     if dmin < floor or not np.isfinite(det).all():
-        node = tuple(int(i) for i in np.unravel_index(int(np.argmin(det)), imm.chart.shape))
+        node = tuple(int(i) for i in np.unravel_index(int(np.argmin(det)), chart.shape))
         raise DegenerateImmersion(
             f"induced metric degenerate: det g = {dmin:.3e} < floor {floor:.3e} "
             f"at node {node}",
             node=node,
         )
     if m == 1:
-        ginv = (1.0 / det)[..., None, None]
-    elif m == 2:
-        adj = np.stack([g[..., 1, 1], -g[..., 0, 1], -g[..., 1, 0], g[..., 0, 0]], axis=-1)
-        ginv = (adj / det[..., None]).reshape(g.shape)
+        ginv = (1.0 / det)[None, None]
+    elif m == 2:  # the adjugate over det
+        ginv = g[::-1, ::-1] / det
+        ginv[0, 1] = ginv[1, 0] = -ginv[0, 1]
     else:
-        ginv = np.linalg.inv(g)
-    return dF, g, ginv, det, np.sqrt(det)
+        ginv = roll_axes(np.linalg.inv(roll_axes(g, 2)), -2).copy()
+    return g, ginv, det
 
 
 def christoffel(g: np.ndarray, ginv: np.ndarray, chart: Chart):
     """Christoffel symbols of first and second kind from the metric field."""
-    dg = d1_tensor(g, chart, tensor_axes=(0, 1))  # (*, k, i, j) = d_k g_ij
-    dg_i = np.swapaxes(dg, -3, -2)  # (*, a, i, j) = d_i g_aj
-    gamma1 = 0.5 * (dg_i + np.swapaxes(dg_i, -1, -2) - dg)
-    return gamma1, _raise(ginv, gamma1)
+    return tuple(roll_axes(t, 3) for t in _christoffel(roll_axes(g, -2), roll_axes(ginv, -2), chart))
+
+
+def _christoffel(g: np.ndarray, ginv: np.ndarray, chart: Chart):
+    """Gamma_aij and Gamma^k_ij (m, m, m, *) from index-major g and g^-1 (m, m, *)."""
+    m, sign = chart.m, [-1.0 if kind is AxisKind.POLE else 1.0 for kind in chart.axis_kinds]
+    dg = np.empty((m,) + g.shape)  # (k, i, j, *) = d_k g_ij, once per pair i <= j, pole parity
+    for i, j, k in [(i, j, k) for i in range(m) for j in range(i, m) for k in range(m)]:
+        dg[k, i, j] = dg[k, j, i] = diff1(g[i, j], k, chart, sign[i] * sign[j])
+    dg_i = dg.swapaxes(0, 1)  # (a, i, j, *) = d_i g_aj
+    gamma1 = 0.5 * (dg_i + dg_i.swapaxes(1, 2) - dg)
+    return gamma1, _dot(ginv[:, :, None, None], gamma1[:, None])
 
 
 def build_bundle(imm: Immersion) -> GeometryBundle:
@@ -401,16 +408,19 @@ def build_bundle(imm: Immersion) -> GeometryBundle:
     fundamental tensor A^a_ij = d_i d_j F^a - Gamma^k_ij d_k F^a (flat
     ambient), its trace H and |A|^2 = A^i_j . A^j_i."""
     dF, ddF = immersion_partials(imm)
-    dF, g, ginv, det, sqrt_det = induced_metric(imm, dF)
-    gamma1, gamma = christoffel(g, ginv, imm.chart)
-    A = ddF - _gamma_dot(gamma, dF)
-    H = np.einsum("...ij,...ija->...a", ginv, A)
+    F = roll_axes(dF, -2)
+    g, ginv, det = _metric(F, imm.chart)
+    gamma1, gamma = _christoffel(g, ginv, imm.chart)
+    A = roll_axes(ddF, -3) - _dot(gamma[:, :, :, None], F[:, None, None])
+    H = _dot(ginv.reshape((-1, 1) + det.shape), A.reshape((-1, imm.n) + det.shape))
     if not np.isfinite(H).all():
         raise NonFiniteError("mean curvature is non-finite")
-    A_up = _raise(ginv, A)
+    A_up = _dot(ginv[:, :, None, None], A[:, None])
     return GeometryBundle(
-        imm=imm, dF=dF, g=g, ginv=ginv, det_g=det, sqrt_det_g=sqrt_det, gamma1=gamma1,
-        gamma=gamma, A=A, H=H, normA2=np.einsum("...ija,...jia->...", A_up, A_up),
+        imm=imm, dF=dF, g=roll_axes(g, 2), ginv=roll_axes(ginv, 2), det_g=det,
+        sqrt_det_g=np.sqrt(det), gamma1=roll_axes(gamma1, 3), gamma=roll_axes(gamma, 3),
+        A=roll_axes(A, 3), H=roll_axes(H, 1),
+        normA2=(A_up * A_up.swapaxes(0, 1)).reshape((-1,) + det.shape).sum(axis=0),
     )
 
 
@@ -469,8 +479,13 @@ def intrinsic_curvature(bundle: GeometryBundle) -> np.ndarray:
     Christoffel symbols; this form avoids differentiating the (pole-singular)
     Christoffel components themselves.
     """
-    chart = bundle.chart
-    ddg = d2_tensor(bundle.g, chart, tensor_axes=(0, 1))  # (*, k, l, i, j)
+    chart, m = bundle.chart, bundle.chart.m
+    sign = np.array([-1.0 if kind is AxisKind.POLE else 1.0 for kind in chart.axis_kinds])
+    iu, ju = np.triu_indices(m)  # each unique component once, for both its slots
+    table = np.empty((m, m), dtype=int)
+    table[iu, ju] = table[ju, iu] = np.arange(iu.size)
+    _, d2 = partials(bundle.g[..., iu, ju], chart, sign[iu] * sign[ju])
+    ddg = d2[..., table]  # (*, k, l, i, j)
     part = 0.5 * (
         np.einsum("...kjil->...ijkl", ddg)
         + np.einsum("...likj->...ijkl", ddg)

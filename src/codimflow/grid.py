@@ -282,13 +282,22 @@ def diff_mixed(values, axis_a: int, axis_b: int, chart: Chart, parity=1.0) -> np
     return diff1(diff1(values, a, chart, parity), b, chart, parity)
 
 
+def roll_axes(a: np.ndarray, k: int) -> np.ndarray:
+    """View of a with its first k axes moved last (k < 0: its last -k first)."""
+    return a.transpose(_ROLLED[a.ndim, k % a.ndim])
+
+
+_ROLLED = {(n, k): tuple(range(k, n)) + tuple(range(k)) for n in range(1, 33) for k in range(n)}
+
+
 def partials(values: np.ndarray, chart: Chart, parity=1.0):
     """First and second partials, shapes chart.shape + (m,) + trailing and
     + (m, m) + trailing, from one ghost pad per axis; bit-identical to diff1,
-    diff2 and diff_mixed, whose composition the mixed partials reuse d1 for."""
-    m = chart.m
-    d1 = np.empty(values.shape[:m] + (m,) + values.shape[m:])
-    d2 = np.empty(values.shape[:m] + (m, m) + values.shape[m:])
+    diff2 and diff_mixed, whose composition the mixed partials reuse d1 for.
+    Both are node-major views of index-major storage (the node axes last)."""
+    m, t = chart.m, values.ndim - chart.m
+    d1 = roll_axes(np.empty((m,) + values.shape[m:] + chart.shape), t + 1)
+    d2 = roll_axes(np.empty((m, m) + values.shape[m:] + chart.shape), t + 2)
     nodes = (slice(None),) * m
     for a in range(m):
         ext = _pad(values, a, chart, parity)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .flow import (SINGULARITY_SIGNALS, FlowState, FlowTrace, _affine_root,
-                   estimate_singular_time)
+from .flow import (SINGULARITY_SIGNALS, FlowState, FlowTrace, SingularTimeEstimate,
+                   _affine_root, estimate_singular_time)
 from .geometry import (GeometryBundle, Immersion, _masked_l2, build_bundle, normal_part,
                        trusted_mask)
 from .grid import integrate_values
@@ -171,7 +171,8 @@ def _window(gap: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def classify_blowup(trace: FlowTrace, t_hat: float | None = None) -> BlowupReport:
+def classify_blowup(trace: FlowTrace, t_hat: float | None = None, *,
+                    est: SingularTimeEstimate | None = None) -> BlowupReport:
     """Classify the blow-up rate over the last decade of records.
 
     The diagnostic quantity is y(t) = max|A|^2 (T_hat - t), with the maximum
@@ -180,14 +181,15 @@ def classify_blowup(trace: FlowTrace, t_hat: float | None = None) -> BlowupRepor
     else within 100x; fewer than 5 records in it is inconclusive. A bounded
     fitted sup (relative spread below 0.2) is Type I with c_hat = sup y;
     growth of y (last over first) beyond 5 is Type II; anything else is
-    inconclusive. Both raw fits are always reported.
+    inconclusive. Both raw fits are always reported. Without t_hat, T_hat is
+    est (estimated here when not given) refitted over the window.
     """
     if trace.termination not in SINGULARITY_SIGNALS:
         return BlowupReport(BlowupClass.INCONCLUSIVE, detail=(
             f"trace ended with {trace.termination}, not a singularity signal"))
     refit = t_hat is None
     if refit:
-        est = estimate_singular_time(trace)
+        est = estimate_singular_time(trace) if est is None else est
         if not est.reliable:
             return BlowupReport(BlowupClass.INCONCLUSIVE,
                                 detail=f"unreliable singular-time estimate: {est.detail}")

@@ -771,6 +771,24 @@ class TestCLI:
         assert out.startswith("run u: DtUnderflow (dt = ")
         assert float(out.split("t_end=")[1].split()[0]) == pytest.approx(0.0835, abs=1e-3)
 
+    def test_classify_fits_the_singular_time_once(self, tmp_path, monkeypatch, capsys):
+        # the run passes its estimate to classify_blowup, which refits it
+        # over the window instead of estimating T_hat again
+        from codimflow import cli, singularity
+
+        calls = []
+        for module in (cli, singularity):
+            fit = module.estimate_singular_time
+            monkeypatch.setattr(module, "estimate_singular_time",
+                                lambda trace, fit=fit: calls.append(trace) or fit(trace))
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text("name = c\ninitial.catalog = circle\ninitial.n = 128\n"
+                        "flow.cfl_sigma = 0.5\nflow.record_every = 25\n"
+                        f"analyses = classify\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 2
+        assert "blowup: TypeI" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_grid_keys_reach_a_sphere(self, tmp_path):
         from codimflow import cli
 

@@ -10,7 +10,9 @@ from codimflow.geometry import (
     Immersion, build_bundle, graph_immersion, graph_singular_values, induced_metric,
     normal_part, structure_residuals,
 )
-from codimflow.grid import ChartSpec, Domain, GridField, diff1, diff2, diff_mixed, make_chart
+from codimflow.grid import (
+    ChartSpec, Domain, GridField, diff1, diff2, diff_mixed, make_chart, roll_axes,
+)
 from codimflow.lagrangian import Potential, lag_immersion
 from conftest import roll_field
 from test_contractions import CHARTS
@@ -22,13 +24,16 @@ def torus_graph(f_values, n=32, order=2):
 
 
 def separate_stencil_partials(values, chart, parity=1.0):
-    """grid.partials written as one diff1, diff2 or diff_mixed call per partial."""
-    m = chart.m
+    """grid.partials written as one diff1, diff2 or diff_mixed call per partial,
+    returned as grid.partials returns them: node-major views of index-major
+    storage, so the bundle's contractions see the same memory layout."""
+    m, k = chart.m, values.ndim - chart.m + 1
     d1 = np.stack([diff1(values, a, chart, parity) for a in range(m)], axis=m)
     d2 = np.stack([np.stack([diff2(values, a, chart, parity) if a == b
                              else diff_mixed(values, a, b, chart, parity) for b in range(m)],
                             axis=m) for a in range(m)], axis=m)
-    return d1, d2
+    return (roll_axes(np.ascontiguousarray(roll_axes(d1, -k)), k),
+            roll_axes(np.ascontiguousarray(roll_axes(d2, -k - 1)), k + 1))
 
 
 class TestSharedPass:
@@ -38,8 +43,11 @@ class TestSharedPass:
         imm = CHARTS[name]()
         assert (imm.affine is not None) == (name == "torus-graph")
         got = build_bundle(imm)
-        monkeypatch.setattr(geometry, "partials", separate_stencil_partials)
+        calls = []   # a spy: the bundle takes its partials through geometry.partials
+        monkeypatch.setattr(geometry, "partials",
+                            lambda *args: calls.append(args) or separate_stencil_partials(*args))
         want = build_bundle(imm)
+        assert len(calls) == 1
         for field in ("dF", "g", "ginv", "det_g", "sqrt_det_g", "gamma1", "gamma", "A", "H",
                       "normA2", "normH2", "drift"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
@@ -53,6 +61,19 @@ class TestSharedPass:
         b = build_bundle(CHARTS[name]())
         assert type(b.max_A2) is float and b.max_A2 == float(b.normA2.max())
         assert np.array_equal(b.normH2, np.einsum("...a,...a->...", b.H, b.H))
+
+
+class TestIndexMajorStorage:
+    @pytest.mark.parametrize("name", list(CHARTS))
+    def test_every_index_slice_is_one_contiguous_chart_array(self, name):
+        # the fields are node-major views of index-major storage
+        b = build_bundle(CHARTS[name]())
+        nodes = b.chart.shape
+        for field in ("dF", "g", "ginv", "gamma1", "gamma", "A", "H"):
+            values = getattr(b, field)
+            for idx in np.ndindex(values.shape[len(nodes):]):
+                part = values[(...,) + idx]
+                assert part.shape == nodes and part.flags.c_contiguous, (field, idx)
 
 
 class TestInducedMetric:

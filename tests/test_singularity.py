@@ -266,6 +266,20 @@ class TestClassify:
                 else:
                     assert rep.classification is BlowupClass.INCONCLUSIVE
 
+    def test_given_estimate_classifies_as_the_internal_fit(self):
+        # the estimate is refitted over the window as the internal one is,
+        # so the report is repr-equal; an unreliable one stays inconclusive
+        rng = np.random.default_rng(1)
+        traces = [sphere_chart_trace()] + [
+            self.power_law_trace(rng.uniform(0.5, 0.95), int(rng.integers(12, 40)),
+                                 rng.uniform(0.5, 2.5)) for _ in range(50)]
+        for trace in traces:
+            est = estimate_singular_time(trace)
+            assert repr(classify_blowup(trace, est=est)) == repr(classify_blowup(trace))
+        est = replace(estimate_singular_time(traces[0]), reliable=False, detail="stub")
+        rep = classify_blowup(traces[0], est=est)
+        assert rep.classification is BlowupClass.INCONCLUSIVE and rep.detail.endswith("stub")
+
     def test_time_reached_is_inconclusive(self, circle_trace):
         trace, _ = circle_trace  # stopped at t = 0.45, no singularity signal
         rep = classify_blowup(trace)

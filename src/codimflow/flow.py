@@ -47,13 +47,14 @@ from .geometry import (
     GeometryBundle,
     Immersion,
     ResidualNorms,
-    _gamma_dot,
+    _dot,
+    _nabla_pair,
     _norms,
+    _project,
     _sq_norm,
     build_bundle,
     d1_tensor,
     laplace_beltrami,
-    normal_part,
     trusted_mask,
 )
 from .grid import (STENCILS, AxisKind, ChartSpec, Domain, integrate_values, make_chart,
@@ -177,9 +178,12 @@ def adaptive_dt(state: FlowState, config: FlowConfig) -> float:
 
 
 def step_explicit(state: FlowState, dt: float) -> FlowState:
-    """Forward Euler step F <- F + dt * H; the bundle is rebuilt."""
+    """Forward Euler step F <- F + dt * H; the bundle is rebuilt. H is
+    copied to the values' node-major layout first, so the step adds two
+    contiguous arrays."""
     old = state.imm
-    imm = Immersion(old.chart, old.values + dt * state.bundle.H, old.affine, old.norm_mask)
+    H = np.ascontiguousarray(state.bundle.H)
+    imm = Immersion(old.chart, old.values + dt * H, old.affine, old.norm_mask)
     return FlowState(t=state.t + dt, imm=imm, bundle=build_bundle(imm),
                      step_index=state.step_index + 1)
 
@@ -619,14 +623,11 @@ class EvolutionReport:
 
 def christoffel_rate(bundle: GeometryBundle) -> np.ndarray:
     """C^k_ij = -g^kl (nab_i S_jl + nab_j S_il - nab_l S_ij) with S_ij = <H, A_ij>."""
-    nodes, m, S = bundle.chart.shape, bundle.chart.m, bundle.HA
-    dS = d1_tensor(S, bundle.chart, tensor_axes=(0, 1))  # (*, k, i, j)
-    corr = _gamma_dot(bundle.gamma, S)  # Gamma^p_ki S_pj; S symmetric
-    nabS = dS - corr - np.swapaxes(corr, -2, -1)
-    # nabS[k, i, j] = nab_k S_ij; assemble nab_i S_jl + nab_j S_il - nab_l S_ij
-    inner = nabS + np.swapaxes(nabS, -3, -2) - np.einsum("...lij->...ijl", nabS)
-    lowered = np.matmul(inner.reshape(nodes + (m * m, m)), bundle.ginv)  # (*, ij, k)
-    return -np.einsum("...ijk->...kij", lowered.reshape(nodes + (m, m, m)))
+    nabS = _nabla_pair(bundle, bundle.HA)  # (k, i, j) = nab_k S_ij
+    # inner[l, i, j] = nab_i S_jl + nab_j S_il - nab_l S_ij
+    inner = np.einsum("ijl...->lij...", nabS) + np.einsum("jil...->lij...", nabS) - nabS
+    ginv = roll_axes(bundle.ginv, -2)
+    return roll_axes(-_dot(ginv[:, :, None, None], inner[:, None]), 3)
 
 
 def _time_weights(t0: float, t1: float, t2: float) -> tuple[float, float, float]:
@@ -670,10 +671,11 @@ def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState,
     dgdt = ddt(*[bb.g for bb in bundles])
     res_metric = dgdt + 2.0 * b.HA
     if V is not None:
-        V_low = np.matmul(b.g, V[..., None])[..., 0]
-        dV_low = d1_tensor(V_low, chart, tensor_axes=(0,))   # (*, i, j) = d_i V_j
+        V_low = _dot(roll_axes(b.g, -2), roll_axes(V, chart.m)[:, None])  # V_j = g_jk V^k
+        dV_low = d1_tensor(roll_axes(V_low, 1), chart, tensor_axes=(0,))   # (*, i, j) = d_i V_j
+        corr = _dot(roll_axes(b.gamma, -3), V_low[:, None, None])  # Gamma^k_ij V_k
         res_metric = res_metric - (dV_low + np.swapaxes(dV_low, -1, -2)
-                                   - 2.0 * _gamma_dot(b.gamma, V_low))
+                                   - 2.0 * roll_axes(corr, 2))
     metric = _norms(res_metric, b, mask, scale_field=2.0 * b.HA)
 
     christoffel = second_fundamental = None
@@ -684,7 +686,8 @@ def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState,
         christoffel = _norms(dGdt - C, b, mask, scale_field=C)
         # (evol sec) second fundamental tensor
         dAdt = ddt(*[bb.A for bb in bundles])
-        rhs_A = b.ddH - _gamma_dot(C, b.dF)
+        C_F = _dot(roll_axes(C, -3)[:, :, :, None], roll_axes(b.dF, -2)[:, None, None])
+        rhs_A = b.ddH - roll_axes(C_F, 3)
         second_fundamental = _norms(dAdt - rhs_A, b, mask, scale_field=rhs_A)
 
     # (evol 3) volume form, pointwise and integrated
@@ -703,14 +706,15 @@ def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState,
 
     # (evol mean3) |H|^2
     dH2dt = ddt(*[bb.normH2 for bb in bundles])
-    gradperpH2 = _sq_norm(b.ginv, normal_part(b, d1_tensor(b.H, chart)), 1)
+    ginv, P = roll_axes(b.ginv, -2), roll_axes(b.normal_projector, -2)
+    gradperpH2 = _sq_norm(ginv, _project(P, roll_axes(d1_tensor(b.H, chart), -2)), 1)
     rhs_H2 = laplace_beltrami(b.normH2, b) - 2.0 * gradperpH2 + 2.0 * b.HA_sq
     mean_sq = _norms(dH2dt - rhs_H2 - along_V(b.normH2), b, mask, scale_field=rhs_H2)
 
     # (evol sec3) |A|^2
     dA2dt = ddt(*[bb.normA2 for bb in bundles])
     rhs_A2 = (laplace_beltrami(b.normA2, b) - 2.0 * b.grad_perp_A_sq
-              + 2.0 * _sq_norm(b.ginv, b.AA, 4) + 2.0 * b.comm_sq)
+              + 2.0 * _sq_norm(ginv, roll_axes(b.AA, -4), 4) + 2.0 * b.comm_sq)
     a_sq = _norms(dA2dt - rhs_A2 - along_V(b.normA2), b, mask, scale_field=rhs_A2)
 
     # heat identity for f = |F|^2 + 2 m t. Direct stencils apply when |F|^2

@@ -109,8 +109,7 @@ class Immersion:
 # ---------------------------------------------------------------------------
 
 def _parity(chart: Chart, trailing_shape: tuple[int, ...], tensor_axes: tuple[int, ...]):
-    """Per-component parity for a field with the given trailing index shape,
-    flattened over those components.
+    """Per-component parity for a field with the given trailing index shape.
 
     tensor_axes lists which trailing axes are chart-index (m-sized) slots;
     remaining trailing axes are ambient/scalar slots with parity +1. On
@@ -125,25 +124,25 @@ def _parity(chart: Chart, trailing_shape: tuple[int, ...], tensor_axes: tuple[in
         shape = [1] * len(trailing_shape)
         shape[ax] = chart.m
         p = p * signs.reshape(shape)
-    return p.ravel()
+    return p
 
 
 def d1_tensor(values: np.ndarray, chart: Chart, tensor_axes: tuple[int, ...] = ()) -> np.ndarray:
     """Partial derivatives d_k T, derivative index prepended to the trailing
-    indices: output shape chart.shape + (m,) + trailing."""
-    trailing = values.shape[len(chart.shape):]
+    indices: output shape chart.shape + (m,) + trailing, a node-major view of
+    index-major storage (m,) + trailing + chart.shape."""
+    m, trailing = chart.m, values.shape[chart.m:]
     par = _parity(chart, trailing, tensor_axes)
-    flat = values.reshape(chart.shape + (-1,))
-    out = np.empty(chart.shape + (chart.m,) + (flat.shape[-1],))
-    for a in range(chart.m):
-        out[..., a, :] = diff1(flat, a, chart, par)
-    return out.reshape(chart.shape + (chart.m,) + trailing)
+    out = np.empty((m,) + trailing + chart.shape)
+    for a in range(m):
+        roll_axes(out[a], len(trailing))[...] = diff1(values, a, chart, par)
+    return roll_axes(out, len(trailing) + 1)
 
 
 def d2_tensor(values: np.ndarray, chart: Chart, tensor_axes: tuple[int, ...] = ()) -> np.ndarray:
     """Second partials d_k d_l T with two derivative indices prepended."""
     trailing = values.shape[len(chart.shape):]
-    par = _parity(chart, trailing, tensor_axes)
+    par = np.ravel(_parity(chart, trailing, tensor_axes))
     _, d2 = partials(values.reshape(chart.shape + (-1,)), chart, par)
     return d2.reshape(chart.shape + (chart.m, chart.m) + trailing)
 
@@ -151,13 +150,13 @@ def d2_tensor(values: np.ndarray, chart: Chart, tensor_axes: tuple[int, ...] = (
 # ---------------------------------------------------------------------------
 # index contractions
 #
-# The bundle is computed on index-major storage (index axes first, node axes
-# last), where a contraction sums whole-chart products over the index axes
-# (48x96 sphere, 2-core Xeon: a (2, 2, 2) field plus its transpose in two
-# indices takes 23 us index-major, 129 us node-major with inner loops of 2).
-# Its fields are node-major views of that storage, which the checks contract
-# two operands at a time as stacked matmuls: indices are raised once
-# (A^i_j = g^ik A_kj) and invariants are traces, e.g. |A|^2 = A^i_j . A^j_i.
+# The bundle and the checks compute on index-major storage (index axes first,
+# node axes last), where a contraction sums whole-chart products over the
+# index axes (48x96 sphere, 2-core Xeon: a (2, 2, 2) field plus its transpose
+# in two indices takes 23 us index-major, 129 us node-major with inner loops
+# of 2). The public fields and products are node-major views of that storage
+# (grid.roll_axes); roll_axes(field, -k) is the storage of a field with k
+# index axes.
 # ---------------------------------------------------------------------------
 
 def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -168,36 +167,24 @@ def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _raise(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """g^ip T_p...: raise the first chart index of T, shape (*, m, ...)."""
-    lead = ginv.shape[:-1]
-    return np.matmul(ginv, T.reshape(lead + (-1,))).reshape(T.shape)
-
-
-def _gamma_dot(gamma: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Gamma^p_ij T_p...: the upper index of gamma (*, p, i, j) contracted
-    with the first index of T (*, p, ...); shape (*, i, j, ...)."""
-    lead = gamma.shape[:-3]
-    m = gamma.shape[-1]
-    rest = T.shape[len(lead) + 1:]
-    G = np.swapaxes(gamma.reshape(lead + (m, m * m)), -1, -2)
-    return np.matmul(G, T.reshape(lead + (m, -1))).reshape(lead + (m, m) + rest)
-
-
 def _sq_norm(ginv: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
-    """T_{i1..ik} . T^{i1..ik} per node, for T of shape (*,) + (m,) * k + rest;
-    the trailing (ambient) axes are summed as inner products."""
-    lead = ginv.shape[:-2]
-    g = len(lead)
+    """T_{i1..ik} . T^{i1..ik} per node, for index-major T (m,) * k + rest +
+    nodes and g^-1 (m, m) + nodes; the rest axes are summed as inner
+    products. Each index is raised in turn and rotated behind the others."""
+    m, nodes = ginv.shape[0], ginv.shape[2:]
     up = T
-    for _ in range(k):  # raise the first index, rotate it to the back
-        up = np.moveaxis(_raise(ginv, up), g, g + k - 1)
-    return _node_dot(T, up, lead)
+    for _ in range(k):
+        G = ginv.reshape((m, m) + (1,) * (up.ndim - len(nodes) - 1) + nodes)
+        up = np.moveaxis(_dot(G, up[:, None]), 0, k - 1)
+    return _dot(T.reshape((-1,) + nodes), up.reshape((-1,) + nodes))
 
 
-def _node_dot(X: np.ndarray, Y: np.ndarray, nodes: tuple[int, ...]) -> np.ndarray:
-    """Per-node sum of X * Y over all trailing axes."""
-    return np.einsum("...c,...c->...", X.reshape(nodes + (-1,)), Y.reshape(nodes + (-1,)))
+def _project(P: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """sum_a V[..., a] P[a, b] per node: the normal part of an index-major
+    field V (..., n) + nodes under the projector P (n, n) + nodes."""
+    n, nodes = P.shape[0], P.shape[2:]
+    flat = V.reshape((-1, n) + nodes).swapaxes(0, 1)
+    return _dot(flat[:, :, None], P[:, None]).reshape(V.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +195,12 @@ def _node_dot(X: np.ndarray, Y: np.ndarray, nodes: tuple[int, ...]) -> np.ndarra
 class GeometryBundle:
     """Per-node geometric data derived from one immersion: the first
     partials, the metric with its inverse and volume density, both kinds of
-    Christoffel symbols, the second fundamental tensor, H and |A|^2. |H|^2,
-    max |A|^2, the Laplacian's drift, the normal projector and the
-    curvature contractions of the residual checks are built on first use
-    and kept, so the stop checks, the records and the structure and
-    evolution checks of one state share them."""
+    Christoffel symbols, the second fundamental tensor with its first index
+    raised, H and |A|^2. |H|^2, max |A|^2, the Laplacian's drift, the normal
+    projector and the curvature contractions of the residual checks are
+    built on first use and kept, so the stop checks, the records and the
+    structure and evolution checks of one state share them. Every field and
+    product is node-major, a view of index-major storage."""
 
     imm: Immersion
     dF: np.ndarray          # (*, m, n)    first partials of F
@@ -225,6 +213,12 @@ class GeometryBundle:
     A: np.ndarray           # (*, m, m, n) second fundamental tensor
     H: np.ndarray           # (*, n)       mean curvature vector
     normA2: np.ndarray      # (*,)
+    A_up: np.ndarray | None = None  # (*, i, j, n) A^i_j = g^ik A_kj; raised here when not given
+
+    def __post_init__(self):
+        if self.A_up is None:
+            G, A = roll_axes(self.ginv, -2), roll_axes(self.A, -3)
+            object.__setattr__(self, "A_up", roll_axes(_dot(G[:, :, None, None], A[:, None]), 3))
 
     @property
     def chart(self) -> Chart:
@@ -244,46 +238,47 @@ class GeometryBundle:
     def drift(self) -> np.ndarray:
         """w^k = g^ij Gamma^k_ij, shape (*, m): the connection term of the
         Laplace-Beltrami operator, Lap f = g^ij d_i d_j f - w^k d_k f."""
-        return np.einsum("...ij,...kij->...k", self.ginv, self.gamma)
+        m, nodes = self.imm.m, self.chart.shape
+        pairs = roll_axes(self.gamma, -3).reshape((m, m * m) + nodes).swapaxes(0, 1)
+        return roll_axes(_dot(roll_axes(self.ginv, -2).reshape((m * m, 1) + nodes), pairs), 1)
+
+    @cached_property
+    def F_up(self) -> np.ndarray:
+        """F^i = g^ij F_j, shape (*, i, a)."""
+        G, F = roll_axes(self.ginv, -2), roll_axes(self.dF, -2)
+        return roll_axes(_dot(G[:, :, None], F[:, None]), 2)
 
     @cached_property
     def normal_projector(self) -> np.ndarray:
         """P = I - g^ij F_i (x) F_j per node, shape (*, n, n); row b is the
         normal part of the ambient basis vector e_b."""
-        tangent = np.matmul(np.swapaxes(self.dF, -1, -2), np.matmul(self.ginv, self.dF))
-        return np.eye(self.imm.n) - tangent
-
-    @cached_property
-    def A_up(self) -> np.ndarray:
-        """A^i_j = g^ik A_kj, shape (*, i, j, a)."""
-        return _raise(self.ginv, self.A)
+        F, n = roll_axes(self.dF, -2), self.imm.n
+        tangent = _dot(F[:, :, None], roll_axes(self.F_up, -2)[:, None])
+        return roll_axes(np.eye(n).reshape((n, n) + (1,) * self.imm.m) - tangent, 2)
 
     @cached_property
     def A_uu(self) -> np.ndarray:
         """A^ij = A^i_k g^kj, shape (*, i, j, a)."""
-        return np.swapaxes(_raise(self.ginv, np.swapaxes(self.A_up, -3, -2)), -3, -2)
+        G, up = roll_axes(self.ginv, -2), roll_axes(self.A_up, -3)
+        return roll_axes(_dot(up.swapaxes(0, 1)[:, :, None], G[:, None, :, None]), 3)
 
     @cached_property
     def AA(self) -> np.ndarray:
         """<A_ij, A_kl>, shape (*, i, j, k, l)."""
-        nodes, m = self.chart.shape, self.imm.m
-        flat = self.A.reshape(nodes + (m * m, self.imm.n))
-        return np.matmul(flat, np.swapaxes(flat, -1, -2)).reshape(nodes + (m,) * 4)
+        A = np.moveaxis(roll_axes(self.A, -3), 2, 0)
+        return roll_axes(_dot(A[:, :, :, None, None], A[:, None, None]), 4)
 
     @cached_property
     def A_mixed(self) -> np.ndarray:
         """g^kl A^a_ik A^b_jl = A^a_ik A^k_j^b, shape (*, i, j, a, b)."""
-        nodes, m, n = self.chart.shape, self.imm.m, self.imm.n
-        A_ia = np.swapaxes(self.A, -2, -1).reshape(nodes + (m * n, m))
-        prod = np.matmul(A_ia, self.A_up.reshape(nodes + (m, m * n)))
-        return np.einsum("...iajb->...ijab", prod.reshape(nodes + (m, n, m, n)))
+        A, up = roll_axes(self.A, -3), roll_axes(self.A_up, -3)
+        return roll_axes(_dot(A.swapaxes(0, 1)[:, :, None, :, None], up[:, None, :, None, :]), 4)
 
     @cached_property
     def HA(self) -> np.ndarray:
         """<H, A_ij>, shape (*, i, j)."""
-        nodes, m = self.chart.shape, self.imm.m
-        HA = np.matmul(self.A.reshape(nodes + (m * m, self.imm.n)), self.H[..., None])
-        return HA.reshape(nodes + (m, m))
+        A, H = np.moveaxis(roll_axes(self.A, -3), 2, 0), roll_axes(self.H, -1)
+        return roll_axes(_dot(A, H[:, None, None]), 2)
 
     @cached_property
     def nA(self) -> np.ndarray:
@@ -298,34 +293,39 @@ class GeometryBundle:
     @cached_property
     def gauss(self) -> np.ndarray:
         """<A_ik, A_jl> - <A_il, A_jk>: the extrinsic side of the Gauss equation."""
-        AA = np.einsum("...ikjl->...ijkl", self.AA)
-        return AA - np.swapaxes(AA, -1, -2)
+        AA = np.einsum("ikjl...->ijkl...", roll_axes(self.AA, -4))
+        return roll_axes(AA - AA.swapaxes(2, 3), 4)
 
     @cached_property
     def ricci(self) -> np.ndarray:
         """g^kl R_ikjl = <H, A_ij> - g^kl <A_ik, A_jl> by the Gauss equation."""
-        return self.HA - np.einsum("...ijaa->...ij", self.A_mixed)
+        trace = np.einsum("ijaa...->ij...", roll_axes(self.A_mixed, -4))
+        return roll_axes(roll_axes(self.HA, -2) - trace, 2)
 
     @cached_property
     def A_ddH(self) -> np.ndarray:
         """2 <A^kl, nabla_k nabla_l H>: the left side of the second Simons identity."""
-        return 2.0 * _node_dot(self.ddH, self.A_uu, self.chart.shape)
+        flat = lambda X: roll_axes(X, -3).reshape((-1,) + self.chart.shape)
+        return 2.0 * _dot(flat(self.ddH), flat(self.A_uu))
 
     @cached_property
     def HA_sq(self) -> np.ndarray:
         """|<H, A_ij>|^2."""
-        return _sq_norm(self.ginv, self.HA, 2)
+        return _sq_norm(roll_axes(self.ginv, -2), roll_axes(self.HA, -2), 2)
 
     @cached_property
     def grad_perp_A_sq(self) -> np.ndarray:
         """|nabla^perp A|^2 = g^ip g^jq g^kr <(nabla_i A_jk)^perp, (nabla_p A_qr)^perp>."""
-        return _sq_norm(self.ginv, normal_part(self, self.nA), 3)
+        P = roll_axes(self.normal_projector, -2)
+        return _sq_norm(roll_axes(self.ginv, -2), _project(P, roll_axes(self.nA, -4)), 3)
 
     @cached_property
     def comm_sq(self) -> np.ndarray:
-        """|A-commutator|^2, the commutator being A_mixed minus its a <-> b transpose."""
-        comm = self.A_mixed - np.swapaxes(self.A_mixed, -1, -2)
-        return _sq_norm(self.ginv, comm, 2)
+        """|A-commutator|^2, the commutator being A_mixed minus its a <-> b
+        transpose: antisymmetric in (a, b), so twice its sum over a < b."""
+        a, b = np.triu_indices(self.imm.n, 1)
+        M = roll_axes(self.A_mixed, -4)
+        return 2.0 * _sq_norm(roll_axes(self.ginv, -2), M[:, :, a, b] - M[:, :, b, a], 2)
 
     def total_volume(self) -> float:
         return integrate_values(np.ones(self.chart.shape), self.sqrt_det_g, self.chart)
@@ -421,22 +421,23 @@ def build_bundle(imm: Immersion) -> GeometryBundle:
         sqrt_det_g=np.sqrt(det), gamma1=roll_axes(gamma1, 3), gamma=roll_axes(gamma, 3),
         A=roll_axes(A, 3), H=roll_axes(H, 1),
         normA2=(A_up * A_up.swapaxes(0, 1)).reshape((-1,) + det.shape).sum(axis=0),
+        A_up=roll_axes(A_up, 3),
     )
 
 
 def normal_part(bundle: GeometryBundle, V: np.ndarray) -> np.ndarray:
-    """Normal projection V - g^ij <V, F_i> F_j per node, one matmul with the
-    bundle's normal projector.
+    """Normal projection V - g^ij <V, F_i> F_j per node, through the bundle's
+    normal projector.
 
     V is a constant ambient vector (n,) or a field chart.shape + (..., n)
     with any number of stacked component axes before the ambient one.
     """
     V = np.asarray(V, dtype=np.float64)
-    P = bundle.normal_projector
+    P = roll_axes(bundle.normal_projector, -2)
     if V.ndim == 1:
-        return np.matmul(V, P)
-    stacked = V.reshape(bundle.chart.shape + (-1, V.shape[-1]))
-    return np.matmul(stacked, P).reshape(V.shape)
+        return roll_axes(_dot(V, P), 1)
+    m = bundle.imm.m
+    return roll_axes(_project(P, roll_axes(V, m)), V.ndim - m)
 
 
 def laplace_beltrami(values: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
@@ -447,29 +448,42 @@ def laplace_beltrami(values: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     must be scalar functions on the chart (even pole parity).
     """
     chart = bundle.chart
-    scalar = values.ndim == len(chart.shape)
+    m, nodes = chart.m, chart.shape
+    scalar = values.ndim == m
     d1, d2 = partials(values[..., None] if scalar else values, chart)
-    out = (np.einsum("...ij,...ijc->...c", bundle.ginv, d2)
-           - np.einsum("...k,...kc->...c", bundle.drift, d1))
-    return out[..., 0] if scalar else out
+    G, w = roll_axes(bundle.ginv, -2), roll_axes(bundle.drift, -1)
+    out = (_dot(G.reshape((m * m, 1) + nodes), roll_axes(d2, -3).reshape((m * m, -1) + nodes))
+           - _dot(w[:, None], roll_axes(d1, -2)))
+    return out[0] if scalar else roll_axes(out, 1)
 
 
 # ---------------------------------------------------------------------------
 # covariant derivatives of curvature fields
 # ---------------------------------------------------------------------------
 
+def _nabla_pair(bundle: GeometryBundle, T: np.ndarray) -> np.ndarray:
+    """nabla_k T_ij..., index-major (k, i, j, ...) + nodes, of a field T
+    (*, i, j, ...) symmetric in its chart pair: d_k T_ij - Gamma^p_ki T_pj -
+    Gamma^p_kj T_ip."""
+    chart = bundle.chart
+    gamma, Ti = roll_axes(bundle.gamma, -3), roll_axes(T, chart.m)
+    X = gamma.reshape(gamma.shape[:3] + (1,) * (Ti.ndim - chart.m - 1) + chart.shape)
+    corr = _dot(X, Ti[:, None, None])  # Gamma^p_ki T_pj...
+    dT = roll_axes(d1_tensor(T, chart, tensor_axes=(0, 1)), -(Ti.ndim - chart.m + 1))
+    return dT - corr - corr.swapaxes(1, 2)
+
+
 def nabla_A(bundle: GeometryBundle) -> np.ndarray:
     """Full covariant derivative (nabla_i A)^a_jk in flat ambient space."""
-    dA = d1_tensor(bundle.A, bundle.chart, tensor_axes=(0, 1))  # (*, i, j, k, a)
-    corr = _gamma_dot(bundle.gamma, bundle.A)  # Gamma^p_ij A_pk; A symmetric
-    return dA - corr - np.swapaxes(corr, -3, -2)
+    return roll_axes(_nabla_pair(bundle, bundle.A), 4)
 
 
 def second_covariant_H(bundle: GeometryBundle) -> np.ndarray:
     """(nabla_k nabla_l H)^a in flat ambient space, shape (*, k, l, n)."""
     dH = d1_tensor(bundle.H, bundle.chart)  # (*, l, n)
-    ddH = d1_tensor(dH, bundle.chart, tensor_axes=(0,))  # (*, k, l, n)
-    return ddH - _gamma_dot(bundle.gamma, dH)
+    ddH = roll_axes(d1_tensor(dH, bundle.chart, tensor_axes=(0,)), -3)
+    gamma = roll_axes(bundle.gamma, -3)
+    return roll_axes(ddH - _dot(gamma[:, :, :, None], roll_axes(dH, -2)[:, None, None]), 3)
 
 
 def intrinsic_curvature(bundle: GeometryBundle) -> np.ndarray:
@@ -485,16 +499,17 @@ def intrinsic_curvature(bundle: GeometryBundle) -> np.ndarray:
     table = np.empty((m, m), dtype=int)
     table[iu, ju] = table[ju, iu] = np.arange(iu.size)
     _, d2 = partials(bundle.g[..., iu, ju], chart, sign[iu] * sign[ju])
-    ddg = d2[..., table]  # (*, k, l, i, j)
+    ddg = roll_axes(d2, -3)[:, :, table]  # (k, l, i, j) + nodes
     part = 0.5 * (
-        np.einsum("...kjil->...ijkl", ddg)
-        + np.einsum("...likj->...ijkl", ddg)
-        - np.einsum("...kilj->...ijkl", ddg)
-        - np.einsum("...ljik->...ijkl", ddg)
+        np.einsum("kjil...->ijkl...", ddg)
+        + np.einsum("likj...->ijkl...", ddg)
+        - np.einsum("kilj...->ijkl...", ddg)
+        - np.einsum("ljik...->ijkl...", ddg)
     )
     # g^pq Gamma_qkj Gamma_pli = Gamma^p_kj Gamma_pli, minus the same with k <-> l
-    quad = np.einsum("...kjli->...ijkl", _gamma_dot(bundle.gamma, bundle.gamma1))
-    return part + (quad - np.swapaxes(quad, -1, -2))
+    gamma, gamma1 = roll_axes(bundle.gamma, -3), roll_axes(bundle.gamma1, -3)
+    quad = _dot(gamma.swapaxes(1, 2)[:, None, :, :, None], gamma1.swapaxes(1, 2)[:, :, None, None])
+    return roll_axes(part + (quad - quad.swapaxes(2, 3)), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +574,15 @@ def _masked_l2(per_node_sq: np.ndarray, bundle: GeometryBundle, mask: np.ndarray
 
 def _norms(res_field: np.ndarray, bundle: GeometryBundle,
            mask: np.ndarray, scale_field: np.ndarray | None = None) -> ResidualNorms:
+    """Norms of a node-major field, reduced over its index-major components."""
     chart = bundle.chart
-    flat = res_field.reshape(chart.shape + (-1,))
-    linf = float(np.where(mask, np.abs(flat).max(axis=-1), 0.0).max())
-    l2 = _masked_l2(np.einsum("...c,...c->...", flat, flat), bundle, mask)
+    flat = lambda X: roll_axes(X, chart.m).reshape((-1,) + chart.shape)
+    res = flat(res_field)
+    linf = float(np.where(mask, np.maximum(res.max(axis=0), -res.min(axis=0)), 0.0).max())
+    l2 = _masked_l2(_dot(res, res), bundle, mask)
     scale = 1.0
     if scale_field is not None:
-        sflat = np.abs(scale_field.reshape(chart.shape + (-1,))).max(axis=-1)
+        sflat = np.abs(flat(scale_field)).max(axis=0)
         scale = max(1.0, float(np.where(mask, sflat, 0.0).max()))
     return ResidualNorms(linf=linf, l2=l2, scale=scale)
 
@@ -576,7 +593,8 @@ def gauss_residual_field(bundle: GeometryBundle) -> np.ndarray:
 
 def codazzi_residual_field(bundle: GeometryBundle) -> np.ndarray:
     """Normal part of (nabla_i A)_jk - (nabla_j A)_ik (vanishes for R^N = 0)."""
-    return normal_part(bundle, bundle.nA - np.swapaxes(bundle.nA, -4, -3))
+    nA, P = roll_axes(bundle.nA, -4), roll_axes(bundle.normal_projector, -2)
+    return roll_axes(_project(P, nA - nA.swapaxes(0, 1)), 4)
 
 
 def ricci_residual_field(bundle: GeometryBundle) -> np.ndarray:
@@ -593,17 +611,17 @@ def ricci_residual_field(bundle: GeometryBundle) -> np.ndarray:
     the result has shape (*, i, j, a, b).
     """
     chart = bundle.chart
-    nodes, m, n = chart.shape, chart.m, bundle.imm.n
-    nu = bundle.normal_projector                # (*, b, a): row b is e_b^perp
-    Y = normal_part(bundle, d1_tensor(nu, chart))  # (*, j, b, a)
-    dY = d1_tensor(Y, chart, tensor_axes=(0,))    # (*, i, j, b, a)
-    lhs = normal_part(bundle, dY - np.swapaxes(dY, -4, -3))
-    # g^kl <nu, A_ik> A_jl = <nu, A_ik> A^k_j
-    nuA = np.matmul(nu, np.swapaxes(bundle.A.reshape(nodes + (m * m, n)), -1, -2))
-    half = np.matmul(nuA.reshape(nodes + (n * m, m)), bundle.A_up.reshape(nodes + (m, m * n)))
-    half = np.moveaxis(half.reshape(nodes + (n, m, m, n)), -4, -2)  # (*, i, j, b, a)
-    rhs = -(half - np.swapaxes(half, -4, -3))
-    return np.moveaxis(lhs - rhs, -2, -1)
+    P = roll_axes(bundle.normal_projector, -2)  # (b, a): row b is e_b^perp
+    Y = _project(P, roll_axes(d1_tensor(bundle.normal_projector, chart), -3))  # (j, b, a)
+    dY = roll_axes(d1_tensor(roll_axes(Y, 3), chart, tensor_axes=(0,)), -4)  # (i, j, b, a)
+    res = _project(P, dY - dY.swapaxes(0, 1))
+    # minus the right side: g^kl <nu, A_ik> A_jl = <nu, A_ik> A^k_j, antisymmetrized
+    A, A_up = roll_axes(bundle.A, -3), roll_axes(bundle.A_up, -3)
+    nuA = _dot(P.swapaxes(0, 1)[:, :, None, None], np.moveaxis(A, 2, 0)[:, None])  # (b, i, k)
+    half = _dot(np.einsum("bik...->kib...", nuA)[:, :, None, :, None],
+                A_up[:, None, :, None, :])  # (i, j, b, a)
+    res += half - half.swapaxes(0, 1)
+    return roll_axes(res.swapaxes(2, 3), 4)
 
 
 def simons_residual_field(bundle: GeometryBundle) -> np.ndarray:
@@ -620,39 +638,33 @@ def simons_residual_field(bundle: GeometryBundle) -> np.ndarray:
     """
     chart = bundle.chart
     nodes, m, n = chart.shape, chart.m, bundle.imm.n
-    ginv, gamma = bundle.ginv, bundle.gamma
-    ric = bundle.ricci
-    corr = _gamma_dot(gamma, ric)  # Gamma^p_ki R_pj; R symmetric
-    nabla_ric = d1_tensor(ric, chart, tensor_axes=(0, 1)) - corr - np.swapaxes(corr, -2, -1)
+    ginv, gamma = roll_axes(bundle.ginv, -2), roll_axes(bundle.gamma, -3)
+    nabla_ric = _nabla_pair(bundle, bundle.ricci)  # (k, i, j) = nabla_k R_ij
 
     # Delta A_kl = g^pi (d_p nabla_i A_kl - Gamma^q_pi nabla_q A_kl
     #              - Gamma^q_pk nabla_i A_ql - Gamma^q_pl nabla_i A_kq)
-    nA = bundle.nA
-    pair = ginv.reshape(nodes + (1, m * m))
-    dnA = d1_tensor(nA, chart, tensor_axes=(0, 1, 2)).reshape(nodes + (m * m, -1))
-    lapA = (np.matmul(pair, dnA)
-            - np.matmul(bundle.drift[..., None, :], nA.reshape(nodes + (m, -1))))
-    lapA = lapA.reshape(nodes + (m, m, n))
-    gamma_up = _raise(ginv, np.swapaxes(gamma, -3, -2))  # (*, i, q, k) = g^ip Gamma^q_pk
-    side = np.matmul(np.swapaxes(gamma_up.reshape(nodes + (m * m, m)), -1, -2),
-                     nA.reshape(nodes + (m * m, m * n))).reshape(nodes + (m, m, n))
-    lapA = lapA - side - np.swapaxes(side, -3, -2)  # nabla_i A symmetric in its pair
+    nA = roll_axes(bundle.nA, -4)  # (i, k, l, a)
+    dnA = roll_axes(d1_tensor(bundle.nA, chart, tensor_axes=(0, 1, 2)), -5)
+    lapA = (_dot(ginv.reshape((m * m, 1, 1, 1) + nodes), dnA.reshape((m * m,) + nA.shape[1:]))
+            - _dot(roll_axes(bundle.drift, -1)[:, None, None, None], nA))
+    gamma_up = _dot(ginv[:, :, None, None], gamma.swapaxes(0, 1)[:, None])  # (i, q, k) = g^ip Gamma^q_pk
+    side = _dot(gamma_up.reshape((m * m, m, 1, 1) + nodes), nA.reshape((m * m, 1, m, n) + nodes))
+    lapA = lapA - side - side.swapaxes(0, 1)  # nabla_i A symmetric in its pair
 
-    # (nabla_k R_ql + nabla_l R_qk - nabla_q R_kl) g^qp F_p
-    grad_ric = (np.swapaxes(nabla_ric, -1, -2)
-                + np.einsum("...lqk->...klq", nabla_ric)
-                - np.einsum("...qkl->...klq", nabla_ric))
-    F_up = np.matmul(ginv, bundle.dF)
-    F_term = np.matmul(grad_ric.reshape(nodes + (m * m, m)), F_up).reshape(nodes + (m, m, n))
+    # (nabla_k R_ql + nabla_l R_qk - nabla_q R_kl) g^qp F_p, summed over q
+    grad_ric = (np.einsum("kql...->qkl...", nabla_ric) + np.einsum("lqk...->qkl...", nabla_ric)
+                - nabla_ric)
+    F_term = _dot(grad_ric[:, :, :, None], roll_axes(bundle.F_up, -2)[:, None, None])
 
-    R_pairs = np.einsum("...kplq->...klpq", bundle.gauss).reshape(nodes + (m * m, m * m))
-    RA_term = 2.0 * np.matmul(R_pairs, bundle.A_uu.reshape(nodes + (m * m, n)))
-    ricA = np.matmul(np.swapaxes(ric, -1, -2), bundle.A_up.reshape(nodes + (m, m * n)))
-    ricA = ricA.reshape(nodes + (m, m, n))
-    ricA = ricA + np.swapaxes(ricA, -3, -2)
+    R_pairs = np.einsum("kplq...->pqkl...", roll_axes(bundle.gauss, -4))
+    A_uu = roll_axes(bundle.A_uu, -3)
+    RA_term = 2.0 * _dot(R_pairs.reshape((m * m, m, m, 1) + nodes), A_uu.reshape((m * m, 1, 1, n) + nodes))
+    ric, A_up = roll_axes(bundle.ricci, -2), roll_axes(bundle.A_up, -3)
+    ricA = _dot(ric[:, :, None, None], A_up[:, None])  # (k, l, a) = R_pk A^p_l
+    ricA = ricA + ricA.swapaxes(0, 1)
 
-    rhs = lapA - F_term + RA_term.reshape(nodes + (m, m, n)) - ricA
-    return bundle.ddH - rhs
+    rhs = lapA - F_term + RA_term - ricA
+    return roll_axes(roll_axes(bundle.ddH, -3) - rhs, 3)
 
 
 def simons2_residual_field(bundle: GeometryBundle) -> np.ndarray:
@@ -662,9 +674,9 @@ def simons2_residual_field(bundle: GeometryBundle) -> np.ndarray:
                            + |<A_ij,A_kl> - <A_il,A_jk>|^2 + |A-commutator|^2
                            + 2 |<H,A_ij> - <A_ik, A_j^k>|^2 - 2 |<H,A_ij>|^2
     """
-    ginv = bundle.ginv
-    T1 = bundle.AA - np.einsum("...iljk->...ijkl", bundle.AA)
-    T3sq = _sq_norm(ginv, bundle.ricci, 2)  # <H,A_ij> - <A_ik, A_j^k> is the Ricci tensor
+    ginv, AA = roll_axes(bundle.ginv, -2), roll_axes(bundle.AA, -4)
+    T1 = AA - np.einsum("iljk...->ijkl...", AA)
+    T3sq = _sq_norm(ginv, roll_axes(bundle.ricci, -2), 2)  # <H,A_ij> - <A_ik, A_j^k> is the Ricci tensor
     rhs = (laplace_beltrami(bundle.normA2, bundle) - 2.0 * bundle.grad_perp_A_sq
            + _sq_norm(ginv, T1, 4) + bundle.comm_sq + 2.0 * T3sq - 2.0 * bundle.HA_sq)
     return bundle.A_ddH - rhs

@@ -39,7 +39,7 @@ from .geometry import (
     laplace_beltrami,
     trusted_mask,
 )
-from .grid import Chart, Domain, GridField, diff1, diff2, diff_mixed
+from .grid import Chart, Domain, GridField, diff1, diff2, diff_mixed, roll_axes
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +276,10 @@ def pinching_gap(imm: Immersion, bundle: GeometryBundle | None = None,
     sym = reduce(np.add, (np.einsum(f"...{a},...{b}{c}->...ijk", H_form, bundle.g)
                           for a, b, c in ("ijk", "jki", "kij")))
     defect_t = h - sym / (m + 2)
-    defect_sq = _sq_norm(bundle.ginv, defect_t, 3)
-    h_sq = _sq_norm(bundle.ginv, h, 3)
-    Hf_sq = _sq_norm(bundle.ginv, H_form, 1)
+    ginv = roll_axes(bundle.ginv, -2)
+    defect_sq = _sq_norm(ginv, roll_axes(defect_t, m), 3)
+    h_sq = _sq_norm(ginv, roll_axes(h, m), 3)
+    Hf_sq = _sq_norm(ginv, roll_axes(H_form, m), 1)
     gap_from_h = h_sq - (3.0 / (m + 2)) * Hf_sq
     scale = max(float(np.abs(h_sq).max()), 1.0)
     identity_defect = float(np.abs(defect_sq - gap_from_h).max() / scale)

@@ -16,6 +16,7 @@ import math
 import os
 import tempfile
 from dataclasses import fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,13 +79,20 @@ def _snapshot_text(imm: Immersion, t: float) -> str:
     if imm.norm_mask is not None:
         packed = "".join("1" if v else "0" for v in imm.norm_mask.ravel())
         lines.append(f"# norm_mask={packed}")
-    # one row per node in lexicographic order: index, coordinates, values
+    body = _rows_template(spec, imm.n) % tuple(imm.values.ravel().tolist())
+    return "\n".join(lines) + "\n" + body
+
+
+@lru_cache(maxsize=16)
+def _rows_template(spec: ChartSpec, n: int) -> str:
+    """The snapshot rows of a chart, one per node in lexicographic order:
+    index and coordinate columns formatted, the n value columns left as
+    %.17g fields to fill with one % from the C-order values."""
+    chart = make_chart(spec)
     table = np.concatenate([np.indices(chart.shape).reshape(chart.m, -1).T,
-                            np.stack([c.ravel() for c in chart.mesh()], axis=1),
-                            imm.values.reshape(-1, imm.n)], axis=1)
-    row = " ".join(["%d"] * chart.m + ["%.17g"] * (chart.m + imm.n))
-    lines += [row % tuple(r) for r in table.tolist()]
-    return "\n".join(lines) + "\n"
+                            np.stack([c.ravel() for c in chart.mesh()], axis=1)], axis=1)
+    row = " ".join(["%d"] * chart.m + ["%.17g"] * chart.m) + " %%.17g" * n + "\n"
+    return "".join(row % tuple(r) for r in table.tolist())
 
 
 def _parse_snapshot(text: str, source: str) -> tuple[Immersion, float]:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from codimflow.config import parse_config
 from codimflow.errors import ConfigError, UsageError
 from codimflow.flow import FlowConfig, FlowState, Integrator, estimate_singular_time, run
 from codimflow.geometry import build_bundle
-from codimflow.lagrangian import PotentialFlowConfig
+from codimflow.grid import ChartSpec, Domain, GridField, make_chart
+from codimflow.lagrangian import Potential, PotentialFlowConfig, lag_immersion
 from codimflow.singularity import hamilton_rescale
 from codimflow.snapshots import (
-    read_checkpoint, read_snapshot, resume_run, write_checkpoint,
+    _snapshot_text, read_checkpoint, read_snapshot, resume_run, write_checkpoint,
     write_diagnostics, write_snapshot,
 )
 
@@ -252,6 +254,35 @@ class TestSnapshots:
                 assert np.array_equal(back.affine[0], imm.affine[0])
             if imm.norm_mask is not None:
                 assert np.array_equal(back.norm_mask, imm.norm_mask)
+
+    def test_rows_equal_the_per_row_formatter(self):
+        # the cached row template formats the index and coordinate columns
+        # once per chart; the rows equal one "%d ... %.17g" per table row
+        def per_row(imm):
+            chart = imm.chart
+            table = np.concatenate([np.indices(chart.shape).reshape(chart.m, -1).T,
+                                    np.stack([c.ravel() for c in chart.mesh()], axis=1),
+                                    imm.values.reshape(-1, imm.n)], axis=1)
+            row = " ".join(["%d"] * chart.m + ["%.17g"] * (chart.m + imm.n))
+            return "".join(row % tuple(r) + "\n" for r in table.tolist())
+
+        ch = make_chart(ChartSpec(Domain.TORUS, (8, 12), fd_order=4))
+        X, Y = ch.mesh()
+        graph = lag_immersion(Potential(np.array([[0.5, 0.1], [0.1, 0.8]]),
+                                        GridField(ch, (0.1 * np.sin(X) * np.cos(Y))[..., None])))
+        rng = np.random.default_rng(5)
+        for imm in (catalog.circle(n=256), catalog.sphere(J=12, K=24),
+                    catalog.whitney_sphere(J=12, K=24),
+                    catalog.clifford_torus(n1=16, n2=16, fd_order=4),
+                    catalog.grim_reaper(n=64), graph):
+            for values in (imm.values, imm.values * rng.uniform(-3, 3, imm.values.shape)):
+                moved = replace(imm, values=values)
+                text = _snapshot_text(moved, 0.375)
+                body = per_row(moved)
+                head = text[:len(text) - len(body)].splitlines()
+                assert text.endswith(body)
+                assert head[0] == "# schema=codimflow.snapshot.v1"
+                assert all(line.startswith("# ") for line in head)
 
     def test_truncated_file_errors(self, tmp_path):
         imm = catalog.circle(n=16)

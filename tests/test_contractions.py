@@ -44,12 +44,21 @@ def torus_graph():
                                    GridField(ch, phi[..., None])))
 
 
+def graph_3d():
+    """Graph over a 10^3 fd4 torus in R^7, the torus factor on unit circles."""
+    ch = make_chart(ChartSpec(Domain.TORUS, (10, 10, 10), fd_order=4))
+    X, Y, Z = ch.mesh()
+    f = 0.3 * np.sin(X) * np.cos(Y) + 0.2 * np.cos(Z) * np.sin(X + Y)
+    return geometry.graph_immersion(GridField(ch, f[..., None]))
+
+
 CHARTS = {
     "circle": lambda: catalog.circle(radius=1.0, n=64),
     "sphere": lambda: catalog.sphere(radius=1.0, J=24, K=48),
     "whitney": lambda: catalog.whitney_sphere(radius=1.0, m=2, J=24, K=48),
     "clifford": lambda: catalog.clifford_torus(n1=32, n2=32, fd_order=4),
     "torus-graph": torus_graph,
+    "graph-3d": graph_3d,
 }
 
 

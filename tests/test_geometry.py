@@ -75,6 +75,22 @@ class TestIndexMajorStorage:
                 part = values[(...,) + idx]
                 assert part.shape == nodes and part.flags.c_contiguous, (field, idx)
 
+    @pytest.mark.parametrize("name", list(CHARTS))
+    def test_A_up_is_raised_once(self, name, monkeypatch):
+        # build_bundle raises A^i_j = g^ik A_kj for |A|^2 and keeps it: the
+        # bundle's A_up is that storage, and no second raise runs
+        dot, calls = geometry._dot, []
+        monkeypatch.setattr(geometry, "_dot", lambda X, Y: calls.append((X, Y)) or dot(X, Y))
+        b = build_bundle(CHARTS[name]())
+        A_up = b.A_up
+        ginv, A = roll_axes(b.ginv, -2), roll_axes(b.A, -3)
+        X, Y = ginv[:, :, None, None], A[:, None]
+        raises = [(x, y) for x, y in calls if (x.shape, y.shape) == (X.shape, Y.shape)
+                  and np.shares_memory(x, ginv) and np.shares_memory(y, A)]
+        assert len(raises) == 1
+        assert np.array_equal(A_up, roll_axes(dot(X, Y), 3))
+        assert roll_axes(A_up, -3).flags.c_contiguous
+
 
 class TestInducedMetric:
     def test_unit_circle_arclength(self):

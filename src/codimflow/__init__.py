@@ -14,8 +14,7 @@ from .errors import (CodimflowError, ConfigError, DegenerateImmersion,
 from .grid import AxisKind, Chart, ChartSpec, Domain, GridField, make_chart
 from .geometry import (CurvatureReport, GeometryBundle, Immersion,
                        ResidualNorms, build_bundle, graph_immersion,
-                       graph_singular_values, induced_metric, normal_part,
-                       structure_residuals)
+                       graph_singular_values, normal_part, structure_residuals)
 from .flow import (EvolutionReport, FlowConfig, FlowState, FlowTrace,
                    Integrator, SingularTimeEstimate, Termination,
                    estimate_singular_time, evolution_residuals, run,

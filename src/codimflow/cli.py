@@ -26,7 +26,7 @@ from .flow import (SINGULARITY_SIGNALS, FlowState, FlowTrace, Integrator,
                    evolution_residuals, run, tangential_velocity, trajectory)
 from .geometry import Immersion, build_bundle, structure_residuals
 from .grid import ChartSpec, Domain, GridField, integrate_values, make_chart
-from .lagrangian import (Potential, PotentialFlowConfig, lag_immersion,
+from .lagrangian import (Potential, PotentialFlowConfig, PotentialTrace, lag_immersion,
                          lagrangian_angle, ma_run, mean_curvature_form)
 from .singularity import (DensityParams, SolitonKind, classify_blowup,
                           hamilton_rescale, monotone_verdict, soliton_residual,
@@ -87,7 +87,7 @@ def _density_params(scenario: Scenario, n: int) -> DensityParams | None:
     return density
 
 
-def _termination_exit(trace: FlowTrace) -> int:
+def _termination_exit(trace: FlowTrace | PotentialTrace) -> int:
     if trace.termination in SINGULARITY_SIGNALS:
         return EXIT_SINGULARITY
     if trace.termination is Termination.DEGENERATE:
@@ -275,6 +275,7 @@ def cmd_lagrangian(args) -> int:
         tr = ma_run(build_potential(scenario), scenario.flow)
         base = os.path.join(scenario.output_dir, scenario.name)
         write_diagnostics(tr, base + ".csv")
+        print(f"lagrangian {scenario.name}: {tr.termination.value} ({tr.termination_detail})")
         p = tr.final
         alpha, angle_defect = lagrangian_angle(p)
         imm = lag_immersion(p)
@@ -288,7 +289,7 @@ def cmd_lagrangian(args) -> int:
               f"|dH|={rep.dH_residual.linf:.3e} min cos(alpha)={rep.calibration_min:.6f}")
         print(f"  pinching gap min={rep.pinching_gap_min:.3e} "
               f"identity defect={rep.pinching_identity_defect:.3e}")
-        return EXIT_OK
+        return _termination_exit(tr)
     rep = mean_curvature_form(build_initial(scenario))
     print(f"lagrangian residual={rep.lagrangian_residual:.3e} "
           f"h symmetry defect={rep.h_symmetry_defect:.3e}")

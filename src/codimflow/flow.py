@@ -20,8 +20,9 @@ bounded by the curvature brake and by rho Vol^(2/m).
 
 One iterable, trajectory, steps the flow and decides where it stops: on a
 reached time horizon, on the curvature cap, on time-step underflow (both
-curvature signals), or on metric degeneration. run, a resumed run and the
-evolution checks of `codimflow verify` all step along it. Evolution
+curvature signals), or on a failed step. Its state supplies the dt law and
+the step, so run, a resumed run, the evolution checks of `codimflow verify`
+and the potential flow (lagrangian.ma_run) all step along it. Evolution
 residuals difference state triples in time (central weights, supporting
 non-uniform spacing) and compare against the right-hand sides evaluated at
 the middle state, with the Lie-derivative terms of a tangential velocity
@@ -114,6 +115,19 @@ class FlowState:
     @classmethod
     def initial(cls, imm: Immersion) -> "FlowState":
         return cls(t=0.0, imm=imm, bundle=build_bundle(imm), step_index=0)
+
+    def dt(self, config: FlowConfig) -> float:
+        return adaptive_dt(self, config)
+
+    def step(self, dt: float, config: FlowConfig) -> "FlowState":
+        semi = config.integrator is Integrator.SEMI_IMPLICIT
+        return (step_semi_implicit if semi else step_explicit)(self, dt)
+
+    def stops(self, config: FlowConfig) -> tuple[str, float]:
+        """The curvature cap's reading once reached ("" before) and the dt floor."""
+        max_A2 = self.bundle.max_A2   # the full maximum: every node is stepped
+        capped = f"max|A|^2 = {max_A2:.6e}" if max_A2 >= config.stop_max_A2 else ""
+        return capped, config.stop_dt_min
 
 
 @dataclass(frozen=True)
@@ -474,14 +488,7 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
                      step_index=state.step_index + 1)
 
 
-def _step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
-    if config.integrator is Integrator.SEMI_IMPLICIT:
-        return step_semi_implicit(state, dt)
-    return step_explicit(state, dt)
-
-
-def _record(state: FlowState, dt: float, huisken_params=None,
-            with_snapshot: bool = False) -> TraceRecord:
+def _record(state: FlowState, dt: float, huisken_params, with_snapshot: bool) -> TraceRecord:
     from .singularity import huisken_functional  # local import to avoid a cycle
 
     b = state.bundle
@@ -504,44 +511,40 @@ def _record(state: FlowState, dt: float, huisken_params=None,
     )
 
 
-def at_horizon(t: float, t_max: float) -> bool:
-    """Whether t is at t_max, up to the rounding of steps clipped onto it."""
-    return t >= t_max * (1.0 - 1e-14)
-
-
 def recorded(states, make, record_every: int, snapshot_every: int, records=()):
-    """Record a run's stream of (state, dt, step_index), its initial state
-    first; returns the records and the last state. The initial state, the
-    state after every record_every-th step and the final one are recorded;
-    every snapshot_every-th record (none between when 0), the first and the
-    last carry a snapshot. make(state, dt, with_snapshot) builds a record
-    when the next state arrives, so the final one is made once, with its
+    """Record a run's stream of (state, dt), its initial state first;
+    returns the records and the last state. The initial state, the state of
+    every record_every-th step_index and the final one are recorded; every
+    snapshot_every-th record (none between when 0), the first and the last
+    carry a snapshot. make(state, dt, with_snapshot) builds a record when
+    the next state arrives, so the final one is made once, with its
     snapshot. Given an earlier run's records, both counts continue them."""
     records, due = list(records), False
-    for state, dt, step_index in states:
+    for state, dt in states:
         if due:
             n = len(records)
             records.append(make(*last, n == 0 or snapshot_every > 0 and n % snapshot_every == 0))
-        last, due = (state, dt), step_index % record_every == 0
+        last, due = (state, dt), state.step_index % record_every == 0
     records.append(make(*last, True))
     return records, last[0]
 
 
 class trajectory:
     """The flow from state, stepped as it is iterated (once): it yields each
-    stepped state with the dt that produced it.
+    stepped state with the dt that produced it. The state supplies the dt
+    law, the step and the stops (curvature cap, dt floor): a FlowState for
+    mean curvature flow, a lagrangian.PotentialState for the potential flow.
 
-    Before each step it stops on, in this order: the curvature cap (full
-    max|A|^2), the horizon stop_t_max, max_steps taken, dt underflow. dt is
-    adaptive_dt clipped onto stop_t_max. A step that raises
-    DegenerateImmersion, NonFiniteError or SolverError ends it too, as
-    Degenerate. Once exhausted, termination and detail say why it stopped;
-    error holds a failed step's exception."""
+    Before each step it stops on, in this order: the curvature cap, the
+    horizon stop_t_max, max_steps taken, underflow of the state's dt law.
+    That dt is then clipped onto stop_t_max, so a sliver left by rounding
+    before the horizon is stepped, not read as underflow. A step that
+    raises DegenerateImmersion, NonFiniteError or SolverError ends it too,
+    as Degenerate. Once exhausted, termination and detail say why it
+    stopped; error holds a failed step's exception."""
 
-    def __init__(self, state: FlowState, config: FlowConfig, max_steps: int | None = None):
-        self.termination: Termination | None = None
-        self.detail = ""
-        self.error: Exception | None = None
+    def __init__(self, state, config, max_steps: int | None = None):
+        self.termination, self.detail, self.error = None, "", None
         self._steps = self._advance(state, config, max_steps)
 
     def __iter__(self):
@@ -553,18 +556,19 @@ class trajectory:
     def _advance(self, state, config, max_steps):
         first_step = state.step_index
         while True:
-            if state.bundle.max_A2 >= config.stop_max_A2:
-                return self._stop(Termination.CURVATURE_CAP, f"max|A|^2 = "
-                                  f"{state.bundle.max_A2:.6e} at t = {state.t:.9g}")
-            if at_horizon(state.t, config.stop_t_max):
+            capped, dt_min = state.stops(config)
+            if capped:
+                return self._stop(Termination.CURVATURE_CAP, f"{capped} at t = {state.t:.9g}")
+            if state.t >= config.stop_t_max * (1.0 - 1e-14):   # up to the rounding of clipped steps
                 return self._stop(Termination.TIME_REACHED, f"t = {state.t:.9g}")
             if max_steps is not None and state.step_index - first_step >= max_steps:
                 return self._stop(Termination.TIME_REACHED, f"step budget at t = {state.t:.9g}")
-            dt = min(adaptive_dt(state, config), config.stop_t_max - state.t)
-            if dt < config.stop_dt_min:
+            dt = state.dt(config)
+            if dt < dt_min:
                 return self._stop(Termination.DT_UNDERFLOW, f"dt = {dt:.3e} at t = {state.t:.9g}")
+            dt = min(dt, config.stop_t_max - state.t)
             try:
-                state = _step(state, dt, config)
+                state = state.step(dt, config)
             except (DegenerateImmersion, NonFiniteError, SolverError) as exc:
                 self.error = exc
                 return self._stop(Termination.DEGENERATE, str(exc))
@@ -586,11 +590,10 @@ def run(initial: Immersion, config: FlowConfig, huisken_params=None,
     """
     state = initial_state if initial_state is not None else FlowState.initial(initial)
     kept = list(records or ())
-    first = (state, kept.pop().dt if kept else 0.0, state.step_index)
+    first = (state, kept.pop().dt if kept else 0.0)
     steps = trajectory(state, config, max_steps)
     records, state = recorded(
-        chain([first], ((st, dt, st.step_index) for st, dt in steps)),
-        lambda st, dt, snap: _record(st, dt, huisken_params, with_snapshot=snap),
+        chain([first], steps), lambda st, dt, snap: _record(st, dt, huisken_params, snap),
         config.record_every, config.snapshot_every, kept)
     return FlowTrace(records=records, termination=steps.termination,
                      termination_detail=steps.detail), state

@@ -347,22 +347,9 @@ def immersion_partials(imm: Immersion) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def induced_metric(imm: Immersion, dF: np.ndarray | None = None):
-    """Induced metric g_ij = <d_i F, d_j F>, its inverse and volume density,
-    from the first partials dF (taken from imm when not given).
-
-    For m <= 2 the determinant and inverse are closed-form. Raises
-    DegenerateImmersion naming the worst node when det g drops below the
-    relative positive-definiteness floor. The floor is checked before g is
-    inverted, so a degenerate metric never reaches the inversion.
-    """
-    dF = immersion_partials(imm)[0] if dF is None else dF
-    g, ginv, det = _metric(roll_axes(dF, -2), imm.chart)
-    return dF, roll_axes(g, 2), roll_axes(ginv, 2), det, np.sqrt(det)
-
-
 def _metric(F: np.ndarray, chart: Chart):
-    """g, g^-1 (m, m, *) and det g (*) from index-major partials F (m, n, *)."""
+    """g, g^-1 (m, m, *) and det g (*) from index-major partials F (m, n, *);
+    DegenerateImmersion names the worst node below the det g floor."""
     m, F = chart.m, F.swapaxes(0, 1)  # a sum over the ambient index
     g = _dot(F[:, :, None], F[:, None])
     det = (g[0, 0] if m == 1 else g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] if m == 2
@@ -385,11 +372,6 @@ def _metric(F: np.ndarray, chart: Chart):
     else:
         ginv = roll_axes(np.linalg.inv(roll_axes(g, 2)), -2).copy()
     return g, ginv, det
-
-
-def christoffel(g: np.ndarray, ginv: np.ndarray, chart: Chart):
-    """Christoffel symbols of first and second kind from the metric field."""
-    return tuple(roll_axes(t, 3) for t in _christoffel(roll_axes(g, -2), roll_axes(ginv, -2), chart))
 
 
 def _christoffel(g: np.ndarray, ginv: np.ndarray, chart: Chart):

@@ -206,10 +206,10 @@ def _pad(values: np.ndarray, axis: int, chart: Chart, parity: float | np.ndarray
     if kind is AxisKind.PERIODIC:
         top, bot = values[lead + (slice(-_PAD, None),)], values[lead + (slice(_PAD),)]
     elif kind is AxisKind.POLE:
-        # a pole axis is always axis 0, and phi is the grid axis after it
-        K = chart.shape[1]
-        top = parity * np.roll(values[_PAD - 1 :: -1], K // 2, axis=1)
-        bot = parity * np.roll(values[: -_PAD - 1 : -1], K // 2, axis=1)
+        # a pole axis is always axis 0, and phi (K even) the grid axis after it
+        h = chart.shape[1] // 2
+        top, bot = (parity * np.concatenate([x[:, h:], x[:, :h]], axis=1)   # half a turn
+                    for x in (values[_PAD - 1 :: -1], values[: -_PAD - 1 : -1]))
     else:  # REFLECT: even extension about the staggered boundary
         top = values[lead + (slice(_PAD - 1, None, -1),)]
         bot = values[lead + (slice(None, -_PAD - 1, -1),)]

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import reduce
-from itertools import count, permutations
+from itertools import chain, permutations
 
 import numpy as np
 
 from .errors import NonFiniteError, UsageError
-from .flow import FlowConfig, _time_weights, at_horizon, recorded
+from .flow import FlowConfig, Termination, _time_weights, recorded, trajectory
 from .geometry import (
     GeometryBundle,
     Immersion,
@@ -320,11 +320,37 @@ class PotentialTrace:
     CSV_COLUMNS = ("t", "dt", "alpha_min", "alpha_max", "hess_phi_inf", "H_inf")
     records: list[PotentialRecord] = field(default_factory=list)
     final: Potential | None = None
+    termination: Termination | None = None
+    termination_detail: str = ""
+
+
+class PotentialState:
+    """A potential at time t with its Hessian and angle, computed once for
+    its record and its step: flow.trajectory's state for the potential
+    flow, which has no curvature cap and no dt floor."""
+
+    def __init__(self, p: Potential, t: float = 0.0, step_index: int = 0):
+        self.p, self.t, self.step_index = p, t, step_index
+        self.H = p.hessian()
+        self.alpha = lagrangian_angle_of_hessian(self.H)
+
+    def dt(self, config: PotentialFlowConfig) -> float:
+        h_min = min(self.p.chart.spacings)
+        return config.cfl_sigma * h_min * h_min / 2.0
+
+    def step(self, dt: float, config: PotentialFlowConfig) -> "PotentialState":
+        new_phi = self.p.phi.values[..., 0] + dt * (self.alpha - self.alpha.mean())
+        return PotentialState(Potential(self.p.S, GridField(self.p.chart, new_phi[..., None])),
+                              self.t + dt, self.step_index + 1)
+
+    def stops(self, config: PotentialFlowConfig) -> tuple[str, float]:
+        return "", 0.0
 
 
 def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
     """Explicit potential flow du/dt = alpha(Hess u) under dt = sigma h^2/2,
-    stable for sigma <= 1/m (forward Euler on a diffusion of m axes).
+    stable for sigma <= 1/m (forward Euler on a diffusion of m axes), along
+    flow.trajectory as flow.run: a failed step ends it as Degenerate.
 
     The quadratic part S is constant along the flow; the spatially constant
     part of alpha is discarded by the mean-zero gauge of phi (u enters the
@@ -334,15 +360,13 @@ def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
     if config.cfl_sigma > 1.0 / m:
         raise UsageError(f"flow.cfl_sigma = {config.cfl_sigma} exceeds 1/m = {1.0 / m:.6g}, "
                          f"the stability bound of the explicit potential flow for m = {m}")
-    h_min = min(chart.spacings)
-    dt = config.cfl_sigma * h_min * h_min / 2.0
 
-    def record(state, dt_used: float, snap: bool) -> PotentialRecord:
+    def record(state: PotentialState, dt_used: float, snap: bool) -> PotentialRecord:
         # maxima over the contiguous components, equal to those over the
         # full H - S and d alpha (H is symmetric)
-        p, t, H, alpha = state
+        p, H, alpha = state.p, state.H, state.alpha
         return PotentialRecord(
-            t=t, dt=dt_used,
+            t=state.t, dt=dt_used,
             alpha_min=float(alpha.min()), alpha_max=float(alpha.max()),
             hess_phi_inf=max(float(np.abs(H[..., a, b] - p.S[a, b]).max())
                              for a in range(m) for b in range(a, m)),
@@ -351,22 +375,12 @@ def ma_run(p0: Potential, config: PotentialFlowConfig) -> PotentialTrace:
             potential=p if snap else None,
         )
 
-    def states():
-        p, t, step_dt = p0, 0.0, 0.0
-        for step in count():
-            # one Hessian and one angle per state, for its record and its step
-            H = p.hessian()
-            alpha = lagrangian_angle_of_hessian(H)
-            yield (p, t, H, alpha), step_dt, step
-            if at_horizon(t, config.stop_t_max):
-                return
-            step_dt = min(dt, config.stop_t_max - t)
-            new_phi = p.phi.values[..., 0] + step_dt * (alpha - alpha.mean())
-            p = Potential(p.S, GridField(chart, new_phi[..., None]))
-            t += step_dt
-
-    records, (final, *_) = recorded(states(), record, config.record_every, config.snapshot_every)
-    return PotentialTrace(records=records, final=final)
+    state = PotentialState(p0)
+    steps = trajectory(state, config)
+    records, final = recorded(chain([(state, 0.0)], steps), record,
+                              config.record_every, config.snapshot_every)
+    return PotentialTrace(records=records, final=final.p, termination=steps.termination,
+                          termination_detail=steps.detail)
 
 
 def angle_evolution_residual(p_prev: Potential, p_mid: Potential, p_next: Potential,

@@ -609,6 +609,32 @@ class TestCLI:
         assert "angle identity defect" in r.stdout
         assert (tmp_path / "out" / "lag.csv").exists()
 
+    def test_lagrangian_failed_step_writes_csv_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a potential step that fails ends the flow as Degenerate: the CSV
+        # holds the records before it, and the exit code is 3, as for run
+        from codimflow import cli, lagrangian
+        from codimflow.errors import NonFiniteError
+
+        step = lagrangian.PotentialState.step
+
+        def fail_third(state, dt, config):
+            if state.step_index == 2:
+                raise NonFiniteError("phi contains non-finite values")
+            return step(state, dt, config)
+
+        monkeypatch.setattr(lagrangian.PotentialState, "step", fail_third)
+        cfgp = tmp_path / "l.cfg"
+        cfgp.write_text("name = lag\ninitial.potential.m = 2\n"
+                        "initial.potential.resolution = 16\n"
+                        "initial.potential.phi = 0.05*sin(x1)\n"
+                        "flow.stop_t_max = 0.1\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["lagrangian", str(cfgp)]) == 3
+        out, _ = capsys.readouterr()
+        assert out.splitlines()[0] == "lagrangian lag: Degenerate (phi contains non-finite values)"
+        rows = (tmp_path / "out" / "lag.csv").read_text().splitlines()
+        assert rows[0] == "t,dt,alpha_min,alpha_max,hess_phi_inf,H_inf" and len(rows) == 4
+
     def test_verify_subcommand(self, tmp_path):
         cfgp = tmp_path / "v.cfg"
         cfgp.write_text(
@@ -637,11 +663,10 @@ class TestCLI:
         assert r.returncode == 0, (r.stdout, r.stderr)
         # the check instant is the second step; its time follows the
         # semi-implicit law (brake only), not the explicit CFL
-        from codimflow.flow import _step, adaptive_dt
         cfg = parse_config(cfgp.read_text()).flow
         st = FlowState.initial(catalog.circle(n=64))
         for _ in range(2):
-            st = _step(st, adaptive_dt(st, cfg), cfg)
+            st = st.step(st.dt(cfg), cfg)
         t_printed = float(r.stdout.splitlines()[1].split()[0])
         assert t_printed == pytest.approx(st.t, rel=1e-5)
         assert st.t > 0.05   # the explicit CFL would allow ~1e-3 per step

@@ -592,6 +592,18 @@ class TestRun:
         assert est.reliable
         assert est.t_hat == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize("dt, t_max", [(0.01, 7.0), (0.01, 10.0), (0.007, 7.0)])
+    def test_rounding_sliver_before_the_horizon_is_stepped(self, dt, t_max):
+        # the fixed steps sum to about 1e-13 short of the horizon: the sliver
+        # clipped onto it is below stop_dt_min, but the dt law is not, so
+        # the run reaches its horizon and does not read the sliver as a
+        # singularity signal
+        cfg = FlowConfig(fixed_dt=dt, stop_t_max=t_max, record_every=10**6)
+        trace, final = run(catalog.circle(radius=10.0, n=16), cfg)
+        assert trace.termination is Termination.TIME_REACHED
+        assert trace.records[-1].dt < cfg.stop_dt_min
+        assert final.t == pytest.approx(t_max, rel=1e-14)
+
     def test_stop_before_the_first_step(self):
         # the unit circle's |A|^2 = 1 is over the cap at the initial state:
         # the stream is that one state, recorded once, with its snapshot

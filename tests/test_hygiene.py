@@ -1,14 +1,16 @@
 """Source hygiene checked with the standard library's ast module: every
-module-level import of a codimflow module is used in that module, and every
+module-level import of a codimflow module is used in that module, every
 private module-level function or class is referenced somewhere in the
-package."""
+package, and every public one somewhere in the package, the tests or the
+benchmark harness."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "codimflow"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "codimflow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TREES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
 
@@ -67,3 +69,39 @@ def test_private_definitions_are_referenced():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and node.name not in referenced]
     assert not orphans, f"unreferenced private definitions: {orphans}"
+
+
+def module_references(path: pathlib.Path, tree: ast.Module) -> set[tuple[str, str]]:
+    """The (module, name) pairs a file reads from codimflow modules: the
+    names it imports from them (an __init__ export too), the attributes it
+    reads off a name spelled as the module, and, in the benchmark's tracer,
+    the (home, attribute) entries of TARGETS, which it wraps by name."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.level or node.module.startswith("codimflow.")):
+            refs |= {(node.module.rsplit(".", 1)[-1], alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            refs.add((node.value.id, node.attr))
+    if path.name == "tracing.py":
+        targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                       and getattr(node.targets[0], "id", None) == "TARGETS")
+        refs |= {(home.value.rsplit(".", 1)[-1], attr.value) for _, home, attr in
+                 (entry.elts for entry in targets.elts)}
+    return refs
+
+
+def test_public_definitions_are_referenced():
+    # a public function or class is referenced from another file, or in its
+    # own module outside its own definition
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    referenced = set().union(*(module_references(p, ast.parse(p.read_text())) for p in files))
+    orphans = []
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                    and (module, node.name) not in referenced
+                    and not any(node.name in used_names(ast.Module(body=[other], type_ignores=[]))
+                                for other in tree.body if other is not node)):
+                orphans.append(f"{module}.{node.name}")
+    assert not orphans, f"unreferenced public definitions: {orphans}"

@@ -4,9 +4,9 @@ potential flow, and the pinching diagnostic."""
 import numpy as np
 import pytest
 
-from codimflow import catalog
+from codimflow import catalog, lagrangian
 from codimflow.errors import NonFiniteError, UsageError
-from codimflow.flow import FlowConfig, FlowState, run, step_explicit
+from codimflow.flow import FlowConfig, FlowState, Termination, run, step_explicit
 from codimflow.geometry import Immersion, build_bundle, d1_tensor, d2_tensor
 from codimflow.grid import ChartSpec, Domain, GridField, make_chart
 from codimflow.lagrangian import (
@@ -286,6 +286,32 @@ class TestPotentialFlow:
         # stop_t_max = nan or inf would never end ma_run
         with pytest.raises(UsageError):
             PotentialFlowConfig(**kwargs)
+
+    def test_failed_step_ends_degenerate_with_records_kept(self, monkeypatch):
+        # the step from the fourth state fails: the records of the four states
+        # before it are kept as the full run made them, and final is the
+        # last good potential
+        p0 = potential(np.diag([0.5, 0.8]), lambda x, y: 0.1 * np.sin(x), n=16)
+        cfg = PotentialFlowConfig(stop_t_max=0.1, record_every=1, snapshot_every=1)
+        full = ma_run(p0, cfg)
+        assert full.termination is Termination.TIME_REACHED and len(full.records) > 4
+        step = lagrangian.PotentialState.step
+
+        def fail_fourth(state, dt, config):
+            if state.step_index == 3:
+                raise NonFiniteError("phi contains non-finite values")
+            return step(state, dt, config)
+
+        monkeypatch.setattr(lagrangian.PotentialState, "step", fail_fourth)
+        tr = ma_run(p0, cfg)
+        assert tr.termination is Termination.DEGENERATE
+        assert tr.termination_detail == "phi contains non-finite values"
+        columns = lambda r: tuple(getattr(r, c) for c in tr.CSV_COLUMNS)
+        assert [columns(r) for r in tr.records] == [columns(r) for r in full.records[:4]]
+        for got, want in zip(tr.records, full.records):
+            assert np.array_equal(got.potential.phi.values, want.potential.phi.values)
+        assert tr.final is tr.records[-1].potential
+        assert tr.records[-1].t < full.records[-1].t
 
     def test_linear_mode_heat_decay(self):
         # S = 0, phi = eps sin x1: the linearized flow is the heat equation,

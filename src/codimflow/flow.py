@@ -192,12 +192,9 @@ def adaptive_dt(state: FlowState, config: FlowConfig) -> float:
 
 
 def step_explicit(state: FlowState, dt: float) -> FlowState:
-    """Forward Euler step F <- F + dt * H; the bundle is rebuilt. H is
-    copied to the values' node-major layout first, so the step adds two
-    contiguous arrays."""
+    """Forward Euler step F <- F + dt * H; the bundle is rebuilt."""
     old = state.imm
-    H = np.ascontiguousarray(state.bundle.H)
-    imm = Immersion(old.chart, old.values + dt * H, old.affine, old.norm_mask)
+    imm = Immersion(old.chart, old.values + dt * state.bundle.H, old.affine, old.norm_mask)
     return FlowState(t=state.t + dt, imm=imm, bundle=build_bundle(imm),
                      step_index=state.step_index + 1)
 

@@ -43,7 +43,8 @@ class Immersion:
     quantity stays periodic.
 
     norm_mask optionally marks the nodes trusted by residual norms (used by
-    truncated non-compact profiles whose reflecting ends are excluded).
+    truncated non-compact profiles whose reflecting ends are excluded); it
+    is a boolean chart array that trusts at least one node.
     """
 
     chart: Chart
@@ -62,6 +63,12 @@ class Immersion:
             raise UsageError("ambient dimension must exceed intrinsic dimension")
         if not np.isfinite(v).all():
             raise NonFiniteError("immersion contains non-finite positions")
+        mask = self.norm_mask
+        if mask is not None and not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                                     and mask.shape == self.chart.shape):
+            raise UsageError(f"norm_mask must be a boolean array of shape {self.chart.shape}")
+        if mask is not None and not mask.any():
+            raise UsageError("norm_mask trusts no node")
         if self.affine is not None:
             mat, off = self.affine
             mat = np.asarray(mat, dtype=np.float64)
@@ -139,14 +146,6 @@ def d1_tensor(values: np.ndarray, chart: Chart, tensor_axes: tuple[int, ...] = (
     return roll_axes(out, len(trailing) + 1)
 
 
-def d2_tensor(values: np.ndarray, chart: Chart, tensor_axes: tuple[int, ...] = ()) -> np.ndarray:
-    """Second partials d_k d_l T with two derivative indices prepended."""
-    trailing = values.shape[len(chart.shape):]
-    par = np.ravel(_parity(chart, trailing, tensor_axes))
-    _, d2 = partials(values.reshape(chart.shape + (-1,)), chart, par)
-    return d2.reshape(chart.shape + (chart.m, chart.m) + trailing)
-
-
 # ---------------------------------------------------------------------------
 # index contractions
 #
@@ -213,12 +212,7 @@ class GeometryBundle:
     A: np.ndarray           # (*, m, m, n) second fundamental tensor
     H: np.ndarray           # (*, n)       mean curvature vector
     normA2: np.ndarray      # (*,)
-    A_up: np.ndarray | None = None  # (*, i, j, n) A^i_j = g^ik A_kj; raised here when not given
-
-    def __post_init__(self):
-        if self.A_up is None:
-            G, A = roll_axes(self.ginv, -2), roll_axes(self.A, -3)
-            object.__setattr__(self, "A_up", roll_axes(_dot(G[:, :, None, None], A[:, None]), 3))
+    A_up: np.ndarray        # (*, i, j, n) A^i_j = g^ik A_kj, raised once by build_bundle
 
     @property
     def chart(self) -> Chart:
@@ -287,8 +281,11 @@ class GeometryBundle:
 
     @cached_property
     def ddH(self) -> np.ndarray:
-        """nabla_k nabla_l H, shape (*, k, l, a)."""
-        return second_covariant_H(self)
+        """nabla_k nabla_l H in flat ambient space, shape (*, k, l, a)."""
+        dH = d1_tensor(self.H, self.chart)  # (*, l, n)
+        ddH = roll_axes(d1_tensor(dH, self.chart, tensor_axes=(0,)), -3)
+        gamma = roll_axes(self.gamma, -3)
+        return roll_axes(ddH - _dot(gamma[:, :, :, None], roll_axes(dH, -2)[:, None, None]), 3)
 
     @cached_property
     def gauss(self) -> np.ndarray:
@@ -458,14 +455,6 @@ def _nabla_pair(bundle: GeometryBundle, T: np.ndarray) -> np.ndarray:
 def nabla_A(bundle: GeometryBundle) -> np.ndarray:
     """Full covariant derivative (nabla_i A)^a_jk in flat ambient space."""
     return roll_axes(_nabla_pair(bundle, bundle.A), 4)
-
-
-def second_covariant_H(bundle: GeometryBundle) -> np.ndarray:
-    """(nabla_k nabla_l H)^a in flat ambient space, shape (*, k, l, n)."""
-    dH = d1_tensor(bundle.H, bundle.chart)  # (*, l, n)
-    ddH = roll_axes(d1_tensor(dH, bundle.chart, tensor_axes=(0,)), -3)
-    gamma = roll_axes(bundle.gamma, -3)
-    return roll_axes(ddH - _dot(gamma[:, :, :, None], roll_axes(dH, -2)[:, None, None]), 3)
 
 
 def intrinsic_curvature(bundle: GeometryBundle) -> np.ndarray:

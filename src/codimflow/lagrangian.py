@@ -120,12 +120,9 @@ def lagrangian_angle_of_hessian(H: np.ndarray) -> np.ndarray:
     For m = 2, det(I + i H) = (1 - det H) + i tr H and alpha lies in
     (-pi, pi), so alpha is that argument, one arctan2; it never meets the
     branch cut, since 1 - det H < 0 forces lambda_1 lambda_2 > 1 and so
-    tr H != 0. For m = 3 the sum can pass pi, where arg det wraps, so the
-    arctans of eigvalsh are summed instead."""
-    m = H.shape[-1]
-    if m == 1:
-        return np.arctan(H[..., 0, 0])
-    if m == 2:
+    tr H != 0. Every other m sums the arctans of eigvalsh: for m = 3 the
+    sum can pass pi, where arg det wraps, and m = 1 is one arctan."""
+    if H.shape[-1] == 2:
         a, b, c = H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
         return np.arctan2(a + c, 1.0 - (a * c - b * b))
     lam = np.moveaxis(np.arctan(np.linalg.eigvalsh(H)), -1, 0)

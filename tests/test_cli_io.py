@@ -920,6 +920,28 @@ class TestCLI:
         out = capsys.readouterr().out
         assert float(out.split("soliton[translator]: Linf=")[1].split()[0]) < 1e-2
 
+    @pytest.mark.parametrize("command", ["catalog", "soliton", "run"])
+    def test_grim_reaper_trusting_no_node_exit_4(self, tmp_path, capsys, command):
+        # grim_reaper masks max(fd_order, n // 16) nodes at each end: none is
+        # trusted at n = 8, one at n = 9
+        from codimflow import cli
+
+        snap = tmp_path / "g.snap"
+        write_snapshot(catalog.grim_reaper(n=9), str(snap))
+        snap.write_text(snap.read_text().replace("=000010000", "=000000000"))
+        cfgp = tmp_path / "g.cfg"
+        cfgp.write_text("name = g\ninitial.catalog = grim_reaper\ninitial.n = 8\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        argv = {"catalog": ["catalog", "grim_reaper", "-o", str(tmp_path / "8.snap"), "--n", "8"],
+                "soliton": ["soliton", str(snap), "--kind", "translator", "--V", "0,1"],
+                "run": ["run", str(cfgp)]}[command]
+        assert cli.main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("norm_mask trusts no node\n")
+        assert len(err.splitlines()) == 1
+        cfgp.write_text(cfgp.read_text().replace("n = 8", "n = 9") + "flow.stop_t_max = 1e-4\n")
+        assert cli.main(["run", str(cfgp)]) == 0
+
     def test_monotonicity_q_defaults_to_the_origin_of_R_n(self, tmp_path, capsys):
         # a sphere in R^3 with q unset: the density is centred at the origin
         from codimflow import cli

@@ -26,10 +26,10 @@ from codimflow.flow import (
 )
 from codimflow.geometry import (
     CurvatureReport, GeometryBundle, ResidualNorms, _norms, build_bundle,
-    d1_tensor, d2_tensor, immersion_partials, laplace_beltrami, normal_part,
+    d1_tensor, immersion_partials, laplace_beltrami, normal_part,
     structure_residuals, trusted_mask,
 )
-from codimflow.grid import ChartSpec, Domain, GridField, integrate_values, make_chart
+from codimflow.grid import ChartSpec, Domain, GridField, integrate_values, make_chart, partials
 from codimflow.lagrangian import Potential, lag_immersion
 
 REL = 1e-12
@@ -80,6 +80,7 @@ def ref_bundle(imm):
         imm=imm, dF=dF, g=g, ginv=ginv, det_g=det, sqrt_det_g=np.sqrt(det),
         gamma1=gamma1, gamma=gamma, A=A, H=H,
         normA2=np.einsum("...ik,...jl,...ija,...kla->...", ginv, ginv, A, A),
+        A_up=np.einsum("...ik,...kja->...ija", ginv, A),
     )
 
 
@@ -115,7 +116,10 @@ def ref_gauss_from_A(b):
 
 
 def ref_intrinsic_curvature(b):
-    ddg = d2_tensor(b.g, b.chart, tensor_axes=(0, 1))
+    # g_ij with both indices on the chart: g_theta-phi and g_phi-theta are pole-odd
+    m, nodes = b.chart.m, b.chart.shape
+    parity = np.array([1.0, -1.0, -1.0, 1.0]) if b.chart.spec.domain is Domain.SPHERE else 1.0
+    ddg = partials(b.g.reshape(nodes + (-1,)), b.chart, parity)[1].reshape(nodes + (m,) * 4)
     part = 0.5 * (np.einsum("...kjil->...ijkl", ddg) + np.einsum("...likj->...ijkl", ddg)
                   - np.einsum("...kilj->...ijkl", ddg) - np.einsum("...ljik->...ijkl", ddg))
     quad = (np.einsum("...pq,...qkj,...pli->...ijkl", b.ginv, b.gamma1, b.gamma1)

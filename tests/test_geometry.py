@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from codimflow import catalog, geometry
-from codimflow.errors import DegenerateImmersion
+from codimflow.errors import DegenerateImmersion, UsageError
 from codimflow.geometry import (
     Immersion, build_bundle, graph_immersion, graph_singular_values,
     normal_part, structure_residuals,
@@ -160,6 +160,19 @@ class TestInducedMetric:
         vals = np.stack([np.cos(U), np.sin(U), np.zeros_like(U)], axis=-1)
         with pytest.raises(DegenerateImmersion, match="det g = 0.000e\\+00"):
             build_bundle(Immersion(ch, vals))
+
+    @pytest.mark.parametrize("mask, message", [
+        (np.ones(31, dtype=bool), r"norm_mask must be a boolean array of shape \(32,\)"),
+        (np.ones(32), r"norm_mask must be a boolean array of shape \(32,\)"),
+        ([True] * 32, r"norm_mask must be a boolean array of shape \(32,\)"),
+        (np.zeros(32, dtype=bool), "norm_mask trusts no node"),
+    ], ids=["short", "float", "list", "none-trusted"])
+    def test_norm_mask_is_a_chart_array_that_trusts_a_node(self, mask, message):
+        # residual norms average over the trusted nodes: a mask of another
+        # shape, or one that trusts none, has nothing to average over
+        imm = catalog.circle(n=32)
+        with pytest.raises(UsageError, match=message):
+            Immersion(imm.chart, imm.values, norm_mask=mask)
 
 
 class TestChristoffel:

@@ -1,10 +1,12 @@
 """Chart construction, stencil accuracy, quadrature, and exact symmetries."""
 
+import re
+
 import numpy as np
 import pytest
 
 from codimflow.errors import ConfigError
-from codimflow.geometry import d1_tensor, d2_tensor
+from codimflow.geometry import d1_tensor
 from codimflow.grid import (
     _PAD, STENCILS, AxisKind, ChartSpec, Domain, _pad, diff1, diff2, diff_mixed,
     integrate_values, make_chart, neighbor_maps, partials,
@@ -50,6 +52,23 @@ class TestMakeChart:
         with pytest.raises(ConfigError):
             ChartSpec(Domain.INTERVAL, (16,))
 
+    @pytest.mark.parametrize("domain, resolution, kwargs, message", [
+        (Domain.CIRCLE, (16.5,), {}, "node counts must be whole numbers, got (16.5,)"),
+        (Domain.CIRCLE, (16,), {"fd_order": 3}, "fd_order must be 2 or 4, got 3"),
+        (Domain.CIRCLE, (16, 16), {}, "circle chart takes exactly one axis"),
+        (Domain.TORUS, (8, 8, 8, 8), {}, "torus chart takes 1..3 axes"),
+        (Domain.SPHERE, (16,), {}, "sphere chart takes exactly two axes (J, K)"),
+        (Domain.INTERVAL, (16, 16), {"interval_bounds": (0.0, 1.0)},
+         "interval chart takes exactly one axis"),
+        (Domain.INTERVAL, (16,), {"interval_bounds": (1.0, 0.0)},
+         "bad interval bounds (1.0, 0.0)"),
+        (Domain.TORUS, (16,), {"interval_bounds": (0.0, 1.0)},
+         "interval_bounds only valid for interval charts"),
+    ])
+    def test_spec_guards(self, domain, resolution, kwargs, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ChartSpec(domain, resolution, **kwargs)
+
 
 class TestPartials:
     def test_sin_first_derivative(self):
@@ -66,14 +85,14 @@ class TestPartials:
     def test_sin_second_derivative(self):
         ch = circle_chart(64)
         th = ch.coords[0]
-        d2 = d2_tensor(np.sin(th), ch)
-        assert np.abs(d2[:, 0, 0] + np.sin(th)).max() < 3e-3
+        _, d2 = partials(np.sin(th)[:, None], ch)
+        assert np.abs(d2[:, 0, 0, 0] + np.sin(th)).max() < 3e-3
 
     def test_constant_field_exact_zero(self):
         ch = circle_chart(32)
         f = np.full((32, 1), 2.75)
         assert np.all(d1_tensor(f, ch) == 0.0)
-        assert np.all(d2_tensor(f, ch) == 0.0)
+        assert np.all(partials(f, ch)[1] == 0.0)
 
     def test_consistency_order(self):
         # halving h cuts the error by >= 3.5 at fd_order 2
@@ -88,12 +107,12 @@ class TestPartials:
 
     def test_mixed_partials_bit_symmetric(self):
         rng = np.random.default_rng(7)
-        for domain, shape, tensor_axes in (
-            (Domain.TORUS, (16, 16), ()),
-            (Domain.SPHERE, (16, 32), (0,)),   # a pole-odd theta component
+        for domain, shape, parity in (
+            (Domain.TORUS, (16, 16), 1.0),
+            (Domain.SPHERE, (16, 32), np.array([-1.0, 1.0])),   # a pole-odd theta component
         ):
             ch = make_chart(ChartSpec(domain, shape))
-            vals = d2_tensor(rng.normal(size=shape + (2,)), ch, tensor_axes)
+            _, vals = partials(rng.normal(size=shape + (2,)), ch, parity)
             assert np.array_equal(vals[..., 0, 1, :], vals[..., 1, 0, :])
             assert np.array_equal(diff_mixed(vals[..., 0, 0, :], 0, 1, ch),
                                   diff_mixed(vals[..., 0, 0, :], 1, 0, ch))
@@ -111,7 +130,7 @@ class TestPartials:
         v = np.random.default_rng(5).normal(size=shape + (m,))
         par = np.array([-1.0, 1.0]) if tensor_axes else 1.0  # T_theta, T_phi
         composed = diff1(diff1(v, a, ch, par), b, ch, par)
-        out = d2_tensor(v, ch, tensor_axes)
+        _, out = partials(v, ch, par)
         assert np.array_equal(out[..., a, b, :], composed)
         assert np.array_equal(out[..., b, a, :], composed)
 
@@ -125,7 +144,7 @@ class TestPartials:
             TH, PH = ch.mesh()
             T = np.stack([np.cos(2 * TH) * np.cos(PH),
                           -np.sin(TH) * np.cos(TH) * np.sin(PH)], axis=-1)
-            mixed = d2_tensor(T, ch, tensor_axes=(0,))[..., 0, 1, 0]
+            mixed = partials(T, ch, np.array([-1.0, 1.0]))[1][..., 0, 1, 0]
             err = np.abs(mixed - 2 * np.sin(2 * TH) * np.sin(PH))
             errs.append(err[2:-2].max())   # away from the pole rings
         assert np.log2(errs[0] / errs[1]) >= 3.5
@@ -158,8 +177,8 @@ class TestPartials:
         assert e4 < e2 / 50
 
 
-# (spec, trailing component shape, tensor_axes of d1_tensor/d2_tensor, the
-# flattened per-component parity those tensor axes give)
+# (spec, trailing component shape, tensor_axes of d1_tensor, the flattened
+# per-component parity those tensor axes give)
 SHARED_PASS_CASES = {
     "circle-fd2": (ChartSpec(Domain.CIRCLE, (32,)), (3,), (), 1.0),
     "circle-fd4": (ChartSpec(Domain.CIRCLE, (32,), fd_order=4), (3,), (), 1.0),
@@ -194,8 +213,6 @@ class TestSharedPass:
                     assert np.array_equal(d2[..., a, b, :], diff_mixed(flat, a, b, ch, parity))
         assert np.array_equal(d1_tensor(T, ch, tensor_axes),
                               d1.reshape(ch.shape + (m,) + trailing))
-        assert np.array_equal(d2_tensor(T, ch, tensor_axes),
-                              d2.reshape(ch.shape + (m, m) + trailing))
 
 
 class TestStencilDefinition:

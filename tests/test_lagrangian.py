@@ -7,8 +7,8 @@ import pytest
 from codimflow import catalog, lagrangian
 from codimflow.errors import NonFiniteError, UsageError
 from codimflow.flow import FlowConfig, FlowState, Termination, run, step_explicit
-from codimflow.geometry import Immersion, build_bundle, d1_tensor, d2_tensor
-from codimflow.grid import ChartSpec, Domain, GridField, make_chart
+from codimflow.geometry import Immersion, build_bundle, d1_tensor
+from codimflow.grid import ChartSpec, Domain, GridField, make_chart, partials
 from codimflow.lagrangian import (
     Potential, PotentialFlowConfig, angle_evolution_residual, lag_immersion,
     lagrangian_angle, lagrangian_angle_of_hessian, lagrangian_residual,
@@ -73,7 +73,7 @@ class TestPotentialAndGraph:
                       n=12, m=m)
         H = p.hessian()
         assert np.array_equal(H, np.swapaxes(H, -1, -2))
-        assert np.array_equal(H, p.S + d2_tensor(p.phi.values[..., 0], p.chart))
+        assert np.array_equal(H, p.S + partials(p.phi.values, p.chart)[1][..., 0])
         # component-major storage: every component is one contiguous chart array
         assert all(H[..., a, b].flags.c_contiguous for a in range(m) for b in range(m))
 

@@ -2,6 +2,7 @@
 classification, soliton residuals, and the example catalog."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -383,6 +384,20 @@ class TestCatalog:
             catalog.make_example("circle", radius=-1.0)
         with pytest.raises(ConfigError):
             catalog.make_example("circle", bogus=3)
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("circle", {"ambient_dim": 1}, "circle needs ambient dimension >= 2"),
+        ("ellipse", {"b": 0.0}, "ellipse semi-axes must be positive"),
+        ("cardioid", {"loop": 0.5}, "loop factor must be >= 1"),
+        ("sphere", {"radius": -1.0}, "sphere radius must be positive"),
+        ("clifford_torus", {"r2": 0.0}, "torus radii must be positive"),
+        ("whitney", {"radius": 0.0}, "whitney radius must be positive"),
+        ("whitney", {"m": 3}, "whitney sphere implemented for m = 1 and m = 2"),
+        ("grim_reaper", {"delta": 1.0}, "grim reaper truncation delta must lie in (0, pi/4)"),
+    ])
+    def test_parameter_guards(self, name, params, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            catalog.make_example(name, **params)
 
     @pytest.mark.parametrize("name, key, value", [
         ("circle", "n", 128), ("flat_torus_graph", "m", 2), ("grim_reaper", "n", 64),

@@ -284,7 +284,10 @@ def parse_config(text: str, flow_type: type = FlowConfig,
     analyses: list[AnalysisSpec] = []
     raw = p.get("analyses", "")
     requested = [a.strip() for a in raw.split(",") if a.strip()] if raw else []
-    for a in requested:
+    for i, a in enumerate(requested):
+        if a in requested[:i]:
+            p.err("analyses", f"analysis {a!r} listed twice")
+            continue
         if a not in _KNOWN_ANALYSES:
             p.err("analyses", f"unknown analysis {a!r}; known: {', '.join(_KNOWN_ANALYSES)}")
             continue

@@ -658,11 +658,10 @@ def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState,
     w0, w1, w2 = _time_weights(before.t, mid.t, after.t)
     ddt = lambda f0, f1, f2: w0 * f0 + w1 * f1 + w2 * f2
     states = (before, mid, after)
-    ref = mid
 
-    b = ref.bundle
+    b = mid.bundle
     chart = b.chart
-    mask = trusted_mask(ref.imm)
+    mask = trusted_mask(mid.imm)
     bundles = [s.bundle for s in states]
     # the Lie derivative V^k d_k f of a scalar field f (none without V)
     along_V = lambda f: 0.0 if V is None else np.einsum("...k,...k->...", V, d1_tensor(f, chart))
@@ -722,21 +721,18 @@ def evolution_residuals(before: FlowState, after: FlowState, mid: FlowState,
     # it grows quadratically across the seam, so the Laplacian is expanded
     # by the product rule with the affine-aware derivatives:
     # Lap|F|^2 = 2 <F, Lap F> + 2 g^ij <F_i, F_j> with Lap F = g^ij A_ij = H.
-    fs = [np.einsum("...a,...a->...", s.imm.values, s.imm.values)
-          + 2.0 * s.imm.m * s.t for s in states]
-    dfdt = ddt(*fs)
-    if ref.imm.affine is None:
-        lapf = laplace_beltrami(
-            np.einsum("...a,...a->...", ref.imm.values, ref.imm.values), b
-        )
+    F2 = [np.einsum("...a,...a->...", s.imm.values, s.imm.values) for s in states]
+    dfdt = ddt(*[f + 2.0 * s.imm.m * s.t for f, s in zip(F2, states)])
+    if mid.imm.affine is None:
+        lapf = laplace_beltrami(F2[1], b)
     else:
-        lapf = (2.0 * np.einsum("...a,...a->...", ref.imm.values, b.H)
+        lapf = (2.0 * np.einsum("...a,...a->...", mid.imm.values, b.H)
                 + 2.0 * np.einsum("...ij,...ij->...", b.ginv, b.g))
     if V is not None:
         # V^k d_k |F|^2 = 2 <F, V^k F_k>, affine summand included
         tangent = np.einsum("...k,...ka->...a", V, b.dF)
-        lapf = lapf + 2.0 * np.einsum("...a,...a->...", ref.imm.values, tangent)
-    heat = _norms(dfdt - lapf, b, mask, scale_field=np.full(chart.shape, 2.0 * ref.imm.m))
+        lapf = lapf + 2.0 * np.einsum("...a,...a->...", mid.imm.values, tangent)
+    heat = _norms(dfdt - lapf, b, mask, scale_field=np.full(chart.shape, 2.0 * mid.imm.m))
 
     return EvolutionReport(
         metric=metric, christoffel=christoffel, volume_form=volume_form,

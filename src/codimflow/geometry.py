@@ -116,15 +116,13 @@ class Immersion:
 # ---------------------------------------------------------------------------
 
 def _parity(chart: Chart, trailing_shape: tuple[int, ...], tensor_axes: tuple[int, ...]):
-    """Per-component parity for a field with the given trailing index shape.
+    """Per-component parity, an array of the given trailing index shape.
 
     tensor_axes lists which trailing axes are chart-index (m-sized) slots;
-    remaining trailing axes are ambient/scalar slots with parity +1. On
-    charts without a pole axis the parity is identically +1 and a scalar is
-    returned.
+    each contributes -1 where its index names a pole axis. The remaining
+    trailing axes are ambient/scalar slots with parity +1. Only pole axes
+    read the parity (grid._pad), so off the sphere its signs are never used.
     """
-    if chart.spec.domain is not Domain.SPHERE or not tensor_axes:
-        return 1.0
     signs = np.array([-1.0 if k is AxisKind.POLE else 1.0 for k in chart.axis_kinds])
     p = np.ones(trailing_shape)
     for ax in tensor_axes:
@@ -420,20 +418,15 @@ def normal_part(bundle: GeometryBundle, V: np.ndarray) -> np.ndarray:
 
 
 def laplace_beltrami(values: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
-    """Laplace-Beltrami of component fields: g^ij d_i d_j f - w^k d_k f, with
-    the drift w^k = g^ij Gamma^k_ij of the bundle.
-
-    values has shape chart.shape (scalar) or chart.shape + (c,); components
-    must be scalar functions on the chart (even pole parity).
-    """
+    """Laplace-Beltrami g^ij d_i d_j f - w^k d_k f of a scalar function f on
+    the chart (even pole parity), values of shape chart.shape, with the
+    drift w^k = g^ij Gamma^k_ij of the bundle."""
     chart = bundle.chart
     m, nodes = chart.m, chart.shape
-    scalar = values.ndim == m
-    d1, d2 = partials(values[..., None] if scalar else values, chart)
+    d1, d2 = partials(values, chart)
     G, w = roll_axes(bundle.ginv, -2), roll_axes(bundle.drift, -1)
-    out = (_dot(G.reshape((m * m, 1) + nodes), roll_axes(d2, -3).reshape((m * m, -1) + nodes))
-           - _dot(w[:, None], roll_axes(d1, -2)))
-    return out[0] if scalar else roll_axes(out, 1)
+    return (_dot(G.reshape((m * m,) + nodes), roll_axes(d2, -2).reshape((m * m,) + nodes))
+            - _dot(w, roll_axes(d1, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +458,7 @@ def intrinsic_curvature(bundle: GeometryBundle) -> np.ndarray:
     Christoffel components themselves.
     """
     chart, m = bundle.chart, bundle.chart.m
-    sign = np.array([-1.0 if kind is AxisKind.POLE else 1.0 for kind in chart.axis_kinds])
+    sign = _parity(chart, (m,), (0,))
     iu, ju = np.triu_indices(m)  # each unique component once, for both its slots
     table = np.empty((m, m), dtype=int)
     table[iu, ju] = table[ju, iu] = np.arange(iu.size)
@@ -549,7 +542,8 @@ def _norms(res_field: np.ndarray, bundle: GeometryBundle,
     chart = bundle.chart
     flat = lambda X: roll_axes(X, chart.m).reshape((-1,) + chart.shape)
     res = flat(res_field)
-    linf = float(np.where(mask, np.maximum(res.max(axis=0), -res.min(axis=0)), 0.0).max())
+    # abs: on an exactly zero residual, max(0.0, -0.0) is -0.0
+    linf = abs(float(np.where(mask, np.maximum(res.max(axis=0), -res.min(axis=0)), 0.0).max()))
     l2 = _masked_l2(_dot(res, res), bundle, mask)
     scale = 1.0
     if scale_field is not None:
@@ -699,8 +693,9 @@ def graph_immersion(f: GridField) -> Immersion:
 
 
 def graph_singular_values(f: GridField):
-    """Per-node singular values of df (descending) and the area-decreasing
-    flag lambda_i lambda_j < 1 for all i != j (None when m = 1)."""
+    """Per-node singular values of df, descending as svd returns them with
+    zeros padded last when k < m, and the area-decreasing flag
+    lambda_i lambda_j < 1 for all i != j (None when m = 1)."""
     chart = f.chart
     jac = d1_tensor(f.values, chart)  # (*, i, A): d_i f^A
     jac_mat = np.swapaxes(jac, -1, -2)  # (*, A, i): k x m matrices
@@ -710,7 +705,6 @@ def graph_singular_values(f: GridField):
         padded = np.zeros(chart.shape + (m,))
         padded[..., : sv.shape[-1]] = sv
         sv = padded
-    sv = -np.sort(-sv, axis=-1)
     if m == 1:
         return sv, None
     flag = bool(np.all(sv[..., 0] * sv[..., 1] < 1.0))

@@ -20,7 +20,7 @@ diffeomorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from itertools import chain, permutations
 
@@ -135,20 +135,13 @@ def lag_immersion(p: Potential) -> Immersion:
     The affine summand (x, S x) is stored exactly; only (0, grad phi) is
     periodic data, so derivative stencils never see the affine growth.
     """
-    m = p.m
-    chart = p.chart
-    mesh = chart.mesh()
-    grad_phi = d1_tensor(p.phi.values[..., 0], chart)
-    vals = np.empty(chart.shape + (2 * m,))
-    Sx = np.zeros(chart.shape + (m,))
-    for i in range(m):
-        vals[..., i] = mesh[i]
-        Sx += np.einsum("j,...->...j", p.S[:, i], mesh[i])
-    vals[..., m:] = Sx + grad_phi
-    mat = np.zeros((2 * m, m))
-    mat[:m, :] = np.eye(m)
-    mat[m:, :] = p.S
-    return Immersion(chart, vals, affine=(mat, np.zeros(2 * m)))
+    m, chart = p.m, p.chart
+    # the graph of x^T S x / 2: its values are its own affine summand
+    quadratic = Immersion(chart, np.zeros(chart.shape + (2 * m,)),
+                          affine=(np.vstack([np.eye(m), p.S]), np.zeros(2 * m)))
+    vals = quadratic.affine_values()
+    vals[..., m:] += d1_tensor(p.phi.values[..., 0], chart)
+    return replace(quadratic, values=vals)
 
 
 def lagrangian_residual(imm: Immersion, bundle: GeometryBundle | None = None) -> float:

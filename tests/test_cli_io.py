@@ -987,6 +987,21 @@ class TestCLI:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["classify", "rescale"])
+    def test_analysis_listed_twice_exit_4_before_any_step(self, tmp_path, capsys, kind):
+        # run twice, it would print its line or write its snapshot twice
+        from codimflow import cli
+
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text("name = c\ninitial.catalog = circle\ninitial.n = 64\n"
+                        f"flow.stop_t_max = 0.01\nanalyses = {kind}, {kind}\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: ConfigError: configuration errors:",
+                                                  f"    line 5: analysis {kind!r} listed twice"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["shrinker", "expander"])
     def test_soliton_V_for_other_kinds_exit_4_before_any_step(self, tmp_path, capsys, kind):
         from codimflow import cli
@@ -1442,6 +1457,20 @@ class TestCLI:
         r = run_cli("run", str(cfgp))
         assert r.returncode == 0, (r.stdout, r.stderr)
         assert "lagrangian: residual=" in r.stdout
+
+    @pytest.mark.parametrize("command, source", [
+        ("lagrangian", "initial.catalog = circle\ninitial.n = 32\n"),
+        ("run", "initial.potential.m = 1\ninitial.potential.resolution = 32\n"
+                "initial.potential.phi = 0.05*sin(x1)\nflow.stop_t_max = 0.01\n"
+                "analyses = lagrangian_report\n"),
+    ], ids=["lagrangian-circle", "run-potential-m1"])
+    def test_zero_dH_prints_without_a_sign(self, tmp_path, command, source):
+        # dH vanishes identically on a curve: its norm is +0.0, not -0.0
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(f"name = c\n{source}output.dir = {tmp_path / 'out'}\n")
+        r = run_cli(command, str(cfgp))
+        assert r.returncode == 0, (r.stdout, r.stderr)
+        assert "|dH|=0.000e+00" in r.stdout and "-0.000e+00" not in r.stdout
 
     def test_lagrangian_report_odd_ambient_rejected_before_the_flow(self, tmp_path):
         snap = tmp_path / "g.snap"

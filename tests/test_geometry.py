@@ -7,7 +7,7 @@ import pytest
 from codimflow import catalog, geometry
 from codimflow.errors import DegenerateImmersion, UsageError
 from codimflow.geometry import (
-    Immersion, build_bundle, graph_immersion, graph_singular_values,
+    Immersion, build_bundle, d1_tensor, graph_immersion, graph_singular_values,
     normal_part, structure_residuals,
 )
 from codimflow.grid import (
@@ -365,6 +365,23 @@ class TestGraphs:
         sv, flag = graph_singular_values(GridField(ch, f))
         assert sv[0, 0, 0] * sv[0, 0, 1] == pytest.approx(1.0, abs=1e-14)
         assert flag is False
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_singular_values_of_k_by_2_jacobians(self, k):
+        # k = 1: svd returns one value per node and the second is padded as 0
+        ch = make_chart(ChartSpec(Domain.TORUS, (16, 16)))
+        x, y = ch.mesh()
+        f = np.stack([0.3 * np.sin(x + j) * np.cos(2 * y - j) + 0.2 * np.cos((j + 1) * y)
+                      for j in range(k)], axis=-1)
+        sv, flag = graph_singular_values(GridField(ch, f))
+        assert sv.shape == (16, 16, 2)
+        assert np.all(sv[..., 0] >= sv[..., 1]) and np.all(sv[..., 1] >= 0.0)
+        if k == 1:
+            assert np.all(sv[..., 1] == 0.0)
+        jac = d1_tensor(f, ch)  # (*, i, A)
+        lam = np.linalg.eigvalsh(np.einsum("...ia,...ja->...ij", jac, jac))[..., ::-1]
+        assert np.abs(sv**2 - lam).max() < 1e-12
+        assert flag is bool(np.all(sv[..., 0] * sv[..., 1] < 1.0))
 
     def test_m1_flag_not_applicable(self):
         ch = make_chart(ChartSpec(Domain.CIRCLE, (16,)))

@@ -2,7 +2,8 @@
 module-level import of a codimflow module is used in that module, every
 private module-level function or class is referenced somewhere in the
 package, and every public one somewhere in the package or the benchmark
-harness: a reference from the tests alone does not count."""
+harness: a reference from the tests alone, or an export from the package
+__init__, does not count."""
 
 import ast
 import pathlib
@@ -73,9 +74,9 @@ def test_private_definitions_are_referenced():
 
 def module_references(path: pathlib.Path, tree: ast.Module) -> set[tuple[str, str]]:
     """The (module, name) pairs a file reads from codimflow modules: the
-    names it imports from them (an __init__ export too), the attributes it
-    reads off a name spelled as the module, and, in the benchmark's tracer,
-    the (home, attribute) entries of TARGETS, which it wraps by name."""
+    names it imports from them, the attributes it reads off a name spelled
+    as the module, and, in the benchmark's tracer, the (home, attribute)
+    entries of TARGETS, which it wraps by name."""
     refs = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module and (
@@ -91,12 +92,21 @@ def module_references(path: pathlib.Path, tree: ast.Module) -> set[tuple[str, st
     return refs
 
 
+# Public definitions that only the tests read, each until the ROADMAP item
+# named gives it a caller in a run path (or deletes it). No other exemption.
+AWAITING_CALLER = {
+    "geometry.graph_singular_values": "ROADMAP item 9",
+    "lagrangian.angle_evolution_residual": "ROADMAP item 8",
+}
+
+
 def test_public_definitions_are_referenced():
-    # a public function or class is referenced from another file of the
+    # a public function or class is referenced from another module of the
     # package or the benchmark harness, or in its own module outside its own
     # definition: one that only the tests read is a second path to what the
-    # tests could reach through the first
-    files = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    # tests could reach through the first. The package __init__ does not
+    # count: an export is no caller.
+    files = [*MODULES, *(ROOT / "perfbench").glob("*.py")]
     referenced = set().union(*(module_references(p, ast.parse(p.read_text())) for p in files))
     orphans = []
     for module, tree in TREES.items():
@@ -106,4 +116,6 @@ def test_public_definitions_are_referenced():
                     and not any(node.name in used_names(ast.Module(body=[other], type_ignores=[]))
                                 for other in tree.body if other is not node)):
                 orphans.append(f"{module}.{node.name}")
-    assert not orphans, f"public definitions read by no package or benchmark file: {orphans}"
+    assert sorted(orphans) == sorted(AWAITING_CALLER), (
+        f"public definitions read by no package or benchmark file: {orphans}, "
+        f"exempt while awaiting a caller: {sorted(AWAITING_CALLER)}")

@@ -1,6 +1,8 @@
 """Lagrangian graphs, the angle identities, the mean curvature form, the
 potential flow, and the pinching diagnostic."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from codimflow import catalog, lagrangian
 from codimflow.errors import NonFiniteError, UsageError
 from codimflow.flow import FlowConfig, FlowState, Termination, run, step_explicit
 from codimflow.geometry import Immersion, build_bundle, d1_tensor
-from codimflow.grid import ChartSpec, Domain, GridField, make_chart, partials
+from codimflow.grid import ChartSpec, Domain, GridField, diff1, make_chart, partials
 from codimflow.lagrangian import (
     Potential, PotentialFlowConfig, angle_evolution_residual, lag_immersion,
     lagrangian_angle, lagrangian_angle_of_hessian, lagrangian_residual,
@@ -76,6 +78,23 @@ class TestPotentialAndGraph:
         assert np.array_equal(H, p.S + partials(p.phi.values, p.chart)[1][..., 0])
         # component-major storage: every component is one contiguous chart array
         assert all(H[..., a, b].flags.c_contiguous for a in range(m) for b in range(m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_graph_is_x_and_Sx_plus_grad_phi_bitwise(self, m):
+        # F(x) = (x, S x + grad phi), S x summed over i in order, with the
+        # exact affine summand (x, S x)
+        rng = np.random.default_rng(10 + m)
+        X = rng.standard_normal((m, m))
+        p = potential(X + X.T, lambda *x: 0.2 * np.sin(x[0]) * np.cos(x[-1] + 0.3),
+                      n=8 if m == 3 else 12, m=m)
+        imm = lag_immersion(p)
+        x = p.chart.mesh()
+        Sx = sum(p.S[:, i] * x[i][..., None] for i in range(m))
+        grad_phi = np.stack([diff1(p.phi.values[..., 0], a, p.chart) for a in range(m)], -1)
+        assert np.array_equal(imm.values, np.concatenate([np.stack(x, -1), Sx + grad_phi], -1))
+        mat, off = imm.affine
+        assert np.array_equal(mat, np.vstack([np.eye(m), p.S]))
+        assert np.array_equal(off, np.zeros(2 * m))
 
 
 class TestLagrangianResidual:
@@ -203,6 +222,11 @@ class TestMeanCurvatureForm:
         assert rep.h_symmetry_defect == 0.0
         assert rep.dH_residual.linf == 0.0
         assert rep.pinching_gap_min == 0.0
+
+    def test_exactly_zero_residual_is_positive_zero(self):
+        # dH vanishes identically on a curve, and max(0.0, -0.0) is -0.0
+        rep = mean_curvature_form(catalog.circle(n=32))
+        assert math.copysign(1.0, rep.dH_residual.linf) == 1.0
 
     def test_dalpha_equals_H(self, generic):
         p, imm, bundle, alpha = generic

@@ -161,10 +161,7 @@ def _type1_rescaled(trace: FlowTrace, t_hat: float):
     """The last snapshot before t_hat, Type I rescaled about its
     volume-weighted centroid (the singular point of a shrinking flow):
     returns its time, the rescaled immersion and the rescaled time s."""
-    snaps = [r for r in trace.records if r.snapshot is not None and r.t < t_hat]
-    if not snaps:
-        raise UsageError("no snapshots before T_hat for rescaling")
-    rec = snaps[-1]
+    rec = [r for r in trace.records if r.snapshot is not None and r.t < t_hat][-1]
     snap, bundle = rec.snapshot, build_bundle(rec.snapshot)
     q = np.array([integrate_values(snap.values[..., a], bundle.sqrt_det_g, snap.chart)
                   for a in range(snap.n)]) / bundle.total_volume()
@@ -314,8 +311,16 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError, so they reach the
+    one error line; its subparsers share the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="codimflow",
         description="Mean curvature flow engine for immersions of arbitrary "
                     "codimension in flat Euclidean space.",
@@ -356,17 +361,15 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
     try:
-        args, extras = ap.parse_known_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    if args.command == "catalog":
-        args.params = extras
-    elif extras:
-        return _fail("UsageError", f"unrecognized arguments: {' '.join(extras)}")
-    try:
+        args, extras = make_parser().parse_known_args(argv)
+        if args.command == "catalog":
+            args.params = extras
+        elif extras:
+            raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
         return args.func(args)
+    except SystemExit:   # argparse exits only after printing -h's help
+        return EXIT_OK
     except CodimflowError as exc:
         return _fail(type(exc).__name__, str(exc))
     except OSError as exc:

@@ -205,23 +205,30 @@ def parse_config(text: str, flow_type: type = FlowConfig,
                 "initial.catalog", "initial.snapshot"
             ) and not key.startswith("initial.potential."):
                 catalog_params[key.split(".", 1)[1]] = coerce_scalar(p.get(key))
-        # grid overrides: the example's node counts and stencil order
+        # grid overrides: the example's node counts and stencil order, each
+        # reported with the example's own key when both set it
+        overrides = {}
         res = p.resolution("grid.resolution")
         fd = p.get_typed("grid.fd_order", int)
         if fd not in (None, 2, 4):
             p.err("grid.fd_order", "fd_order must be 2 or 4")
         elif fd:
-            catalog_params.setdefault("fd_order", fd)
+            overrides["grid.fd_order"] = {"fd_order": fd}
         if res and catalog_name in catalog_names():
             own = resolution_params(catalog_name)
             names = {1: ("n",), 2: ("J", "K")}.get(len(res))
             if names and set(names) <= set(own):
-                for k, r in zip(names, res):
-                    catalog_params.setdefault(k, r)
+                overrides["grid.resolution"] = dict(zip(names, res))
             else:
                 p.err("grid.resolution",
                       f"grid.resolution: {len(res)} counts do not fit catalog example "
                       f"{catalog_name!r}; set {', '.join('initial.' + k for k in own)}")
+        for key, values in overrides.items():
+            both = [f"initial.{k} (line {p.kv['initial.' + k][1]})"
+                    for k in values if k in catalog_params]
+            if both:
+                p.err(key, f"{key} and {', '.join(both)} both set the grid; keep one")
+            catalog_params.update(values)
 
     potential = None
     if has_potential:

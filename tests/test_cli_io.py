@@ -293,6 +293,13 @@ class TestSnapshots:
         with pytest.raises(ConfigError, match="row-count mismatch: expected 16"):
             read_snapshot(str(path))
 
+    def test_header_only_snapshot_errors(self, tmp_path):
+        p = tmp_path / "c.snap"
+        write_snapshot(catalog.circle(n=16), str(p))
+        p.write_text("".join(l for l in p.read_text().splitlines(True) if l.startswith("#")))
+        with pytest.raises(ConfigError, match="row-count mismatch: expected 16 data rows, found 0"):
+            read_snapshot(str(p))
+
     def test_header_m_conflicts_with_chart(self, tmp_path):
         path = tmp_path / "c.snap"
         write_snapshot(catalog.circle(n=16), str(path))
@@ -518,8 +525,12 @@ class TestCheckpointResume:
         (_edit_doc(lambda d: d["records"][-1].update(t=d["records"][-1]["t"] / 2)),
          LAST_RECORD_OFF),
         (_edit_doc(lambda d: d.update(records=[])), LAST_RECORD_OFF),
+        (_edit_doc(lambda d: d["records"].__setitem__(0, [])), "record 0 is not a JSON object"),
+        (_edit_doc(lambda d: d["records"][1].update(step_index="5")),
+         "record 1 field step_index is a str"),
     ], ids=["not-json", "snapshot-row-lost", "no-step-index", "schema-v1", "unknown-record-field",
-            "step-index-off", "record-time-off", "no-records"])
+            "step-index-off", "record-time-off", "no-records", "record-not-object",
+            "record-field-mistyped"])
     def test_malformed_checkpoint_errors(self, tmp_path, edit, message):
         cfg = FlowConfig(cfl_sigma=0.5, stop_t_max=0.02, record_every=5)
         tr, fin = run(catalog.circle(n=64), cfg)
@@ -592,6 +603,31 @@ class TestCLI:
         r = run_cli("run", "does-not-exist.cfg")
         assert r.returncode == 4
         assert r.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run"], "codimflow run: the following arguments are required: configs"),
+        (["verify", "x.cfg", "--checks", "abc"],
+         "codimflow verify: argument --checks: invalid int value: 'abc'"),
+        (["nosuch"], "codimflow: argument command: invalid choice: 'nosuch' (choose from "
+                     "'run', 'verify', 'soliton', 'rescale', 'lagrangian', 'catalog')"),
+        (["run", "a.cfg", "--bogus"], "unrecognized arguments: --bogus"),
+        (["catalog", "circle", "-o", "{dir}/x.snap", "stray"],
+         "catalog parameters must be --name value pairs, got 'stray'"),
+    ], ids=["run-no-config", "checks-not-int", "unknown-command", "run-stray-flag",
+            "catalog-stray-word"])
+    def test_argument_error_prints_the_error_line(self, tmp_path, capsys, argv, message):
+        from codimflow import cli
+
+        assert cli.main([a.format(dir=tmp_path) for a in argv]) == 4
+        assert capsys.readouterr() == ("", f"error: UsageError: {message}\n")
+        assert not (tmp_path / "x.snap").exists()
+
+    def test_help_exit_0(self, capsys):
+        from codimflow import cli
+
+        assert cli.main(["run", "-h"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: codimflow run") and err == ""
 
     def test_lagrangian_subcommand(self, tmp_path):
         cfgp = tmp_path / "l.cfg"
@@ -905,6 +941,62 @@ class TestCLI:
         key = line.split(" = ")[0]
         lineno = initial.count("\n") + 2
         assert f"line {lineno}: {key} is read only with initial.catalog" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("example, own, line", [
+        ("circle", "initial.n = 64", "grid.resolution = 128"),
+        ("circle", "initial.n = 64", "grid.resolution = 64"),
+        ("sphere", "initial.J = 12", "grid.resolution = 12,24"),
+        ("sphere", "initial.K = 24", "grid.resolution = 12,24"),
+        ("circle", "initial.fd_order = 2", "grid.fd_order = 4"),
+        ("sphere", "initial.fd_order = 2", "grid.fd_order = 2"),
+    ], ids=["n", "n-agrees", "J", "K", "fd_order", "fd_order-agrees"])
+    def test_grid_key_with_the_example_key_exit_4(self, tmp_path, capsys, example, own, line):
+        # one of the two would be dropped, so both are named, agreeing or not
+        from codimflow import cli
+
+        cfgp = tmp_path / "s.cfg"
+        cfgp.write_text(f"name = s\ninitial.catalog = {example}\n{own}\n{line}\n"
+                        f"flow.stop_t_max = 0.001\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 4
+        out, err = capsys.readouterr()
+        key, own_key = line.split(" = ")[0], own.split(" = ")[0]
+        assert out == "" and err.splitlines() == [
+            "error: ConfigError: configuration errors:",
+            f"    line 4: {key} and {own_key} (line 3) both set the grid; keep one"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        ("initial.catalog = circle\nflow.stop_t_max 0.01\n", "line 5: expected 'key = value'"),
+        ("initial.catalog = circle\ninitial.n = 64\ninitial.n = 32\n",
+         "line 6: duplicate key 'initial.n'"),
+        ("initial.potential.S = 0.5,0.8\ninitial.potential.phi = 0.1*tan(x1)\n"
+         "flow.stop_t_max = 0.01\n",
+         "line 5: bad phi term '0.1*tan(x1)'; expected like 0.1*sin(x1)*cos(2*x2)"),
+        ("initial.potential.S = 1,2,3\nflow.stop_t_max = 0.01\n",
+         "line 4: S needs 2 (diagonal) or 4 (full) entries"),
+        ("initial.catalog = circle\nanalyses = bogus\n",
+         "line 5: unknown analysis 'bogus'; known: monotonicity, soliton, rescale, classify, "
+         "lagrangian_report"),
+        ("initial.catalog = circle\nanalyses = monotonicity\n",
+         "analysis.monotonicity.t0 is required"),
+        ("initial.catalog = circle\nanalyses = soliton\nanalysis.soliton.kind = spinner\n",
+         "line 6: bad soliton kind 'spinner'"),
+        ("initial.catalog = circle\nanalyses = rescale\nanalysis.rescale.mode = type3\n",
+         "line 6: mode must be type1 or type2, got 'type3'"),
+    ], ids=["no-equals", "duplicate-key", "phi-term", "S-three-entries", "unknown-analysis",
+            "no-t0", "soliton-kind", "rescale-mode"])
+    def test_config_error_exit_4_with_line(self, tmp_path, capsys, lines, message):
+        # the blank and the comment-only line 2 and 3 parse and are counted
+        from codimflow import cli
+
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(f"name = c\n\n   # a comment-only line\n{lines}"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: ConfigError: configuration errors:",
+                                                  f"    {message}"]
         assert not (tmp_path / "out").exists()
 
     def test_run_translator_analysis(self, tmp_path, capsys):

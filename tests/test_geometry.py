@@ -174,6 +174,17 @@ class TestInducedMetric:
         with pytest.raises(UsageError, match=message):
             Immersion(imm.chart, imm.values, norm_mask=mask)
 
+    @pytest.mark.parametrize("values, affine, message", [
+        (np.zeros((31, 2)), None, r"immersion values shape \(31, 2\) does not match chart \(32,\)"),
+        (np.zeros((32, 1)), None, "ambient dimension must exceed intrinsic dimension"),
+        (None, (np.zeros((2, 2)), np.zeros(2)), "affine part has inconsistent shape"),
+        (None, (np.zeros((2, 1)), np.zeros(3)), "affine part has inconsistent shape"),
+    ], ids=["values-shape", "n-not-above-m", "affine-matrix-shape", "affine-offset-shape"])
+    def test_malformed_immersion_rejected(self, values, affine, message):
+        imm = catalog.circle(n=32)
+        with pytest.raises(UsageError, match=message):
+            Immersion(imm.chart, imm.values if values is None else values, affine=affine)
+
 
 class TestChristoffel:
     def test_constant_metric_zero(self):
@@ -331,6 +342,11 @@ class TestGraphs:
             imm = catalog.flat_torus_graph(m=m, n_per_axis=64, fd_order=4)
             b = build_bundle(imm)
             assert np.abs(b.normA2 - m).max() < 1e-3
+
+    def test_graph_over_a_sphere_chart_rejected(self):
+        ch = make_chart(ChartSpec(Domain.SPHERE, (8, 16)))
+        with pytest.raises(UsageError, match="graph_immersion requires a periodic torus chart"):
+            graph_immersion(GridField(ch, np.zeros((8, 16, 1))))
 
     def test_metric_of_small_graph(self):
         ch = make_chart(ChartSpec(Domain.CIRCLE, (64,), fd_order=4))

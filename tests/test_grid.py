@@ -1,14 +1,15 @@
 """Chart construction, stencil accuracy, quadrature, and exact symmetries."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from codimflow.errors import ConfigError
+from codimflow.errors import ConfigError, UsageError
 from codimflow.geometry import d1_tensor
 from codimflow.grid import (
-    _PAD, STENCILS, AxisKind, ChartSpec, Domain, _pad, diff1, diff2, diff_mixed,
+    _PAD, STENCILS, AxisKind, ChartSpec, Domain, GridField, _pad, diff1, diff2, diff_mixed,
     integrate_values, make_chart, neighbor_maps, partials,
 )
 from conftest import roll_field
@@ -64,10 +65,24 @@ class TestMakeChart:
          "bad interval bounds (1.0, 0.0)"),
         (Domain.TORUS, (16,), {"interval_bounds": (0.0, 1.0)},
          "interval_bounds only valid for interval charts"),
+        (Domain.CIRCLE, ("8.5",), {}, "node counts must be whole numbers, got ('8.5',)"),
+        (Domain.CIRCLE, (math.nan,), {}, "node counts must be whole numbers, got (nan,)"),
+        (Domain.CIRCLE, (math.inf,), {}, "node counts must be whole numbers, got (inf,)"),
+        (Domain.CIRCLE, (None,), {}, "node counts must be whole numbers, got (None,)"),
     ])
     def test_spec_guards(self, domain, resolution, kwargs, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             ChartSpec(domain, resolution, **kwargs)
+
+    def test_field_shape_checked_against_chart(self):
+        with pytest.raises(UsageError, match=re.escape("field shape (16,) does not match "
+                                                       "chart (16,) + (c,)")):
+            GridField(circle_chart(16), np.zeros(16))
+
+    def test_diff_mixed_needs_two_axes(self):
+        ch = make_chart(ChartSpec(Domain.TORUS, (16, 16)))
+        with pytest.raises(UsageError, match="diff_mixed requires two distinct axes"):
+            diff_mixed(np.zeros((16, 16)), 1, 1, ch)
 
 
 class TestPartials:

@@ -2,8 +2,9 @@
 module-level import of a codimflow module is used in that module, every
 private module-level function or class is referenced somewhere in the
 package, and every public one somewhere in the package or the benchmark
-harness: a reference from the tests alone, or an export from the package
-__init__, does not count."""
+harness: a reference from the tests alone does not count. The package
+__init__ binds no name but __version__, so each public name is imported from
+the one module that defines it."""
 
 import ast
 import pathlib
@@ -45,6 +46,12 @@ def used_names(tree: ast.Module) -> set[str]:
             if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
                 used |= used_names(ast.parse(ann.value, mode="eval"))
     return used
+
+
+def test_package_init_binds_only_the_version():
+    # any other name bound there would be a second import path to it
+    docstring, *rest = TREES["__init__"].body
+    assert [ast.unparse(node).split(" =")[0] for node in rest] == ["__version__"]
 
 
 def test_every_module_is_checked():
@@ -104,8 +111,7 @@ def test_public_definitions_are_referenced():
     # a public function or class is referenced from another module of the
     # package or the benchmark harness, or in its own module outside its own
     # definition: one that only the tests read is a second path to what the
-    # tests could reach through the first. The package __init__ does not
-    # count: an export is no caller.
+    # tests could reach through the first.
     files = [*MODULES, *(ROOT / "perfbench").glob("*.py")]
     referenced = set().union(*(module_references(p, ast.parse(p.read_text())) for p in files))
     orphans = []

@@ -67,6 +67,19 @@ class TestPotentialAndGraph:
         with pytest.raises(NonFiniteError, match="quadratic part S"):
             potential(np.array([[bad, 0.0], [0.0, 1.0]]), n=16)
 
+    @pytest.mark.parametrize("domain, S, phi, error, message", [
+        (Domain.TORUS, np.eye(3), np.zeros((16, 16, 1)), UsageError, "S must be 2x2"),
+        (Domain.TORUS, np.eye(2), np.zeros((16, 16, 2)), UsageError, "phi must be a scalar field"),
+        (Domain.SPHERE, np.eye(2), np.zeros((16, 16, 1)), UsageError,
+         "potential lives on a periodic torus chart"),
+        (Domain.TORUS, np.eye(2), np.full((16, 16, 1), np.nan), NonFiniteError,
+         "phi contains non-finite values"),
+    ], ids=["S-3x3", "phi-two-components", "sphere-chart", "phi-nan"])
+    def test_malformed_potential_rejected(self, domain, S, phi, error, message):
+        ch = make_chart(ChartSpec(domain, (16, 16)))
+        with pytest.raises(error, match=message):
+            Potential(S, GridField(ch, phi))
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_hessian_is_S_plus_hess_phi_bitwise(self, m):
         rng = np.random.default_rng(m)

@@ -19,7 +19,7 @@ from codimflow.grid import ChartSpec, Domain, GridField, make_chart
 from codimflow.lagrangian import Potential, lag_immersion
 from codimflow.singularity import (
     BlowupClass, DensityParams, SolitonKind, classify_blowup,
-    hamilton_rescale, huisken_functional, monotonicity_check,
+    hamilton_rescale, huisken_functional, monotone_verdict, monotonicity_check,
     monotonicity_defect, soliton_residual, type1_rescale,
 )
 
@@ -124,6 +124,10 @@ class TestMonotonicity:
         expect = np.exp(-0.09 / (4 * taus))
         assert np.abs(chk.values - expect).max() < 2e-3
 
+
+    def test_verdict_needs_three_values(self):
+        with pytest.raises(UsageError, match="needs at least 3 values before t0, got 2"):
+            monotone_verdict([1.0, 0.9])
 
 class TestType1Rescale:
     def test_shrinking_circle_rescales_to_unit(self, circle_trace):
@@ -306,6 +310,11 @@ class TestHamilton:
             if tau <= 1e-12:
                 b = build_bundle(imm)
                 assert math.sqrt(b.normA2.max()) <= 1.0 + 1e-3
+
+    def test_k_below_one_rejected(self, circle_trace):
+        trace, _ = circle_trace
+        with pytest.raises(UsageError, match="k must be a positive integer"):
+            hamilton_rescale(trace, 0.5, k=0)
 
     def test_k_beyond_records_rejected(self, circle_trace):
         trace, _ = circle_trace

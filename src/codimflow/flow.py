@@ -16,7 +16,9 @@ in its block form), read off the step matrix's own entries: an FFT along
 those axes, then one banded LU of each wavenumber's couplings across the
 non-periodic axis (a sphere's colatitude, an interval's axis), which on
 tori and the circle is a division by the symbol. The semi-implicit dt is
-bounded by the curvature brake and by rho Vol^(2/m).
+bounded by the curvature brake and by rho Vol^(2/m). scipy, which supplies
+the sparse matrices and the solvers, is imported on the first semi-implicit
+step, so a process that steps only explicitly (or not at all) never loads it.
 
 One iterable, trajectory, steps the flow and decides where it stops: on a
 reached time horizon, on the curvature cap, on time-step underflow (both
@@ -36,11 +38,9 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import zgbtrf, zgbtrs
-from scipy.sparse.linalg import LinearOperator, bicgstab, gmres, splu
 
 from . import catalog
 from .errors import DegenerateImmersion, NonFiniteError, SolverError, UsageError
@@ -60,6 +60,10 @@ from .geometry import (
 )
 from .grid import (STENCILS, AxisKind, ChartSpec, Domain, integrate_values, make_chart,
                    neighbor_maps, roll_axes)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator
 
 
 class Integrator(enum.Enum):
@@ -232,6 +236,7 @@ class _StepPattern:
 
 @lru_cache(maxsize=16)
 def _step_pattern(spec: ChartSpec) -> _StepPattern:
+    import scipy.sparse as sp
     chart = make_chart(spec)
     m = chart.m
     N = chart.node_count
@@ -324,6 +329,7 @@ def assemble_step_matrix(bundle: GeometryBundle, dt: float,
     weights, which sums each CSR position's couplings in the pattern's
     order. Entries that vanish for this metric stay stored as zeros.
     """
+    import scipy.sparse as sp
     chart = bundle.chart
     pat = _step_pattern(chart.spec)
     m, N = chart.m, chart.node_count
@@ -348,6 +354,8 @@ def _preconditioner(A: sp.csr_matrix, spec: ChartSpec) -> LinearOperator:
     circle b = 0: a division by the symbol). A pivot at or below 1e-12 of
     the largest over all wavenumbers raises SolverError naming its
     wavenumber and ring."""
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
+    from scipy.sparse.linalg import LinearOperator
     pat = _step_pattern(spec)
     periodic, (rings, width) = pat.mean_shape[:-2], pat.mean_shape[-2:]
     b, view = width // 2, (rings,) + periodic
@@ -408,6 +416,24 @@ def tangential_velocity(bundle: GeometryBundle) -> np.ndarray:
     """V^k = w^k - w-hat^k, shape (*, m): the chart components of the
     tangential velocity V^k F_k that the semi-implicit step adds to H."""
     return bundle.drift - reference_drift(bundle)
+
+
+# the solve's later rungs, looked up by name when called so they can be swapped
+# in tests and tracing; each imports its scipy routine then, so a process that
+# takes no semi-implicit step never loads scipy
+def bicgstab(A, b, **kwargs):
+    from scipy.sparse.linalg import bicgstab
+    return bicgstab(A, b, **kwargs)
+
+
+def gmres(A, b, **kwargs):
+    from scipy.sparse.linalg import gmres
+    return gmres(A, b, **kwargs)
+
+
+def splu(A):
+    from scipy.sparse.linalg import splu
+    return splu(A)
 
 
 def step_semi_implicit(state: FlowState, dt: float) -> FlowState:

@@ -254,7 +254,7 @@ def hamilton_rescale(trace: FlowTrace, t_hat: float, k: int) -> HamiltonSequence
     node = np.unravel_index(best_r.argmax_node, best_r.snapshot.chart.shape)
     L = math.sqrt(best_r.max_A2)
     t_k = best_r.t
-    alpha = -L * L * t_k
+    alpha = L * L * (0.0 - t_k)   # tau at t = 0: +0.0, not -0.0, when t_k = 0
     omega = L * L * (t_hat - t_k - 1.0 / k)
     base = best_r.snapshot.values[node]
     rescaled = []

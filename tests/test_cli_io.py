@@ -28,21 +28,29 @@ from codimflow.snapshots import (
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_cli(*args, cwd=None, env=None):
+def run_python(*argv, cwd=None, env=None):
+    """A fresh interpreter on argv, with the package's source on its path."""
     e = dict(os.environ)
     e["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, e.get("PYTHONPATH")]))
     if env:
         e.update(env)
-    return subprocess.run([sys.executable, "-m", "codimflow.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=e)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=cwd, env=e)
+
+
+def run_cli(*args, cwd=None, env=None):
+    return run_python("-m", "codimflow.cli", *args, cwd=cwd, env=env)
+
+
+def readme_scenarios() -> list[str]:
+    """The README's ini blocks, in order."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as f:
+        return [b.split("```", 1)[0] for b in f.read().split("```ini\n")[1:]]
 
 
 class TestParseConfig:
     def test_readme_scenarios_parse(self):
         # every ini block of the README is a scenario the parser accepts
-        readme = os.path.join(os.path.dirname(SRC), "README.md")
-        text = open(readme, encoding="utf-8").read()
-        blocks = [b.split("```", 1)[0] for b in text.split("```ini\n")[1:]]
+        blocks = readme_scenarios()
         names = [parse_config(b).name for b in blocks]
         assert names == ["circle-extinction", "convex-torus"]
 
@@ -1667,3 +1675,59 @@ class TestCLI:
         assert residual < 1e-2
         gap = float(r.stdout.split("pinching gap min=")[1].split()[0])
         assert abs(gap) < 1e-2
+
+
+# imports the CLI, runs it on its arguments (none: the import alone) and
+# prints, as its last line, the exit code, whether flow's solver rungs are
+# callable, and the scipy modules loaded by then
+COLD_START = """
+import json, sys
+from codimflow import cli, flow
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+rungs = [callable(getattr(flow, name)) for name in ("bicgstab", "gmres", "splu")]
+print(json.dumps([code, rungs, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+class TestColdStart:
+    """scipy supplies only the semi-implicit step's sparse solve, so it loads
+    on that step's first call and no earlier: a process that takes no
+    semi-implicit step never imports it."""
+
+    @staticmethod
+    def cold_start(*args):
+        r = run_python("-c", COLD_START, *args)
+        assert r.returncode == 0, r.stderr
+        return json.loads(r.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("command", ["import", "run", "verify", "lagrangian", "catalog"])
+    def test_no_scipy_without_a_semi_implicit_step(self, tmp_path, command):
+        def edit(text, *swaps):
+            for old, new in swaps:
+                assert old in text, old
+                text = text.replace(old, new)
+            return text
+
+        # the README's two scenarios, made small
+        circle, torus = readme_scenarios()
+        out = ("output.dir = out", f"output.dir = {tmp_path / 'out'}")
+        (tmp_path / "circle.cfg").write_text(edit(circle, ("initial.n = 256", "initial.n = 64"), out))
+        (tmp_path / "torus.cfg").write_text(edit(torus, ("resolution = 64", "resolution = 16"),
+                                                 ("stop_t_max = 5.0", "stop_t_max = 0.5"), out))
+        # (arguments, exit code): the circle runs to its singularity, exit 2
+        args, code = {"import": ([], 0),
+                      "run": (["run", str(tmp_path / "circle.cfg")], 2),
+                      "verify": (["verify", str(tmp_path / "circle.cfg")], 0),
+                      "lagrangian": (["lagrangian", str(tmp_path / "torus.cfg")], 0),
+                      "catalog": (["catalog", "clifford_torus", "-o", str(tmp_path / "c.snap")], 0),
+                      }[command]
+        assert self.cold_start(*args) == [code, [True, True, True], []]
+
+    def test_semi_implicit_run_loads_scipy(self, tmp_path):
+        cfgp = tmp_path / "s.cfg"
+        cfgp.write_text("name = s\ninitial.catalog = sphere\ngrid.resolution = 12,24\n"
+                        "flow.integrator = semi_implicit\nflow.stop_t_max = 0.02\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        code, _, scipy = self.cold_start("run", str(cfgp))
+        assert code == 0   # TimeReached
+        assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(scipy)

@@ -4,7 +4,8 @@ private module-level function or class is referenced somewhere in the
 package, and every public one somewhere in the package or the benchmark
 harness: a reference from the tests alone does not count. The package
 __init__ binds no name but __version__, so each public name is imported from
-the one module that defines it."""
+the one module that defines it. No module imports scipy at top level: the
+semi-implicit step loads it on first use."""
 
 import ast
 import pathlib
@@ -46,6 +47,24 @@ def used_names(tree: ast.Module) -> set[str]:
             if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
                 used |= used_names(ast.parse(ann.value, mode="eval"))
     return used
+
+
+def test_no_module_imports_scipy_at_top_level():
+    # scipy costs about 0.3 s of every start; only the semi-implicit step
+    # needs it, and its functions import it themselves (an `if
+    # TYPE_CHECKING:` import, for annotations, is not at top level)
+    stray = []
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]   # None for `from . import x`
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                stray.append(f"{module}.py:{node.lineno}")
+    assert not stray, f"scipy imported at module level: {stray}"
 
 
 def test_package_init_binds_only_the_version():

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from codimflow import catalog
+from codimflow import catalog, cli
 from codimflow.errors import ConfigError, UsageError
 from codimflow.flow import (
     FlowConfig, FlowState, FlowTrace, Integrator, Termination, TraceRecord,
@@ -292,6 +292,25 @@ class TestClassify:
 
 
 class TestHamilton:
+    # a 64-node circle run to the curvature cap, recorded every 25 steps with
+    # a snapshot every 2 records: for k = 50, T_hat - 1/k lies before the
+    # second snapshot, so the Hamilton record is the first one, at t = 0
+    def test_alpha_is_positive_zero_at_the_first_record(self):
+        trace, _ = run(catalog.circle(radius=1.0, n=64),
+                       FlowConfig(record_every=25, snapshot_every=2))
+        ham = hamilton_rescale(trace, estimate_singular_time(trace).t_hat, k=50)
+        assert ham.record_index == 0 and ham.t_k == 0.0
+        assert ham.alpha_k == 0.0 and math.copysign(1.0, ham.alpha_k) == 1.0
+
+    def test_alpha_printed_without_a_sign_at_the_first_record(self, tmp_path, capsys):
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text("name = c\ninitial.catalog = circle\ninitial.n = 64\n"
+                        "flow.record_every = 25\nflow.snapshot_every = 2\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["rescale", str(cfgp), "--mode", "type2", "--k", "50"]) == 2
+        line, = [s for s in capsys.readouterr().out.splitlines() if "type2 rescale" in s]
+        assert " alpha_k=0 " in line, line
+
     def test_normalization_and_range(self, circle_trace):
         trace, _ = circle_trace
         ham = hamilton_rescale(trace, 0.5, k=10)

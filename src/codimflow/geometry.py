@@ -536,15 +536,22 @@ def _masked_l2(per_node_sq: np.ndarray, bundle: GeometryBundle, mask: np.ndarray
     return float(np.sqrt(integrate_values(np.where(mask, per_node_sq, 0.0), w, chart) / vol))
 
 
-def _norms(res_field: np.ndarray, bundle: GeometryBundle,
-           mask: np.ndarray, scale_field: np.ndarray | None = None) -> ResidualNorms:
-    """Norms of a node-major field, reduced over its index-major components."""
+def _norms(res_field: np.ndarray, bundle: GeometryBundle, mask: np.ndarray,
+           scale_field: np.ndarray | None = None, pairs: bool = False) -> ResidualNorms:
+    """Norms of a node-major field, reduced over its index-major components.
+
+    pairs marks the i < j entries of an antisymmetric 2-form (_pairs): each
+    stands for itself and its negative, so it counts twice in l2. A field
+    without components, the pairs of a curve, has linf = l2 = +0.0."""
     chart = bundle.chart
     flat = lambda X: roll_axes(X, chart.m).reshape((-1,) + chart.shape)
     res = flat(res_field)
-    # abs: on an exactly zero residual, max(0.0, -0.0) is -0.0
-    linf = abs(float(np.where(mask, np.maximum(res.max(axis=0), -res.min(axis=0)), 0.0).max()))
-    l2 = _masked_l2(_dot(res, res), bundle, mask)
+    linf = l2 = 0.0
+    if len(res):
+        # abs: on an exactly zero residual, max(0.0, -0.0) is -0.0
+        linf = abs(float(np.where(mask, np.maximum(res.max(axis=0), -res.min(axis=0)), 0.0).max()))
+        sq = _dot(res, res)
+        l2 = _masked_l2(2.0 * sq if pairs else sq, bundle, mask)
     scale = 1.0
     if scale_field is not None:
         sflat = np.abs(flat(scale_field)).max(axis=0)
@@ -556,10 +563,24 @@ def gauss_residual_field(bundle: GeometryBundle) -> np.ndarray:
     return intrinsic_curvature(bundle) - bundle.gauss
 
 
+def _pairs(entry, m: int, shape: tuple[int, ...]) -> np.ndarray:
+    """entry(i, j) - entry(j, i) over the pairs i < j, stacked in
+    np.triu_indices(m, 1) order on a leading axis: the independent entries
+    of an antisymmetric 2-form, each an index-major array of the given
+    shape. A curve (m = 1) has no pairs."""
+    iu, ju = np.triu_indices(m, 1)
+    out = np.empty((iu.size,) + shape)
+    for p, (i, j) in enumerate(zip(iu, ju)):
+        np.subtract(entry(i, j), entry(j, i), out=out[p])
+    return out
+
+
 def codazzi_residual_field(bundle: GeometryBundle) -> np.ndarray:
-    """Normal part of (nabla_i A)_jk - (nabla_j A)_ik (vanishes for R^N = 0)."""
+    """Normal part of (nabla_i A)_jk - (nabla_j A)_ik (vanishes for R^N = 0),
+    antisymmetric in (i, j): shape (*, pair, k, a) over the pairs i < j in
+    np.triu_indices(m, 1) order."""
     nA, P = roll_axes(bundle.nA, -4), roll_axes(bundle.normal_projector, -2)
-    return roll_axes(_project(P, nA - nA.swapaxes(0, 1)), 4)
+    return roll_axes(_project(P, _pairs(lambda i, j: nA[i, j], bundle.imm.m, nA.shape[2:])), 3)
 
 
 def ricci_residual_field(bundle: GeometryBundle) -> np.ndarray:
@@ -572,21 +593,23 @@ def ricci_residual_field(bundle: GeometryBundle) -> np.ndarray:
 
     is tensorial in nu, so testing a spanning family is a complete check.
     The left side is evaluated as the antisymmetrized second normal
-    derivative (d_i (d_j nu)^perp)^perp. All n fields are checked at once;
-    the result has shape (*, i, j, a, b).
+    derivative (d_i (d_j nu)^perp)^perp. All n fields are checked at once.
+    Both sides are antisymmetric in (i, j), so only the pairs i < j are
+    formed: the result has shape (*, pair, a, b), the pairs in
+    np.triu_indices(m, 1) order.
     """
-    chart = bundle.chart
+    chart, m = bundle.chart, bundle.imm.m
     P = roll_axes(bundle.normal_projector, -2)  # (b, a): row b is e_b^perp
     Y = _project(P, roll_axes(d1_tensor(bundle.normal_projector, chart), -3))  # (j, b, a)
-    dY = roll_axes(d1_tensor(roll_axes(Y, 3), chart, tensor_axes=(0,)), -4)  # (i, j, b, a)
-    res = _project(P, dY - dY.swapaxes(0, 1))
+    sign = _parity(chart, (m,), (0,))  # Y_j has the pole parity of its index j
+    dY = lambda i, j: roll_axes(diff1(roll_axes(Y[j], 2), i, chart, sign[j]), -2)  # d_i Y_j
+    res = _project(P, _pairs(dY, m, Y.shape[1:]))  # (pair, b, a)
     # minus the right side: g^kl <nu, A_ik> A_jl = <nu, A_ik> A^k_j, antisymmetrized
     A, A_up = roll_axes(bundle.A, -3), roll_axes(bundle.A_up, -3)
     nuA = _dot(P.swapaxes(0, 1)[:, :, None, None], np.moveaxis(A, 2, 0)[:, None])  # (b, i, k)
-    half = _dot(np.einsum("bik...->kib...", nuA)[:, :, None, :, None],
-                A_up[:, None, :, None, :])  # (i, j, b, a)
-    res += half - half.swapaxes(0, 1)
-    return roll_axes(res.swapaxes(2, 3), 4)
+    nuA = np.einsum("bik...->kib...", nuA)
+    res += _pairs(lambda i, j: _dot(nuA[:, i, :, None], A_up[:, j, None, :]), m, Y.shape[1:])
+    return roll_axes(res.swapaxes(1, 2), 3)
 
 
 def simons_residual_field(bundle: GeometryBundle) -> np.ndarray:
@@ -653,18 +676,20 @@ def structure_residuals(imm: Immersion, bundle: GeometryBundle | None = None) ->
 
     Each entry carries the residual norms together with the size of the
     identity's dominant term, so callers can judge relative defects. Norms
-    are taken over the trusted region (see trusted_mask)."""
+    are taken over the trusted region (see trusted_mask). The Codazzi and
+    Ricci defects are antisymmetric in (i, j) and are formed and reduced
+    over the pairs i < j only."""
     if bundle is None:
         bundle = build_bundle(imm)
     mask = trusted_mask(imm)
 
-    def norms(field, scale):
-        return _norms(field(bundle), bundle, mask, scale_field=scale)
+    def norms(field, scale, pairs=False):
+        return _norms(field(bundle), bundle, mask, scale_field=scale, pairs=pairs)
 
     return CurvatureReport(
         gauss=norms(gauss_residual_field, bundle.gauss),
-        codazzi=norms(codazzi_residual_field, bundle.nA),
-        ricci=norms(ricci_residual_field, bundle.normA2),
+        codazzi=norms(codazzi_residual_field, bundle.nA, pairs=True),
+        ricci=norms(ricci_residual_field, bundle.normA2, pairs=True),
         simons=norms(simons_residual_field, bundle.ddH),
         simons2=norms(simons2_residual_field, bundle.A_ddH),
     )

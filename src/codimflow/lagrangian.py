@@ -33,6 +33,7 @@ from .geometry import (
     Immersion,
     ResidualNorms,
     _norms,
+    _pairs,
     _sq_norm,
     build_bundle,
     d1_tensor,
@@ -213,8 +214,9 @@ def mean_curvature_form(imm: Immersion, bundle: GeometryBundle | None = None,
     form_vs_vector = float(np.abs(H_form - H_omega).max())
 
     dHf = d1_tensor(H_form, chart, tensor_axes=(0,))  # (*, i, j) = d_i H_j
-    dH_anti = dHf - np.einsum("...ij->...ji", dHf)
-    dH_res = _norms(dH_anti, bundle, mask, scale_field=dHf)
+    dH = roll_axes(dHf, -2)
+    dH_anti = _pairs(lambda i, j: dH[i, j], chart.m, chart.shape)  # d_i H_j - d_j H_i, i < j
+    dH_res = _norms(roll_axes(dH_anti, 1), bundle, mask, scale_field=dHf, pairs=True)
 
     dalpha_res = None
     calibration = None

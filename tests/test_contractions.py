@@ -25,11 +25,13 @@ from codimflow.flow import (
     step_explicit,
 )
 from codimflow.geometry import (
-    CurvatureReport, GeometryBundle, ResidualNorms, _norms, build_bundle,
-    d1_tensor, immersion_partials, laplace_beltrami, normal_part,
+    CurvatureReport, GeometryBundle, ResidualNorms, _dot, _norms, _project,
+    build_bundle, d1_tensor, immersion_partials, laplace_beltrami, normal_part,
     structure_residuals, trusted_mask,
 )
-from codimflow.grid import ChartSpec, Domain, GridField, integrate_values, make_chart, partials
+from codimflow.grid import (
+    ChartSpec, Domain, GridField, integrate_values, make_chart, partials, roll_axes,
+)
 from codimflow.lagrangian import Potential, lag_immersion
 
 REL = 1e-12
@@ -139,6 +141,28 @@ def ref_ricci_field(b):
         half = np.einsum("...kl,...ik,...jla->...ija", b.ginv, nuA, b.A)
         out[..., e] = lhs + (half - np.einsum("...jia->...ija", half))
     return out
+
+
+def full_codazzi_field(b):
+    """The Codazzi defect over every (i, j), index-major (i, j, k, a) + nodes,
+    from the library's own primitives, so its entries round as the library's."""
+    nA, P = roll_axes(b.nA, -4), roll_axes(b.normal_projector, -2)
+    return _project(P, nA - nA.swapaxes(0, 1))
+
+
+def full_ricci_field(b):
+    """The Ricci defect over every (i, j), index-major (i, j, a, b) + nodes,
+    from the library's own primitives, so its entries round as the library's."""
+    P = roll_axes(b.normal_projector, -2)
+    Y = _project(P, roll_axes(d1_tensor(b.normal_projector, b.chart), -3))  # (j, b, a)
+    dY = roll_axes(d1_tensor(roll_axes(Y, 3), b.chart, tensor_axes=(0,)), -4)  # (i, j, b, a)
+    res = _project(P, dY - dY.swapaxes(0, 1))
+    A, A_up = roll_axes(b.A, -3), roll_axes(b.A_up, -3)
+    nuA = _dot(P.swapaxes(0, 1)[:, :, None, None], np.moveaxis(A, 2, 0)[:, None])  # (b, i, k)
+    half = _dot(np.einsum("bik...->kib...", nuA)[:, :, None, :, None],
+                A_up[:, None, :, None, :])  # (i, j, b, a)
+    res += half - half.swapaxes(0, 1)
+    return res.swapaxes(2, 3)
 
 
 def ref_simons_field(b):
@@ -289,6 +313,27 @@ def test_structure_residuals_match_reference(name):
     got, want = structure_residuals(imm), ref_structure_residuals(imm)
     for field in ("gauss", "codazzi", "ricci", "simons", "simons2"):
         assert_norms_match(getattr(got, field), getattr(want, field), field)
+
+
+@pytest.mark.parametrize("name", list(CHARTS))
+def test_antisymmetric_defects_kept_on_their_pairs(name):
+    # the full Codazzi and Ricci fields are antisymmetric in (i, j) bit for
+    # bit with exactly zero diagonals, so the pairs i < j carry all of them
+    b = build_bundle(CHARTS[name]())
+    m, mask = b.chart.m, trusted_mask(b.imm)
+    iu, ju = np.triu_indices(m, 1)
+    for label, full, field in (
+            ("codazzi", full_codazzi_field(b), geometry.codazzi_residual_field(b)),
+            ("ricci", full_ricci_field(b), geometry.ricci_residual_field(b))):
+        assert np.array_equal(full, -full.swapaxes(0, 1)), label
+        assert not full[np.arange(m), np.arange(m)].any(), label
+        pairs = roll_axes(field, m)
+        assert pairs.shape[0] == {1: 0, 2: 1, 3: 3}[m], label
+        assert np.array_equal(pairs, full[iu, ju]), label
+        got = _norms(field, b, mask, pairs=True)
+        want = _norms(roll_axes(full, full.ndim - m), b, mask)
+        assert got.linf == want.linf and np.copysign(1.0, got.linf) == 1.0, label
+        assert abs(got.l2 - want.l2) <= 1e-14 * want.l2, label
 
 
 @pytest.mark.parametrize("name", list(CHARTS))

@@ -124,7 +124,7 @@ def _run_one(config_path: str, resume: str | None = None) -> int:
     for a in scenario.analyses:
         if a.kind == "monotonicity":
             # the series run recorded at (q, t0); a checkpoint keeps it
-            ok, jump, _ = monotone_verdict(
+            ok, jump = monotone_verdict(
                 [r.huisken for r in trace.records if r.huisken is not None])
             print(f"  monotonicity: nonincreasing={ok} max_jump={jump:.3e}")
         elif a.kind == "soliton":

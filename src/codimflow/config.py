@@ -58,6 +58,8 @@ def parse_phi_term(text: str, m: int):
     if not match:
         raise ValueError(f"bad phi term {text!r}; expected like 0.1*sin(x1)*cos(2*x2)")
     coef = float(match.group("coef"))
+    if not math.isfinite(coef):
+        raise ValueError(f"phi term {text.strip()!r}: the coefficient must be finite")
     factors = []
     for fm in _PHI_FACTOR.finditer(match.group("factors")):
         k, ax = int(fm.group("k") or 1), int(fm.group("ax"))

@@ -458,12 +458,8 @@ def intrinsic_curvature(bundle: GeometryBundle) -> np.ndarray:
     Christoffel components themselves.
     """
     chart, m = bundle.chart, bundle.chart.m
-    sign = _parity(chart, (m,), (0,))
-    iu, ju = np.triu_indices(m)  # each unique component once, for both its slots
-    table = np.empty((m, m), dtype=int)
-    table[iu, ju] = table[ju, iu] = np.arange(iu.size)
-    _, d2 = partials(bundle.g[..., iu, ju], chart, sign[iu] * sign[ju])
-    ddg = roll_axes(d2, -3)[:, :, table]  # (k, l, i, j) + nodes
+    _, d2 = partials(bundle.g, chart, _parity(chart, (m, m), (0, 1)))
+    ddg = roll_axes(d2, -4)  # (k, l, i, j) + nodes
     part = 0.5 * (
         np.einsum("kjil...->ijkl...", ddg)
         + np.einsum("likj...->ijkl...", ddg)
@@ -661,12 +657,14 @@ def simons2_residual_field(bundle: GeometryBundle) -> np.ndarray:
         2 <A, nabla^2 H> = Delta |A|^2 - 2 |nabla^perp A|^2
                            + |<A_ij,A_kl> - <A_il,A_jk>|^2 + |A-commutator|^2
                            + 2 |<H,A_ij> - <A_ik, A_j^k>|^2 - 2 |<H,A_ij>|^2
+
+    The first curvature term is |bundle.gauss|^2: A is symmetric, so its
+    tensor is the Gauss tensor with j and k exchanged.
     """
-    ginv, AA = roll_axes(bundle.ginv, -2), roll_axes(bundle.AA, -4)
-    T1 = AA - np.einsum("iljk...->ijkl...", AA)
+    ginv, gauss = roll_axes(bundle.ginv, -2), roll_axes(bundle.gauss, -4)
     T3sq = _sq_norm(ginv, roll_axes(bundle.ricci, -2), 2)  # <H,A_ij> - <A_ik, A_j^k> is the Ricci tensor
     rhs = (laplace_beltrami(bundle.normA2, bundle) - 2.0 * bundle.grad_perp_A_sq
-           + _sq_norm(ginv, T1, 4) + bundle.comm_sq + 2.0 * T3sq - 2.0 * bundle.HA_sq)
+           + _sq_norm(ginv, gauss, 4) + bundle.comm_sq + 2.0 * T3sq - 2.0 * bundle.HA_sq)
     return bundle.A_ddH - rhs
 
 

@@ -229,9 +229,10 @@ def _slice_axis(ext: np.ndarray, axis: int, offset: int) -> np.ndarray:
 def _weighted(ext: np.ndarray, axis: int, chart: Chart, derivative: int) -> np.ndarray:
     """The STENCILS row of this chart's order over values padded along axis.
 
-    Terms are summed in table order, and a weight of +-1 (every row's first)
-    adds or subtracts its slice. The first two terms make one fresh array;
-    the others accumulate into it and the divisor divides it in place.
+    Terms are summed in table order. Every row's first weight is +-1 and its
+    second has the opposite sign, so the first two make one fresh difference;
+    the others accumulate into it (a weight of +-1 adds or subtracts its
+    slice) and the divisor divides it in place.
     """
     weights, den = STENCILS[chart.fd_order, derivative]
     (o0, w0), (o1, w1) = weights[:2]
@@ -239,10 +240,7 @@ def _weighted(ext: np.ndarray, axis: int, chart: Chart, derivative: int) -> np.n
     b = _slice_axis(ext, axis, o1)
     if abs(w1) != 1:
         b = abs(w1) * b
-    if w0 > 0:
-        acc = a - b if w1 < 0 else a + b
-    else:
-        acc = -a - b if w1 < 0 else b - a
+    acc = a - b if w0 > 0 else b - a
     for o, w in weights[2:]:
         x = _slice_axis(ext, axis, o)
         if w == 1:

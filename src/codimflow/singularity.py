@@ -51,7 +51,6 @@ class SolitonKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SolitonReport:
-    kind: SolitonKind
     linf: float
     l2: float
     worst_node: tuple[int, ...]
@@ -119,20 +118,18 @@ class MonotonicityCheck:
     values: np.ndarray          # functional value at each snapshot
     times: np.ndarray
     defects: np.ndarray         # defect integral at each snapshot
-    tolerance: float
 
 
-def monotone_verdict(values) -> tuple[bool, float, float]:
+def monotone_verdict(values) -> tuple[bool, float]:
     """The verdict on a series of Gaussian-weighted areas: nonincreasing when
     no increase between consecutive values exceeds 1e-3 times the largest
-    value. Returns (nonincreasing, largest increase, tolerance)."""
+    value. Returns (nonincreasing, largest increase)."""
     values = np.asarray(values, dtype=float)
     if values.size < 3:
         raise UsageError("monotonicity check needs at least 3 values before t0, "
                          f"got {values.size}")
     max_jump = float(np.diff(values).max(initial=0.0))
-    tol = 1e-3 * float(values.max())
-    return max_jump <= tol, max_jump, tol
+    return max_jump <= 1e-3 * float(values.max()), max_jump
 
 
 def monotonicity_check(trace: FlowTrace, params: DensityParams) -> MonotonicityCheck:
@@ -144,9 +141,9 @@ def monotonicity_check(trace: FlowTrace, params: DensityParams) -> MonotonicityC
             st = FlowState(t=r.t, imm=r.snapshot, bundle=build_bundle(r.snapshot))
             rows.append((r.t, huisken_functional(st, params), monotonicity_defect(st, params)))
     times, values, defects = np.array(rows).reshape(-1, 3).T
-    ok, max_jump, tol = monotone_verdict(values)
+    ok, max_jump = monotone_verdict(values)
     return MonotonicityCheck(is_nonincreasing=ok, max_positive_jump=max_jump, values=values,
-                             times=times, defects=defects, tolerance=tol)
+                             times=times, defects=defects)
 
 
 def type1_rescale(state: FlowState, q: np.ndarray, T: float) -> tuple[Immersion, float]:
@@ -289,5 +286,5 @@ def soliton_residual(imm: Immersion, kind: SolitonKind,
     mask = trusted_mask(imm, 0)
     mag = np.where(mask, np.sqrt(np.einsum("...a,...a->...", res, res)), 0.0)
     worst = np.unravel_index(int(np.argmax(mag)), imm.chart.shape)
-    return SolitonReport(kind=kind, linf=float(mag.max()), l2=_masked_l2(mag**2, bundle, mask),
+    return SolitonReport(linf=float(mag.max()), l2=_masked_l2(mag**2, bundle, mask),
                          worst_node=tuple(int(x) for x in worst))

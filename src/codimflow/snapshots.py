@@ -115,6 +115,8 @@ def _parse_snapshot(text: str, source: str) -> tuple[Immersion, float]:
         body_start = len(lines)
     try:
         t = float(meta["t"])
+        if not math.isfinite(t):
+            raise ValueError(f"t={meta['t']} is not finite")
         m = int(meta["m"])
         n = int(meta["n"])
         domain = Domain(meta["domain"])
@@ -279,11 +281,17 @@ def write_checkpoint(path: str, state: FlowState, trace: FlowTrace,
     _atomic_write(path, json.dumps(doc))
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"the non-finite number {name}")
+
+
 def read_checkpoint(path: str, scenario_text: str | None = None) -> tuple[FlowState, FlowTrace]:
     """The state and trace of a checkpoint; a malformed file raises
-    ConfigError, one of another scenario UsageError."""
+    ConfigError, one of another scenario UsageError. NaN and +-Infinity are
+    malformed: a run records none, as a step whose state is not finite ends
+    it as Degenerate."""
     try:
-        doc = json.loads(read_text(path))
+        doc = json.loads(read_text(path), parse_constant=_refuse_constant)
     except ValueError as exc:
         raise ConfigError(f"{path}: not JSON ({exc})") from None
     if type(doc) is not dict or doc.get("schema") != CHECKPOINT_SCHEMA:
@@ -307,8 +315,7 @@ def read_checkpoint(path: str, scenario_text: str | None = None) -> tuple[FlowSt
     return state, FlowTrace(records=records)
 
 
-def resume_run(state: FlowState, saved: FlowTrace, config: FlowConfig,
-               huisken_params=None) -> tuple[FlowTrace, FlowState]:
+def resume_run(state: FlowState, saved: FlowTrace, config: FlowConfig) -> tuple[FlowTrace, FlowState]:
     """Continue a checkpointed run; the trace matches an uninterrupted run
     record for record, and its snapshots from the checkpointed state on.
 
@@ -318,5 +325,4 @@ def resume_run(state: FlowState, saved: FlowTrace, config: FlowConfig,
     and otherwise makes it again, with its snapshot when one is due and
     always when the state is final.
     """
-    return run(state.imm, config, huisken_params=huisken_params,
-               initial_state=state, records=saved.records)
+    return run(state.imm, config, initial_state=state, records=saved.records)

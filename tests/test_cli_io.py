@@ -308,6 +308,14 @@ class TestSnapshots:
         with pytest.raises(ConfigError, match="row-count mismatch: expected 16 data rows, found 0"):
             read_snapshot(str(p))
 
+    @pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+    def test_non_finite_time_errors(self, tmp_path, t):
+        path = tmp_path / "c.snap"
+        write_snapshot(catalog.circle(n=16), str(path), t=0.25)
+        path.write_text(path.read_text().replace("# t=0.25 ", f"# t={t} ", 1))
+        with pytest.raises(ConfigError, match=f"malformed snapshot header \\(t={t} is not finite\\)"):
+            read_snapshot(str(path))
+
     def test_header_m_conflicts_with_chart(self, tmp_path):
         path = tmp_path / "c.snap"
         write_snapshot(catalog.circle(n=16), str(path))
@@ -546,6 +554,22 @@ class TestCheckpointResume:
         write_checkpoint(str(ck), fin, tr, "scenario")
         ck.write_text(edit(ck.read_text()))
         with pytest.raises(ConfigError, match=message):
+            read_checkpoint(str(ck), scenario_text="scenario")
+
+    @pytest.mark.parametrize("field, constant", [
+        ("t", "Infinity"), ("max_A2_trusted", "Infinity"), ("volume", "-Infinity"), ("t", "NaN"),
+    ])
+    def test_non_finite_record_errors(self, tmp_path, field, constant):
+        # a run never records one: a step whose state is not finite ends it
+        cfg = FlowConfig(cfl_sigma=0.5, stop_t_max=0.02, record_every=5)
+        tr, fin = run(catalog.circle(n=64), cfg)
+        ck = tmp_path / "c.ckpt"
+        write_checkpoint(str(ck), fin, tr, "scenario")
+        doc = json.loads(ck.read_text())
+        doc["records"][-1][field] = float(constant.lower().replace("infinity", "inf"))
+        ck.write_text(json.dumps(doc))
+        assert constant in ck.read_text()
+        with pytest.raises(ConfigError, match=f"not JSON \\(the non-finite number {constant}\\)"):
             read_checkpoint(str(ck), scenario_text="scenario")
 
     def test_scenario_hash_guard(self, tmp_path):
@@ -1384,6 +1408,23 @@ class TestCLI:
         assert "initial.potential.S: entries must be finite" in r.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["lagrangian", "run"])
+    def test_non_finite_phi_coefficient_exit_4(self, tmp_path, command):
+        # 1e400 parses as inf; it is named with its line, before any array
+        # is built, so no numpy warning reaches stderr
+        cfgp = tmp_path / "p.cfg"
+        cfgp.write_text("name = p\ninitial.potential.m = 2\n"
+                        "initial.potential.resolution = 16\n"
+                        "initial.potential.phi = 0.1*cos(x2), 1e400*sin(x1)\n"
+                        "flow.stop_t_max = 0.01\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli(command, str(cfgp))
+        assert r.returncode == 4, (r.stdout, r.stderr)
+        assert r.stdout == "" and r.stderr.splitlines() == [
+            "error: ConfigError: configuration errors:",
+            "    line 4: phi term '1e400*sin(x1)': the coefficient must be finite"]
+        assert not (tmp_path / "out").exists()
+
     def test_lagrangian_unstable_cfl_sigma_exit_4(self, tmp_path):
         # the explicit potential flow is stable for cfl_sigma <= 1/m only
         cfgp = tmp_path / "p.cfg"
@@ -1636,6 +1677,31 @@ class TestCLI:
         _, err = capsys.readouterr()
         assert err.startswith(f"error: ConfigError: {ck}: the last record is not the "
                               "checkpointed state's (step_index 3, t = ")
+
+    @pytest.mark.parametrize("where", ["snapshot", "record"])
+    def test_resume_from_a_non_finite_checkpoint_exit_4(self, tmp_path, capsys, where):
+        # t = inf in the state's snapshot header and its last record used to
+        # resume and write a CSV row and a checkpoint at t = inf
+        from codimflow import cli
+
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text("name = c\ninitial.catalog = circle\ninitial.n = 32\n"
+                        f"flow.stop_t_max = 0.01\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 0
+        ck = tmp_path / "bad.ckpt"
+
+        def change(d):
+            if where == "snapshot":
+                d["snapshot"] = d["snapshot"].replace("# t=0.01 ", "# t=inf ", 1)
+            else:
+                d["records"][-1]["t"] = math.inf
+        ck.write_text(_edit_doc(change)((tmp_path / "out" / "c.ckpt").read_text()))
+        capsys.readouterr()
+        assert cli.main(["run", str(cfgp), "--resume", str(ck)]) == 4
+        out, err = capsys.readouterr()
+        reason = ("snapshot: malformed snapshot header (t=inf is not finite)" if where == "snapshot"
+                  else "not JSON (the non-finite number Infinity)")
+        assert out == "" and err == f"error: ConfigError: {ck}: {reason}\n"
 
     def test_shrinker_analysis_needs_singular_time(self, tmp_path):
         # a flat graph does not blow up: no T_hat, no rescaled snapshot to check

@@ -308,6 +308,15 @@ def test_bundle_matches_reference(name):
 
 
 @pytest.mark.parametrize("name", list(CHARTS))
+def test_metric_and_second_fundamental_form_symmetric(name):
+    # bit for bit: the curvature tensor takes d^2 g of every component, and
+    # simons2 reads |<A_ij,A_kl> - <A_il,A_jk>|^2 as the squared Gauss tensor
+    b = build_bundle(CHARTS[name]())
+    assert np.array_equal(b.g, b.g.swapaxes(-1, -2))
+    assert np.array_equal(b.A, b.A.swapaxes(-2, -3))
+
+
+@pytest.mark.parametrize("name", list(CHARTS))
 def test_structure_residuals_match_reference(name):
     imm = CHARTS[name]()
     got, want = structure_residuals(imm), ref_structure_residuals(imm)

@@ -9,8 +9,8 @@ import pytest
 from codimflow.errors import ConfigError, UsageError
 from codimflow.geometry import d1_tensor
 from codimflow.grid import (
-    _PAD, STENCILS, AxisKind, ChartSpec, Domain, GridField, _pad, diff1, diff2, diff_mixed,
-    integrate_values, make_chart, neighbor_maps, partials,
+    _PAD, STENCILS, AxisKind, ChartSpec, Domain, GridField, _pad, _slice_axis, _weighted, diff1,
+    diff2, diff_mixed, integrate_values, make_chart, neighbor_maps, partials,
 )
 from conftest import roll_field
 
@@ -254,6 +254,29 @@ class TestStencilDefinition:
     def test_every_row_starts_with_unit_weight(self):
         # diff1/diff2 take the first slice unscaled
         assert all(abs(weights[0][1]) == 1 for weights, _ in STENCILS.values())
+
+    @pytest.mark.parametrize("spec, axis", [
+        (ChartSpec(Domain.TORUS, (8, 10)), 1),
+        (ChartSpec(Domain.SPHERE, (8, 12)), 0),
+        (ChartSpec(Domain.INTERVAL, (16,), interval_bounds=(0.0, 1.0)), 0),
+    ], ids=["periodic", "pole", "reflect"])
+    @pytest.mark.parametrize("row", sorted(STENCILS), ids=lambda r: f"order{r[0]}-d{r[1]}")
+    def test_weighted_is_the_literal_sum(self, spec, axis, row):
+        # _weighted opens with one difference: every row's first weight is
+        # +-1 and its second has the opposite sign; the result is the sum
+        # of w_o f[i + o] in table order over den h^k, bit for bit
+        order, k = row
+        weights, den = STENCILS[row]
+        assert abs(weights[0][1]) == 1 and weights[0][1] * weights[1][1] < 0
+        ch = make_chart(ChartSpec(spec.domain, spec.resolution, fd_order=order,
+                                  interval_bounds=spec.interval_bounds))
+        v = np.random.default_rng(order + k).standard_normal(ch.shape + (2,))
+        ext = _pad(v, axis, ch, np.array([1.0, -1.0]))
+        divisor = den
+        for _ in range(k):
+            divisor *= ch.spacings[axis]
+        literal = sum(w * _slice_axis(ext, axis, o) for o, w in weights) / divisor
+        assert np.array_equal(_weighted(ext, axis, ch, k), literal)
 
     def test_sphere_pole_ghosts(self):
         ch = make_chart(ChartSpec(Domain.SPHERE, (8, 8)))

@@ -367,7 +367,10 @@ def main(argv=None) -> int:
             args.params = extras
         elif extras:
             raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
-        return args.func(args)
+        # an overflowing input ends in a NonFiniteError with its node; numpy's
+        # own overflow and NaN warnings would print before that error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except SystemExit:   # argparse exits only after printing -h's help
         return EXIT_OK
     except CodimflowError as exc:

@@ -323,7 +323,8 @@ class GeometryBundle:
         return 2.0 * _sq_norm(roll_axes(self.ginv, -2), M[:, :, a, b] - M[:, :, b, a], 2)
 
     def total_volume(self) -> float:
-        return integrate_values(np.ones(self.chart.shape), self.sqrt_det_g, self.chart)
+        """The density's integral: integrate_values of ones bit for bit, as 1.0 * d is d."""
+        return float(np.sum(self.sqrt_det_g) * self.chart.cell_measure())
 
     def pinching_ratio(self) -> np.ndarray:
         """|A|^2 / |H|^2 where defined; NaN where |H|^2 is negligible."""
@@ -344,7 +345,8 @@ def immersion_partials(imm: Immersion) -> tuple[np.ndarray, np.ndarray]:
 
 def _metric(F: np.ndarray, chart: Chart):
     """g, g^-1 (m, m, *) and det g (*) from index-major partials F (m, n, *);
-    DegenerateImmersion names the worst node below the det g floor."""
+    NonFiniteError names the first node where det g is not finite, else
+    DegenerateImmersion the worst node below the det g floor."""
     m, F = chart.m, F.swapaxes(0, 1)  # a sum over the ambient index
     g = _dot(F[:, :, None], F[:, None])
     det = (g[0, 0] if m == 1 else g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] if m == 2
@@ -352,8 +354,13 @@ def _metric(F: np.ndarray, chart: Chart):
     mean_trace = float(g.trace().sum()) / det.size  # as np.mean
     floor = DET_G_FLOOR * (mean_trace / m) ** m
     dmin = float(det.min())
-    if dmin < floor or not np.isfinite(det).all():
-        node = tuple(int(i) for i in np.unravel_index(int(np.argmin(det)), chart.shape))
+    if not (dmin >= floor and det.max() < np.inf):   # NaN fails both tests
+        bad = ~np.isfinite(det)
+        worst = int(np.argmax(bad) if bad.any() else np.argmin(det))
+        node = tuple(int(i) for i in np.unravel_index(worst, chart.shape))
+        if bad.flat[worst]:
+            raise NonFiniteError(f"induced metric is not finite: det g = {det.flat[worst]} "
+                                 f"at node {node}")
         raise DegenerateImmersion(
             f"induced metric degenerate: det g = {dmin:.3e} < floor {floor:.3e} "
             f"at node {node}",
@@ -369,12 +376,20 @@ def _metric(F: np.ndarray, chart: Chart):
     return g, ginv, det
 
 
+def _christoffel_terms(chart: Chart) -> tuple[tuple[int, int, int, float], ...]:
+    """(i, j, k, pole parity of g_ij) for the pairs i <= j and every axis k."""
+    m, sign = chart.m, [-1.0 if kind is AxisKind.POLE else 1.0 for kind in chart.axis_kinds]
+    terms = chart.plans[("christoffel",)] = tuple(
+        (i, j, k, sign[i] * sign[j]) for i in range(m) for j in range(i, m) for k in range(m))
+    return terms
+
+
 def _christoffel(g: np.ndarray, ginv: np.ndarray, chart: Chart):
     """Gamma_aij and Gamma^k_ij (m, m, m, *) from index-major g and g^-1 (m, m, *)."""
-    m, sign = chart.m, [-1.0 if kind is AxisKind.POLE else 1.0 for kind in chart.axis_kinds]
-    dg = np.empty((m,) + g.shape)  # (k, i, j, *) = d_k g_ij, once per pair i <= j, pole parity
-    for i, j, k in [(i, j, k) for i in range(m) for j in range(i, m) for k in range(m)]:
-        dg[k, i, j] = dg[k, j, i] = diff1(g[i, j], k, chart, sign[i] * sign[j])
+    terms = chart.plans.get(("christoffel",)) or _christoffel_terms(chart)
+    dg = np.empty((chart.m,) + g.shape)  # (k, i, j, *) = d_k g_ij, once per pair i <= j
+    for i, j, k, parity in terms:
+        dg[k, i, j] = dg[k, j, i] = diff1(g[i, j], k, chart, parity)
     dg_i = dg.swapaxes(0, 1)  # (a, i, j, *) = d_i g_aj
     gamma1 = 0.5 * (dg_i + dg_i.swapaxes(1, 2) - dg)
     return gamma1, _dot(ginv[:, :, None, None], gamma1[:, None])
@@ -528,7 +543,7 @@ def _masked_l2(per_node_sq: np.ndarray, bundle: GeometryBundle, mask: np.ndarray
     """Volume-weighted RMS over the masked nodes of a per-node squared norm."""
     chart = bundle.chart
     w = np.where(mask, bundle.sqrt_det_g, 0.0)
-    vol = integrate_values(np.ones(chart.shape), w, chart)
+    vol = float(np.sum(w) * chart.cell_measure())   # integrate_values of ones
     return float(np.sqrt(integrate_values(np.where(mask, per_node_sq, 0.0), w, chart) / vol))
 
 

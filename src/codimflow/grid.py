@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,11 +99,11 @@ class Chart:
     spacings: tuple[float, ...]
     axis_kinds: tuple[AxisKind, ...]
 
-    @property
+    @cached_property
     def m(self) -> int:
         return len(self.coords)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return self.spec.resolution
 
@@ -110,9 +111,16 @@ class Chart:
     def node_count(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
+    @cached_property
     def fd_order(self) -> int:
         return self.spec.fd_order
+
+    @cached_property
+    def plans(self) -> dict:
+        """Chart-static tuples built on first use by the module that reads
+        them: grid's stencil plans and ghost indices, geometry's Christoffel
+        terms."""
+        return {}
 
     def mesh(self) -> list[np.ndarray]:
         """Per-axis coordinate arrays broadcast to the full grid shape."""
@@ -201,29 +209,48 @@ def _pad(values: np.ndarray, axis: int, chart: Chart, parity: float | np.ndarray
     parity is +1/-1 (scalar or per trailing component) and is consulted only
     on pole axes; reflect axes use even extension regardless.
     """
-    kind = chart.axis_kinds[axis]
-    lead = (slice(None),) * axis   # index along axis itself: no moveaxis copy
-    if kind is AxisKind.PERIODIC:
-        top, bot = values[lead + (slice(-_PAD, None),)], values[lead + (slice(_PAD),)]
-    elif kind is AxisKind.POLE:
+    i, j = chart.plans.get(("ghosts", axis)) or _ghost_plan(chart, axis)
+    top, bot = values[i], values[j]
+    if chart.axis_kinds[axis] is AxisKind.POLE:
         # a pole axis is always axis 0, and phi (K even) the grid axis after it
         h = chart.shape[1] // 2
         top, bot = (parity * np.concatenate([x[:, h:], x[:, :h]], axis=1)   # half a turn
-                    for x in (values[_PAD - 1 :: -1], values[: -_PAD - 1 : -1]))
-    else:  # REFLECT: even extension about the staggered boundary
-        top = values[lead + (slice(_PAD - 1, None, -1),)]
-        bot = values[lead + (slice(None, -_PAD - 1, -1),)]
+                    for x in (top, bot))
     return np.concatenate([top, values, bot], axis=axis)
+
+
+def _ghost_plan(chart: Chart, axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """_pad's two ghost blocks, indexed along axis itself (no moveaxis copy):
+    the wrapped ends on a periodic axis, else the end layers mirrored."""
+    lead = (slice(None),) * axis
+    if chart.axis_kinds[axis] is AxisKind.PERIODIC:
+        plan = lead + (slice(-_PAD, None),), lead + (slice(_PAD),)
+    else:
+        plan = lead + (slice(_PAD - 1, None, -1),), lead + (slice(None, -_PAD - 1, -1),)
+    chart.plans["ghosts", axis] = plan
+    return plan
+
+
+def _shifted(axis: int, offset: int, n: int) -> tuple[slice, ...]:
+    """Index of the n nodes shifted by offset along axis of an array padded
+    there: the one definition of a stencil offset."""
+    return (slice(None),) * axis + (slice(_PAD + offset, _PAD + offset + n),)
 
 
 def _slice_axis(ext: np.ndarray, axis: int, offset: int) -> np.ndarray:
     """Undo padding with an index offset: offset 0 recovers the original."""
-    n = ext.shape[axis] - 2 * _PAD
-    if axis == 0:
-        return ext[_PAD + offset : _PAD + offset + n]
-    idx = [slice(None)] * ext.ndim
-    idx[axis] = slice(_PAD + offset, _PAD + offset + n)
-    return ext[tuple(idx)]
+    return ext[_shifted(axis, offset, ext.shape[axis] - 2 * _PAD)]
+
+
+def _stencil_plan(chart: Chart, axis: int, derivative: int) -> tuple:
+    """The STENCILS row of the chart's order along one axis as (index,
+    weight) terms in table order, with its divisor den h or den h h."""
+    weights, den = STENCILS[chart.fd_order, derivative]
+    n, h = chart.shape[axis], chart.spacings[axis]
+    plan = (tuple((_shifted(axis, o, n), w) for o, w in weights),
+            den * h if derivative == 1 else den * h * h)
+    chart.plans["stencil", axis, derivative] = plan
+    return plan
 
 
 def _weighted(ext: np.ndarray, axis: int, chart: Chart, derivative: int) -> np.ndarray:
@@ -234,23 +261,22 @@ def _weighted(ext: np.ndarray, axis: int, chart: Chart, derivative: int) -> np.n
     the others accumulate into it (a weight of +-1 adds or subtracts its
     slice) and the divisor divides it in place.
     """
-    weights, den = STENCILS[chart.fd_order, derivative]
-    (o0, w0), (o1, w1) = weights[:2]
-    a = _slice_axis(ext, axis, o0)
-    b = _slice_axis(ext, axis, o1)
+    terms, divisor = (chart.plans.get(("stencil", axis, derivative))
+                      or _stencil_plan(chart, axis, derivative))
+    (i0, w0), (i1, w1) = terms[:2]
+    a, b = ext[i0], ext[i1]
     if abs(w1) != 1:
         b = abs(w1) * b
     acc = a - b if w0 > 0 else b - a
-    for o, w in weights[2:]:
-        x = _slice_axis(ext, axis, o)
+    for i, w in terms[2:]:
+        x = ext[i]
         if w == 1:
             acc += x
         elif w == -1:
             acc -= x
         else:
             acc += w * x   # acc + (-c) x rounds as acc - c x
-    h = chart.spacings[axis]
-    acc /= den * h if derivative == 1 else den * h * h
+    acc /= divisor
     return acc
 
 

@@ -677,6 +677,21 @@ class TestCLI:
         assert "angle identity defect" in r.stdout
         assert (tmp_path / "out" / "lag.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "lagrangian"])
+    def test_oversized_phi_is_a_non_finite_metric(self, tmp_path, command):
+        # phi is finite, but its graph's metric overflows: one error line that
+        # names the node and says why, with no numpy warning before it
+        cfgp = tmp_path / "big.cfg"
+        cfgp.write_text("name = big\ninitial.potential.m = 2\n"
+                        "initial.potential.resolution = 16\n"
+                        "initial.potential.phi = 1e200*sin(x1)\n"
+                        "flow.stop_t_max = 0.01\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli(command, str(cfgp))
+        assert r.returncode == 3, (r.stdout, r.stderr)
+        assert r.stderr == ("error: NonFiniteError: induced metric is not finite: "
+                            "det g = inf at node (0, 0)\n")
+
     def test_lagrangian_failed_step_writes_csv_exit_3(self, tmp_path, monkeypatch, capsys):
         # a potential step that fails ends the flow as Degenerate: the CSV
         # holds the records before it, and the exit code is 3, as for run

@@ -25,7 +25,7 @@ from codimflow.flow import (
     step_explicit,
 )
 from codimflow.geometry import (
-    CurvatureReport, GeometryBundle, ResidualNorms, _dot, _norms, _project,
+    CurvatureReport, GeometryBundle, ResidualNorms, _dot, _masked_l2, _norms, _project,
     build_bundle, d1_tensor, immersion_partials, laplace_beltrami, normal_part,
     structure_residuals, trusted_mask,
 )
@@ -293,6 +293,19 @@ def assert_norms_match(got: ResidualNorms, want: ResidualNorms, label: str):
     assert abs(got.scale - want.scale) <= tol, (label, "scale", got.scale, want.scale)
     assert abs(got.linf - want.linf) <= tol, (label, "linf", got.linf, want.linf)
     assert abs(got.l2 - want.l2) <= tol, (label, "l2", got.l2, want.l2)
+
+
+@pytest.mark.parametrize("name", list(CHARTS))
+def test_volume_integrates_the_density_directly(name):
+    # sum(1.0 * d) is sum(d) bit for bit, so the volume and the masked RMS
+    # skip the array of ones that integrate_values would multiply by
+    b = build_bundle(CHARTS[name]())
+    ch, mask, sq = b.chart, trusted_mask(b.imm), b.normA2
+    ones = np.ones(ch.shape)
+    assert b.total_volume() == integrate_values(ones, b.sqrt_det_g, ch)
+    w = np.where(mask, b.sqrt_det_g, 0.0)
+    rms = np.sqrt(integrate_values(np.where(mask, sq, 0.0), w, ch) / integrate_values(ones, w, ch))
+    assert _masked_l2(sq, b, mask) == float(rms)
 
 
 @pytest.mark.parametrize("name", list(CHARTS))

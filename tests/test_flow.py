@@ -3,6 +3,8 @@ termination, evolution-equation residuals, and flow symmetries."""
 
 import itertools
 import math
+import os
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -42,6 +44,30 @@ class TestSteps:
         st = FlowState.initial(catalog.circle(radius=1.0, n=256))
         st = step_explicit(st, 1e-4)
         assert mean_radius(st.imm) == pytest.approx(np.sqrt(1 - 2e-4), abs=2e-8)
+
+    def test_explicit_step_call_count(self):
+        # the explicit step's fixed cost, counted as calls into the package's
+        # Python code: chart-static facts (stencil plans, ghost indices, the
+        # Christoffel table, Chart.m, shape and fd_order) are read, not
+        # rebuilt, so a later step on a 64-node circle makes 39 calls. The
+        # count repeats exactly; a change that adds per-step calls says so here.
+        root = os.path.dirname(flow.__file__) + os.sep
+        cfg = FlowConfig()
+        st = FlowState.initial(catalog.circle(n=64))
+        st = step_explicit(st, adaptive_dt(st, cfg))   # warm-up: builds the plans
+        st.stops(cfg)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code.co_filename.startswith(root)
+
+        sys.setprofile(count)
+        try:
+            step_explicit(st, adaptive_dt(st, cfg)).stops(cfg)
+        finally:
+            sys.setprofile(None)
+        assert calls == 39
 
     def test_explicit_sphere_oracle(self):
         st = FlowState.initial(catalog.sphere(radius=1.0))

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from codimflow import catalog, geometry
-from codimflow.errors import DegenerateImmersion, UsageError
+from codimflow.errors import DegenerateImmersion, NonFiniteError, UsageError
 from codimflow.geometry import (
-    Immersion, build_bundle, d1_tensor, graph_immersion, graph_singular_values,
-    normal_part, structure_residuals,
+    Immersion, _metric, build_bundle, d1_tensor, graph_immersion, graph_singular_values,
+    immersion_partials, normal_part, structure_residuals,
 )
 from codimflow.grid import (
     ChartSpec, Domain, GridField, diff1, diff2, diff_mixed, make_chart, roll_axes,
@@ -151,6 +151,23 @@ class TestInducedMetric:
         # plain integers: numpy 2 prints its scalars as np.int64(4)
         assert str(err.value).endswith("at node (4,)")
         assert type(err.value.node[0]) is int
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_det_names_its_node(self, monkeypatch, bad):
+        # m = 3 takes det g from np.linalg.det: one non-finite node fails the
+        # floor test whatever the others hold, and the error names that node
+        imm = CHARTS["graph-3d"]()
+        F = roll_axes(immersion_partials(imm)[0], -2)
+        det = np.linalg.det
+
+        def planted(a):
+            d = det(a)
+            d[2, 3, 4] = bad
+            return d
+
+        monkeypatch.setattr(np.linalg, "det", planted)
+        with pytest.raises(NonFiniteError, match=rf"det g = {bad} at node \(2, 3, 4\)$"):
+            _metric(F, imm.chart)
 
     def test_singular_surface_metric_is_degenerate(self):
         # F(u, v) = (cos u, sin u, 0) does not depend on v: g is exactly

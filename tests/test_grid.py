@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from codimflow import catalog
 from codimflow.errors import ConfigError, UsageError
-from codimflow.geometry import d1_tensor
+from codimflow.geometry import build_bundle, d1_tensor
 from codimflow.grid import (
     _PAD, STENCILS, AxisKind, ChartSpec, Domain, GridField, _pad, _slice_axis, _weighted, diff1,
     diff2, diff_mixed, integrate_values, make_chart, neighbor_maps, partials,
@@ -357,6 +358,70 @@ class TestGhostLayout:
         v = np.random.default_rng(order).standard_normal(ch.shape + (3,))
         for diff in (diff1, diff2):
             assert diff(v, axis, ch).flags.c_contiguous
+
+
+PLAN_SPECS = {
+    "torus2-fd4": ChartSpec(Domain.TORUS, (12, 16), fd_order=4),
+    "sphere": ChartSpec(Domain.SPHERE, (8, 12)),
+    "interval": ChartSpec(Domain.INTERVAL, (16,), interval_bounds=(0.0, 1.0)),
+}
+
+# pairs of specs that differ in one chart-static fact only
+PLAN_VARIANTS = {
+    "resolution": (ChartSpec(Domain.TORUS, (8, 10)), ChartSpec(Domain.TORUS, (10, 12))),
+    "fd_order": (ChartSpec(Domain.SPHERE, (8, 12)), ChartSpec(Domain.SPHERE, (8, 12), fd_order=4)),
+    "bounds": (ChartSpec(Domain.INTERVAL, (16,), interval_bounds=(0.0, 1.0)),
+               ChartSpec(Domain.INTERVAL, (16,), interval_bounds=(-1.0, 2.0))),
+}
+
+
+def literal_stencil(values, axis, chart, k):
+    """The STENCILS row over moveaxis_pad's ghosts: a reference that reads no
+    cached plan."""
+    weights, den = STENCILS[chart.fd_order, k]
+    ext = moveaxis_pad(values, axis, chart, 1.0)
+    divisor = den
+    for _ in range(k):
+        divisor *= chart.spacings[axis]
+    return sum(w * _slice_axis(ext, axis, o) for o, w in weights) / divisor
+
+
+class TestPlanCache:
+    """Stencil plans and ghost indices are built once per chart and read on
+    every later call."""
+
+    @pytest.mark.parametrize("name", list(PLAN_SPECS))
+    def test_equal_specs_give_equal_bytes(self, name):
+        a, b = make_chart(PLAN_SPECS[name]), make_chart(PLAN_SPECS[name])
+        v = np.random.default_rng(7).standard_normal(a.shape + (3,))
+        for axis in range(a.m):
+            for diff in (diff1, diff2):
+                assert diff(v, axis, a).tobytes() == diff(v, axis, b).tobytes()
+        for x, y in zip(partials(v, a), partials(v, b)):
+            assert x.tobytes() == y.tobytes()
+        assert a.plans == b.plans and a.plans is not b.plans
+
+    @pytest.mark.parametrize("name", list(PLAN_VARIANTS))
+    def test_charts_never_share_a_plan(self, name):
+        charts = [make_chart(spec) for spec in PLAN_VARIANTS[name]]
+        for _ in range(2):   # interleaved: each chart's call follows the other's
+            for ch in charts:
+                v = np.random.default_rng(ch.shape[-1]).standard_normal(ch.shape + (2,))
+                for axis in range(ch.m):
+                    for k, diff in ((1, diff1), (2, diff2)):
+                        assert np.array_equal(diff(v, axis, ch), literal_stencil(v, axis, ch, k))
+        a, b = (ch.plans for ch in charts)
+        stencils = [key for key in a if key[0] == "stencil"]
+        assert stencils and all(a[key] != b[key] for key in stencils)
+
+    def test_cached_plans_and_tables_are_tuples(self):
+        imm = catalog.sphere(radius=1.0, J=8, K=16)
+        build_bundle(imm)
+        plans = imm.chart.plans
+        assert {key[0] for key in plans} == {"stencil", "ghosts", "christoffel"}
+        for plan in plans.values():
+            assert type(plan) is tuple
+            assert all(type(part) is not list and type(part) is not dict for part in plan)
 
 
 class TestIntegrate:

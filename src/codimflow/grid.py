@@ -253,12 +253,13 @@ def _stencil_plan(chart: Chart, axis: int, derivative: int) -> tuple:
     return plan
 
 
-def _weighted(ext: np.ndarray, axis: int, chart: Chart, derivative: int) -> np.ndarray:
-    """The STENCILS row of this chart's order over values padded along axis.
+def _weighted(ext: np.ndarray, axis: int, chart: Chart, derivative: int, out=None) -> np.ndarray:
+    """The STENCILS row of this chart's order over values padded along axis,
+    into out if given, else into a fresh array.
 
     Terms are summed in table order. Every row's first weight is +-1 and its
-    second has the opposite sign, so the first two make one fresh difference;
-    the others accumulate into it (a weight of +-1 adds or subtracts its
+    second has the opposite sign, so the first two make one difference in
+    out; the others accumulate into it (a weight of +-1 adds or subtracts its
     slice) and the divisor divides it in place.
     """
     terms, divisor = (chart.plans.get(("stencil", axis, derivative))
@@ -266,8 +267,8 @@ def _weighted(ext: np.ndarray, axis: int, chart: Chart, derivative: int) -> np.n
     (i0, w0), (i1, w1) = terms[:2]
     a, b = ext[i0], ext[i1]
     if abs(w1) != 1:
-        b = abs(w1) * b
-    acc = a - b if w0 > 0 else b - a
+        b = np.multiply(abs(w1), b, out=out)
+    acc = np.subtract(a, b, out=out) if w0 > 0 else np.subtract(b, a, out=out)
     for i, w in terms[2:]:
         x = ext[i]
         if w == 1:
@@ -280,19 +281,19 @@ def _weighted(ext: np.ndarray, axis: int, chart: Chart, derivative: int) -> np.n
     return acc
 
 
-def diff1(values: np.ndarray, axis: int, chart: Chart, parity=1.0) -> np.ndarray:
+def diff1(values: np.ndarray, axis: int, chart: Chart, parity=1.0, out=None) -> np.ndarray:
     """First derivative along one grid axis (central, fd_order accurate)."""
-    return _weighted(_pad(values, axis, chart, parity), axis, chart, 1)
+    return _weighted(_pad(values, axis, chart, parity), axis, chart, 1, out)
 
 
-def diff2(values: np.ndarray, axis: int, chart: Chart, parity=1.0) -> np.ndarray:
+def diff2(values: np.ndarray, axis: int, chart: Chart, parity=1.0, out=None) -> np.ndarray:
     """Second derivative along one grid axis (compact central stencil)."""
-    return _weighted(_pad(values, axis, chart, parity), axis, chart, 2)
+    return _weighted(_pad(values, axis, chart, parity), axis, chart, 2, out)
 
 
-def diff_mixed(values, axis_a: int, axis_b: int, chart: Chart, parity=1.0) -> np.ndarray:
+def diff_mixed(values, axis_a: int, axis_b: int, chart: Chart, parity=1.0, out=None) -> np.ndarray:
     """Mixed second derivative: the later axis's first derivative of the
-    earlier axis's first derivative.
+    earlier axis's first derivative, the outer one into out if given.
 
     The axes are sorted first, so swapping them is bit-exact. Only axis 0 of
     a chart can be a pole axis, so the outer derivative always runs along a
@@ -303,7 +304,7 @@ def diff_mixed(values, axis_a: int, axis_b: int, chart: Chart, parity=1.0) -> np
     if axis_a == axis_b:
         raise UsageError("diff_mixed requires two distinct axes")
     a, b = sorted((axis_a, axis_b))
-    return diff1(diff1(values, a, chart, parity), b, chart, parity)
+    return diff1(diff1(values, a, chart, parity), b, chart, parity, out)
 
 
 def roll_axes(a: np.ndarray, k: int) -> np.ndarray:

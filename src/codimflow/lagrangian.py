@@ -20,6 +20,7 @@ diffeomorphisms.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from itertools import chain, permutations
@@ -74,19 +75,16 @@ class Potential:
             raise UsageError(f"S must be {m}x{m} for an m-torus potential")
         if not np.all(np.isfinite(S)):
             raise NonFiniteError("quadratic part S contains non-finite values")
-        # np.allclose(S, S.T, atol=1e-14) written out: each flow step checks it
-        if not np.all(np.abs(S - S.T) <= 1e-14 + 1e-5 * np.abs(S.T)):
+        if not np.allclose(S, S.T, rtol=1e-5, atol=1e-14):
             raise UsageError("quadratic part S must be symmetric")
         if self.phi.components != 1:
             raise UsageError("phi must be a scalar field")
         if self.phi.chart.spec.domain not in (Domain.TORUS, Domain.CIRCLE):
             raise UsageError("potential lives on a periodic torus chart")
-        if not np.all(np.isfinite(self.phi.values)):
-            raise NonFiniteError("phi contains non-finite values")
         object.__setattr__(self, "S", 0.5 * (S + S.T))
         # mean-zero gauge: constants in u never enter the geometry
-        vals = self.phi.values - self.phi.values.mean()
-        object.__setattr__(self, "phi", GridField(self.phi.chart, vals))
+        vals = _mean_zero(self.phi.values[..., 0])
+        object.__setattr__(self, "phi", GridField(self.phi.chart, vals[..., None]))
 
     @property
     def m(self) -> int:
@@ -100,18 +98,36 @@ class Potential:
         """Hess u = S + Hess phi per node, symmetric by construction.
 
         The (*, m, m) result is a view of component-major storage, so each
-        H[..., a, b] is one C-contiguous chart array: the stencils write
-        their outputs, and the angle and the records read the components,
-        at unit stride. Each unique component gets its stencil and S in one
-        pass (an H += S broadcast would run an inner loop of length m)."""
+        H[..., a, b] is one C-contiguous chart array: each unique
+        component's stencil writes into it, S is added in place (an H += S
+        broadcast would run an inner loop of length m), and the angle and
+        the records read the components at unit stride."""
         f, chart, S = self.phi.values[..., 0], self.chart, self.S
-        H = np.moveaxis(np.empty(S.shape + chart.shape), (0, 1), (-2, -1))
+        H = roll_axes(np.empty(S.shape + chart.shape), 2)
         for a in range(self.m):
-            np.add(diff2(f, a, chart), S[a, a], out=H[..., a, a])
+            diff2(f, a, chart, out=H[..., a, a])
+            H[..., a, a] += S[a, a]
             for b in range(a + 1, self.m):
-                np.add(diff_mixed(f, a, b, chart), S[a, b], out=H[..., a, b])
+                diff_mixed(f, a, b, chart, out=H[..., a, b])
+                H[..., a, b] += S[a, b]
                 H[..., b, a] = H[..., a, b]
         return H
+
+
+def _mean_zero(phi: np.ndarray, out=None, alpha=None) -> np.ndarray:
+    """phi minus its mean, into out if given: the mean-zero gauge and phi's
+    one finiteness check, as the mean is finite exactly when every value is
+    and their sum does not overflow. Only a failed check looks for the first
+    non-finite node of a step's angle alpha, then of phi."""
+    mean = phi.mean()
+    if not np.isfinite(mean):
+        for name, x in (("Lagrangian angle", alpha), ("phi", phi)):
+            if x is not None and not np.isfinite(x).all():
+                node = np.unravel_index(int(np.argmin(np.isfinite(x))), x.shape)
+                raise NonFiniteError(f"{name} contains non-finite values: {x[node]} "
+                                     f"at node {tuple(int(i) for i in node)}")
+        raise NonFiniteError("phi's mean overflows: its values are finite, their sum is not")
+    return np.subtract(phi, mean, out=out)
 
 
 def lagrangian_angle_of_hessian(H: np.ndarray) -> np.ndarray:
@@ -331,9 +347,16 @@ class PotentialState:
         return config.cfl_sigma * h_min * h_min / 2.0
 
     def step(self, dt: float, config: PotentialFlowConfig) -> "PotentialState":
-        new_phi = self.p.phi.values[..., 0] + dt * (self.alpha - self.alpha.mean())
-        return PotentialState(Potential(self.p.S, GridField(self.p.chart, new_phi[..., None])),
-                              self.t + dt, self.step_index + 1)
+        """phi + dt (alpha - mean alpha) in one fresh array, gauged in place:
+        a step changes only phi, so only phi is checked."""
+        phi = self.alpha - self.alpha.mean()
+        phi *= dt
+        phi += self.p.phi.values[..., 0]
+        _mean_zero(phi, out=phi, alpha=self.alpha)
+        # S and the chart carry over from a potential already checked
+        p = copy(self.p)
+        object.__setattr__(p, "phi", GridField(p.chart, phi[..., None]))
+        return PotentialState(p, self.t + dt, self.step_index + 1)
 
     def stops(self, config: PotentialFlowConfig) -> tuple[str, float]:
         return "", 0.0

@@ -692,6 +692,41 @@ class TestCLI:
         assert r.stderr == ("error: NonFiniteError: induced metric is not finite: "
                             "det g = inf at node (0, 0)\n")
 
+    @pytest.mark.parametrize("command", ["run", "lagrangian"])
+    def test_overflowing_phi_mean_exit_3(self, tmp_path, command):
+        # every value of phi is finite, but their sum overflows: the potential
+        # is refused where it is built, with one error line and no output
+        cfgp = tmp_path / "big.cfg"
+        cfgp.write_text("name = big\ninitial.potential.m = 2\n"
+                        "initial.potential.resolution = 16\n"
+                        "initial.potential.phi = 1e308*sin(x1)\n"
+                        "flow.stop_t_max = 0.01\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli(command, str(cfgp))
+        assert r.returncode == 3, (r.stdout, r.stderr)
+        assert r.stdout == "" and r.stderr == (
+            "error: NonFiniteError: phi's mean overflows: its values are finite, "
+            "their sum is not\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_lagrangian_overflowing_angle_is_named(self, tmp_path):
+        # phi is finite, but the m = 2 angle reads det H = inf - inf: the
+        # step fails naming the angle and its first non-finite node; the
+        # final potential's metric then overflows as well
+        cfgp = tmp_path / "big.cfg"
+        cfgp.write_text("name = big\ninitial.potential.m = 2\n"
+                        "initial.potential.resolution = 16\n"
+                        "initial.potential.phi = 1e200*sin(x1)*sin(x2)\n"
+                        "flow.stop_t_max = 0.01\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        r = run_cli("lagrangian", str(cfgp))
+        assert r.returncode == 3, (r.stdout, r.stderr)
+        assert r.stdout.splitlines() == [
+            "lagrangian big: Degenerate (Lagrangian angle contains non-finite values: "
+            "nan at node (1, 1))"]
+        assert r.stderr == ("error: NonFiniteError: induced metric is not finite: "
+                            "det g = inf at node (0, 0)\n")
+
     def test_lagrangian_failed_step_writes_csv_exit_3(self, tmp_path, monkeypatch, capsys):
         # a potential step that fails ends the flow as Degenerate: the CSV
         # holds the records before it, and the exit code is 3, as for run

@@ -231,6 +231,34 @@ class TestSharedPass:
                               d1.reshape(ch.shape + (m,) + trailing))
 
 
+# the stencils into a given out: (spec, parity)
+OUT_CASES = {
+    "torus-fd2": (ChartSpec(Domain.TORUS, (8, 10)), 1.0),
+    "torus-fd4": (ChartSpec(Domain.TORUS, (12, 16), fd_order=4), 1.0),
+    "sphere-pole-odd": (ChartSpec(Domain.SPHERE, (8, 12)), -1.0),
+    "interval": (ChartSpec(Domain.INTERVAL, (16,), interval_bounds=(0.0, 1.0)), 1.0),
+}
+
+
+class TestStencilsIntoOut:
+    """diff1, diff2 and diff_mixed write into a given out what they would
+    otherwise allocate, bit for bit, and return out itself."""
+
+    @pytest.mark.parametrize("trailing", [(), (3,)])
+    @pytest.mark.parametrize("name", list(OUT_CASES))
+    def test_out_is_returned_and_equals_a_fresh_result(self, name, trailing):
+        spec, parity = OUT_CASES[name]
+        ch = make_chart(spec)
+        v = np.random.default_rng(len(name)).standard_normal(ch.shape + trailing)
+        calls = [(diff, (a,)) for a in range(ch.m) for diff in (diff1, diff2)]
+        calls += [(diff_mixed, (a, b)) for a in range(ch.m) for b in range(ch.m) if a != b]
+        for diff, axes in calls:
+            want = diff(v, *axes, ch, parity)
+            out = np.full(v.shape, np.nan)
+            assert diff(v, *axes, ch, parity, out=out) is out
+            assert out.tobytes() == want.tobytes()
+
+
 class TestStencilDefinition:
     """The one stencil table and the one ghost rule, pinned from outside."""
 

@@ -2,6 +2,8 @@
 potential flow, and the pinching diagnostic."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,10 +76,15 @@ class TestPotentialAndGraph:
          "potential lives on a periodic torus chart"),
         (Domain.TORUS, np.eye(2), np.full((16, 16, 1), np.nan), NonFiniteError,
          "phi contains non-finite values"),
-    ], ids=["S-3x3", "phi-two-components", "sphere-chart", "phi-nan"])
+        # 1e308 sin(x1): every value is finite, but their sum is not, so the
+        # gauge would leave phi all NaN
+        (Domain.TORUS, np.eye(2), 1e308 * np.sin(np.arange(16.0) * np.pi / 8)[:, None, None]
+         .repeat(16, 1), NonFiniteError, "phi's mean overflows"),
+    ], ids=["S-3x3", "phi-two-components", "sphere-chart", "phi-nan", "phi-mean-overflows"])
     def test_malformed_potential_rejected(self, domain, S, phi, error, message):
         ch = make_chart(ChartSpec(domain, (16, 16)))
-        with pytest.raises(error, match=message):
+        # numpy's overflow warnings off, as in the CLI
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=message):
             Potential(S, GridField(ch, phi))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -349,6 +356,54 @@ class TestPotentialFlow:
             assert np.array_equal(got.potential.phi.values, want.potential.phi.values)
         assert tr.final is tr.records[-1].potential
         assert tr.records[-1].t < full.records[-1].t
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_step_equals_a_checked_potential_bitwise(self, m):
+        # the step skips construction's checks of S and its second gauge:
+        # phi, S, H and alpha equal those of the Potential built from the
+        # same update
+        rng = np.random.default_rng(20 + m)
+        X = rng.standard_normal((m, m))
+        p0 = potential(0.3 * (X + X.T), lambda *x: 0.1 * np.sin(x[0]) * np.cos(x[-1] + 0.3)
+                       + 0.05 * np.cos(2 * x[-1]) + 0.7, n={1: 32, 2: 16, 3: 8}[m], m=m)
+        cfg = PotentialFlowConfig()
+        state = lagrangian.PotentialState(p0)
+        dt = state.dt(cfg)
+        got = state.step(dt, cfg)
+        phi, alpha = p0.phi.values[..., 0], state.alpha
+        want = lagrangian.PotentialState(
+            Potential(p0.S, GridField(p0.chart, (phi + dt * (alpha - alpha.mean()))[..., None])))
+        assert (got.t, got.step_index) == (dt, 1)
+        for x, y in [(got.p.phi.values, want.p.phi.values), (got.p.S, want.p.S),
+                     (got.H, want.H), (got.alpha, want.alpha)]:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def test_step_names_a_non_finite_angle(self):
+        # phi is finite, so a failed step blames the angle, at its first
+        # non-finite node
+        state = lagrangian.PotentialState(potential(np.eye(2), n=16))
+        state.alpha[1, 2] = state.alpha[3, 0] = np.nan
+        with pytest.raises(NonFiniteError, match=re.escape(
+                "Lagrangian angle contains non-finite values: nan at node (1, 2)")):
+            state.step(1e-3, PotentialFlowConfig())
+
+    def test_step_peak_memory(self):
+        # one m = 2 step at 64^2 keeps phi, H and alpha (6 chart arrays) and
+        # passes through the stencils' pads and the angle's temporaries
+        p0 = potential(np.diag([0.5, 0.8]), lambda x, y: 0.1 * (np.sin(x) + np.cos(y)), n=64)
+        cfg = PotentialFlowConfig()
+        state = lagrangian.PotentialState(p0)
+        dt = state.dt(cfg)
+        state.step(dt, cfg)   # plans built before tracing
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            state.step(dt, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (64 * 64 * 8) <= 10
 
     def test_linear_mode_heat_decay(self):
         # S = 0, phi = eps sin x1: the linearized flow is the heat equation,

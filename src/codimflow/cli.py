@@ -202,10 +202,12 @@ def cmd_verify(args) -> int:
     initial = build_initial(scenario)
     cfg = scenario.flow
     state = FlowState.initial(initial)
+    evolution = ("metric", "christoffel", "volume_form", "second_fundamental",
+                 "mean_sq", "a_sq", "heat", "volume_total")
+    structure = ("gauss", "codazzi", "ricci", "simons", "simons2")
     rows = []
-    print("t  evolution residuals (Linf): metric christoffel volume_form "
-          "second_fundamental mean_sq a_sq heat | structure (L2/scale): "
-          "gauss codazzi ricci simons simons2")
+    print(f"t  evolution residuals (Linf): {' '.join(evolution)} | "
+          f"structure (L2/scale): {' '.join(structure)}")
     steps = trajectory(state, cfg)
     states = (st for st, _ in steps)
     while len(rows) < args.checks:
@@ -223,18 +225,13 @@ def cmd_verify(args) -> int:
         cur = structure_residuals(s1.imm, s1.bundle)
         d = rep.as_dict()
         print(f"{s1.t:.6g}  " +
-              " ".join(f"{d[k].linf:.2e}" if k in d else "skipped" for k in
-                       ("metric", "christoffel", "volume_form",
-                        "second_fundamental", "mean_sq", "a_sq", "heat")) +
-              " | " +
-              " ".join(f"{getattr(cur, k).l2_rel:.2e}" for k in
-                       ("gauss", "codazzi", "ricci", "simons", "simons2")))
-        rows.append((s1.t, rep, cur))
+              " ".join(f"{d[k].linf:.2e}" if k in d else "skipped" for k in evolution) +
+              " | " + " ".join(f"{getattr(cur, k).l2_rel:.2e}" for k in structure))
+        rows.append(d)
         state = s2
     if steps.error is not None:
         raise steps.error
-    worst = max((max(v.linf for v in r.as_dict().values()) for _, r, _ in rows),
-                default=math.nan)
+    worst = max((d[k].linf for d in rows for k in evolution if k in d), default=math.nan)
     print(f"verify: {len(rows)} checks, worst evolution residual Linf = {worst:.3e}")
     return EXIT_OK
 
@@ -259,7 +256,8 @@ def cmd_rescale(args) -> int:
         raise UsageError("--k must be a positive integer")
     scenario = parse_config(read_text(args.config))
     initial = build_initial(scenario)
-    trace, _ = run(initial, scenario.flow, huisken_params=_density_params(scenario, initial.n))
+    _density_params(scenario, initial.n)   # its checks only: no density is read here
+    trace, _ = run(initial, scenario.flow)
     base = os.path.join(scenario.output_dir, scenario.name)
     _do_rescale(trace, estimate_singular_time(trace), {"mode": args.mode, "k": args.k}, base)
     return _termination_exit(trace)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .catalog import catalog_names, resolution_params
+from .catalog import catalog_names
 from .errors import ConfigError
 from .flow import FlowConfig, Integrator
 from .grid import MIN_RESOLUTION
@@ -171,11 +171,9 @@ def parse_config(text: str, flow_type: type = FlowConfig,
     p = _Parser(text)
     # a key is looked up only where its value is used; why a key that is set
     # and not looked up goes unread, by key (any other is unknown)
-    unread = {f"grid.{k}": f"with initial.catalog (a potential sets initial.potential.{k}, "
-                           "a snapshot keeps its own grid)" for k in ("resolution", "fd_order")}
     read = {f.name for f in fields(flow_type)}
-    unread.update((f"flow.{f.name}", "by the mean curvature flow (run, verify, rescale)")
-                  for f in fields(FlowConfig) if f.name not in read)
+    unread = {f"flow.{f.name}": "by the mean curvature flow (run, verify, rescale)"
+              for f in fields(FlowConfig) if f.name not in read}
 
     name = p.get("name", "scenario")
 
@@ -207,30 +205,6 @@ def parse_config(text: str, flow_type: type = FlowConfig,
                 "initial.catalog", "initial.snapshot"
             ) and not key.startswith("initial.potential."):
                 catalog_params[key.split(".", 1)[1]] = coerce_scalar(p.get(key))
-        # grid overrides: the example's node counts and stencil order, each
-        # reported with the example's own key when both set it
-        overrides = {}
-        res = p.resolution("grid.resolution")
-        fd = p.get_typed("grid.fd_order", int)
-        if fd not in (None, 2, 4):
-            p.err("grid.fd_order", "fd_order must be 2 or 4")
-        elif fd:
-            overrides["grid.fd_order"] = {"fd_order": fd}
-        if res and catalog_name in catalog_names():
-            own = resolution_params(catalog_name)
-            names = {1: ("n",), 2: ("J", "K")}.get(len(res))
-            if names and set(names) <= set(own):
-                overrides["grid.resolution"] = dict(zip(names, res))
-            else:
-                p.err("grid.resolution",
-                      f"grid.resolution: {len(res)} counts do not fit catalog example "
-                      f"{catalog_name!r}; set {', '.join('initial.' + k for k in own)}")
-        for key, values in overrides.items():
-            both = [f"initial.{k} (line {p.kv['initial.' + k][1]})"
-                    for k in values if k in catalog_params]
-            if both:
-                p.err(key, f"{key} and {', '.join(both)} both set the grid; keep one")
-            catalog_params.update(values)
 
     potential = None
     if has_potential:

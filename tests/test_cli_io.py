@@ -66,7 +66,8 @@ class TestParseConfig:
 
     def test_resolution_floor_reported_with_line(self):
         with pytest.raises(ConfigError, match=r"line 2: resolution below minimum 8"):
-            parse_config("initial.catalog = circle\ngrid.resolution = 4\n")
+            parse_config("initial.potential.m = 2\ninitial.potential.resolution = 4\n"
+                         "flow.stop_t_max = 1\n")
 
     def test_missing_initial(self):
         with pytest.raises(ConfigError, match="no initial source"):
@@ -146,8 +147,7 @@ class TestParseConfig:
         assert str(exc.value).splitlines() == [
             "configuration errors:",
             "  line 2: initial.potential.S: entries must be finite",
-            "  line 3: grid.fd_order is read only with initial.catalog (a potential sets "
-            "initial.potential.fd_order, a snapshot keeps its own grid)",
+            "  line 3: unknown key 'grid.fd_order'",
             "  line 7: analysis.soliton.V is read only by kind translator, not 'shrinker'",
             "  line 8: unknown key 'flow.bogus'",
         ]
@@ -767,6 +767,22 @@ class TestCLI:
         assert r.returncode == 0, (r.stdout, r.stderr)
         assert "worst evolution residual" in r.stdout
 
+    def test_verify_worst_is_a_printed_value(self, tmp_path, capsys):
+        # the summary's worst residual is the largest evolution value of the
+        # table, volume_total included
+        from codimflow import cli
+
+        cfgp = tmp_path / "v.cfg"
+        cfgp.write_text("name = v\ninitial.catalog = circle\ninitial.n = 64\n"
+                        f"flow.record_every = 5\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["verify", str(cfgp), "--checks", "3"]) == 0
+        header, *rows, summary = capsys.readouterr().out.splitlines()
+        assert header.split(" | ")[0].endswith(" heat volume_total") and len(rows) == 3
+        printed = [float(v) for row in rows for v in row.split(" | ")[0].split()[1:]]
+        assert len(printed) == 3 * 8
+        worst = float(summary.split("Linf = ")[1])
+        assert f"{worst:.2e}" == f"{max(printed):.2e}"
+
     def test_verify_honours_semi_implicit(self, tmp_path):
         cfgp = tmp_path / "v.cfg"
         cfgp.write_text(
@@ -967,8 +983,8 @@ class TestCLI:
         from codimflow import cli
 
         cfgp = tmp_path / "s.cfg"
-        cfgp.write_text("name = s\ninitial.catalog = sphere\ngrid.resolution = 12,24\n"
-                        "grid.fd_order = 2\nflow.stop_t_max = 0.001\n"
+        cfgp.write_text("name = s\ninitial.catalog = sphere\ninitial.J = 12\ninitial.K = 24\n"
+                        "initial.fd_order = 2\nflow.stop_t_max = 0.001\n"
                         f"output.dir = {tmp_path / 'out'}\n")
         assert cli.main(["run", str(cfgp)]) == 0
         header = (tmp_path / "out" / "s-final.snap").read_text().splitlines()[1:3]
@@ -978,74 +994,27 @@ class TestCLI:
         from codimflow import cli
 
         cfgp = tmp_path / "s.cfg"
-        cfgp.write_text("name = s\ninitial.catalog = sphere\ngrid.fd_order = 3\n"
+        cfgp.write_text("name = s\ninitial.catalog = sphere\ninitial.fd_order = 3\n"
                         f"output.dir = {tmp_path / 'out'}\n")
-        assert cli.main(["run", str(cfgp)]) == 4
-        assert "line 3: fd_order must be 2 or 4" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("example, res, own", [
-        ("circle", "8,8,8", "initial.n"),
-        ("clifford_torus", "16,16", "initial.n1, initial.n2"),
-    ])
-    def test_grid_resolution_unfit_for_example_exit_4(self, tmp_path, capsys,
-                                                      example, res, own):
-        # three counts fit no chart; two counts are J,K, which the torus
-        # does not take: both are named with the example's own keys
-        from codimflow import cli
-
-        cfgp = tmp_path / "s.cfg"
-        cfgp.write_text(f"name = s\ninitial.catalog = {example}\ngrid.resolution = {res}\n"
-                        f"flow.stop_t_max = 0.001\noutput.dir = {tmp_path / 'out'}\n")
-        assert cli.main(["run", str(cfgp)]) == 4
-        err = capsys.readouterr().err
-        assert f"line 3: grid.resolution: {len(res.split(','))} counts do not fit " \
-               f"catalog example '{example}'; set {own}" in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("source", ["potential", "snapshot"])
-    @pytest.mark.parametrize("line", ["grid.resolution = 64", "grid.fd_order = 4"])
-    def test_grid_keys_off_catalog_exit_4(self, tmp_path, capsys, source, line):
-        # a potential sets its grid under initial.potential.*, and a
-        # snapshot carries its own: the grid.* keys would go unread
-        from codimflow import cli
-
-        if source == "snapshot":
-            snap = tmp_path / "c.snap"
-            write_snapshot(catalog.circle(n=16), str(snap))
-            initial = f"initial.snapshot = {snap}\n"
-        else:
-            initial = "initial.potential.resolution = 16\ninitial.potential.S = 0.5,0.8\n"
-        cfgp = tmp_path / "p.cfg"
-        cfgp.write_text(f"name = p\n{initial}{line}\nflow.stop_t_max = 0.001\n"
-                        f"output.dir = {tmp_path / 'out'}\n")
-        assert cli.main(["run", str(cfgp)]) == 4
-        key = line.split(" = ")[0]
-        lineno = initial.count("\n") + 2
-        assert f"line {lineno}: {key} is read only with initial.catalog" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("example, own, line", [
-        ("circle", "initial.n = 64", "grid.resolution = 128"),
-        ("circle", "initial.n = 64", "grid.resolution = 64"),
-        ("sphere", "initial.J = 12", "grid.resolution = 12,24"),
-        ("sphere", "initial.K = 24", "grid.resolution = 12,24"),
-        ("circle", "initial.fd_order = 2", "grid.fd_order = 4"),
-        ("sphere", "initial.fd_order = 2", "grid.fd_order = 2"),
-    ], ids=["n", "n-agrees", "J", "K", "fd_order", "fd_order-agrees"])
-    def test_grid_key_with_the_example_key_exit_4(self, tmp_path, capsys, example, own, line):
-        # one of the two would be dropped, so both are named, agreeing or not
-        from codimflow import cli
-
-        cfgp = tmp_path / "s.cfg"
-        cfgp.write_text(f"name = s\ninitial.catalog = {example}\n{own}\n{line}\n"
-                        f"flow.stop_t_max = 0.001\noutput.dir = {tmp_path / 'out'}\n")
         assert cli.main(["run", str(cfgp)]) == 4
         out, err = capsys.readouterr()
-        key, own_key = line.split(" = ")[0], own.split(" = ")[0]
+        assert out == "" and err == "error: ConfigError: fd_order must be 2 or 4, got 3\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["grid.resolution = 64", "grid.fd_order = 4"])
+    def test_grid_key_is_unknown_exit_4(self, tmp_path, capsys, line):
+        # an example's grid is set by its own parameters (initial.n,
+        # initial.fd_order, ...): a grid.* key is unknown like any other
+        from codimflow import cli
+
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(f"name = c\ninitial.catalog = circle\n{line}\nflow.stop_t_max = 0.001\n"
+                        f"output.dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgp)]) == 4
+        out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [
             "error: ConfigError: configuration errors:",
-            f"    line 4: {key} and {own_key} (line 3) both set the grid; keep one"]
+            f"    line 3: unknown key {line.split(' = ')[0]!r}"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("lines, message", [
@@ -1121,7 +1090,7 @@ class TestCLI:
         from codimflow import cli
 
         cfgp = tmp_path / "s.cfg"
-        cfgp.write_text("name = s\ninitial.catalog = sphere\ngrid.resolution = 12,24\n"
+        cfgp.write_text("name = s\ninitial.catalog = sphere\ninitial.J = 12\ninitial.K = 24\n"
                         "flow.stop_t_max = 0.001\nanalyses = monotonicity\n"
                         f"analysis.monotonicity.t0 = 0.5\noutput.dir = {tmp_path / 'out'}\n")
         assert cli.main(["run", str(cfgp)]) == 0
@@ -1238,6 +1207,28 @@ class TestCLI:
         imm, s = read_snapshot(str(snaps[0]))
         radius = np.sqrt((imm.values**2).sum(-1))
         assert np.abs(radius - 1.0).max() < 2e-2  # rescaled shrinker radius
+
+    def test_rescale_evaluates_no_density(self, tmp_path, monkeypatch, capsys):
+        # rescale checks the monotonicity keys before any step but reads no
+        # density: it evaluates none, and its rescaled snapshot is the one
+        # that run writes while it records the density
+        from codimflow import cli, singularity
+
+        calls = []
+        density = singularity.huisken_functional
+        monkeypatch.setattr(singularity, "huisken_functional",
+                            lambda *args: calls.append(args) or density(*args))
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text("name = c\ninitial.catalog = circle\ninitial.n = 64\n"
+                        "flow.record_every = 5\nanalyses = monotonicity, rescale\n"
+                        f"analysis.monotonicity.t0 = 0.5\noutput.dir = {tmp_path / 'out'}\n")
+        snap = tmp_path / "out" / "c-rescaled.snap"
+        assert cli.main(["rescale", str(cfgp), "--mode", "type1"]) == 2
+        assert calls == []
+        line, rescaled = capsys.readouterr().out, snap.read_bytes()
+        assert cli.main(["run", str(cfgp)]) == 2
+        assert calls and snap.read_bytes() == rescaled
+        assert line in capsys.readouterr().out.splitlines(keepends=True)
 
     def test_resume_of_finished_run_rescales(self, tmp_path):
         # the checkpoint of a run that reached the cap resumes without a
@@ -1841,7 +1832,7 @@ class TestColdStart:
 
     def test_semi_implicit_run_loads_scipy(self, tmp_path):
         cfgp = tmp_path / "s.cfg"
-        cfgp.write_text("name = s\ninitial.catalog = sphere\ngrid.resolution = 12,24\n"
+        cfgp.write_text("name = s\ninitial.catalog = sphere\ninitial.J = 12\ninitial.K = 24\n"
                         "flow.integrator = semi_implicit\nflow.stop_t_max = 0.02\n"
                         f"output.dir = {tmp_path / 'out'}\n")
         code, _, scipy = self.cold_start("run", str(cfgp))

@@ -5,12 +5,16 @@ package, and every public one somewhere in the package or the benchmark
 harness: a reference from the tests alone does not count. The package
 __init__ binds no name but __version__, so each public name is imported from
 the one module that defines it. No module imports scipy at top level: the
-semi-implicit step loads it on first use."""
+semi-implicit step loads it on first use. The README's scenarios parse as
+the commands that read them do."""
 
 import ast
 import pathlib
 
 import pytest
+
+from codimflow.config import parse_config
+from codimflow.lagrangian import PotentialFlowConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "codimflow"
@@ -144,3 +148,14 @@ def test_public_definitions_are_referenced():
     assert sorted(orphans) == sorted(AWAITING_CALLER), (
         f"public definitions read by no package or benchmark file: {orphans}, "
         f"exempt while awaiting a caller: {sorted(AWAITING_CALLER)}")
+
+
+def test_readme_scenarios_parse():
+    # every ini block of the README parses as `run` reads it, and the
+    # potential one as `lagrangian` does too: no removed or misspelt key can
+    # linger in a documented example
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in text.split("```ini\n")[1:]]
+    kinds = [parse_config(b).initial_kind for b in blocks]
+    assert kinds == ["catalog", "potential"]
+    parse_config(blocks[1], flow_type=PotentialFlowConfig, flow_sources=("potential",))
